@@ -108,7 +108,11 @@ def _cmd_solve(cfg: dict, args, with_probes: bool) -> int:
     out.mkdir(parents=True, exist_ok=True)
     digest = config_digest(cfg)
     save_trajectory(out, traj, seed=int(seed), digest=digest)
+    return _probe_and_report(cfg, traj, cert, out, with_probes)
 
+
+def _probe_and_report(cfg: dict, traj, cert, out: Path, with_probes: bool) -> int:
+    """Run the config's probes (when asked), then write probes.csv and report.json."""
     probe_reports = []
     if with_probes:
         for spec in cfg.get("probes", []):
@@ -145,18 +149,7 @@ def _cmd_probe(cfg: dict, args) -> int:
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     field = traj.field if traj.field is not None else build_field(cfg, seed_override=args.seed)
     cert = certify_field(field, seed=int(seed))
-    probe_reports = []
-    for spec in cfg.get("probes", []):
-        try:
-            probe_reports.append(run_probe(traj, spec).to_dict())
-        except ValueError as exc:
-            print(f"probe {spec.get('name')!r} rejected: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-    invariants = _invariants(cfg, traj, cert)
-    write_report(out / "report.json", _report(cfg, probe_reports, invariants))
-    if not all(item["passed"] for item in invariants):
-        return EXIT_INVARIANT
-    return EXIT_OK
+    return _probe_and_report(cfg, traj, cert, out, with_probes=True)
 
 
 def _cmd_landau(cfg: dict, args) -> int:
@@ -283,7 +276,6 @@ def main(argv=None) -> int:
     parser.add_argument("--config", type=str, default=None, help="path to the JSON config")
     parser.add_argument("--out", type=str, default=None, help="output directory override")
     parser.add_argument("--seed", type=int, default=None, help="seed override")
-    parser.add_argument("--threads", type=int, default=None, help="advisory thread count")
     args = parser.parse_args(argv)
 
     cfg: dict = {"schema_version": 1}

@@ -14,15 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import probes as probes_mod
-from .fields import (
-    CheckerboardRecipe,
-    ConstantRecipe,
-    EllipticityBounds,
-    RotatingAnisotropyRecipe,
-    SmoothRandomRecipe,
-    sample_field,
-    scaled_diffusion,
-)
+from .fields import field_from_descriptor
 from .geometry import Cylinder, CylinderShape, KineticPoint
 from .solver import SolverConfig
 from .trajectory import PhaseBox, PhaseGrid, PhaseGridFunction, Trajectory
@@ -43,7 +35,7 @@ _INITIAL_KEYS = {"kind", "value", "center_x", "center_v", "sigma_x", "sigma_v",
 _FIELD_KEYS = {"recipe", "lambda", "Lambda", "seed", "a_value", "b_value", "s_value",
                "cell", "b_max", "s_max", "corr_x", "corr_v", "corr_t", "n_modes",
                "period", "scale_a"}
-_OUTPUT_KEYS = {"dir", "formats"}
+_OUTPUT_KEYS = {"dir"}
 _LANDAU_KEYS = {"input", "profile", "gamma", "d", "bounds", "a_const", "b_const", "c_const"}
 _GEOMETRY_KEYS = {"delta", "R", "r0", "omega", "n_samples", "d", "n_selfchecks"}
 _ITERATE_KEYS = {"degiorgi", "moser"}
@@ -107,41 +99,22 @@ def validate_config(cfg: dict) -> None:
 
 
 def build_field(cfg: dict, seed_override: int | None = None):
-    section = cfg.get("field", {"recipe": "constant", "lambda": 1.0, "Lambda": 1.0})
-    bounds = EllipticityBounds(section.get("lambda", 1.0), section.get("Lambda", 1.0))
-    seed = seed_override if seed_override is not None else section.get("seed", cfg.get("seed", 0))
-    d = cfg.get("solver", {}).get("d", 1)
-    recipe_name = section.get("recipe", "constant")
-    if recipe_name == "constant":
-        recipe = ConstantRecipe(
-            a_value=section.get("a_value"),
-            b_value=section.get("b_value", 0.0),
-            s_value=section.get("s_value", 0.0),
-        )
-    elif recipe_name == "checkerboard":
-        recipe = CheckerboardRecipe(
-            cell=section.get("cell", 1.0),
-            b_max=section.get("b_max"),
-            s_max=section.get("s_max", 0.0),
-        )
-    elif recipe_name == "smooth":
-        recipe = SmoothRandomRecipe(
-            corr_x=section.get("corr_x", 1.0),
-            corr_v=section.get("corr_v", 1.0),
-            corr_t=section.get("corr_t", 1.0),
-            n_modes=section.get("n_modes", 8),
-            b_max=section.get("b_max"),
-            s_max=section.get("s_max", 0.0),
-        )
-    elif recipe_name == "rotating":
-        recipe = RotatingAnisotropyRecipe(period=section.get("period", 1.0))
+    """Build the config's field through its descriptor (the one recipe parser)."""
+    section = cfg.get("field", {})
+    desc = {"lambda": 1.0, "Lambda": 1.0, **section}
+    desc["kind"] = desc.pop("recipe", "constant")
+    if seed_override is not None:
+        desc["seed"] = seed_override
     else:
-        raise ConfigError(f"unknown field recipe {recipe_name!r}")
-    out = sample_field(recipe, bounds, int(seed), d)
-    scale = section.get("scale_a", 1.0)
+        desc["seed"] = section.get("seed", cfg.get("seed", 0))
+    desc["d"] = cfg.get("solver", {}).get("d", 1)
+    scale = desc.pop("scale_a", 1.0)
     if scale != 1.0:
-        out = scaled_diffusion(out, scale)
-    return out
+        desc["corrupted_scale"] = scale
+    try:
+        return field_from_descriptor(desc)
+    except ValueError as exc:
+        raise ConfigError(f"invalid field: {exc}") from exc
 
 
 def build_solver_config(cfg: dict, field) -> SolverConfig:

@@ -107,22 +107,9 @@ class GalileanTransform:
         )
 
 
-def apply_transform(transform: GalileanTransform, z: KineticPoint) -> KineticPoint:
-    return transform.apply(z)
-
-
-def apply_inverse_transform(transform: GalileanTransform, z: KineticPoint) -> KineticPoint:
-    return transform.apply_inverse(z)
-
-
 def compose(z0: KineticPoint, z1: KineticPoint) -> KineticPoint:
     """Group product z0 o z1 = T_{z0}(z1)."""
     return GalileanTransform(z0).apply(z1)
-
-
-def group_inverse(z: KineticPoint) -> KineticPoint:
-    """The group inverse: T_{z}^{-1}(origin)."""
-    return GalileanTransform(z).apply_inverse(KineticPoint.origin(z.d))
 
 
 def scale_point(r: float, z: KineticPoint) -> KineticPoint:
@@ -257,11 +244,6 @@ class Cylinder:
     def transformed(self, z0: KineticPoint) -> "Cylinder":
         """The cylinder moved by the group action T_{z0}."""
         return replace(self, center=compose(z0, self.center))
-
-
-def cylinder_contains(cylinder: Cylinder, z: KineticPoint) -> bool:
-    """Membership predicate; true iff z lies in the cylinder's half-open windows."""
-    return cylinder.contains(z)
 
 
 def iterated_cylinder(k: int, omega: float, d: int = 1) -> Cylinder:

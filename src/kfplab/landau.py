@@ -287,11 +287,6 @@ def landau_a(f: VelocityGridFunction, params: LandauParams, v) -> np.ndarray:
     return landau_a_field(f, params)[f.grid.index_of(v)]
 
 
-def landau_b(f: VelocityGridFunction, params: LandauParams, v) -> np.ndarray:
-    """B[f] at one grid point v."""
-    return landau_b_field(f, params)[f.grid.index_of(v)]
-
-
 def landau_c(f: VelocityGridFunction, params: LandauParams, v) -> float:
     """c[f] at one grid point v (exactly c_const * f(v) when gamma = -d)."""
     idx = f.grid.index_of(v)

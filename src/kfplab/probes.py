@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,10 +25,12 @@ from .geometry import (
     CylinderShape,
     GalileanTransform,
     KineticPoint,
+    collared_windows,
     compose,
+    iterated_times,
 )
 from .iteration import holder_alpha, sobolev_p
-from .trajectory import PhaseBox, Trajectory, region_mask
+from .trajectory import PhaseBox, PhaseGrid, Trajectory, region_mask
 
 
 @dataclass(frozen=True)
@@ -37,7 +41,6 @@ class ProbeReport:
     params: dict
     constants: dict
     verdict: str
-    notes: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         clean = {
@@ -47,15 +50,12 @@ class ProbeReport:
         object.__setattr__(self, "constants", clean)
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "name": self.name,
             "params": {k: _jsonable(v) for k, v in self.params.items()},
             "constants": {k: _jsonable(v) for k, v in self.constants.items()},
             "verdict": self.verdict,
         }
-        if self.notes:
-            out["notes"] = list(self.notes)
-        return out
 
 
 def _jsonable(v):
@@ -94,6 +94,68 @@ def _native(traj: Trajectory, *objs):
     return (replace(traj, base=None), *out)
 
 
+class RegionSlice(NamedTuple):
+    """One snapshot of a region sample."""
+
+    n: int              # snapshot index
+    mask: np.ndarray    # grid nodes inside the region
+    values: np.ndarray  # f at those nodes, in C order
+    tw: float           # time weight of the snapshot
+    weight: float       # cell volume x time weight
+
+
+def sample_region(traj: Trajectory, region) -> list[RegionSlice]:
+    """The snapshots of a base-free trajectory that meet ``region``.
+
+    One vector test on the snapshot times, with the arithmetic of
+    :func:`region_mask`, keeps the snapshots inside the collared time window;
+    masks are built only for those, and snapshots whose mask is empty are
+    dropped.  Every probe is a reduction over this list in snapshot order.
+    """
+    _, _, t_lo, t_hi = collared_windows(*region.windows())
+    dt = traj.times - region.center.t
+    tw = traj.time_weights()
+    cell = traj.grid.cell_volume
+    sample = []
+    for n in np.flatnonzero((dt > t_lo) & (dt <= t_hi)):
+        mask = region_mask(traj, region, int(n))
+        if mask.any():
+            sample.append(RegionSlice(int(n), mask, traj.values[n][mask], tw[n], cell * tw[n]))
+    return sample
+
+
+def _nodes(grid: PhaseGrid, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinates (x, v), each of shape (k, d), of the nodes of a mask in C order."""
+    idx = np.nonzero(mask)
+    x = np.stack([grid.x_axis[i] for i in idx[: grid.d]], axis=-1)
+    v = np.stack([grid.v_axis[i] for i in idx[grid.d :]], axis=-1)
+    return x, v
+
+
+def _region_min(sample: list[RegionSlice]) -> float:
+    _require_points(sample)
+    return min(float(piece.values.min()) for piece in sample)
+
+
+def _region_max(sample: list[RegionSlice]) -> float:
+    _require_points(sample)
+    return max(float(piece.values.max()) for piece in sample)
+
+
+def _require_points(sample: list[RegionSlice]) -> None:
+    if not sample:
+        raise ValueError("region does not intersect the stored grid points")
+
+
+def _integrate(traj: Trajectory, sample: list[RegionSlice], term) -> float:
+    """Sum of term(piece) x cell volume x time weight, in snapshot order."""
+    cell = traj.grid.cell_volume
+    total = 0.0
+    for piece in sample:
+        total += float(term(piece)) * cell * piece.tw
+    return total
+
+
 def _domain(traj: Trajectory) -> tuple[float, float, float, float, float, float]:
     g = traj.grid
     return (
@@ -120,11 +182,13 @@ def _fits_domain(traj: Trajectory, region) -> bool:
     return c.t + w_lo >= t_lo and c.t + w_hi <= t_hi
 
 
-def _source_values(traj: Trajectory, n: int) -> np.ndarray:
-    if traj.field is None:
-        return np.zeros(traj.grid.shape)
-    x, v = traj.grid.meshes()
-    return traj.field.s(x, v, float(traj.times[n]))
+def _source_values(traj: Trajectory, piece: RegionSlice) -> np.ndarray:
+    """s at the in-region nodes of one sampled snapshot (zero when s_bound = 0)."""
+    field = traj.field
+    if field is None or field.s_bound == 0.0:
+        return np.zeros(piece.values.size)
+    x, v = _nodes(traj.grid, piece.mask)
+    return field.s(x, v, float(traj.times[piece.n]))
 
 
 def _grad_v_sq(traj: Trajectory, n: int) -> np.ndarray:
@@ -167,28 +231,18 @@ def norm_on_cylinder(traj: Trajectory, region, p, normalized: bool = False) -> f
     result monotone non-decreasing in p.
     """
     traj, region = _native(traj, region)
-    tw = traj.time_weights()
-    cell = traj.grid.cell_volume
+    return _norm(sample_region(traj, region), p, normalized)
+
+
+def _norm(sample: list[RegionSlice], p, normalized: bool = False) -> float:
+    if p == math.inf:
+        return _region_max(sample)
+    _require_points(sample)
     total = 0.0
     measure = 0.0
-    sup = -math.inf
-    seen = False
-    for n in range(traj.n_times):
-        mask = region_mask(traj, region, n)
-        if not mask.any():
-            continue
-        seen = True
-        vals = traj.values[n][mask]
-        if p == math.inf:
-            sup = max(sup, float(vals.max()))
-        else:
-            w = cell * tw[n]
-            total += float(np.sum(np.abs(vals) ** p)) * w
-            measure += float(mask.sum()) * w
-    if not seen:
-        raise ValueError("region does not intersect the stored grid points")
-    if p == math.inf:
-        return sup
+    for piece in sample:
+        total += float(np.sum(np.abs(piece.values) ** p)) * piece.weight
+        measure += float(piece.mask.sum()) * piece.weight
     if normalized:
         return (total / measure) ** (1.0 / p)
     return total ** (1.0 / p)
@@ -197,11 +251,8 @@ def norm_on_cylinder(traj: Trajectory, region, p, normalized: bool = False) -> f
 def grid_measure(traj: Trajectory, region) -> float:
     """Counting-measure x cell-volume x time-weight measure of the region."""
     traj, region = _native(traj, region)
-    tw = traj.time_weights()
     cell = traj.grid.cell_volume
-    return float(
-        sum(region_mask(traj, region, n).sum() * cell * tw[n] for n in range(traj.n_times))
-    )
+    return float(sum(piece.mask.sum() * cell * piece.tw for piece in sample_region(traj, region)))
 
 
 def gain_probe(traj: Trajectory, q_int: Cylinder, q_ext: Cylinder) -> ProbeReport:
@@ -216,19 +267,14 @@ def gain_probe(traj: Trajectory, q_int: Cylinder, q_ext: Cylinder) -> ProbeRepor
     if float(traj.values.min()) < -1e-10 * max(1.0, float(np.abs(traj.values).max())):
         raise ValueError("gain probe requires a non-negative run")
     p = sobolev_p(traj.d)
-    lhs = norm_on_cylinder(traj, q_int, p) ** 2
-    f_l2_sq = norm_on_cylinder(traj, q_ext, 2) ** 2
-    tw = traj.time_weights()
-    cell = traj.grid.cell_volume
-    src = 0.0
-    for n in range(traj.n_times):
-        mask = region_mask(traj, q_ext, n)
-        if not mask.any():
-            continue
-        active = mask & (traj.values[n] > 0.0)
-        if active.any():
-            s_vals = _source_values(traj, n)[active]
-            src += float(np.sum(s_vals**2)) * cell * tw[n]
+    ext = sample_region(traj, q_ext)
+    lhs = _norm(sample_region(traj, q_int), p) ** 2
+    f_l2_sq = _norm(ext, 2) ** 2
+
+    def source_sq_where_positive(piece):
+        return np.sum(_source_values(traj, piece)[piece.values > 0.0] ** 2)
+
+    src = _integrate(traj, ext, source_sq_where_positive)
     c01 = c01_constant(q_ext.radius, q_int.radius)
     rhs = c01**2 * f_l2_sq + c01 * src
     degenerate = rhs == 0.0
@@ -274,16 +320,10 @@ def level_set_measures(traj: Trajectory, theta: float, region) -> LevelSetMeasur
     if not 0.0 < theta < 1.0:
         raise ValueError(f"theta must lie in (0, 1), got {theta}")
     traj, region = _native(traj, region)
-    tw = traj.time_weights()
-    cell = traj.grid.cell_volume
     high = low = mid = total = 0.0
     cut = 1.0 - theta
-    for n in range(traj.n_times):
-        mask = region_mask(traj, region, n)
-        if not mask.any():
-            continue
-        vals = traj.values[n][mask]
-        w = cell * tw[n]
+    for piece in sample_region(traj, region):
+        vals, w = piece.values, piece.weight
         high += float(np.count_nonzero(vals >= cut)) * w
         low += float(np.count_nonzero(vals <= 0.0)) * w
         mid += float(np.count_nonzero((vals > 0.0) & (vals < cut))) * w
@@ -294,18 +334,8 @@ def level_set_measures(traj: Trajectory, theta: float, region) -> LevelSetMeasur
 def oscillation(traj: Trajectory, region) -> float:
     """max - min of f over in-region grid points."""
     traj, region = _native(traj, region)
-    lo = math.inf
-    hi = -math.inf
-    for n in range(traj.n_times):
-        mask = region_mask(traj, region, n)
-        if not mask.any():
-            continue
-        vals = traj.values[n][mask]
-        lo = min(lo, float(vals.min()))
-        hi = max(hi, float(vals.max()))
-    if not math.isfinite(lo):
-        raise ValueError("region does not intersect the stored grid points")
-    return hi - lo
+    sample = sample_region(traj, region)
+    return _region_max(sample) - _region_min(sample)
 
 
 def holder_fit(
@@ -337,48 +367,41 @@ def holder_fit(
     floor = 10.0 * np.finfo(float).eps * max(scale, 1.0)
 
     levels: list[tuple[float, float]] = []
-    all_roundoff = True
     for r in radii:
         try:
             osc = oscillation(traj, Cylinder(z1, r))
         except ValueError:
             continue
-        all_roundoff = all_roundoff and osc <= floor
         if osc > floor:
             levels.append((r, osc))
-    if len(levels) < 3:
-        if all_roundoff:
-            # oscillation at roundoff on every resolvable level (constant data)
-            return ProbeReport(
-                name="holder",
-                params={"omega": omega, "k_levels": k_levels, "r_base": float(r_base)},
-                constants={"alpha_fit": math.nan, "levels_used": 0.0},
-                verdict="degenerate",
-            )
+    if 0 < len(levels) < 3:
         raise ValueError(f"only {len(levels)} usable oscillation levels, need >= 3")
-
-    rs = np.array([r for r, _ in levels])
-    oscs = np.array([o for _, o in levels])
-    slope, intercept = np.polyfit(np.log(rs), np.log(oscs), 1)
-    ratios = np.clip(oscs[1:] / oscs[:-1], 1e-15, 1.0 - 1e-15)
-    theta_hat = float(np.exp(np.mean(np.log(ratios))))
-    constants = {
-        "alpha_fit": float(slope),
-        "amplitude": float(np.exp(intercept)),
-        "theta_hat": theta_hat,
-        "alpha_predicted": holder_alpha(theta_hat, omega),
-        "levels_used": float(len(levels)),
-    }
-    for i, (r, o) in enumerate(levels, start=1):
-        constants[f"r_{i}"] = float(r)
-        constants[f"osc_{i}"] = float(o)
-    if theta is not None:
-        constants["alpha_target"] = holder_alpha(theta, omega)
+    if not levels:
+        # oscillation at roundoff on every resolvable level (constant data)
+        constants = {"alpha_fit": math.nan, "levels_used": 0.0}
+    else:
+        rs = np.array([r for r, _ in levels])
+        oscs = np.array([o for _, o in levels])
+        slope, intercept = np.polyfit(np.log(rs), np.log(oscs), 1)
+        ratios = np.clip(oscs[1:] / oscs[:-1], 1e-15, 1.0 - 1e-15)
+        theta_hat = float(np.exp(np.mean(np.log(ratios))))
+        constants = {
+            "alpha_fit": float(slope),
+            "amplitude": float(np.exp(intercept)),
+            "theta_hat": theta_hat,
+            "alpha_predicted": holder_alpha(theta_hat, omega),
+            "levels_used": float(len(levels)),
+        }
+        for i, (r, o) in enumerate(levels, start=1):
+            constants[f"r_{i}"] = float(r)
+            constants[f"osc_{i}"] = float(o)
+        if theta is not None:
+            constants["alpha_target"] = holder_alpha(theta, omega)
     return ProbeReport(
         name="holder",
         params={"omega": omega, "k_levels": k_levels, "r_base": float(r_base)},
         constants=constants,
-        verdict="ok",
+        verdict="ok" if levels else "degenerate",
     )
 
 
@@ -455,31 +478,15 @@ def harnack_probe(traj: Trajectory, params: HarnackParams) -> ProbeReport:
     """
     traj, center = _native(traj, params.center)
     params = replace(params, center=center)
-    q_plus = params.q_plus()
-    q_minus = params.q_minus()
-    q_unit = Cylinder(center, 1.0)
-
-    f_min_unit = math.inf
-    sup_minus = -math.inf
-    inf_plus = math.inf
-    s_sup = 0.0
-    for n in range(traj.n_times):
-        unit_mask = region_mask(traj, q_unit, n)
-        if unit_mask.any():
-            vals = traj.values[n][unit_mask]
-            f_min_unit = min(f_min_unit, float(vals.min()))
-            s_here = _source_values(traj, n)[unit_mask]
-            if s_here.size:
-                s_sup = max(s_sup, float(np.abs(s_here).max()))
-        m_minus = region_mask(traj, q_minus, n)
-        if m_minus.any():
-            sup_minus = max(sup_minus, float(traj.values[n][m_minus].max()))
-        m_plus = region_mask(traj, q_plus, n)
-        if m_plus.any():
-            inf_plus = min(inf_plus, float(traj.values[n][m_plus].min()))
-
-    if not math.isfinite(sup_minus) or not math.isfinite(inf_plus):
+    unit = sample_region(traj, Cylinder(center, 1.0))
+    minus = sample_region(traj, params.q_minus())
+    plus = sample_region(traj, params.q_plus())
+    if not minus or not plus:
         raise ValueError("Harnack cylinders do not intersect the stored grid")
+    sup_minus = _region_max(minus)
+    inf_plus = _region_min(plus)
+    f_min_unit = min((float(piece.values.min()) for piece in unit), default=math.inf)
+    s_sup = max((float(np.abs(_source_values(traj, piece)).max()) for piece in unit), default=0.0)
     scale = max(1.0, float(np.abs(traj.values).max()))
     if f_min_unit < -1e-10 * scale:
         raise ValueError(f"non-negative run required, min over Q_1 is {f_min_unit:.3e}")
@@ -519,8 +526,6 @@ def doubling_probe(
     if n_levels < 1:
         raise ValueError("n_levels must be >= 1")
     x_lo, x_hi, v_lo, v_hi, t_lo, t_hi = _domain(traj)
-    from .geometry import iterated_times
-
     t_top = iterated_times(n_levels)[1]
     if r is None:
         r = 0.95 * math.sqrt((t_hi - t_lo) / (t_top + 1.0))
@@ -533,41 +538,24 @@ def doubling_probe(
         raise ValueError("iterated cylinders do not fit in the stored time range")
 
     q0 = Cylinder(z0, r, CylinderShape.ELONGATED, omega=omega)
-    inf0 = _region_min(traj, q0)
+    inf0 = _region_min(sample_region(traj, q0))
     constants: dict = {"r": float(r), "inf_q0": inf0}
-    if inf0 <= 0.0:
-        return ProbeReport(
-            name="doubling",
-            params={"omega": omega, "n_levels": n_levels},
-            constants=constants,
-            verdict="degenerate",
-        )
-    h_min = math.inf
-    for k in range(1, n_levels + 1):
-        qk = Cylinder(z0, r, CylinderShape.ITERATED, omega=omega, k=k)
-        inf_k = _region_min(traj, qk)
-        h_k = (max(inf_k, 0.0) / inf0) ** (1.0 / k)
-        constants[f"inf_q{k}"] = inf_k
-        constants[f"h_{k}"] = h_k
-        h_min = min(h_min, h_k)
-    constants["h_min"] = h_min
+    if inf0 > 0.0:
+        h_min = math.inf
+        for k in range(1, n_levels + 1):
+            qk = Cylinder(z0, r, CylinderShape.ITERATED, omega=omega, k=k)
+            inf_k = _region_min(sample_region(traj, qk))
+            h_k = (max(inf_k, 0.0) / inf0) ** (1.0 / k)
+            constants[f"inf_q{k}"] = inf_k
+            constants[f"h_{k}"] = h_k
+            h_min = min(h_min, h_k)
+        constants["h_min"] = h_min
     return ProbeReport(
         name="doubling",
         params={"omega": omega, "n_levels": n_levels},
         constants=constants,
-        verdict="ok",
+        verdict="ok" if inf0 > 0.0 else "degenerate",
     )
-
-
-def _region_min(traj: Trajectory, region) -> float:
-    lo = math.inf
-    for n in range(traj.n_times):
-        mask = region_mask(traj, region, n)
-        if mask.any():
-            lo = min(lo, float(traj.values[n][mask].min()))
-    if not math.isfinite(lo):
-        raise ValueError("region does not intersect the stored grid points")
-    return lo
 
 
 def smooth_bump(u: np.ndarray) -> np.ndarray:
@@ -591,9 +579,8 @@ def weighted_mean(traj: Trajectory, z0: KineticPoint, r_scale: float, t: float) 
     normalisation is the grid integral of the cutoff, so a function constant
     on the support is reproduced exactly.
     """
-    if traj.base is not None:
-        t = t - traj.base.t
-    traj, z0 = _native(traj, z0)
+    traj, z0, at_t = _native(traj, z0, KineticPoint(z0.x, z0.v, t))
+    t = at_t.t
     if r_scale <= 0:
         raise ValueError("scale must be positive")
     n = int(np.argmin(np.abs(traj.times - t)))
@@ -637,30 +624,20 @@ def caccioppoli_probe(traj: Trajectory, z0: KineticPoint, r_scale: float) -> Pro
     if not _fits_domain(traj, q_3r):
         raise ValueError("Q_{3R}(z0) exceeds the computational domain")
 
-    tw = traj.time_weights()
+    grad = cache(lambda n: _grad_v_sq(traj, n))
+
+    def grad_sq(piece):
+        return grad(piece.n)[piece.mask].sum()
+
+    def spread(piece, scale):
+        return ((piece.values - weighted_mean(traj, z0, scale, float(traj.times[piece.n]))) ** 2).sum()
+
+    s_r = sample_region(traj, q_r)
+    grad_r = _integrate(traj, s_r, grad_sq)
+    grad_3r = _integrate(traj, sample_region(traj, q_3r), grad_sq)
+    diff_2r = _integrate(traj, sample_region(traj, q_2r), lambda p: spread(p, r))
     cell = traj.grid.cell_volume
-    grad_r = 0.0
-    grad_3r = 0.0
-    diff_2r = 0.0
-    sup_slice = 0.0
-    for n in range(traj.n_times):
-        m_r = region_mask(traj, q_r, n)
-        m_2r = region_mask(traj, q_2r, n)
-        m_3r = region_mask(traj, q_3r, n)
-        if m_3r.any():
-            gsq = _grad_v_sq(traj, n)
-            grad_3r += float(gsq[m_3r].sum()) * cell * tw[n]
-            if m_r.any():
-                grad_r += float(gsq[m_r].sum()) * cell * tw[n]
-        if m_2r.any():
-            mean_2r = weighted_mean(traj, z0, r, float(traj.times[n]))
-            diff_2r += float(((traj.values[n][m_2r] - mean_2r) ** 2).sum()) * cell * tw[n]
-        if m_r.any():
-            mean_r = weighted_mean(traj, z0, r / 2.0, float(traj.times[n]))
-            sup_slice = max(
-                sup_slice,
-                float(((traj.values[n][m_r] - mean_r) ** 2).sum()) * cell,
-            )
+    sup_slice = max((float(spread(p, r / 2.0)) * cell for p in s_r), default=0.0)
     rhs1 = diff_2r / r**2
     c1 = math.nan if rhs1 == 0.0 else grad_r / rhs1
     c2 = math.nan if grad_3r == 0.0 else sup_slice / grad_3r
@@ -696,27 +673,16 @@ def fractional_seminorm(
     if not 0.0 < s_order < 1.0:
         raise ValueError(f"s_order must lie in (0, 1), got {s_order}")
     traj, region = _native(traj, region)
+    sample = sample_region(traj, region)
+    _require_points(sample)
     coords = []
-    vals = []
-    weights = []
-    tw = traj.time_weights()
-    cell = traj.grid.cell_volume
-    x_mesh, v_mesh = traj.grid.meshes()
-    for n in range(traj.n_times):
-        mask = region_mask(traj, region, n)
-        if not mask.any():
-            continue
-        xs = x_mesh[mask]
-        vs = v_mesh[mask]
-        ts = np.full(xs.shape[0], float(traj.times[n]))
+    for piece in sample:
+        xs, vs = _nodes(traj.grid, piece.mask)
+        ts = np.full(xs.shape[0], float(traj.times[piece.n]))
         coords.append(np.concatenate([xs, vs, ts[:, None]], axis=1))
-        vals.append(traj.values[n][mask])
-        weights.append(np.full(xs.shape[0], cell * tw[n]))
-    if not coords:
-        raise ValueError("region does not intersect the stored grid points")
     z = np.concatenate(coords)
-    f = np.concatenate(vals)
-    w = np.concatenate(weights)
+    f = np.concatenate([piece.values for piece in sample])
+    w = np.concatenate([np.full(piece.values.size, piece.weight) for piece in sample])
     n_pts = z.shape[0]
     if n_pts < 2:
         raise ValueError("need at least two in-region points")
@@ -765,7 +731,7 @@ def gehring_probe(
     if not lower_order_free(traj.field):
         raise ValueError("gehring probe requires a run without lower-order terms (B = 0, s = 0)")
 
-    grads = [_grad_v_sq(traj, n) for n in range(traj.n_times)]
+    grad = cache(lambda n: _grad_v_sq(traj, n))
     c = q0.center
     r0 = q0.radius
 
@@ -782,27 +748,20 @@ def gehring_probe(
     if not scan:
         raise ValueError("no admissible scan cylinders inside Q0")
 
-    def _avg(region, power: float) -> float | None:
-        tw = traj.time_weights()
-        cell = traj.grid.cell_volume
-        tot = 0.0
-        measure = 0.0
-        for n in range(traj.n_times):
-            mask = region_mask(traj, region, n)
-            if not mask.any():
-                continue
-            tot += float(np.sum(grads[n][mask] ** power)) * cell * tw[n]
-            measure += float(mask.sum()) * cell * tw[n]
-        if measure == 0.0:
-            return None
-        return tot / measure
+    def _integral(sample: list[RegionSlice], power: float) -> float:
+        return _integrate(traj, sample, lambda p: np.sum(grad(p.n)[p.mask] ** power))
+
+    def _avg(sample: list[RegionSlice], power: float) -> float | None:
+        measure = _integrate(traj, sample, lambda p: p.mask.sum())
+        return None if measure == 0.0 else _integral(sample, power) / measure
 
     b_worst = -math.inf
     b_arg = None
     for inner, outer in scan:
-        lhs = _avg(inner, q)
-        g_mean = _avg(outer, 1.0)
-        g_q_mean = _avg(outer, q)
+        outer_sample = sample_region(traj, outer)
+        lhs = _avg(sample_region(traj, inner), q)
+        g_mean = _avg(outer_sample, 1.0)
+        g_q_mean = _avg(outer_sample, q)
         if lhs is None or g_mean is None or g_q_mean is None or g_mean <= 0.0:
             # scan cylinders below the stored snapshot resolution are skipped
             continue
@@ -813,14 +772,9 @@ def gehring_probe(
     b_emp = max(0.0, b_worst) if b_arg is not None else math.nan
 
     # tail fit of g on Q[2] for the largest finite moment order
-    q_2 = Cylinder(c, 0.5 * r0)
-    q_1 = Cylinder(c, 0.75 * r0)
-    g_vals = []
-    for n in range(traj.n_times):
-        mask = region_mask(traj, q_2, n)
-        if mask.any():
-            g_vals.append(grads[n][mask])
-    g_all = np.sort(np.concatenate(g_vals))[::-1]
+    q_2 = sample_region(traj, Cylinder(c, 0.5 * r0))
+    q_1 = sample_region(traj, Cylinder(c, 0.75 * r0))
+    g_all = np.sort(np.concatenate([grad(piece.n)[piece.mask] for piece in q_2]))[::-1]
     positive = g_all[g_all > 0.0]
     eps_emp = eps_cap
     if positive.size >= 16:
@@ -835,16 +789,6 @@ def gehring_probe(
                 eps_emp = float(min(eps_cap, 2.0 * (a_tail - 1.0)))
             else:
                 eps_emp = 0.0
-
-    def _integral(region, power: float) -> float:
-        tw = traj.time_weights()
-        cell = traj.grid.cell_volume
-        tot = 0.0
-        for n in range(traj.n_times):
-            mask = region_mask(traj, region, n)
-            if mask.any():
-                tot += float(np.sum(grads[n][mask] ** power)) * cell * tw[n]
-        return tot
 
     num = _integral(q_2, (2.0 + eps_emp) / 2.0)
     den = _integral(q_1, 1.0) ** ((2.0 + eps_emp) / 2.0)
@@ -909,7 +853,7 @@ def propagation_probe(
     if z is None:
         z = params._minus_center()
     q_minus_2 = params.q_minus(params.rho2)
-    m_plus = _region_min(traj, params.q_plus())
+    m_plus = _region_min(sample_region(traj, params.q_plus()))
 
     rs = sorted(float(r) for r in r_ladder)
     if not rs or rs[0] <= 0.0:
@@ -920,31 +864,24 @@ def propagation_probe(
         q_el = Cylinder(z, r, CylinderShape.ELONGATED, omega=omega)
         if not _contained_in(q_el, q_minus_2):
             raise ValueError(f"Q^el_{r}(z) is not contained in Q^-[2]")
-        mins.append(_region_min(traj, q_el))
+        mins.append(_region_min(sample_region(traj, q_el)))
 
     constants: dict = {"c_pm": params.c_pm, "min_q_plus": m_plus}
     for i, (r, m) in enumerate(zip(rs, mins), start=1):
         constants[f"r_{i}"] = r
         constants[f"min_el_{i}"] = m
         constants[f"bound_{i}"] = params.c_pm * r ** (-params.q) * m_plus
-    if m_plus <= 0.0:
-        return ProbeReport(
-            name="propagation",
-            params={"q": params.q, "R": params.r, "Delta": params.delta},
-            constants=constants,
-            verdict="degenerate",
-        )
-    ratios = np.array(mins) / m_plus
-    if len(rs) >= 2 and np.all(ratios > 0.0):
-        slope, _ = np.polyfit(np.log(rs), np.log(ratios), 1)
-        constants["q_hat"] = float(-slope)
-    else:
+    if m_plus > 0.0:
+        ratios = np.array(mins) / m_plus
         constants["q_hat"] = math.nan
+        if len(rs) >= 2 and np.all(ratios > 0.0):
+            slope, _ = np.polyfit(np.log(rs), np.log(ratios), 1)
+            constants["q_hat"] = float(-slope)
     return ProbeReport(
         name="propagation",
         params={"q": params.q, "R": params.r, "Delta": params.delta},
         constants=constants,
-        verdict="ok",
+        verdict="ok" if m_plus > 0.0 else "degenerate",
     )
 
 
@@ -956,23 +893,13 @@ def energy_estimate_check(traj: Trajectory, q_int: Cylinder, q_ext: Cylinder) ->
     """
     traj, q_int, q_ext = _native(traj, q_int, q_ext)
     _require_nested(q_int, q_ext)
-    tw = traj.time_weights()
+    inner = sample_region(traj, q_int)
+    ext = sample_region(traj, q_ext)
     cell = traj.grid.cell_volume
-    sup_slice = 0.0
-    grad_int = 0.0
-    f_sq_ext = 0.0
-    s_sq_ext = 0.0
-    for n in range(traj.n_times):
-        m_int = region_mask(traj, q_int, n)
-        m_ext = region_mask(traj, q_ext, n)
-        if m_int.any():
-            vals = traj.values[n][m_int]
-            sup_slice = max(sup_slice, float((vals**2).sum()) * cell)
-            grad_int += float(_grad_v_sq(traj, n)[m_int].sum()) * cell * tw[n]
-        if m_ext.any():
-            f_sq_ext += float((traj.values[n][m_ext] ** 2).sum()) * cell * tw[n]
-            s_here = _source_values(traj, n)[m_ext]
-            s_sq_ext += float((s_here**2).sum()) * cell * tw[n]
+    sup_slice = max((float((p.values**2).sum()) * cell for p in inner), default=0.0)
+    grad_int = _integrate(traj, inner, lambda p: _grad_v_sq(traj, p.n)[p.mask].sum())
+    f_sq_ext = _integrate(traj, ext, lambda p: (p.values**2).sum())
+    s_sq_ext = _integrate(traj, ext, lambda p: (_source_values(traj, p) ** 2).sum())
     c01 = c01_constant(q_ext.radius, q_int.radius)
     lhs = sup_slice + grad_int
     rhs = c01 * f_sq_ext + s_sq_ext

@@ -53,6 +53,9 @@ class SolverConfig:
             raise ValueError("field dimension does not match grid")
         if self.snapshot_stride < 1:
             raise ValueError("snapshot_stride must be >= 1")
+        steps = self.t_end / self.dt
+        if abs(steps - round(steps)) > 1e-9 * steps:
+            raise ValueError(f"t_end / dt = {steps!r} is not a whole number of steps")
         if self.grid.d > 2:
             raise NotImplementedError("solver supports d = 1 and d = 2")
         if self.scheme == "upwind":

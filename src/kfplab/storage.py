@@ -99,6 +99,9 @@ def save_trajectory(out_dir, traj: Trajectory, seed: int, digest: str) -> None:
     out = Path(out_dir)
     snaps = out / "snapshots"
     snaps.mkdir(parents=True, exist_ok=True)
+    # a rerun into the same directory must not leave an earlier run's extra snapshots
+    for stale in snaps.glob("snap_*.kfs"):
+        stale.unlink()
     g = traj.grid
     header_base = {
         "kind": "phase",

@@ -1,21 +1,23 @@
-"""Phase-space grids, grid functions, solver trajectories and the region-mask
-machinery shared by the solver and the probes.
+"""Phase-space grids, grid functions, solver trajectories, and the region
+membership mask the probes sample through.
 
-A trajectory may carry a Galilean ``base`` transform: node coordinates are then
-read through the transform while the stored values stay untouched.  Probes that
-evaluate membership through :func:`region_mask` therefore commute with the
-group action by construction.
+A trajectory may carry a Galilean ``base`` transform: it is viewed in the
+transformed frame while the stored values stay untouched.  :func:`region_mask`
+reads node coordinates in the native frame only; the probes pull their
+geometry back through the base first, so every measured constant commutes
+with the group action.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import reduce
 from typing import Callable
 
 import numpy as np
 
 from .fields import CoefficientField
-from .geometry import Cylinder, KineticPoint, collared_windows, compose
+from .geometry import KineticPoint, collared_windows, compose
 
 
 @dataclass(frozen=True)
@@ -147,21 +149,6 @@ class Trajectory:
     def n_times(self) -> int:
         return int(self.times.size)
 
-    def snapshot_time(self, n: int) -> float:
-        t = float(self.times[n])
-        return t + self.base.t if self.base is not None else t
-
-    def axes_at(self, n: int) -> tuple[list[np.ndarray], list[np.ndarray], float]:
-        """Per-axis node coordinates at snapshot n, transform applied."""
-        g = self.grid
-        t = float(self.times[n])
-        if self.base is None:
-            return [g.x_axis] * g.d, [g.v_axis] * g.d, t
-        b = self.base
-        xs = [g.x_axis + b.x[m] + t * b.v[m] for m in range(g.d)]
-        vs = [g.v_axis + b.v[m] for m in range(g.d)]
-        return xs, vs, t + b.t
-
     def time_weights(self) -> np.ndarray:
         """Quadrature weight per snapshot: gap to the previous stored snapshot."""
         t = self.times
@@ -196,39 +183,28 @@ class Trajectory:
 def region_mask(traj: Trajectory, region, n: int) -> np.ndarray:
     """Boolean membership mask of grid nodes in ``region`` at snapshot ``n``.
 
-    ``region`` is a Cylinder or PhaseBox; coordinates are read through the
-    trajectory's base transform so that masks commute with the group action.
+    ``region`` is a Cylinder or PhaseBox.  This is the one definition of
+    membership; the trajectory must be base-free (probes pull their geometry
+    back through the base before sampling).
     """
-    xs_axes, vs_axes, t = traj.axes_at(n)
-    d = traj.d
+    if traj.base is not None:
+        raise ValueError("region_mask needs a base-free trajectory")
+    g = traj.grid
     c = region.center
-    dt_rel = t - c.t
-
-    # separable per-axis squared distances in the centre's co-moving frame
-    x_off = [xs_axes[m] - c.x[m] - dt_rel * c.v[m] for m in range(d)]
-    v_off = [vs_axes[m] - c.v[m] for m in range(d)]
+    dt_rel = float(traj.times[n]) - c.t
     wx, wv, t_lo, t_hi = collared_windows(*region.windows())
     if not (t_lo < dt_rel <= t_hi):
-        return np.zeros(traj.grid.shape, dtype=bool)
+        return np.zeros(g.shape, dtype=bool)
 
+    # separable per-axis offsets in the centre's co-moving frame
+    x_off = [g.x_axis - c.x[m] - dt_rel * c.v[m] for m in range(g.d)]
+    v_off = [g.v_axis - c.v[m] for m in range(g.d)]
     if region.per_coordinate():
-        x_masks = [np.abs(o) < wx for o in x_off]
-        v_masks = [np.abs(o) < wv for o in v_off]
-        mask = x_masks[0]
-        for m in x_masks[1:]:
-            mask = np.multiply.outer(mask, m)
-        for m in v_masks:
-            mask = np.multiply.outer(mask, m)
-        return mask
-
-    xsq = x_off[0] ** 2
-    for o in x_off[1:]:
-        xsq = np.add.outer(xsq, o**2)
-    vsq = v_off[0] ** 2
-    for o in v_off[1:]:
-        vsq = np.add.outer(vsq, o**2)
-    mask = np.multiply.outer(xsq < wx**2, vsq < wv**2)
-    return mask
+        axis_masks = [np.abs(o) < wx for o in x_off] + [np.abs(o) < wv for o in v_off]
+        return reduce(np.multiply.outer, axis_masks)
+    xsq = reduce(np.add.outer, [o**2 for o in x_off])
+    vsq = reduce(np.add.outer, [o**2 for o in v_off])
+    return np.multiply.outer(xsq < wx**2, vsq < wv**2)
 
 
 @dataclass(frozen=True)
@@ -257,25 +233,5 @@ class PhaseBox:
     def per_coordinate(self) -> bool:
         return False
 
-    def measure(self) -> float:
-        from .geometry import unit_ball_volume
-
-        vb = unit_ball_volume(self.d)
-        return (
-            vb * self.x_radius**self.d * vb * self.v_radius**self.d * (self.t_hi - self.t_lo)
-        )
-
     def transformed(self, z0: KineticPoint) -> "PhaseBox":
         return replace(self, center=compose(z0, self.center))
-
-    def contains_arrays(self, xs, vs, ts) -> np.ndarray:
-        c = self.center
-        ts = np.asarray(ts, dtype=float)
-        dt = ts - c.t
-        yx = xs - c.x - dt[..., None] * c.v
-        yv = vs - c.v
-        wx, wv, t_lo, t_hi = collared_windows(*self.windows())
-        in_t = (dt > t_lo) & (dt <= t_hi)
-        in_x = np.einsum("...i,...i->...", yx, yx) < wx**2
-        in_v = np.einsum("...i,...i->...", yv, yv) < wv**2
-        return in_x & in_v & in_t

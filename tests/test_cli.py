@@ -132,6 +132,32 @@ class TestConfigValidation:
         cfg = write_config(tmp_path, config)
         assert main(["run", "--config", str(cfg)]) == 2
 
+    def test_output_formats_key_rejected(self, tmp_path):
+        config = base_config(tmp_path / "out")
+        config["output"]["formats"] = ["json"]
+        cfg = write_config(tmp_path, config)
+        assert main(["run", "--config", str(cfg)]) == 2
+
+    def test_inverted_ellipticity_window_is_config_error(self, tmp_path):
+        config = base_config(tmp_path / "out")
+        config["field"].update({"lambda": 2.0, "Lambda": 1.0})
+        cfg = write_config(tmp_path, config)
+        assert main(["solve", "--config", str(cfg)]) == 2
+
+    def test_unknown_field_recipe_is_config_error(self, tmp_path):
+        config = base_config(tmp_path / "out")
+        config["field"]["recipe"] = "plaid"
+        cfg = write_config(tmp_path, config)
+        assert main(["solve", "--config", str(cfg)]) == 2
+
+    def test_t_end_not_a_multiple_of_dt_is_config_error(self, tmp_path):
+        out = tmp_path / "out"
+        config = base_config(out)
+        config["solver"].update({"dt": 0.4, "t_end": 1.0, "snapshot_stride": 1})
+        cfg = write_config(tmp_path, config)
+        assert main(["solve", "--config", str(cfg)]) == 2
+        assert not (out / "snapshots").exists()
+
 
 class TestOtherCommands:
     def test_solve_writes_snapshots_without_probes(self, tmp_path):
@@ -143,6 +169,19 @@ class TestOtherCommands:
         snaps = sorted((out / "snapshots").glob("snap_*.kfs"))
         assert len(snaps) >= 2
         assert (out / "ledger.csv").exists()
+
+    def test_rerun_with_larger_stride_replaces_snapshots(self, tmp_path):
+        out = tmp_path / "out"
+        config = base_config(out)
+        config["solver"]["snapshot_stride"] = 1
+        cfg = write_config(tmp_path, config)
+        assert main(["solve", "--config", str(cfg)]) == 0
+        config["solver"]["snapshot_stride"] = 4
+        cfg = write_config(tmp_path, config)
+        assert main(["solve", "--config", str(cfg)]) == 0
+        meta = json.loads((out / "run_meta.json").read_text())
+        assert len(list((out / "snapshots").glob("snap_*.kfs"))) == meta["n_snapshots"]
+        assert main(["probe", "--config", str(cfg)]) == 0
 
     def test_probe_without_snapshots_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path, base_config(tmp_path / "never_ran"))

@@ -3,9 +3,24 @@ import math
 import numpy as np
 import pytest
 
-from kfplab.geometry import Cylinder, CylinderShape, KineticPoint
+from kfplab.fields import (
+    CheckerboardRecipe,
+    ConstantRecipe,
+    EllipticityBounds,
+    SmoothRandomRecipe,
+    sample_field,
+)
+from kfplab.geometry import (
+    BOUNDARY_COLLAR,
+    Cylinder,
+    CylinderShape,
+    GalileanTransform,
+    KineticPoint,
+)
 from kfplab.probes import (
     HarnackParams,
+    _native,
+    _source_values,
     caccioppoli_probe,
     doubling_probe,
     fractional_seminorm,
@@ -18,10 +33,11 @@ from kfplab.probes import (
     norm_on_cylinder,
     oscillation,
     propagation_probe,
+    sample_region,
     smooth_bump,
     weighted_mean,
 )
-from kfplab.trajectory import PhaseBox, PhaseGrid, Trajectory
+from kfplab.trajectory import PhaseBox, PhaseGrid, Trajectory, region_mask
 
 
 def synthetic(fn, nx=48, nv=48, nt=65, x_extent=4.0, v_max=2.0, t0=-1.1, t1=0.0):
@@ -414,3 +430,109 @@ class TestTransformInvariance:
         ha = harnack_probe(identity_run, params)
         hb = harnack_probe(moved, params_moved)
         assert hb.constants["c_emp"] == pytest.approx(ha.constants["c_emp"], rel=1e-10)
+
+
+def _box_contains(box, xs, vs, ts):
+    """Brute-force PhaseBox membership with the collared windows."""
+    c = box.center
+    dt = ts - c.t
+    yx = xs - c.x - dt[..., None] * c.v
+    yv = vs - c.v
+    wx = box.x_radius - min(BOUNDARY_COLLAR, 0.5 * box.x_radius)
+    wv = box.v_radius - min(BOUNDARY_COLLAR, 0.5 * box.v_radius)
+    ct = min(BOUNDARY_COLLAR, 0.25 * (box.t_hi - box.t_lo))
+    in_t = (dt > box.t_lo + ct) & (dt <= box.t_hi + ct)
+    return in_t & (np.sum(yx**2, axis=-1) < wx**2) & (np.sum(yv**2, axis=-1) < wv**2)
+
+
+class TestRegionSample:
+    """sample_region against membership evaluated on every node of the full
+    meshes, in the frame the trajectory is viewed in."""
+
+    BASE = KineticPoint.of([0.31, -0.2], [0.57, 0.13], 0.23)
+
+    @pytest.fixture(scope="class")
+    def moved(self):
+        grid = PhaseGrid(d=2, x_extent=2.0, nx=10, v_max=1.5, nv=10)
+        traj = Trajectory.from_function(
+            grid, np.linspace(0.0, 0.8, 9),
+            lambda x, v, t: np.sin(x[..., 0] + 2.0 * v[..., 1]) + t * v[..., 0],
+        )
+        return traj.transformed(self.BASE)
+
+    def _regions(self):
+        # a native centre (x, v, t) moved into the viewing frame
+        def at(x, v, t):
+            return GalileanTransform(self.BASE).apply(KineticPoint.of(x, v, t))
+
+        z = at([1.03, 0.97], [0.21, -0.33], 0.6)  # top slice on a snapshot
+        return [
+            Cylinder(z, 0.83),
+            Cylinder(z, 0.83, CylinderShape.CUBE),
+            Cylinder(z, 6.1, CylinderShape.ELONGATED, omega=0.45),
+            Cylinder(at([0.9, 1.1], [0.1, 0.2], 0.05), 3.2, CylinderShape.ITERATED,
+                     omega=0.45, k=1),
+            PhaseBox(z, 0.6, 0.9, -0.45, 0.0),
+            # window (0.55, 0.56] holds no stored snapshot
+            Cylinder(at([1.0, 1.0], [0.0, 0.0], 0.56), 0.1),
+        ]
+
+    def _brute_force(self, traj, region):
+        x, v = traj.grid.meshes()
+        tw = traj.time_weights()
+        out = []
+        for n, t in enumerate(traj.times):
+            xs, vs, ts = GalileanTransform(traj.base).apply_arrays(x, v, np.full(x.shape[:-1], t))
+            if isinstance(region, PhaseBox):
+                mask = _box_contains(region, xs, vs, ts)
+            else:
+                mask = region.contains_arrays(xs, vs, ts)
+            if mask.any():
+                out.append((n, mask, traj.grid.cell_volume * tw[n]))
+        return out
+
+    def test_matches_full_mesh_membership(self, moved):
+        hits = []
+        for region in self._regions():
+            native, pulled = _native(moved, region)
+            sample = sample_region(native, pulled)
+            expected = self._brute_force(moved, region)
+            assert [p.n for p in sample] == [n for n, _, _ in expected], region
+            for piece, (n, mask, weight) in zip(sample, expected):
+                assert np.array_equal(piece.mask, mask), (region, n)
+                assert np.array_equal(piece.values, moved.values[n][mask])
+                assert piece.weight == weight
+            hits.append(len(sample))
+        assert all(hits[:-1]) and hits[-1] == 0
+
+    def test_window_without_snapshots_is_empty(self, moved):
+        region = self._regions()[-1]
+        native, pulled = _native(moved, region)
+        assert sample_region(native, pulled) == []
+        assert not any(m.any() for _, m, _ in self._brute_force(moved, region))
+
+    def test_region_mask_requires_base_free_trajectory(self, moved):
+        with pytest.raises(ValueError):
+            region_mask(moved, self._regions()[0], 0)
+
+
+class TestSourceValues:
+    """s on the sampled nodes equals s evaluated on the whole mesh, then masked."""
+
+    @pytest.mark.parametrize("recipe", [
+        CheckerboardRecipe(cell=0.7, b_max=0.5, s_max=0.8),
+        SmoothRandomRecipe(s_max=0.6),
+        ConstantRecipe(s_value=0.25),
+        CheckerboardRecipe(cell=0.7, b_max=0.5, s_max=0.0),
+    ])
+    def test_sampled_nodes_match_full_mesh(self, recipe):
+        field = sample_field(recipe, EllipticityBounds(0.5, 2.0), seed=3, d=1)
+        grid = PhaseGrid(d=1, x_extent=4.0, nx=24, v_max=2.0, nv=24)
+        traj = Trajectory.from_function(grid, np.linspace(0.0, 1.0, 11),
+                                        lambda x, v, t: x[..., 0] + v[..., 0], field=field)
+        sample = sample_region(traj, Cylinder(KineticPoint.of(2.0, 0.1, 0.9), 0.9))
+        assert sample
+        x, v = grid.meshes()
+        for piece in sample:
+            full = field.s(x, v, float(traj.times[piece.n]))
+            assert np.array_equal(_source_values(traj, piece), full[piece.mask])
