@@ -630,7 +630,8 @@ def caccioppoli_probe(traj: Trajectory, z0: KineticPoint, r_scale: float) -> Pro
         return grad(piece.n)[piece.mask].sum()
 
     def spread(piece, scale):
-        return ((piece.values - weighted_mean(traj, z0, scale, float(traj.times[piece.n]))) ** 2).sum()
+        mean = weighted_mean(traj, z0, scale, float(traj.times[piece.n]))
+        return ((piece.values - mean) ** 2).sum()
 
     s_r = sample_region(traj, q_r)
     grad_r = _integrate(traj, s_r, grad_sq)
