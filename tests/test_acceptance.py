@@ -341,11 +341,24 @@ def _ensemble_run(seed: int, nx: int, nv: int, dt: float, stride: int):
     )
 
 
+CRITERION08_CONSTANTS = Path(__file__).parent / "data" / "criterion08_constants.json"
+
+
 def test_criterion_08_probe_stability_over_ensemble():
     start = time.monotonic()
     base = [_ensemble_run(100 + i, 64, 64, 1 / 8192, 64) for i in range(ENSEMBLE_SIZE)]
     fine = [_ensemble_run(100 + i, 128, 128, 1 / 16384, 128) for i in range(ENSEMBLE_SIZE)]
     elapsed = time.monotonic() - start
+
+    # (c_emp, cbar, alpha_fit) per resolution and seed, as written by the code
+    # before the transport plan; a solver speed-up must reproduce them bitwise
+    measured = {
+        str(nx): {str(100 + i): dict(zip(("c_emp", "cbar", "alpha_fit"), r))
+                  for i, r in enumerate(runs)}
+        for nx, runs in ((64, base), (128, fine))
+    }
+    frozen = json.loads(CRITERION08_CONSTANTS.read_text())
+    unchanged = json.dumps(measured, sort_keys=True) == json.dumps(frozen, sort_keys=True)
 
     c_base = np.array([r[0] for r in base])
     c_fine = np.array([r[0] for r in fine])
@@ -361,9 +374,9 @@ def test_criterion_08_probe_stability_over_ensemble():
         8,
         f"all constants finite: {finite}; max C_emp change {c_change:.1%} < 25%, "
         f"max gain change {g_change:.1%} < 25%, all alpha > 0: {alphas_positive}, "
-        f"{elapsed:.0f}s < 1800s",
+        f"{elapsed:.0f}s < 1800s, constants equal the frozen table: {unchanged}",
         finite and c_change < 0.25 and g_change < 0.25 and alphas_positive
-        and elapsed < 1800.0,
+        and elapsed < 1800.0 and unchanged,
     )
 
 
