@@ -36,6 +36,16 @@ _FIELD_KEYS = {"recipe", "lambda", "Lambda", "seed", "a_value", "b_value", "s_va
                "cell", "b_max", "s_max", "corr_x", "corr_v", "corr_t", "n_modes",
                "period", "scale_a"}
 _OUTPUT_KEYS = {"dir"}
+# value types in the solver, field and probe sections; other keys are not numbers
+_INTEGER_KEYS = {"d", "nx", "nv", "snapshot_stride", "seed", "n_modes",
+                 "k_levels", "n_levels", "n_pairs"}
+_NUMBER_KEYS = {"x_extent", "v_max", "dt", "t_end", "snapshot_tail",
+                "value", "center_x", "center_v", "sigma_x", "sigma_v", "mass", "floor",
+                "lambda", "Lambda", "a_value", "b_value", "s_value", "cell", "b_max",
+                "s_max", "corr_x", "corr_v", "corr_t", "period", "scale_a",
+                "R", "Delta", "rho1", "rho2", "q", "r_int", "r_ext", "omega", "r_base",
+                "r", "theta", "s_order", "r0"}
+_NULLABLE_KEYS = {"a_value", "b_max", "r_base", "r"}   # null keeps the default
 _LANDAU_KEYS = {"input", "profile", "gamma", "d", "bounds", "a_const", "b_const", "c_const"}
 _GEOMETRY_KEYS = {"delta", "R", "r0", "omega", "n_samples", "d", "n_selfchecks"}
 _ITERATE_KEYS = {"degiorgi", "moser"}
@@ -62,6 +72,18 @@ def _check_keys(section: dict, allowed: set, where: str) -> None:
         raise ConfigError(f"unknown keys {sorted(unknown)} in {where}")
 
 
+def _check_numbers(section: dict, where: str) -> None:
+    for key, val in section.items():
+        if key in _NULLABLE_KEYS and val is None:
+            continue
+        if key in _INTEGER_KEYS:
+            if not isinstance(val, int) or isinstance(val, bool):
+                raise ConfigError(f"{key} in {where} must be an integer, got {val!r}")
+        elif key in _NUMBER_KEYS:
+            if not isinstance(val, (int, float)) or isinstance(val, bool):
+                raise ConfigError(f"{key} in {where} must be a number, got {val!r}")
+
+
 def load_config(path) -> dict:
     try:
         raw = json.loads(Path(path).read_text())
@@ -77,12 +99,16 @@ def validate_config(cfg: dict) -> None:
     _check_keys(cfg, _TOP_KEYS, "top level")
     if cfg.get("schema_version") != SCHEMA_VERSION:
         raise ConfigError(f"schema_version must be {SCHEMA_VERSION}")
+    _check_numbers(cfg, "top level")
     if "solver" in cfg:
         _check_keys(cfg["solver"], _SOLVER_KEYS, "solver")
+        _check_numbers(cfg["solver"], "solver")
         if "initial" in cfg["solver"]:
             _check_keys(cfg["solver"]["initial"], _INITIAL_KEYS, "solver.initial")
+            _check_numbers(cfg["solver"]["initial"], "solver.initial")
     if "field" in cfg:
         _check_keys(cfg["field"], _FIELD_KEYS, "field")
+        _check_numbers(cfg["field"], "field")
     if "output" in cfg:
         _check_keys(cfg["output"], _OUTPUT_KEYS, "output")
     if "landau" in cfg:
@@ -96,6 +122,7 @@ def validate_config(cfg: dict) -> None:
         if name not in PROBE_KEYS:
             raise ConfigError(f"unknown probe name {name!r} (probe #{i})")
         _check_keys(probe, PROBE_KEYS[name], f"probe #{i} ({name})")
+        _check_numbers(probe, f"probe #{i} ({name})")
 
 
 def build_field(cfg: dict, seed_override: int | None = None):

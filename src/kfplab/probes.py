@@ -30,7 +30,7 @@ from .geometry import (
     iterated_times,
 )
 from .iteration import holder_alpha, sobolev_p
-from .trajectory import PhaseBox, PhaseGrid, Trajectory, region_mask
+from .trajectory import PhaseBox, PhaseGrid, Trajectory, gradient_v_sq, region_mask
 
 
 @dataclass(frozen=True)
@@ -189,16 +189,6 @@ def _source_values(traj: Trajectory, piece: RegionSlice) -> np.ndarray:
         return np.zeros(piece.values.size)
     x, v = _nodes(traj.grid, piece.mask)
     return field.s(x, v, float(traj.times[piece.n]))
-
-
-def _grad_v_sq(traj: Trajectory, n: int) -> np.ndarray:
-    vals = traj.values[n]
-    g = traj.grid
-    out = np.zeros_like(vals)
-    for m in range(g.d):
-        grad = np.gradient(vals, g.hv, axis=g.d + m)
-        out += grad * grad
-    return out
 
 
 def source_nonnegative(field: CoefficientField | None) -> bool:
@@ -624,7 +614,7 @@ def caccioppoli_probe(traj: Trajectory, z0: KineticPoint, r_scale: float) -> Pro
     if not _fits_domain(traj, q_3r):
         raise ValueError("Q_{3R}(z0) exceeds the computational domain")
 
-    grad = cache(lambda n: _grad_v_sq(traj, n))
+    grad = cache(lambda n: gradient_v_sq(traj.values[n], traj.grid))
 
     def grad_sq(piece):
         return grad(piece.n)[piece.mask].sum()
@@ -732,7 +722,7 @@ def gehring_probe(
     if not lower_order_free(traj.field):
         raise ValueError("gehring probe requires a run without lower-order terms (B = 0, s = 0)")
 
-    grad = cache(lambda n: _grad_v_sq(traj, n))
+    grad = cache(lambda n: gradient_v_sq(traj.values[n], traj.grid))
     c = q0.center
     r0 = q0.radius
 
@@ -898,7 +888,9 @@ def energy_estimate_check(traj: Trajectory, q_int: Cylinder, q_ext: Cylinder) ->
     ext = sample_region(traj, q_ext)
     cell = traj.grid.cell_volume
     sup_slice = max((float((p.values**2).sum()) * cell for p in inner), default=0.0)
-    grad_int = _integrate(traj, inner, lambda p: _grad_v_sq(traj, p.n)[p.mask].sum())
+    grad_int = _integrate(
+        traj, inner, lambda p: gradient_v_sq(traj.values[p.n], traj.grid)[p.mask].sum()
+    )
     f_sq_ext = _integrate(traj, ext, lambda p: (p.values**2).sum())
     s_sq_ext = _integrate(traj, ext, lambda p: (_source_values(traj, p) ** 2).sum())
     c01 = c01_constant(q_ext.radius, q_int.radius)

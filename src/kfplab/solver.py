@@ -23,7 +23,14 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import splu
 
 from .fields import CoefficientField
-from .trajectory import EnergyLedger, LedgerRow, PhaseGrid, PhaseGridFunction, Trajectory
+from .trajectory import (
+    EnergyLedger,
+    LedgerRow,
+    PhaseGrid,
+    PhaseGridFunction,
+    Trajectory,
+    gradient_v_sq,
+)
 
 SCHEMES = ("semi_lagrangian", "upwind")
 BOUNDARIES = ("periodic_x_noflux_v", "periodic_both")
@@ -70,42 +77,62 @@ class SolverConfig:
         return int(round(self.t_end / self.dt))
 
 
-def _advect_axis(values: np.ndarray, grid: PhaseGrid, axis: int, dtau: float, scheme: str) -> np.ndarray:
-    """Advect along x-axis ``axis`` with speed given by the paired v-axis."""
-    d = grid.d
-    v_axis_idx = d + axis
-    moved = np.moveaxis(values, (axis, v_axis_idx), (0, 1))
-    shape = moved.shape
-    work = moved.reshape(grid.nx, grid.nv, -1)
-    speeds = grid.v_axis
+class _TransportPlan:
+    """The transport half-step of one run, v . grad_x over ``dtau``, with its
+    gather built once.
 
-    if scheme == "semi_lagrangian":
-        beta = speeds * dtau / grid.hx
-        k = np.floor(beta).astype(int)
-        a = beta - k
-        rows = np.arange(grid.nx)[:, None]
-        i0 = (rows - k[None, :]) % grid.nx
-        i1 = (i0 - 1) % grid.nx
-        cols = np.arange(grid.nv)[None, :]
-        out = (1.0 - a)[None, :, None] * work[i0, cols, :] + a[None, :, None] * work[i1, cols, :]
-    else:
-        c = speeds * dtau / grid.hx
-        if np.max(np.abs(c)) > 1.0 + 1e-12:
-            raise ValueError("upwind CFL violated in transport substep")
-        cp = np.maximum(c, 0.0)[None, :, None]
-        cm = np.minimum(c, 0.0)[None, :, None]
-        fm = np.roll(work, 1, axis=0)
-        fp = np.roll(work, -1, axis=0)
-        out = work - cp * (work - fm) - cm * (fp - work)
+    Along each x-axis in turn, semi-Lagrangian transport pulls every node
+    from its two upstream neighbours, out = (1 - a) f[i0] + a f[i1], through
+    flat indices into ``values.ravel()``; upwind keeps its rolled differences
+    with the Courant numbers fixed.  Each axis works in the layout that puts
+    (x-axis, paired v-axis) first and hands back a transposed view of it.
+    """
 
-    return np.moveaxis(out.reshape(shape), (0, 1), (axis, v_axis_idx))
+    def __init__(self, grid: PhaseGrid, dtau: float, scheme: str):
+        d = grid.d
+        self.semi_lagrangian = scheme == "semi_lagrangian"
+        c = grid.v_axis * dtau / grid.hx
+        if self.semi_lagrangian:
+            shift = np.floor(c).astype(int)
+            a = c - shift
+            i0 = (np.arange(grid.nx)[:, None] - shift[None, :]) % grid.nx
+            i1 = (i0 - 1) % grid.nx
+            cols = np.arange(grid.nv)[None, :]
+            bcast = (grid.nv,) + (1,) * (2 * d - 2)
+            self._weights = ((1.0 - a).reshape(bcast), a.reshape(bcast))
+        else:
+            if np.max(np.abs(c)) > 1.0 + 1e-12:
+                raise ValueError("upwind CFL violated in transport substep")
+            self._courant = (np.maximum(c, 0.0)[None, :, None], np.minimum(c, 0.0)[None, :, None])
+        node = np.arange(math.prod(grid.shape)).reshape(grid.shape)
+        self._axes = []
+        for axis in range(d):
+            pair = (axis, d + axis)
+            fwd = pair + tuple(k for k in range(2 * d) if k not in pair)
+            back = tuple(int(k) for k in np.argsort(fwd))
+            moved = node.transpose(fwd)
+            sources = (moved[i0, cols], moved[i1, cols]) if self.semi_lagrangian else None
+            self._axes.append((fwd, back, sources))
 
-
-def _transport(values: np.ndarray, grid: PhaseGrid, dtau: float, scheme: str) -> np.ndarray:
-    out = values
-    for axis in range(grid.d):
-        out = _advect_axis(out, grid, axis, dtau, scheme)
-    return out
+    def apply(self, values: np.ndarray) -> np.ndarray:
+        out = values
+        for fwd, back, sources in self._axes:
+            if self.semi_lagrangian:
+                flat = out.ravel()
+                moved = flat.take(sources[0])
+                moved *= self._weights[0]
+                far = flat.take(sources[1])
+                far *= self._weights[1]
+                moved += far
+            else:
+                cp, cm = self._courant
+                moved = out.transpose(fwd)
+                work = moved.reshape(moved.shape[0], moved.shape[1], -1)
+                fm = np.roll(work, 1, axis=0)
+                fp = np.roll(work, -1, axis=0)
+                moved = (work - cp * (work - fm) - cm * (fp - work)).reshape(moved.shape)
+            out = moved.transpose(back)
+        return out
 
 
 class _Collision1D:
@@ -326,25 +353,23 @@ def _make_collision(cfg: SolverConfig):
     return _Collision2D(cfg.grid, cfg.field, cfg.dt, periodic_v)
 
 
-def step(state: PhaseGridFunction, cfg: SolverConfig, _collision=None) -> PhaseGridFunction:
+def _make_transport(cfg: SolverConfig) -> _TransportPlan:
+    return _TransportPlan(cfg.grid, 0.5 * cfg.dt, cfg.scheme)
+
+
+def step(
+    state: PhaseGridFunction, cfg: SolverConfig, _collision=None, _transport=None
+) -> PhaseGridFunction:
     """One Strang step: transport(dt/2) o implicit collision(dt) o transport(dt/2)."""
     if state.grid != cfg.grid:
         raise ValueError("state grid does not match solver config")
     coll = _collision if _collision is not None else _make_collision(cfg)
-    half = 0.5 * cfg.dt
-    t_mid = state.time + half
-    vals = _transport(state.values, cfg.grid, half, cfg.scheme)
+    transport = _transport if _transport is not None else _make_transport(cfg)
+    t_mid = state.time + 0.5 * cfg.dt
+    vals = transport.apply(state.values)
     vals = coll.apply(vals, t_mid)
-    vals = _transport(vals, cfg.grid, half, cfg.scheme)
+    vals = transport.apply(vals)
     return PhaseGridFunction(cfg.grid, vals, state.time + cfg.dt)
-
-
-def _gradient_v_sq(values: np.ndarray, grid: PhaseGrid) -> np.ndarray:
-    out = np.zeros_like(values)
-    for m in range(grid.d):
-        g = np.gradient(values, grid.hv, axis=grid.d + m)
-        out += g * g
-    return out
 
 
 def _ledger_row(
@@ -359,9 +384,24 @@ def _ledger_row(
         l2=float((vals**2).sum() * w),
         fmin=float(vals.min()),
         fmax=float(vals.max()),
-        gradv_l2=float(_gradient_v_sq(vals, grid).sum() * w),
+        gradv_l2=float(gradient_v_sq(vals, grid).sum() * w),
         source_l2=source_l2,
     )
+
+
+def _snapshot_steps(cfg: SolverConfig) -> tuple[list[int], list[float]]:
+    """The steps ``solve`` stores and their times, accumulated by repeated
+    ``+ dt`` exactly as the steps accumulate them."""
+    steps, times = [0], [0.0]
+    tail_start = cfg.t_end - cfg.snapshot_tail
+    n_steps = cfg.n_steps
+    t = 0.0
+    for n in range(1, n_steps + 1):
+        t = t + cfg.dt
+        if n % cfg.snapshot_stride == 0 or n == n_steps or t > tail_start + 1e-12:
+            steps.append(n)
+            times.append(t)
+    return steps, times
 
 
 def solve(cfg: SolverConfig, f0: PhaseGridFunction) -> Trajectory:
@@ -373,8 +413,8 @@ def solve(cfg: SolverConfig, f0: PhaseGridFunction) -> Trajectory:
     if f0.grid != cfg.grid:
         raise ValueError("initial state grid does not match solver config")
     coll = _make_collision(cfg)
+    transport = _make_transport(cfg)
     grid = cfg.grid
-    n_steps = cfg.n_steps
 
     x_mesh, v_mesh = grid.meshes()
     state = PhaseGridFunction(grid, f0.values, 0.0)
@@ -388,26 +428,22 @@ def solve(cfg: SolverConfig, f0: PhaseGridFunction) -> Trajectory:
             src_cache[key] = float((s**2).sum() * grid.cell_volume)
         return src_cache[key]
 
+    stored_steps, times = _snapshot_steps(cfg)
+    slot = {n: k for k, n in enumerate(stored_steps)}
+    values = np.empty((len(times),) + grid.shape)
+    values[0] = state.values
     rows = [_ledger_row(0, state, grid, source_l2_at(0.0))]
-    times = [0.0]
-    stored = [state.values.copy()]
 
-    tail_start = cfg.t_end - cfg.snapshot_tail
-    for n in range(1, n_steps + 1):
-        state = step(state, cfg, _collision=coll)
+    for n in range(1, cfg.n_steps + 1):
+        state = step(state, cfg, _collision=coll, _transport=transport)
         rows.append(_ledger_row(n, state, grid, source_l2_at(state.time)))
-        if (
-            n % cfg.snapshot_stride == 0
-            or n == n_steps
-            or state.time > tail_start + 1e-12
-        ):
-            times.append(state.time)
-            stored.append(state.values.copy())
+        if n in slot:
+            values[slot[n]] = state.values
 
     return Trajectory(
         grid=grid,
         times=np.asarray(times),
-        values=np.stack(stored),
+        values=values,
         field=cfg.field,
         ledger=EnergyLedger(tuple(rows)),
     )

@@ -1,5 +1,6 @@
-"""Phase-space grids, grid functions, solver trajectories, and the region
-membership mask the probes sample through.
+"""Phase-space grids, grid functions, solver trajectories, the region
+membership mask the probes sample through, and the |grad_v f|^2 that the
+solver's ledger and the energy-type probes share.
 
 A trajectory may carry a Galilean ``base`` transform: it is viewed in the
 transformed frame while the stored values stay untouched.  :func:`region_mask`
@@ -178,6 +179,34 @@ class Trajectory:
         x, v = grid.meshes()
         vals = np.stack([np.asarray(fn(x, v, float(t)), dtype=float) for t in times])
         return Trajectory(grid=grid, times=times, values=vals, field=field)
+
+
+def gradient_v_sq(values: np.ndarray, grid: PhaseGrid) -> np.ndarray:
+    """|grad_v f|^2 of one snapshot, summed over the velocity components in
+    order.
+
+    Each component is np.gradient's arithmetic at uniform spacing: central
+    differences (f[j+1] - f[j-1]) / (2 hv) inside and one-sided ones at the
+    velocity walls, so the result equals the np.gradient form bitwise and
+    keeps the memory layout of ``values``.  The first squared component is
+    written in place rather than added to zeros, which gives the same bits.
+    """
+    h = grid.hv
+    out = np.empty_like(values)
+    for m in range(grid.d):
+        dv = out if m == 0 else np.empty_like(values)
+        lead = (slice(None),) * (grid.d + m)
+        inner = dv[lead + (slice(1, -1),)]
+        np.subtract(values[lead + (slice(2, None),)], values[lead + (slice(None, -2),)], out=inner)
+        inner /= 2.0 * h
+        for edge, hi, lo in ((0, 1, 0), (-1, -1, -2)):
+            side = dv[lead + (edge,)]
+            np.subtract(values[lead + (hi,)], values[lead + (lo,)], out=side)
+            side /= h
+        dv *= dv
+        if m:
+            out += dv
+    return out
 
 
 def region_mask(traj: Trajectory, region, n: int) -> np.ndarray:

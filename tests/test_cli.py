@@ -159,6 +159,39 @@ class TestConfigValidation:
         assert not (out / "snapshots").exists()
 
 
+    def test_number_given_as_string_is_config_error(self, tmp_path):
+        config = base_config(tmp_path / "out")
+        config["field"]["lambda"] = "0.5"
+        cfg = write_config(tmp_path, config)
+        assert main(["solve", "--config", str(cfg)]) == 2
+
+    def test_integer_given_as_string_is_config_error(self, tmp_path):
+        config = base_config(tmp_path / "out")
+        config["solver"]["nx"] = "64"
+        cfg = write_config(tmp_path, config)
+        assert main(["solve", "--config", str(cfg)]) == 2
+
+    def test_fractional_snapshot_stride_is_config_error(self, tmp_path):
+        out = tmp_path / "out"
+        config = base_config(out)
+        config["solver"]["snapshot_stride"] = 2.5
+        cfg = write_config(tmp_path, config)
+        assert main(["solve", "--config", str(cfg)]) == 2
+        assert not (out / "snapshots").exists()
+
+    def test_probe_number_given_as_string_is_config_error(self, tmp_path):
+        config = base_config(tmp_path / "out")
+        config["probes"][0]["R"] = "0.25"
+        cfg = write_config(tmp_path, config)
+        assert main(["run", "--config", str(cfg)]) == 2
+
+    def test_boolean_number_is_config_error(self, tmp_path):
+        config = base_config(tmp_path / "out")
+        config["solver"]["initial"] = {"kind": "constant", "value": True}
+        cfg = write_config(tmp_path, config)
+        assert main(["solve", "--config", str(cfg)]) == 2
+
+
 class TestOtherCommands:
     def test_solve_writes_snapshots_without_probes(self, tmp_path):
         out = tmp_path / "out"

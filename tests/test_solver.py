@@ -11,8 +11,13 @@ from kfplab.fields import (
 )
 from kfplab.geometry import Cylinder, KineticPoint
 from kfplab.probes import c01_constant, energy_estimate_check
+from kfplab import solver as solver_mod
 from kfplab.solver import (
+    BOUNDARIES,
+    SCHEMES,
     SolverConfig,
+    _make_collision,
+    _make_transport,
     comparison_check,
     gaussian_exact_solution,
     kolmogorov_moments,
@@ -20,8 +25,9 @@ from kfplab.solver import (
     solve,
     step,
 )
-from kfplab.trajectory import PhaseGrid, PhaseGridFunction
+from kfplab.trajectory import PhaseGrid, PhaseGridFunction, gradient_v_sq
 
+import solver_oracle as oracle
 from conftest import gaussian_bump
 
 
@@ -385,3 +391,106 @@ class TestSnapshotSchedule:
         assert gaps[-1] == pytest.approx(0.01, abs=1e-9)
         assert traj.times[0] == 0.0
         assert traj.times[-1] == pytest.approx(1.0, abs=1e-9)
+
+
+def _random_state(grid, seed):
+    return np.random.default_rng(seed).random(grid.shape) + 0.01
+
+
+def _same_array(a, b):
+    return a.tobytes() == b.tobytes() and a.strides == b.strides
+
+
+class TestFastPathsMatchOracles:
+    """The transport plan, the gradient helper and the snapshot array
+    against the slow paths they replaced (``solver_oracle``), bit for bit."""
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("boundary", BOUNDARIES)
+    def test_half_step_d1(self, scheme, boundary):
+        grid = PhaseGrid(d=1, x_extent=4.0, nx=16, v_max=3.0, nv=17)
+        field = sample_field(
+            CheckerboardRecipe(cell=1.0, b_max=1.0, s_max=0.5),
+            EllipticityBounds(0.5, 2.0), seed=4, d=1,
+        )
+        cfg = SolverConfig(grid=grid, dt=0.08, t_end=0.16, field=field,
+                           boundary=boundary, scheme=scheme)
+        vals = _random_state(grid, 0)
+        half = oracle.transport(vals, grid, 0.5 * cfg.dt, scheme)
+        assert _same_array(_make_transport(cfg).apply(vals), half)
+        state = PhaseGridFunction(grid, vals, 0.0)
+        want = oracle.step(state, cfg, _make_collision(cfg))
+        assert _same_array(step(state, cfg).values, want.values)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_half_step_d2(self, scheme):
+        grid = PhaseGrid(d=2, x_extent=2.0, nx=5, v_max=2.0, nv=6)
+        cfg = SolverConfig(grid=grid, dt=0.1, t_end=0.2, field=identity_field(d=2),
+                           scheme=scheme)
+        vals = _random_state(grid, 1)
+        plan = _make_transport(cfg)
+        want = oracle.transport(vals, grid, 0.5 * cfg.dt, scheme)
+        got = plan.apply(vals)
+        assert _same_array(got, want)
+        # a second half-step reads the first one's transposed output
+        assert _same_array(plan.apply(got), oracle.transport(want, grid, 0.5 * cfg.dt, scheme))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_gradient_v_sq(self, d):
+        grid = PhaseGrid(d=d, x_extent=2.0, nx=5, v_max=2.0, nv=7)
+        vals = np.random.default_rng(d).standard_normal(grid.shape)
+        layouts = [
+            vals,
+            np.asfortranarray(vals),
+            np.moveaxis(np.moveaxis(vals, 0, -1).copy(), -1, 0),
+            np.repeat(vals, 2, axis=-1)[..., ::2],
+        ]
+        for arr in layouts:
+            assert _same_array(gradient_v_sq(arr, grid), oracle.gradient_v_sq(arr, grid))
+
+    def test_solve_checkerboard_with_drift_and_source(self):
+        grid = PhaseGrid(d=1, x_extent=5.0, nx=32, v_max=4.0, nv=32)
+        field = sample_field(
+            CheckerboardRecipe(cell=1.0, b_max=2.0, s_max=0.5),
+            EllipticityBounds(0.5, 2.0), seed=3, d=1,
+        )
+        # dt = 0.0025 accumulates off n * dt from step 6 on, and step 92 lands
+        # within the 1e-12 collar of the tail start
+        cfg = SolverConfig(grid=grid, dt=0.0025, t_end=0.25, field=field,
+                           snapshot_stride=7, snapshot_tail=0.02)
+        f0 = gaussian_bump(grid, 2.5, 0.0, 0.2, 0.35, floor=0.01)
+        got, want = solve(cfg, f0), oracle.solve(cfg, f0)
+        assert got.times.tobytes() == want.times.tobytes()
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.ledger.csv_lines() == want.ledger.csv_lines()
+
+    def test_solve_d2_rotating(self):
+        from kfplab.fields import RotatingAnisotropyRecipe
+
+        grid = PhaseGrid(d=2, x_extent=2.0, nx=4, v_max=2.0, nv=6)
+        field = sample_field(
+            RotatingAnisotropyRecipe(period=1.0), EllipticityBounds(0.5, 1.5), seed=9, d=2,
+        )
+        cfg = SolverConfig(grid=grid, dt=0.05, t_end=0.2, field=field)
+        f0 = PhaseGridFunction(grid, _random_state(grid, 2), 0.0)
+        got, want = solve(cfg, f0), oracle.solve(cfg, f0)
+        assert got.times.tobytes() == want.times.tobytes()
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.ledger.csv_lines() == want.ledger.csv_lines()
+
+    def test_plan_built_once_per_solve(self, monkeypatch):
+        built = []
+
+        class CountingPlan(solver_mod._TransportPlan):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(solver_mod, "_TransportPlan", CountingPlan)
+        grid = PhaseGrid(d=1, x_extent=4.0, nx=16, v_max=3.0, nv=16)
+        cfg = SolverConfig(grid=grid, dt=0.05, t_end=0.4, field=identity_field())
+        f0 = PhaseGridFunction(grid, _random_state(grid, 3), 0.0)
+        solve(cfg, f0)
+        assert len(built) == 1 < cfg.n_steps
+        step(f0, cfg)
+        assert len(built) == 2
