@@ -36,15 +36,15 @@ _FIELD_KEYS = {"recipe", "lambda", "Lambda", "seed", "a_value", "b_value", "s_va
                "cell", "b_max", "s_max", "corr_x", "corr_v", "corr_t", "n_modes",
                "period", "scale_a"}
 _OUTPUT_KEYS = {"dir"}
-# value types in the solver, field and probe sections; other keys are not numbers
+# value types of the entries of every section; other keys are not numbers
 _INTEGER_KEYS = {"d", "nx", "nv", "snapshot_stride", "seed", "n_modes",
-                 "k_levels", "n_levels", "n_pairs"}
+                 "k_levels", "n_levels", "n_pairs", "n_samples", "n_selfchecks"}
 _NUMBER_KEYS = {"x_extent", "v_max", "dt", "t_end", "snapshot_tail",
                 "value", "center_x", "center_v", "sigma_x", "sigma_v", "mass", "floor",
                 "lambda", "Lambda", "a_value", "b_value", "s_value", "cell", "b_max",
                 "s_max", "corr_x", "corr_v", "corr_t", "period", "scale_a",
                 "R", "Delta", "rho1", "rho2", "q", "r_int", "r_ext", "omega", "r_base",
-                "r", "theta", "s_order", "r0"}
+                "r", "theta", "s_order", "r0", "gamma", "a_const", "b_const", "c_const", "delta"}
 _NULLABLE_KEYS = {"a_value", "b_max", "r_base", "r"}   # null keeps the default
 _LANDAU_KEYS = {"input", "profile", "gamma", "d", "bounds", "a_const", "b_const", "c_const"}
 _GEOMETRY_KEYS = {"delta", "R", "r0", "omega", "n_samples", "d", "n_selfchecks"}
@@ -113,8 +113,10 @@ def validate_config(cfg: dict) -> None:
         _check_keys(cfg["output"], _OUTPUT_KEYS, "output")
     if "landau" in cfg:
         _check_keys(cfg["landau"], _LANDAU_KEYS, "landau")
+        _check_numbers(cfg["landau"], "landau")
     if "geometry" in cfg:
         _check_keys(cfg["geometry"], _GEOMETRY_KEYS, "geometry")
+        _check_numbers(cfg["geometry"], "geometry")
     if "iterate" in cfg:
         _check_keys(cfg["iterate"], _ITERATE_KEYS, "iterate")
     for i, probe in enumerate(cfg.get("probes", [])):

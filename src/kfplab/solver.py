@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lapack
-from scipy.sparse import csr_matrix
+from scipy.sparse import csc_matrix, csr_matrix, identity
 from scipy.sparse.linalg import splu
 
 from .fields import CoefficientField
@@ -145,16 +145,16 @@ class _Collision1D:
         self.periodic_v = periodic_v
         self._key: object = object()
         self._factors = None
-        self._source: np.ndarray | None = None
+        self._dt_source: np.ndarray | float = 0.0
+        self._x = np.repeat(grid.x_axis, grid.nv)[:, None]
+        self._v = np.tile(grid.v_axis, grid.nx)[:, None]
 
     def _assemble(self, t: float) -> None:
         g = self.grid
         nx, nv, hv = g.nx, g.nv, g.hv
-        x_mesh = np.repeat(g.x_axis, nv)[:, None]
-        v_mesh = np.tile(g.v_axis, nx)[:, None]
-        a_cell = self.field.a(x_mesh, v_mesh, t)[..., 0, 0].reshape(nx, nv)
-        b_cell = self.field.b(x_mesh, v_mesh, t)[..., 0].reshape(nx, nv)
-        self._source = self.field.s(x_mesh, v_mesh, t).reshape(nx, nv)
+        a_cell = self.field.a(self._x, self._v, t)[..., 0, 0].reshape(nx, nv)
+        b_cell = self.field.b(self._x, self._v, t)[..., 0].reshape(nx, nv)
+        self._dt_source = _dt_source(self.field, self._x, self._v, t, self.dt, (nx, nv))
 
         a_face = 0.5 * (a_cell[:, :-1] + a_cell[:, 1:])
         a_right = np.zeros((nx, nv))
@@ -211,16 +211,73 @@ class _Collision1D:
         if key != self._key:
             self._assemble(t)
             self._key = key
-        rhs = (values + self.dt * self._source).ravel()
+        rhs = (values + self._dt_source).ravel()
         kind, fac = self._factors
         if kind == "sparse":
             out = fac.solve(rhs)
         else:
             dl_f, d_f, du_f, du2, ipiv = fac
-            out, info = lapack.dgttrs(dl_f, d_f, du_f, du2, ipiv, rhs)
+            out, info = lapack.dgttrs(dl_f, d_f, du_f, du2, ipiv, rhs, overwrite_b=True)
             if info != 0:
                 raise np.linalg.LinAlgError(f"collision solve failed ({info})")
         return out.reshape(values.shape)
+
+
+def _dt_source(field: CoefficientField, x, v, t: float, dt: float, shape) -> np.ndarray | float:
+    """dt * s at the nodes, or 0.0 for a field without source.  Adding 0.0
+    still turns -0.0 into +0.0, as adding dt * s(x, v, t) = +0.0 did."""
+    if field.s_bound == 0:
+        return 0.0
+    return dt * field.s(x, v, t).reshape(shape)
+
+
+def _stencil_2d(a: np.ndarray, b: np.ndarray, hv: float):
+    """COO triplets of the d = 2 collision operator L of every x-cell.
+
+    ``a`` is (n_cells, nv, nv, 2, 2), ``b`` (n_cells, nv, nv, 2).  Per node
+    and axis m, the face to the next node along v_m gives 4 diffusion and 8
+    cross-diffusion entries (+/- to its two cells, so mass telescopes; no
+    flux through the walls), then each axis gives 2 upwind drift entries,
+    one-sided at the walls.  Returns local (rows, cols), values and validity
+    as (n_cells, nv, nv, 28) slots whose valid ones, in C order, are the
+    entries in assembly order.
+    """
+    n_cells, nv = a.shape[:2]
+    pos = np.stack(np.meshgrid(np.arange(nv), np.arange(nv), indexing="ij"))
+    node = pos[0] * nv + pos[1]
+    rows = np.empty((nv, nv, 28), dtype=np.intp)
+    cols = np.empty((n_cells, nv, nv, 28), dtype=np.intp)
+    vals = np.zeros((n_cells, nv, nv, 28))
+    valid = np.zeros((n_cells, nv, nv, 28), dtype=bool)
+    sign = np.array([1.0, -1.0] * 4 + [-1.0, 1.0] * 2)
+    for m, stride in ((0, nv), (1, 1)):
+        lo, hi = (np.s_[:, :-1], np.s_[:, 1:]) if m == 0 else (np.s_[:, :, :-1], np.s_[:, :, 1:])
+        diff = np.zeros((n_cells, nv, nv))
+        cross = np.zeros((n_cells, nv, nv))
+        diff[lo] = 0.5 * (a[..., m, m][lo] + a[..., m, m][hi]) * (1.0 / hv**2)
+        cross[lo] = 0.5 * (a[..., 0, 1][lo] + a[..., 0, 1][hi]) * (1.0 / (4.0 * hv**2))
+        r0, r1 = node, node + stride
+        nbrs = []
+        for dm, do in ((0, 1), (1, 1), (0, -1), (1, -1)):
+            p = pos.copy()
+            p[m] += dm
+            p[1 - m] = np.clip(p[1 - m] + do, 0, nv - 1)
+            nbrs += [p[0] * nv + p[1]] * 2
+        k = slice(12 * m, 12 * m + 12)
+        rows[..., k] = np.stack([r0, r0, r1, r1] + [r0, r1] * 4, axis=-1)
+        cols[..., k] = np.stack([r1, r0, r0, r1] + nbrs, axis=-1)
+        vals[..., k] = np.stack([diff] * 4 + [cross] * 8, axis=-1) * sign
+        valid[..., k] = (pos[m] + 1 < nv)[..., None]
+
+        up = (b[..., m] > 0) & (pos[m] + 1 < nv)
+        down = (b[..., m] < 0) & (pos[m] >= 1)
+        first = np.where(up, b[..., m] / hv, -b[..., m] / hv)
+        k = slice(24 + 2 * m, 26 + 2 * m)
+        rows[..., k] = node[..., None]
+        cols[..., k] = np.stack([np.where(up, r1, node - stride), np.broadcast_to(node, up.shape)], -1)
+        vals[..., k] = np.stack([first, -first], axis=-1)
+        valid[..., k] = (up | down)[..., None]
+    return rows, cols, vals, valid
 
 
 class _Collision2D:
@@ -238,111 +295,50 @@ class _Collision2D:
         self.dt = dt
         self._key: object = object()
         self._lus: list = []
-        self._sources: np.ndarray | None = None
+        self._dt_sources: np.ndarray | float = 0.0
+        x, v = grid.meshes()
+        self._x = x.reshape(-1, 2)
+        self._v = v.reshape(-1, 2)
 
     def _assemble(self, t: float) -> None:
-        g = self.grid
-        nv, hv = g.nv, g.hv
-        vx, vy = np.meshgrid(g.v_axis, g.v_axis, indexing="ij")
-        v_pts = np.stack([vx.ravel(), vy.ravel()], axis=-1)
-        n_cells = g.nx * g.nx
-        nvv = nv * nv
-        self._lus = []
-        sources = np.empty((n_cells, nvv))
+        self._lus = [splu(block) for block in self._cell_matrices(t)]
 
-        x_cells = [
-            (g.x_axis[i], g.x_axis[j]) for i in range(g.nx) for j in range(g.nx)
-        ]
-        for ci, (x1, x2) in enumerate(x_cells):
-            x_pts = np.broadcast_to(np.array([x1, x2]), v_pts.shape)
-            a = self.field.a(x_pts, v_pts, t).reshape(nv, nv, 2, 2)
-            b = self.field.b(x_pts, v_pts, t).reshape(nv, nv, 2)
-            sources[ci] = self.field.s(x_pts, v_pts, t).reshape(-1)
+    def _cell_matrices(self, t: float) -> list:
+        """I - dt L of every x-cell as a CSC matrix; sets ``_dt_sources``."""
+        nv, hv = self.grid.nv, self.grid.hv
+        nvv, n_cells = nv * nv, self.grid.nx**2
+        a = self.field.a(self._x, self._v, t).reshape(n_cells, nv, nv, 2, 2)
+        b = self.field.b(self._x, self._v, t).reshape(n_cells, nv, nv, 2)
+        self._dt_sources = _dt_source(self.field, self._x, self._v, t, self.dt, (n_cells, nvv))
 
-            rows: list[int] = []
-            cols: list[int] = []
-            vals: list[float] = []
-
-            def idx(i: int, j: int) -> int:
-                return i * nv + j
-
-            def add(r: int, c: int, v: float) -> None:
-                rows.append(r)
-                cols.append(c)
-                vals.append(float(v))
-
-            inv_h2 = 1.0 / hv**2
-            inv_4h2 = 1.0 / (4.0 * hv**2)
-            for i in range(nv):
-                for j in range(nv):
-                    # interior faces only: zero flux at the walls.  Each face
-                    # contributes +/- to its two cells so mass telescopes.
-                    if i + 1 < nv:
-                        r0, r1 = idx(i, j), idx(i + 1, j)
-                        a11f = 0.5 * (a[i, j, 0, 0] + a[i + 1, j, 0, 0]) * inv_h2
-                        add(r0, r1, a11f)
-                        add(r0, r0, -a11f)
-                        add(r1, r0, a11f)
-                        add(r1, r1, -a11f)
-                        a12f = 0.5 * (a[i, j, 0, 1] + a[i + 1, j, 0, 1]) * inv_4h2
-                        for (ci, cj), w in (
-                            ((i, j + 1), 1.0),
-                            ((i + 1, j + 1), 1.0),
-                            ((i, j - 1), -1.0),
-                            ((i + 1, j - 1), -1.0),
-                        ):
-                            cj = min(max(cj, 0), nv - 1)
-                            add(r0, idx(ci, cj), w * a12f)
-                            add(r1, idx(ci, cj), -w * a12f)
-                    if j + 1 < nv:
-                        r0, r1 = idx(i, j), idx(i, j + 1)
-                        a22f = 0.5 * (a[i, j, 1, 1] + a[i, j + 1, 1, 1]) * inv_h2
-                        add(r0, r1, a22f)
-                        add(r0, r0, -a22f)
-                        add(r1, r0, a22f)
-                        add(r1, r1, -a22f)
-                        a21f = 0.5 * (a[i, j, 0, 1] + a[i, j + 1, 0, 1]) * inv_4h2
-                        for (ci, cj), w in (
-                            ((i + 1, j), 1.0),
-                            ((i + 1, j + 1), 1.0),
-                            ((i - 1, j), -1.0),
-                            ((i - 1, j + 1), -1.0),
-                        ):
-                            ci = min(max(ci, 0), nv - 1)
-                            add(r0, idx(ci, cj), w * a21f)
-                            add(r1, idx(ci, cj), -w * a21f)
-                    # upwind drift per component, one-sided at walls
-                    r = idx(i, j)
-                    b1, b2 = b[i, j]
-                    if b1 > 0 and i + 1 < nv:
-                        add(r, idx(i + 1, j), b1 / hv)
-                        add(r, r, -b1 / hv)
-                    elif b1 < 0 and i - 1 >= 0:
-                        add(r, idx(i - 1, j), -b1 / hv)
-                        add(r, r, b1 / hv)
-                    if b2 > 0 and j + 1 < nv:
-                        add(r, idx(i, j + 1), b2 / hv)
-                        add(r, r, -b2 / hv)
-                    elif b2 < 0 and j - 1 >= 0:
-                        add(r, idx(i, j - 1), -b2 / hv)
-                        add(r, r, b2 / hv)
-
-            lmat = csr_matrix((vals, (rows, cols)), shape=(nvv, nvv))
-            eye = csr_matrix((np.ones(nvv), (np.arange(nvv), np.arange(nvv))), shape=(nvv, nvv))
-            self._lus.append(splu((eye - self.dt * lmat).tocsc()))
-        self._sources = sources
+        rows, cols, vals, valid = _stencil_2d(a, b, hv)
+        offset = (np.arange(n_cells) * nvv)[:, None, None, None]
+        n = n_cells * nvv
+        lmat = csr_matrix(
+            (vals[valid], ((rows + offset)[valid], (cols + offset)[valid])), shape=(n, n)
+        )
+        # I - dt L over all cells at once; its diagonal blocks are the cells'
+        # matrices entry for entry, each factorised on its own
+        mat = (identity(n, format="csr") - self.dt * lmat).tocsc()
+        ptr = mat.indptr
+        blocks = []
+        for c in range(n_cells):
+            lo, hi = ptr[c * nvv], ptr[(c + 1) * nvv]
+            blocks.append(csc_matrix(
+                (mat.data[lo:hi], mat.indices[lo:hi] - c * nvv, ptr[c * nvv:(c + 1) * nvv + 1] - lo),
+                shape=(nvv, nvv),
+            ))
+        return blocks
 
     def apply(self, values: np.ndarray, t: float) -> np.ndarray:
         key = self.field.time_key(t)
         if key != self._key:
             self._assemble(t)
             self._key = key
-        g = self.grid
-        nvv = g.nv * g.nv
-        work = values.reshape(g.nx * g.nx, nvv)
-        out = np.empty_like(work)
-        for ci in range(work.shape[0]):
-            out[ci] = self._lus[ci].solve(work[ci] + self.dt * self._sources[ci])
+        rhs = values.reshape(len(self._lus), -1) + self._dt_sources
+        out = np.empty_like(rhs)
+        for ci, lu in enumerate(self._lus):
+            out[ci] = lu.solve(rhs[ci])
         return out.reshape(values.shape)
 
 
@@ -422,6 +418,8 @@ def solve(cfg: SolverConfig, f0: PhaseGridFunction) -> Trajectory:
     src_cache: dict = {}
 
     def source_l2_at(t: float) -> float:
+        if cfg.field.s_bound == 0:
+            return 0.0
         key = cfg.field.time_key(t)
         if key not in src_cache:
             s = cfg.field.s(x_mesh, v_mesh, t)

@@ -2,16 +2,21 @@
 
 ``advect_axis`` recomputes the semi-Lagrangian gather (or the upwind Courant
 numbers) on every call and indexes through ``moveaxis``; ``gradient_v_sq``
-and ``ledger_row`` go through ``np.gradient``; ``solve`` stacks a list of
-snapshot copies.  Each is the arithmetic the fast path must reproduce
-bitwise.
+and ``ledger_row`` go through ``np.gradient``; ``Collision2D`` assembles the
+d = 2 stencil node by node; both collision oracles evaluate the source at
+every assembly and add ``dt * s`` at every step; ``solve`` evaluates the
+source for every ledger row and stacks a list of snapshot copies.  Each is
+the arithmetic the fast path must reproduce bitwise.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import lapack
+from scipy.sparse import csr_matrix
+from scipy.sparse.linalg import splu
 
-from kfplab.solver import _make_collision
+from kfplab.solver import _Collision1D, _Collision2D
 from kfplab.trajectory import EnergyLedger, LedgerRow, PhaseGridFunction, Trajectory
 
 
@@ -76,6 +81,150 @@ def ledger_row(n, state, grid, source_l2):
     )
 
 
+class Collision1D(_Collision1D):
+    """The tridiagonal solve with the source re-evaluated on fresh node
+    meshes at every assembly and ``dt * s`` formed at every step."""
+
+    def _assemble(self, t):
+        super()._assemble(t)
+        g = self.grid
+        x_mesh = np.repeat(g.x_axis, g.nv)[:, None]
+        v_mesh = np.tile(g.v_axis, g.nx)[:, None]
+        self._source = self.field.s(x_mesh, v_mesh, t).reshape(g.nx, g.nv)
+
+    def apply(self, values, t):
+        key = self.field.time_key(t)
+        if key != self._key:
+            self._assemble(t)
+            self._key = key
+        rhs = (values + self.dt * self._source).ravel()
+        kind, fac = self._factors
+        if kind == "sparse":
+            out = fac.solve(rhs)
+        else:
+            dl_f, d_f, du_f, du2, ipiv = fac
+            out, info = lapack.dgttrs(dl_f, d_f, du_f, du2, ipiv, rhs)
+            if info != 0:
+                raise np.linalg.LinAlgError(f"collision solve failed ({info})")
+        return out.reshape(values.shape)
+
+
+class Collision2D(_Collision2D):
+    """The d = 2 collision solve assembled by a loop over x-cells and
+    velocity nodes, one sparse matrix per cell."""
+
+    def _assemble(self, t):
+        g = self.grid
+        nv, hv = g.nv, g.hv
+        vx, vy = np.meshgrid(g.v_axis, g.v_axis, indexing="ij")
+        v_pts = np.stack([vx.ravel(), vy.ravel()], axis=-1)
+        n_cells = g.nx * g.nx
+        nvv = nv * nv
+        self._lus = []
+        self.matrices = []
+        sources = np.empty((n_cells, nvv))
+
+        x_cells = [
+            (g.x_axis[i], g.x_axis[j]) for i in range(g.nx) for j in range(g.nx)
+        ]
+        for ci, (x1, x2) in enumerate(x_cells):
+            x_pts = np.broadcast_to(np.array([x1, x2]), v_pts.shape)
+            a = self.field.a(x_pts, v_pts, t).reshape(nv, nv, 2, 2)
+            b = self.field.b(x_pts, v_pts, t).reshape(nv, nv, 2)
+            sources[ci] = self.field.s(x_pts, v_pts, t).reshape(-1)
+
+            rows: list[int] = []
+            cols: list[int] = []
+            vals: list[float] = []
+
+            def idx(i: int, j: int) -> int:
+                return i * nv + j
+
+            def add(r: int, c: int, v: float) -> None:
+                rows.append(r)
+                cols.append(c)
+                vals.append(float(v))
+
+            inv_h2 = 1.0 / hv**2
+            inv_4h2 = 1.0 / (4.0 * hv**2)
+            for i in range(nv):
+                for j in range(nv):
+                    if i + 1 < nv:
+                        r0, r1 = idx(i, j), idx(i + 1, j)
+                        a11f = 0.5 * (a[i, j, 0, 0] + a[i + 1, j, 0, 0]) * inv_h2
+                        add(r0, r1, a11f)
+                        add(r0, r0, -a11f)
+                        add(r1, r0, a11f)
+                        add(r1, r1, -a11f)
+                        a12f = 0.5 * (a[i, j, 0, 1] + a[i + 1, j, 0, 1]) * inv_4h2
+                        for (ci, cj), w in (
+                            ((i, j + 1), 1.0),
+                            ((i + 1, j + 1), 1.0),
+                            ((i, j - 1), -1.0),
+                            ((i + 1, j - 1), -1.0),
+                        ):
+                            cj = min(max(cj, 0), nv - 1)
+                            add(r0, idx(ci, cj), w * a12f)
+                            add(r1, idx(ci, cj), -w * a12f)
+                    if j + 1 < nv:
+                        r0, r1 = idx(i, j), idx(i, j + 1)
+                        a22f = 0.5 * (a[i, j, 1, 1] + a[i, j + 1, 1, 1]) * inv_h2
+                        add(r0, r1, a22f)
+                        add(r0, r0, -a22f)
+                        add(r1, r0, a22f)
+                        add(r1, r1, -a22f)
+                        a21f = 0.5 * (a[i, j, 0, 1] + a[i, j + 1, 0, 1]) * inv_4h2
+                        for (ci, cj), w in (
+                            ((i + 1, j), 1.0),
+                            ((i + 1, j + 1), 1.0),
+                            ((i - 1, j), -1.0),
+                            ((i - 1, j + 1), -1.0),
+                        ):
+                            ci = min(max(ci, 0), nv - 1)
+                            add(r0, idx(ci, cj), w * a21f)
+                            add(r1, idx(ci, cj), -w * a21f)
+                    r = idx(i, j)
+                    b1, b2 = b[i, j]
+                    if b1 > 0 and i + 1 < nv:
+                        add(r, idx(i + 1, j), b1 / hv)
+                        add(r, r, -b1 / hv)
+                    elif b1 < 0 and i - 1 >= 0:
+                        add(r, idx(i - 1, j), -b1 / hv)
+                        add(r, r, b1 / hv)
+                    if b2 > 0 and j + 1 < nv:
+                        add(r, idx(i, j + 1), b2 / hv)
+                        add(r, r, -b2 / hv)
+                    elif b2 < 0 and j - 1 >= 0:
+                        add(r, idx(i, j - 1), -b2 / hv)
+                        add(r, r, b2 / hv)
+
+            lmat = csr_matrix((vals, (rows, cols)), shape=(nvv, nvv))
+            eye = csr_matrix((np.ones(nvv), (np.arange(nvv), np.arange(nvv))), shape=(nvv, nvv))
+            mat = (eye - self.dt * lmat).tocsc()
+            self.matrices.append(mat)
+            self._lus.append(splu(mat))
+        self._sources = sources
+
+    def apply(self, values, t):
+        key = self.field.time_key(t)
+        if key != self._key:
+            self._assemble(t)
+            self._key = key
+        g = self.grid
+        nvv = g.nv * g.nv
+        work = values.reshape(g.nx * g.nx, nvv)
+        out = np.empty_like(work)
+        for ci in range(work.shape[0]):
+            out[ci] = self._lus[ci].solve(work[ci] + self.dt * self._sources[ci])
+        return out.reshape(values.shape)
+
+
+def make_collision(cfg):
+    periodic_v = cfg.boundary == "periodic_both"
+    cls = Collision1D if cfg.grid.d == 1 else Collision2D
+    return cls(cfg.grid, cfg.field, cfg.dt, periodic_v)
+
+
 def step(state, cfg, coll):
     half = 0.5 * cfg.dt
     t_mid = state.time + half
@@ -86,9 +235,9 @@ def step(state, cfg, coll):
 
 
 def solve(cfg, f0):
-    """The splitting scheme as it ran before the transport plan and the
-    preallocated snapshot array."""
-    coll = _make_collision(cfg)
+    """The splitting scheme as it ran before the transport plan, the
+    vectorised collision assembly and the preallocated snapshot array."""
+    coll = make_collision(cfg)
     grid = cfg.grid
     n_steps = cfg.n_steps
 

@@ -9,6 +9,7 @@ scripts/sde_reference.py) and are frozen below.
 
 import json
 import math
+import sys
 import time
 from pathlib import Path
 
@@ -71,6 +72,10 @@ from kfplab.solver import (
 from kfplab.trajectory import PhaseGrid, PhaseGridFunction
 
 from conftest import gaussian_bump
+
+# criterion 08 runs the ensemble experiment's own run function
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
+from run_ensemble import one_run  # noqa: E402
 
 
 def verdict(num: int, description: str, passed: bool) -> None:
@@ -316,38 +321,13 @@ def test_criterion_07_iteration_calculus():
 ENSEMBLE_SIZE = 20
 
 
-def _ensemble_run(seed: int, nx: int, nv: int, dt: float, stride: int):
-    grid = PhaseGrid(d=1, x_extent=5.0, nx=nx, v_max=4.0, nv=nv)
-    field = sample_field(
-        CheckerboardRecipe(cell=1.0, b_max=2.0, s_max=0.0),
-        EllipticityBounds(0.5, 2.0), seed=seed, d=1,
-    )
-    cfg = SolverConfig(grid=grid, dt=dt, t_end=1.0, field=field,
-                       snapshot_stride=stride, snapshot_tail=0.014)
-    traj = solve(cfg, gaussian_bump(grid, 2.5, 0.0, 0.2, 0.35, floor=0.01))
-    harnack = harnack_probe(traj, HarnackParams(
-        r=0.25, delta=0.3, rho1=0.4, rho2=0.6, q=2.0,
-        center=KineticPoint.of(2.5, 0.0, 0.9),
-    ))
-    top = KineticPoint.of(2.5, 0.0, 1.0)
-    # the position windows r^3 span several cells at base resolution, so the
-    # cylinder quadratures converge under refinement
-    gain = gain_probe(traj, Cylinder(top, 0.7), Cylinder(top, 0.95))
-    holder = holder_fit(traj, top, omega=0.9, k_levels=3, r_base=0.45)
-    return (
-        harnack.constants["c_emp"],
-        gain.constants["cbar"],
-        holder.constants["alpha_fit"],
-    )
-
-
 CRITERION08_CONSTANTS = Path(__file__).parent / "data" / "criterion08_constants.json"
 
 
 def test_criterion_08_probe_stability_over_ensemble():
     start = time.monotonic()
-    base = [_ensemble_run(100 + i, 64, 64, 1 / 8192, 64) for i in range(ENSEMBLE_SIZE)]
-    fine = [_ensemble_run(100 + i, 128, 128, 1 / 16384, 128) for i in range(ENSEMBLE_SIZE)]
+    base = [one_run(100 + i, 64, 64, 1 / 8192) for i in range(ENSEMBLE_SIZE)]
+    fine = [one_run(100 + i, 128, 128, 1 / 16384) for i in range(ENSEMBLE_SIZE)]
     elapsed = time.monotonic() - start
 
     # (c_emp, cbar, alpha_fit) per resolution and seed, as written by the code

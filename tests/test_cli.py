@@ -191,6 +191,19 @@ class TestConfigValidation:
         cfg = write_config(tmp_path, config)
         assert main(["solve", "--config", str(cfg)]) == 2
 
+    def test_fractional_geometry_dimension_is_config_error(self, tmp_path):
+        config = {"schema_version": 1,
+                  "geometry": {"d": 2.5, "n_selfchecks": 10, "n_samples": 64}}
+        cfg = write_config(tmp_path, config)
+        assert main(["geometry", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+
+    def test_landau_number_given_as_string_is_config_error(self, tmp_path):
+        config = {"schema_version": 1,
+                  "landau": {"gamma": "-3", "d": 3, "profile": {"n": 8}},
+                  "output": {"dir": str(tmp_path / "out")}}
+        cfg = write_config(tmp_path, config)
+        assert main(["landau", "--config", str(cfg)]) == 2
+
 
 class TestOtherCommands:
     def test_solve_writes_snapshots_without_probes(self, tmp_path):

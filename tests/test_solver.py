@@ -3,10 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from dataclasses import replace
+
 from kfplab.fields import (
     CheckerboardRecipe,
     ConstantRecipe,
     EllipticityBounds,
+    RotatingAnisotropyRecipe,
+    SmoothRandomRecipe,
     sample_field,
 )
 from kfplab.geometry import Cylinder, KineticPoint
@@ -16,6 +20,7 @@ from kfplab.solver import (
     BOUNDARIES,
     SCHEMES,
     SolverConfig,
+    _Collision2D,
     _make_collision,
     _make_transport,
     comparison_check,
@@ -401,9 +406,25 @@ def _same_array(a, b):
     return a.tobytes() == b.tobytes() and a.strides == b.strides
 
 
+D2_FIELDS = {
+    "rotating": (RotatingAnisotropyRecipe(period=1.0), 9),
+    "checkerboard": (CheckerboardRecipe(cell=0.4, b_max=1.5, s_max=0.7), 3),
+    "smooth": (SmoothRandomRecipe(corr_v=0.5, s_max=0.3), 5),
+}
+
+
+def _same_csc(a, b):
+    return all(
+        getattr(a, k).dtype == getattr(b, k).dtype
+        and getattr(a, k).tobytes() == getattr(b, k).tobytes()
+        for k in ("indptr", "indices", "data")
+    )
+
+
 class TestFastPathsMatchOracles:
-    """The transport plan, the gradient helper and the snapshot array
-    against the slow paths they replaced (``solver_oracle``), bit for bit."""
+    """The transport plan, the gradient helper, the vectorised collision
+    assembly and the snapshot array against the slow paths they replaced
+    (``solver_oracle``), bit for bit."""
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     @pytest.mark.parametrize("boundary", BOUNDARIES)
@@ -419,7 +440,7 @@ class TestFastPathsMatchOracles:
         half = oracle.transport(vals, grid, 0.5 * cfg.dt, scheme)
         assert _same_array(_make_transport(cfg).apply(vals), half)
         state = PhaseGridFunction(grid, vals, 0.0)
-        want = oracle.step(state, cfg, _make_collision(cfg))
+        want = oracle.step(state, cfg, oracle.make_collision(cfg))
         assert _same_array(step(state, cfg).values, want.values)
 
     @pytest.mark.parametrize("scheme", SCHEMES)
@@ -465,8 +486,6 @@ class TestFastPathsMatchOracles:
         assert got.ledger.csv_lines() == want.ledger.csv_lines()
 
     def test_solve_d2_rotating(self):
-        from kfplab.fields import RotatingAnisotropyRecipe
-
         grid = PhaseGrid(d=2, x_extent=2.0, nx=4, v_max=2.0, nv=6)
         field = sample_field(
             RotatingAnisotropyRecipe(period=1.0), EllipticityBounds(0.5, 1.5), seed=9, d=2,
@@ -477,6 +496,69 @@ class TestFastPathsMatchOracles:
         assert got.times.tobytes() == want.times.tobytes()
         assert got.values.tobytes() == want.values.tobytes()
         assert got.ledger.csv_lines() == want.ledger.csv_lines()
+
+    @pytest.mark.parametrize("name", sorted(D2_FIELDS))
+    def test_collision_d2_matrices(self, name):
+        # odd nv: the cross stencil clamps at the walls and the drift is one-sided
+        recipe, seed = D2_FIELDS[name]
+        grid = PhaseGrid(d=2, x_extent=2.0, nx=3, v_max=2.0, nv=7)
+        field = sample_field(recipe, EllipticityBounds(0.5, 2.0), seed=seed, d=2)
+        fast = _Collision2D(grid, field, 0.03, False)
+        slow = oracle.Collision2D(grid, field, 0.03, False)
+        slow._assemble(0.37)
+        blocks = fast._cell_matrices(0.37)
+        assert len(blocks) == len(slow.matrices) == 9
+        assert all(_same_csc(a, b) for a, b in zip(blocks, slow.matrices))
+        if field.s_bound == 0:
+            assert fast._dt_sources == 0.0 and not np.any(slow._sources)
+        else:
+            assert fast._dt_sources.tobytes() == (0.03 * slow._sources).tobytes()
+        vals = _random_state(grid, 4)
+        assert _same_array(fast.apply(vals, 0.37), slow.apply(vals, 0.37))
+
+    def test_solve_d2_checkerboard_reuses_factorisations(self):
+        grid = PhaseGrid(d=2, x_extent=2.0, nx=3, v_max=2.0, nv=5)
+        field = sample_field(
+            CheckerboardRecipe(cell=0.5, b_max=1.5, s_max=0.7),
+            EllipticityBounds(0.5, 2.0), seed=6, d=2,
+        )
+        # time_key changes every 0.25, so 12 steps reassemble 3 times
+        cfg = SolverConfig(grid=grid, dt=0.05, t_end=0.6, field=field, snapshot_stride=5)
+        f0 = PhaseGridFunction(grid, _random_state(grid, 5), 0.0)
+        got, want = solve(cfg, f0), oracle.solve(cfg, f0)
+        assert got.times.tobytes() == want.times.tobytes()
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.ledger.csv_lines() == want.ledger.csv_lines()
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_negative_zero_data_without_source(self, d):
+        # the oracle adds dt * s = +0.0, which turns -0.0 into +0.0
+        grid = PhaseGrid(d=d, x_extent=2.0, nx=4, v_max=2.0, nv=5)
+        field = sample_field(RotatingAnisotropyRecipe(), EllipticityBounds(0.5, 1.0), seed=1, d=d)
+        cfg = SolverConfig(grid=grid, dt=0.05, t_end=0.1, field=field)
+        f0 = PhaseGridFunction(grid, np.full(grid.shape, -0.0), 0.0)
+        got = _make_collision(cfg).apply(f0.values, 0.025)
+        assert _same_array(got, oracle.make_collision(cfg).apply(f0.values, 0.025))
+        got, want = solve(cfg, f0), oracle.solve(cfg, f0)
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.ledger.csv_lines() == want.ledger.csv_lines()
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_field_evaluated_once_per_assembly_and_zero_source_never(self, d):
+        calls = {"a": 0, "s": 0}
+        base = sample_field(RotatingAnisotropyRecipe(), EllipticityBounds(0.5, 1.0), seed=1, d=d)
+
+        def counted(name, fn):
+            def wrapped(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapped
+
+        field = replace(base, a_fn=counted("a", base.a_fn), s_fn=counted("s", base.s_fn))
+        grid = PhaseGrid(d=d, x_extent=2.0, nx=4, v_max=2.0, nv=5)
+        cfg = SolverConfig(grid=grid, dt=0.05, t_end=0.2, field=field)
+        solve(cfg, PhaseGridFunction(grid, _random_state(grid, 6), 0.0))
+        assert calls == {"a": cfg.n_steps, "s": 0}
 
     def test_plan_built_once_per_solve(self, monkeypatch):
         built = []
