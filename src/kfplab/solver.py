@@ -301,6 +301,7 @@ class _Collision2D:
         self._v = v.reshape(-1, 2)
 
     def _assemble(self, t: float) -> None:
+        self._lus = []   # two live sets of factors would raise peak memory
         self._lus = [splu(block) for block in self._cell_matrices(t)]
 
     def _cell_matrices(self, t: float) -> list:

@@ -1,9 +1,8 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-
-from dataclasses import replace
 
 from kfplab.fields import (
     CheckerboardRecipe,
