@@ -36,7 +36,7 @@ _FIELD_KEYS = {"recipe", "lambda", "Lambda", "seed", "a_value", "b_value", "s_va
                "cell", "b_max", "s_max", "corr_x", "corr_v", "corr_t", "n_modes",
                "period", "scale_a"}
 _OUTPUT_KEYS = {"dir"}
-# value types of the entries of every section; other keys are not numbers
+# value types wherever validate_config checks them; other keys are not numbers
 _INTEGER_KEYS = {"d", "nx", "nv", "snapshot_stride", "seed", "n_modes",
                  "k_levels", "n_levels", "n_pairs", "n_samples", "n_selfchecks"}
 _NUMBER_KEYS = {"x_extent", "v_max", "dt", "t_end", "snapshot_tail",

@@ -296,9 +296,7 @@ class _Collision2D:
         self._key: object = object()
         self._lus: list = []
         self._dt_sources: np.ndarray | float = 0.0
-        x, v = grid.meshes()
-        self._x = x.reshape(-1, 2)
-        self._v = v.reshape(-1, 2)
+        self._x, self._v = (mesh.reshape(-1, 2) for mesh in grid.meshes())
 
     def _assemble(self, t: float) -> None:
         self._lus = []   # two live sets of factors would raise peak memory
@@ -318,8 +316,8 @@ class _Collision2D:
         lmat = csr_matrix(
             (vals[valid], ((rows + offset)[valid], (cols + offset)[valid])), shape=(n, n)
         )
-        # I - dt L over all cells at once; its diagonal blocks are the cells'
-        # matrices entry for entry, each factorised on its own
+        # I - dt L of all cells in one construction; each diagonal block gets
+        # its own LU, as one block-diagonal LU solves to different bits
         mat = (identity(n, format="csr") - self.dt * lmat).tocsc()
         ptr = mat.indptr
         blocks = []
