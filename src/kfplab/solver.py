@@ -34,6 +34,7 @@ from .trajectory import (
 
 SCHEMES = ("semi_lagrangian", "upwind")
 BOUNDARIES = ("periodic_x_noflux_v", "periodic_both")
+_CHUNK_NODES = 2**14   # d = 2 assembly works on cells of at most this many nodes at once
 
 
 @dataclass(frozen=True)
@@ -231,18 +232,18 @@ def _dt_source(field: CoefficientField, x, v, t: float, dt: float, shape) -> np.
     return dt * field.s(x, v, t).reshape(shape)
 
 
-def _stencil_2d(a: np.ndarray, b: np.ndarray, hv: float):
-    """COO triplets of the d = 2 collision operator L of every x-cell.
+def _cell_matrices_2d(a: np.ndarray, b: np.ndarray, hv: float, dt: float) -> list:
+    """I - dt L of every x-cell in ``a`` (n_cells, nv, nv, 2, 2) and ``b``
+    (n_cells, nv, nv, 2), as CSC matrices.
 
-    ``a`` is (n_cells, nv, nv, 2, 2), ``b`` (n_cells, nv, nv, 2).  Per node
-    and axis m, the face to the next node along v_m gives 4 diffusion and 8
-    cross-diffusion entries (+/- to its two cells, so mass telescopes; no
-    flux through the walls), then each axis gives 2 upwind drift entries,
-    one-sided at the walls.  Returns local (rows, cols), values and validity
-    as (n_cells, nv, nv, 28) slots whose valid ones, in C order, are the
-    entries in assembly order.
+    Per node and axis m, the face to the next node along v_m gives 4 diffusion
+    and 8 cross-diffusion entries (+/- to its two cells, so mass telescopes;
+    no flux through the walls), then each axis gives 2 upwind drift entries,
+    one-sided at the walls: (n_cells, nv, nv, 28) slots whose valid ones, in
+    C order, are the entries in assembly order.
     """
     n_cells, nv = a.shape[:2]
+    nvv = nv * nv
     pos = np.stack(np.meshgrid(np.arange(nv), np.arange(nv), indexing="ij"))
     node = pos[0] * nv + pos[1]
     rows = np.empty((nv, nv, 28), dtype=np.intp)
@@ -252,8 +253,7 @@ def _stencil_2d(a: np.ndarray, b: np.ndarray, hv: float):
     sign = np.array([1.0, -1.0] * 4 + [-1.0, 1.0] * 2)
     for m, stride in ((0, nv), (1, 1)):
         lo, hi = (np.s_[:, :-1], np.s_[:, 1:]) if m == 0 else (np.s_[:, :, :-1], np.s_[:, :, 1:])
-        diff = np.zeros((n_cells, nv, nv))
-        cross = np.zeros((n_cells, nv, nv))
+        diff, cross = np.zeros((2, n_cells, nv, nv))
         diff[lo] = 0.5 * (a[..., m, m][lo] + a[..., m, m][hi]) * (1.0 / hv**2)
         cross[lo] = 0.5 * (a[..., 0, 1][lo] + a[..., 0, 1][hi]) * (1.0 / (4.0 * hv**2))
         r0, r1 = node, node + stride
@@ -277,7 +277,24 @@ def _stencil_2d(a: np.ndarray, b: np.ndarray, hv: float):
         cols[..., k] = np.stack([np.where(up, r1, node - stride), np.broadcast_to(node, up.shape)], -1)
         vals[..., k] = np.stack([first, -first], axis=-1)
         valid[..., k] = (up | down)[..., None]
-    return rows, cols, vals, valid
+
+    offset = (np.arange(n_cells) * nvv)[:, None, None, None]
+    n = n_cells * nvv
+    lmat = csr_matrix(
+        (vals[valid], ((rows + offset)[valid], (cols + offset)[valid])), shape=(n, n)
+    )
+    # I - dt L of all cells in one construction; each diagonal block gets
+    # its own LU, as one block-diagonal LU solves to different bits
+    mat = (identity(n, format="csr") - dt * lmat).tocsc()
+    ptr = mat.indptr
+    blocks = []
+    for c in range(n_cells):
+        lo, hi = ptr[c * nvv], ptr[(c + 1) * nvv]
+        blocks.append(csc_matrix(
+            (mat.data[lo:hi], mat.indices[lo:hi] - c * nvv, ptr[c * nvv:(c + 1) * nvv + 1] - lo),
+            shape=(nvv, nvv),
+        ))
+    return blocks
 
 
 class _Collision2D:
@@ -304,30 +321,13 @@ class _Collision2D:
 
     def _cell_matrices(self, t: float) -> list:
         """I - dt L of every x-cell as a CSC matrix; sets ``_dt_sources``."""
-        nv, hv = self.grid.nv, self.grid.hv
-        nvv, n_cells = nv * nv, self.grid.nx**2
+        nv, nvv, n_cells = self.grid.nv, self.grid.nv**2, self.grid.nx**2
         a = self.field.a(self._x, self._v, t).reshape(n_cells, nv, nv, 2, 2)
         b = self.field.b(self._x, self._v, t).reshape(n_cells, nv, nv, 2)
         self._dt_sources = _dt_source(self.field, self._x, self._v, t, self.dt, (n_cells, nvv))
-
-        rows, cols, vals, valid = _stencil_2d(a, b, hv)
-        offset = (np.arange(n_cells) * nvv)[:, None, None, None]
-        n = n_cells * nvv
-        lmat = csr_matrix(
-            (vals[valid], ((rows + offset)[valid], (cols + offset)[valid])), shape=(n, n)
-        )
-        # I - dt L of all cells in one construction; each diagonal block gets
-        # its own LU, as one block-diagonal LU solves to different bits
-        mat = (identity(n, format="csr") - self.dt * lmat).tocsc()
-        ptr = mat.indptr
-        blocks = []
-        for c in range(n_cells):
-            lo, hi = ptr[c * nvv], ptr[(c + 1) * nvv]
-            blocks.append(csc_matrix(
-                (mat.data[lo:hi], mat.indices[lo:hi] - c * nvv, ptr[c * nvv:(c + 1) * nvv + 1] - lo),
-                shape=(nvv, nvv),
-            ))
-        return blocks
+        chunk = max(1, _CHUNK_NODES // nvv)
+        return [block for c in range(0, n_cells, chunk) for block in _cell_matrices_2d(
+            a[c:c + chunk], b[c:c + chunk], self.grid.hv, self.dt)]
 
     def apply(self, values: np.ndarray, t: float) -> np.ndarray:
         key = self.field.time_key(t)

@@ -496,9 +496,12 @@ class TestFastPathsMatchOracles:
         assert got.values.tobytes() == want.values.tobytes()
         assert got.ledger.csv_lines() == want.ledger.csv_lines()
 
+    @pytest.mark.parametrize("chunk_nodes", [solver_mod._CHUNK_NODES, 100])
     @pytest.mark.parametrize("name", sorted(D2_FIELDS))
-    def test_collision_d2_matrices(self, name):
-        # odd nv: the cross stencil clamps at the walls and the drift is one-sided
+    def test_collision_d2_matrices(self, name, chunk_nodes, monkeypatch):
+        # odd nv: the cross stencil clamps at the walls and the drift is one-sided;
+        # 100 nodes assemble the 9 cells in chunks of 2, 2, 2, 2 and 1
+        monkeypatch.setattr(solver_mod, "_CHUNK_NODES", chunk_nodes)
         recipe, seed = D2_FIELDS[name]
         grid = PhaseGrid(d=2, x_extent=2.0, nx=3, v_max=2.0, nv=7)
         field = sample_field(recipe, EllipticityBounds(0.5, 2.0), seed=seed, d=2)
