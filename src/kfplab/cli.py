@@ -15,12 +15,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import iteration
-from .config import ConfigError, build_field, build_initial, build_solver_config, load_config, run_probe
+from .config import (ConfigError, build_field, build_initial, build_solver_config, given,
+                     load_config, run_probe)
 from .fields import certify_field
 from .geometry import GalileanTransform, KineticPoint, verify_covering
 from .landau import (
@@ -56,6 +58,10 @@ def _out_dir(cfg: dict, args) -> Path:
     return Path(cfg.get("output", {}).get("dir", "out"))
 
 
+def _seed(cfg: dict, args) -> int:
+    return args.seed if args.seed is not None else cfg.get("seed", 0)
+
+
 def _invariants(cfg: dict, traj, cert) -> list[dict]:
     """Hard invariant checks, recomputable identically from stored artifacts."""
     out = [
@@ -74,8 +80,7 @@ def _invariants(cfg: dict, traj, cert) -> list[dict]:
         out.append({"name": "mass_conservation", "value": drift, "passed": drift <= 1e-12})
         growth = float(np.max(np.diff(l2))) / max(1.0, float(l2[0]))
         out.append({"name": "l2_nonincreasing", "value": growth, "passed": growth <= 1e-12})
-    initial = cfg.get("solver", {}).get("initial", {"kind": "zero"})
-    if initial.get("kind") in ("zero", "constant", "gaussian") and source_nonnegative(field):
+    if source_nonnegative(field):
         worst = float(fmin.min())
         out.append({"name": "positivity", "value": worst, "passed": worst >= -1e-12 * scale})
     return out
@@ -93,11 +98,11 @@ def _report(cfg: dict, probes: list[dict], invariants: list[dict]) -> dict:
 def _cmd_solve(cfg: dict, args, with_probes: bool) -> int:
     from .solver import solve
 
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+    seed = _seed(cfg, args)
     field = build_field(cfg, seed_override=args.seed)
     solver_cfg = build_solver_config(cfg, field)
-    f0 = build_initial(solver_cfg.grid, cfg.get("solver", {}).get("initial"))
-    cert = certify_field(field, seed=int(seed))
+    f0 = build_initial(solver_cfg.grid, cfg["solver"].get("initial"))
+    cert = certify_field(field, seed=seed)
     try:
         traj = solve(solver_cfg, f0)
     except np.linalg.LinAlgError as exc:
@@ -106,8 +111,7 @@ def _cmd_solve(cfg: dict, args, with_probes: bool) -> int:
 
     out = _out_dir(cfg, args)
     out.mkdir(parents=True, exist_ok=True)
-    digest = config_digest(cfg)
-    save_trajectory(out, traj, seed=int(seed), digest=digest)
+    save_trajectory(out, traj, seed=seed, digest=config_digest(cfg))
     return _probe_and_report(cfg, traj, cert, out, with_probes)
 
 
@@ -146,37 +150,29 @@ def _cmd_probe(cfg: dict, args) -> int:
     except (OSError, ValueError) as exc:
         print(f"cannot load snapshots from {out}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     field = traj.field if traj.field is not None else build_field(cfg, seed_override=args.seed)
-    cert = certify_field(field, seed=int(seed))
+    cert = certify_field(field, seed=_seed(cfg, args))
     return _probe_and_report(cfg, traj, cert, out, with_probes=True)
 
 
 def _cmd_landau(cfg: dict, args) -> int:
     section = cfg.get("landau")
     if section is None:
-        print("config has no landau section", file=sys.stderr)
+        raise ConfigError("config has no landau section")
+    d = section.get("d", 3)
+    try:
+        params = LandauParams(d=d, **given(section, "gamma", "a_const", "b_const", "c_const"))
+        bounds = MomentBounds(**section.get("bounds", {"m1": 0.1, "m0": 10.0, "e0": 10.0, "h0": 10.0}))
+        if "input" in section:
+            values, v_max = read_velocity_profile(section["input"])
+            profile = VelocityGridFunction(VelocityGrid(v_max=v_max, n=values.shape[0], d=d), values)
+        else:
+            spec = section.get("profile", {})
+            grid = VelocityGrid(v_max=spec.get("v_max", 6.0), n=spec.get("n", 16), d=d)
+            profile = maxwellian(grid, **given(spec, "sigma"))
+    except (OSError, ValueError) as exc:
+        print(f"cannot set up the landau check: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    d = int(section.get("d", 3))
-    gamma = float(section["gamma"])
-    params = LandauParams(
-        d=d, gamma=gamma,
-        a_const=section.get("a_const", 1.0),
-        b_const=section.get("b_const", 1.0),
-        c_const=section.get("c_const", 1.0),
-    )
-    if "input" in section and section["input"]:
-        values, v_max = read_velocity_profile(section["input"])
-        grid = VelocityGrid(v_max=v_max, n=values.shape[0], d=d)
-        profile = VelocityGridFunction(grid, values)
-    else:
-        spec = section.get("profile", {})
-        grid = VelocityGrid(
-            v_max=spec.get("v_max", 6.0), n=spec.get("n", 16), d=d
-        )
-        profile = maxwellian(grid, sigma=spec.get("sigma", 1.0))
-    bounds_spec = section.get("bounds", {"m1": 0.1, "m0": 10.0, "e0": 10.0, "h0": 10.0})
-    bounds = MomentBounds(**bounds_spec)
     try:
         report = check_coefficient_bounds(profile, params, bounds)
     except ValueError as exc:
@@ -187,7 +183,7 @@ def _cmd_landau(cfg: dict, args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     payload = _report(cfg, [{
         "name": "landau_bounds",
-        "params": {"gamma": gamma, "d": d, "n": grid.n, "v_max": grid.v_max},
+        "params": {"gamma": params.gamma, "d": d, "n": profile.grid.n, "v_max": profile.grid.v_max},
         "constants": report.to_dict(),
         "verdict": report.verdict,
     }], [])
@@ -198,11 +194,23 @@ def _cmd_landau(cfg: dict, args) -> int:
 
 
 def _cmd_geometry(cfg: dict, args) -> int:
-    section = cfg.get("geometry", {}) if cfg else {}
-    seed = args.seed if args.seed is not None else (cfg.get("seed", 0) if cfg else 0)
-    n_checks = int(section.get("n_selfchecks", 2000))
-    rng = np.random.default_rng(int(seed))
-    d = int(section.get("d", 1))
+    section = cfg.get("geometry", {})
+    seed = _seed(cfg, args)
+    n_checks = section.get("n_selfchecks", 2000)
+    rng = np.random.default_rng(seed)
+    d = section.get("d", 1)
+    try:
+        covering = verify_covering(
+            delta=section.get("delta", 0.2),
+            r_plus=section.get("R", 1e-11),
+            r0=section.get("r0", 0.1),
+            n_samples=section.get("n_samples", 4096),
+            d=d,
+            seed=seed,
+            **given(section, "omega"),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"geometry: {exc}") from exc
     worst = 0.0
     for _ in range(n_checks):
         z0 = KineticPoint(rng.normal(size=d), rng.normal(size=d), float(rng.normal()))
@@ -221,15 +229,6 @@ def _cmd_geometry(cfg: dict, args) -> int:
             abs(back.t - z.t),
         )
     group_ok = worst <= 1e-10
-    covering = verify_covering(
-        delta=section.get("delta", 0.2),
-        r_plus=section.get("R", 1e-11),
-        r0=section.get("r0", 0.1),
-        omega=section.get("omega", 0.25),
-        n_samples=int(section.get("n_samples", 4096)),
-        d=d,
-        seed=int(seed),
-    )
     out = _out_dir(cfg, args)
     out.mkdir(parents=True, exist_ok=True)
     payload = _report(cfg, [
@@ -248,67 +247,61 @@ def _cmd_geometry(cfg: dict, args) -> int:
 
 
 def _cmd_iterate(cfg: dict, args) -> int:
-    section = cfg.get("iterate", {}) if cfg else {}
-    out = _out_dir(cfg, args)
-    out.mkdir(parents=True, exist_ok=True)
+    section = cfg.get("iterate", {})
     degiorgi = section.get("degiorgi", [
         {"beta": 1.0, "alpha": 2.0, "v0": 0.5},
         {"beta": 4.0, "alpha": 1.5, "v0": 1e-8},
     ])
-    lines = ["beta,alpha,v0,gamma,verdict"]
-    for case in degiorgi:
-        rep = iteration.degiorgi_threshold(case["beta"], case["alpha"], case["v0"])
-        lines.append(f"{case['beta']!r},{case['alpha']!r},{case['v0']!r},{rep.gamma!r},{rep.verdict}")
-    (out / "degiorgi.csv").write_text("\n".join(lines) + "\n")
-
     moser = section.get("moser", [{"p": 4.0, "cbar": 2.0, "a": 1.0, "n": 60}])
-    lines = ["p,cbar,a,n,partial_product"]
-    for case in moser:
-        partials, limit = iteration.moser_product(case["p"], case["cbar"], case["a"], case["n"])
-        lines.append(f"{case['p']!r},{case['cbar']!r},{case['a']!r},{case['n']},{limit!r}")
+    try:
+        reps = [iteration.degiorgi_threshold(c["beta"], c["alpha"], c["v0"]) for c in degiorgi]
+        limits = [iteration.moser_product(c["p"], c["cbar"], c["a"], c["n"])[1] for c in moser]
+    except ValueError as exc:
+        raise ConfigError(f"iterate: {exc}") from exc
+    out = _out_dir(cfg, args)
+    out.mkdir(parents=True, exist_ok=True)
+    lines = ["beta,alpha,v0,gamma,verdict"] + [
+        f"{c['beta']!r},{c['alpha']!r},{c['v0']!r},{rep.gamma!r},{rep.verdict}"
+        for c, rep in zip(degiorgi, reps)
+    ]
+    (out / "degiorgi.csv").write_text("\n".join(lines) + "\n")
+    lines = ["p,cbar,a,n,partial_product"] + [
+        f"{c['p']!r},{c['cbar']!r},{c['a']!r},{c['n']},{limit!r}" for c, limit in zip(moser, limits)
+    ]
     (out / "moser.csv").write_text("\n".join(lines) + "\n")
     return EXIT_OK
 
 
+_COMMANDS = {
+    "run": partial(_cmd_solve, with_probes=True),
+    "solve": partial(_cmd_solve, with_probes=False),
+    "probe": _cmd_probe,
+    "landau": _cmd_landau,
+    "geometry": _cmd_geometry,
+    "iterate": _cmd_iterate,
+}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="kfplab", description=__doc__)
-    parser.add_argument("command", choices=["run", "solve", "probe", "landau", "geometry", "iterate"])
+    parser.add_argument("command", choices=list(_COMMANDS))
     parser.add_argument("--config", type=str, default=None, help="path to the JSON config")
     parser.add_argument("--out", type=str, default=None, help="output directory override")
     parser.add_argument("--seed", type=int, default=None, help="seed override")
     args = parser.parse_args(argv)
-
-    cfg: dict = {"schema_version": 1}
-    if args.config is not None:
-        try:
-            cfg = load_config(args.config)
-        except ConfigError as exc:
-            print(f"invalid config: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-    elif args.command in ("run", "solve", "probe", "landau"):
+    if args.config is None and args.command in ("run", "solve", "probe", "landau"):
         print("--config is required for this command", file=sys.stderr)
         return EXIT_CONFIG
 
     try:
-        if args.command == "run":
-            return _cmd_solve(cfg, args, with_probes=True)
-        if args.command == "solve":
-            return _cmd_solve(cfg, args, with_probes=False)
-        if args.command == "probe":
-            return _cmd_probe(cfg, args)
-        if args.command == "landau":
-            return _cmd_landau(cfg, args)
-        if args.command == "geometry":
-            return _cmd_geometry(cfg, args)
-        if args.command == "iterate":
-            return _cmd_iterate(cfg, args)
+        cfg = load_config(args.config) if args.config is not None else {"schema_version": 1}
+        return _COMMANDS[args.command](cfg, args)
     except ConfigError as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except np.linalg.LinAlgError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    return EXIT_CONFIG
 
 
 if __name__ == "__main__":

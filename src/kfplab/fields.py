@@ -8,7 +8,7 @@ seed), so evaluation order and process boundaries cannot change it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 from scipy.stats import qmc
@@ -73,7 +73,7 @@ def _as_points(x, v, t, d: int):
 class ConstantRecipe:
     """A = a_value * I (default midpoint of the ellipticity window), constant B, s."""
 
-    kind: str = "constant"
+    kind: ClassVar[str] = "constant"
     a_value: float | None = None
     b_value: float = 0.0
     s_value: float = 0.0
@@ -90,7 +90,7 @@ class CheckerboardRecipe:
     [-s_max, s_max].
     """
 
-    kind: str = "checkerboard"
+    kind: ClassVar[str] = "checkerboard"
     cell: float = 1.0
     b_max: float | None = None
     s_max: float = 0.0
@@ -100,7 +100,7 @@ class CheckerboardRecipe:
 class SmoothRandomRecipe:
     """Random-Fourier eigenvalue fields, clipped into [lam, Lam]."""
 
-    kind: str = "smooth"
+    kind: ClassVar[str] = "smooth"
     corr_x: float = 1.0
     corr_v: float = 1.0
     corr_t: float = 1.0
@@ -113,11 +113,15 @@ class SmoothRandomRecipe:
 class RotatingAnisotropyRecipe:
     """Eigenvalues pinned at (lam, Lam, ..., Lam) with a rotating eigenframe."""
 
-    kind: str = "rotating"
+    kind: ClassVar[str] = "rotating"
     period: float = 1.0
 
 
 Recipe = ConstantRecipe | CheckerboardRecipe | SmoothRandomRecipe | RotatingAnisotropyRecipe
+RECIPES = {cls.kind: cls for cls in (ConstantRecipe, CheckerboardRecipe, SmoothRandomRecipe,
+                                     RotatingAnisotropyRecipe)}
+# descriptor keys that are not the recipe's own
+_DESCRIPTOR_KEYS = {"kind", "seed", "d", "lambda", "Lambda", "corrupted_scale"}
 
 
 def _zigzag(i: np.ndarray) -> np.ndarray:
@@ -155,12 +159,8 @@ def sample_field(recipe: Recipe, bounds: EllipticityBounds, seed: int, d: int = 
 
 
 def _descriptor(recipe: Recipe, bounds: EllipticityBounds, seed: int, d: int) -> dict:
-    desc = {"kind": recipe.kind, "seed": int(seed), "d": int(d),
-            "lambda": bounds.lam, "Lambda": bounds.big_lam}
-    for key, val in vars(recipe).items():
-        if key != "kind":
-            desc[key] = val
-    return desc
+    return {"kind": recipe.kind, "seed": int(seed), "d": int(d),
+            "lambda": bounds.lam, "Lambda": bounds.big_lam, **vars(recipe)}
 
 
 def _constant_field(recipe: ConstantRecipe, bounds: EllipticityBounds, seed: int, d: int) -> CoefficientField:
@@ -333,37 +333,19 @@ def _rotating_field(recipe: RotatingAnisotropyRecipe, bounds: EllipticityBounds,
 
 
 def field_from_descriptor(desc: dict) -> CoefficientField:
-    """Reconstruct a field from its stored (recipe, seed) descriptor."""
-    bounds = EllipticityBounds(desc["lambda"], desc["Lambda"])
-    kind = desc["kind"]
-    seed = int(desc["seed"])
-    d = int(desc["d"])
-    if kind == "constant":
-        recipe: Recipe = ConstantRecipe(
-            a_value=desc.get("a_value"),
-            b_value=desc.get("b_value", 0.0),
-            s_value=desc.get("s_value", 0.0),
-        )
-    elif kind == "checkerboard":
-        recipe = CheckerboardRecipe(
-            cell=desc.get("cell", 1.0),
-            b_max=desc.get("b_max"),
-            s_max=desc.get("s_max", 0.0),
-        )
-    elif kind == "smooth":
-        recipe = SmoothRandomRecipe(
-            corr_x=desc.get("corr_x", 1.0),
-            corr_v=desc.get("corr_v", 1.0),
-            corr_t=desc.get("corr_t", 1.0),
-            n_modes=desc.get("n_modes", 8),
-            b_max=desc.get("b_max"),
-            s_max=desc.get("s_max", 0.0),
-        )
-    elif kind == "rotating":
-        recipe = RotatingAnisotropyRecipe(period=desc.get("period", 1.0))
-    else:
-        raise ValueError(f"unknown field kind {kind!r}")
-    out = sample_field(recipe, bounds, seed, d)
+    """Reconstruct a field from its stored (recipe, seed) descriptor.
+
+    Every key besides ``_DESCRIPTOR_KEYS`` goes to the recipe dataclass, whose
+    defaults fill the rest; a key the recipe does not have is a ValueError.
+    """
+    recipe_cls = RECIPES.get(desc["kind"])
+    if recipe_cls is None:
+        raise ValueError(f"unknown field kind {desc['kind']!r}")
+    try:
+        recipe = recipe_cls(**{k: v for k, v in desc.items() if k not in _DESCRIPTOR_KEYS})
+    except TypeError as exc:
+        raise ValueError(f"{desc['kind']} recipe: {exc}") from exc
+    out = sample_field(recipe, EllipticityBounds(desc["lambda"], desc["Lambda"]), desc["seed"], desc["d"])
     if "corrupted_scale" in desc:
         out = scaled_diffusion(out, desc["corrupted_scale"])
     return out

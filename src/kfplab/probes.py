@@ -220,6 +220,8 @@ def norm_on_cylinder(traj: Trajectory, region, p, normalized: bool = False) -> f
     ``normalized`` the measure is normalised (integral average), making the
     result monotone non-decreasing in p.
     """
+    if not p > 0:
+        raise ValueError(f"p must be positive, got {p}")
     traj, region = _native(traj, region)
     return _norm(sample_region(traj, region), p, normalized)
 

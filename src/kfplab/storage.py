@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +36,7 @@ def write_snapshot(path, values: np.ndarray, header: dict) -> None:
 def read_snapshot(path) -> tuple[dict, np.ndarray]:
     with open(path, "rb") as fh:
         header = json.loads(fh.readline().decode("utf-8"))
-        if header.get("schema_version") != SCHEMA_VERSION:
+        if not isinstance(header, dict) or header.get("schema_version") != SCHEMA_VERSION:
             raise ValueError(f"snapshot schema version mismatch in {path}")
         payload = fh.read()
     dims = tuple(header["dims"])
@@ -95,13 +96,17 @@ def read_ledger(path) -> EnergyLedger:
 
 
 def save_trajectory(out_dir, traj: Trajectory, seed: int, digest: str) -> None:
-    """Write run_meta.json, per-snapshot binaries and the ledger CSV."""
+    """Write run_meta.json, per-snapshot binaries and the ledger CSV.
+
+    Snapshots are written to ``snapshots.new`` and replace ``snapshots/`` only
+    once every file is in place, so a rerun that fails part-way leaves the
+    previous run loadable, and a rerun never keeps an earlier run's extra files.
+    """
     out = Path(out_dir)
-    snaps = out / "snapshots"
-    snaps.mkdir(parents=True, exist_ok=True)
-    # a rerun into the same directory must not leave an earlier run's extra snapshots
-    for stale in snaps.glob("snap_*.kfs"):
-        stale.unlink()
+    snaps, staging, retired = out / "snapshots", out / "snapshots.new", out / "snapshots.old"
+    for leftover in (staging, retired):
+        shutil.rmtree(leftover, ignore_errors=True)
+    staging.mkdir(parents=True)
     g = traj.grid
     header_base = {
         "kind": "phase",
@@ -109,10 +114,13 @@ def save_trajectory(out_dir, traj: Trajectory, seed: int, digest: str) -> None:
         "spacings": {"hx": g.hx, "hv": g.hv},
         "seed": int(seed),
     }
-    for n in range(traj.n_times):
-        header = dict(header_base)
-        header["time"] = float(traj.times[n])
-        write_snapshot(snaps / f"snap_{n:06d}.kfs", traj.values[n], header)
+    try:
+        for n in range(traj.n_times):
+            header = {**header_base, "time": float(traj.times[n])}
+            write_snapshot(staging / f"snap_{n:06d}.kfs", traj.values[n], header)
+    except BaseException:
+        shutil.rmtree(staging, ignore_errors=True)
+        raise
     meta = {
         "schema_version": SCHEMA_VERSION,
         "config_digest": digest,
@@ -122,40 +130,45 @@ def save_trajectory(out_dir, traj: Trajectory, seed: int, digest: str) -> None:
         "field_descriptor": traj.field.descriptor if traj.field is not None else None,
         "n_snapshots": traj.n_times,
     }
+    if snaps.exists():
+        snaps.rename(retired)
+    staging.rename(snaps)
     # plain JSON (repr-exact floats) so the descriptor reloads with its types
     (out / "run_meta.json").write_text(json.dumps(meta, sort_keys=True))
     if traj.ledger is not None:
         write_ledger(out / "ledger.csv", traj.ledger)
+    shutil.rmtree(retired, ignore_errors=True)
 
 
 def load_trajectory(out_dir, field: CoefficientField | None = None) -> Trajectory:
     """Rebuild a trajectory from stored snapshots (field from its descriptor)."""
     out = Path(out_dir)
     meta = json.loads((out / "run_meta.json").read_text())
-    if meta.get("schema_version") != SCHEMA_VERSION:
+    if not isinstance(meta, dict) or meta.get("schema_version") != SCHEMA_VERSION:
         raise ValueError("run_meta schema version mismatch")
-    gm = meta["grid"]
-    grid = PhaseGrid(
-        d=int(gm["d"]),
-        x_extent=float(gm["x_extent"]),
-        nx=int(gm["nx"]),
-        v_max=float(gm["v_max"]),
-        nv=int(gm["nv"]),
-    )
-    snaps = sorted((out / "snapshots").glob("snap_*.kfs"))
-    if len(snaps) != meta["n_snapshots"]:
-        raise ValueError(
-            f"expected {meta['n_snapshots']} snapshots, found {len(snaps)} in {out}"
+    try:
+        gm = meta["grid"]
+        grid = PhaseGrid(
+            d=int(gm["d"]),
+            x_extent=float(gm["x_extent"]),
+            nx=int(gm["nx"]),
+            v_max=float(gm["v_max"]),
+            nv=int(gm["nv"]),
         )
+        n_snapshots = meta["n_snapshots"]
+        if field is None and meta.get("field_descriptor"):
+            field = field_from_descriptor(meta["field_descriptor"])
+    except KeyError as exc:
+        raise ValueError(f"run_meta.json in {out} lacks the key {exc}") from exc
+    snaps = sorted((out / "snapshots").glob("snap_*.kfs"))
+    if len(snaps) != n_snapshots:
+        raise ValueError(f"expected {n_snapshots} snapshots, found {len(snaps)} in {out}")
     times = []
     values = []
     for path in snaps:
         header, arr = read_snapshot(path)
         times.append(float(header["time"]))
         values.append(arr)
-    if field is None and meta.get("field_descriptor"):
-        desc = meta["field_descriptor"]
-        field = field_from_descriptor(desc)
     ledger = read_ledger(out / "ledger.csv") if (out / "ledger.csv").exists() else None
     return Trajectory(
         grid=grid,

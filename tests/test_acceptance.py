@@ -14,6 +14,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from kfplab.fields import (
     CheckerboardRecipe,
@@ -324,6 +325,7 @@ ENSEMBLE_SIZE = 20
 CRITERION08_CONSTANTS = Path(__file__).parent / "data" / "criterion08_constants.json"
 
 
+@pytest.mark.slow
 def test_criterion_08_probe_stability_over_ensemble():
     start = time.monotonic()
     base = [one_run(100 + i, 64, 64, 1 / 8192) for i in range(ENSEMBLE_SIZE)]

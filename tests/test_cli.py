@@ -1,10 +1,16 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
+import pytest
 
+from kfplab import storage
 from kfplab.cli import main
+from kfplab.config import build_field, build_initial, build_solver_config, load_config, validate_config
 from kfplab.storage import (
     canonical_json,
+    load_trajectory,
     read_snapshot,
     read_velocity_profile,
     write_snapshot,
@@ -205,6 +211,90 @@ class TestConfigValidation:
         assert main(["landau", "--config", str(cfg)]) == 2
 
 
+DROP = object()
+LANDAU_BOUNDS = {"m1": "0.1", "m0": 10.0, "e0": 10.0, "h0": 10.0}
+PROPAGATION = {"name": "propagation", "R": 0.25, "Delta": 0.3, "rho1": 0.4, "rho2": 0.6}
+# (command, path into base_config, value put there; DROP deletes the key)
+MALFORMED = {
+    "landau_profile_n_string": ("landau", ("landau",), {"gamma": -3.0, "profile": {"n": "8"}}),
+    "landau_bounds_string": ("landau", ("landau",), {"gamma": -3.0, "bounds": LANDAU_BOUNDS}),
+    "landau_without_gamma": ("landau", ("landau",), {"d": 3, "profile": {"n": 8}}),
+    "landau_input_number": ("landau", ("landau",), {"gamma": -3.0, "input": 5}),
+    "degiorgi_beta_string": ("iterate", ("iterate",),
+                             {"degiorgi": [{"beta": "1", "alpha": 2.0, "v0": 0.5}]}),
+    "moser_without_n": ("iterate", ("iterate",), {"moser": [{"p": 4.0, "cbar": 2.0, "a": 1.0}]}),
+    "probe_not_an_object": ("run", ("probes",), [1]),
+    "probes_not_a_list": ("run", ("probes",), {"name": "norm"}),
+    "solver_not_an_object": ("solve", ("solver",), []),
+    "solver_without_nv": ("solve", ("solver", "nv"), DROP),
+    "norm_without_p": ("run", ("probes", 1, "p"), DROP),
+    "center_not_a_list": ("run", ("probes", 1, "center"), 5),
+    "r_ladder_not_a_list": ("run", ("probes",), [{**PROPAGATION, "r_ladder": 0.1}]),
+    "output_dir_number": ("solve", ("output", "dir"), 5),
+    "landau_profile_unknown_key": ("landau", ("landau",),
+                                   {"gamma": -3.0, "profile": {"n": 8, "typo": 1}}),
+    "degiorgi_unknown_key": ("iterate", ("iterate",),
+                             {"degiorgi": [{"beta": 1.0, "alpha": 2.0, "v0": 0.5, "typo": 1}]}),
+    "constant_field_with_cell": ("solve", ("field",), {"recipe": "constant", "cell": 1.0}),
+    "constant_field_with_period": ("solve", ("field",), {"recipe": "constant", "period": 1.0}),
+    "constant_field_with_n_modes": ("solve", ("field",), {"recipe": "constant", "n_modes": 4}),
+    "rotating_field_with_s_max": ("solve", ("field",), {"recipe": "rotating", "s_max": 0.5}),
+    "rotating_field_with_b_max": ("solve", ("field",), {"recipe": "rotating", "b_max": 1.0}),
+    "constant_initial_with_sigma_x": ("solve", ("solver", "initial"),
+                                      {"kind": "constant", "value": 1.0, "sigma_x": 0.3}),
+    "levelsets_unit_ball": ("run", ("probes",),
+                            [{"name": "levelsets", "theta": 0.5, "r": 0.3, "region": "unit_ball"}]),
+    "norm_p_string": ("run", ("probes", 1, "p"), "2"),
+    "gaussian_zero_width": ("solve", ("solver", "initial"), {"kind": "gaussian", "sigma_x": 0.0}),
+    "geometry_zero_dimension": ("geometry", ("geometry",), {"d": 0, "n_selfchecks": 2}),
+    "levelsets_r_and_region": ("run", ("probes",),
+                               [{"name": "levelsets", "theta": 0.5, "r": 0.3, "region": "unit_box"}]),
+    "landau_input_and_profile": ("landau", ("landau",),
+                                 {"gamma": -3.0, "input": "f.kvg", "profile": {"n": 8}}),
+}
+
+
+@pytest.mark.parametrize("command, path, value", MALFORMED.values(), ids=list(MALFORMED))
+def test_malformed_config_exits_two(tmp_path, capsys, command, path, value):
+    out = tmp_path / "out"
+    config = base_config(out)
+    *parents, key = path
+    section = config
+    for step in parents:
+        section = section[step]
+    if value is DROP:
+        del section[key]
+    else:
+        section[key] = value
+    cfg = write_config(tmp_path, config)
+    assert main([command, "--config", str(cfg)]) == 2
+    assert "invalid config:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_schema_accepts_inf_null_and_recipe_keys():
+    config = base_config("out", field={"recipe": "smooth", "lambda": 0.5, "Lambda": 2.0,
+                                       "n_modes": 4, "b_max": None, "seed": 1})
+    config["probes"] = [
+        {"name": "norm", "p": "inf", "r": 0.4},
+        {"name": "holder", "r_base": None},
+        {"name": "doubling", "r": None, "n_levels": 2},
+        {"name": "levelsets", "theta": 0.5, "region": "unit_box"},
+    ]
+    validate_config(config)
+
+
+def test_readme_config_builds(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = re.search(r"```json\n(.*?)```", readme, re.S).group(1)
+    cfg = load_config(write_config(tmp_path, json.loads(block)))
+    field = build_field(cfg)
+    solver_cfg = build_solver_config(cfg, field)
+    f0 = build_initial(solver_cfg.grid, cfg["solver"]["initial"])
+    assert field.descriptor["kind"] == "checkerboard" and field.descriptor["cell"] == 1.0
+    assert solver_cfg.snapshot_stride == 64 and f0.values.shape == solver_cfg.grid.shape
+
+
 class TestOtherCommands:
     def test_solve_writes_snapshots_without_probes(self, tmp_path):
         out = tmp_path / "out"
@@ -275,3 +365,56 @@ class TestOtherCommands:
         lines = (tmp_path / "degiorgi.csv").read_text().strip().splitlines()
         assert lines[0] == "beta,alpha,v0,gamma,verdict"
         assert len(lines) >= 2
+
+    @pytest.mark.parametrize("kind", ["missing", "plain_text"])
+    def test_landau_unreadable_input_exits_two(self, tmp_path, capsys, kind):
+        profile = tmp_path / "profile.kvg"
+        if kind == "plain_text":
+            profile.write_text("not a snapshot\n")
+        config = {"schema_version": 1, "landau": {"input": str(profile), "gamma": -3.0},
+                  "output": {"dir": str(tmp_path / "out")}}
+        cfg = write_config(tmp_path, config)
+        assert main(["landau", "--config", str(cfg)]) == 2
+        assert "cannot set up the landau check" in capsys.readouterr().err
+
+    def test_run_meta_without_grid_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, base_config(out))
+        assert main(["solve", "--config", str(cfg)]) == 0
+        meta = json.loads((out / "run_meta.json").read_text())
+        del meta["grid"]
+        (out / "run_meta.json").write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match="grid"):
+            load_trajectory(out)
+        assert main(["probe", "--config", str(cfg)]) == 2
+        assert "grid" in capsys.readouterr().err
+
+    def test_failed_rerun_keeps_previous_run(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        config = base_config(out)
+        config["solver"]["snapshot_stride"] = 1
+        cfg = write_config(tmp_path, config)
+        assert main(["solve", "--config", str(cfg)]) == 0
+        before = {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        old = load_trajectory(out)
+
+        written = []
+
+        def failing_write(path, values, header):
+            written.append(path)
+            if len(written) == 3:
+                raise OSError("disk full")
+            return write_snapshot(path, values, header)
+
+        monkeypatch.setattr(storage, "write_snapshot", failing_write)
+        config["solver"]["snapshot_stride"] = 4
+        cfg = write_config(tmp_path, config)
+        with pytest.raises(OSError, match="disk full"):
+            main(["solve", "--config", str(cfg)])
+        after = {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        assert after == before
+        reloaded = load_trajectory(out)
+        assert reloaded.values.tobytes() == old.values.tobytes()
+        assert np.array_equal(reloaded.times, old.times)
+        assert sorted(p.name for p in out.iterdir()) == [
+            "ledger.csv", "report.json", "run_meta.json", "snapshots"]

@@ -138,6 +138,14 @@ def test_descriptor_round_trip():
         x, v, t = eval_points(rng, 1, n=32)
         assert np.array_equal(field.a(x, v, t), rebuilt.a(x, v, t))
         assert np.array_equal(field.s(x, v, t), rebuilt.s(x, v, t))
+        assert rebuilt.descriptor == field.descriptor
+    # a key that belongs to another recipe is an error, not silently dropped
+    constant = sample_field(ConstantRecipe(), bounds, seed=13, d=1).descriptor
+    for foreign in ({"cell": 1.0}, {"period": 0.5}, {"n_modes": 4}):
+        with pytest.raises(ValueError, match="recipe"):
+            field_from_descriptor({**constant, **foreign})
+    with pytest.raises(ValueError, match="recipe"):
+        field_from_descriptor({**field.descriptor, "s_max": 0.5})
 
 
 def test_bounds_validation():

@@ -93,6 +93,12 @@ class TestNorms:
         with pytest.raises(ValueError):
             norm_on_cylinder(traj, far, 2.0)
 
+    @pytest.mark.parametrize("p", [0, -1.0])
+    def test_nonpositive_p_rejected(self, p):
+        traj = synthetic(lambda x, v, t: np.ones_like(x))
+        with pytest.raises(ValueError, match="p must be positive"):
+            norm_on_cylinder(traj, Cylinder(shifted_origin(), 1.0), p)
+
 
 class TestLevelSets:
     def test_constant_one(self):
