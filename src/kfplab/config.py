@@ -36,6 +36,13 @@ class Req(NamedTuple):
     node: object
 
 
+class Min(NamedTuple):
+    """A number matching ``node`` that is at least ``lo``."""
+
+    node: object
+    lo: float
+
+
 class Pick(NamedTuple):
     """An object whose other keys are those of the variant named by ``key``."""
 
@@ -44,16 +51,22 @@ class Pick(NamedTuple):
     variants: dict
 
 
+# lower bounds of recipe keys
+_RECIPE_MINIMUMS = {"s_max": 0.0, "n_modes": 1}
+
+
 def _recipe_keys(cls) -> dict:
     """Schema node per field of a recipe dataclass: ``float | None`` gives (float, NoneType)."""
     hints = typing.get_type_hints(cls)
-    return {f.name: typing.get_args(hints[f.name]) or hints[f.name] for f in dataclasses.fields(cls)}
+    keys = {f.name: typing.get_args(hints[f.name]) or hints[f.name] for f in dataclasses.fields(cls)}
+    return {key: Min(node, _RECIPE_MINIMUMS[key]) if key in _RECIPE_MINIMUMS else node
+            for key, node in keys.items()}
 
 
 # A schema node is a dict (an object: key -> node, with Req on the keys that
-# must be present), a Pick, a one-entry list (a JSON list whose entries all
-# match that node), or one alternative or a tuple of them, each a type (float
-# takes any number; no type but bool takes a boolean) or a literal value.
+# must be present), a Pick, a Min, a one-entry list (a JSON list whose entries
+# all match that node), or one alternative or a tuple of them, each a type
+# (float takes any number; no type but bool takes a boolean) or a literal value.
 _POINT = [float]
 _HARNACK = {"R": Req(float), "Delta": Req(float), "rho1": Req(float), "rho2": Req(float),
             "q": float}
@@ -74,7 +87,8 @@ _PROBES = {
     "doubling": {"omega": float, "n_levels": int, "r": (float, None)},
     "oscillation": {"r": Req(float)},
     "levelsets": {"theta": Req(float), "r": float, "region": ("unit_box",)},
-    "fractional": {"s_order": Req(float), "r": Req(float), "n_pairs": int, "seed": int},
+    "fractional": {"s_order": Req(float), "r": Req(float), "n_pairs": Min(int, 1),
+                   "seed": int},
     "gehring": {"q": Req(float), "r0": Req(float), "theta": float},
     "propagation": {**_HARNACK, "r_ladder": Req([float])},
     "caccioppoli": {"R": Req(float)},
@@ -86,7 +100,7 @@ SCHEMA = {
     "solver": {
         "d": int, "x_extent": Req(float), "nx": Req(int), "v_max": Req(float), "nv": Req(int),
         "dt": Req(float), "t_end": Req(float), "boundary": str, "scheme": str,
-        "snapshot_stride": int, "snapshot_tail": float, "initial": _INITIAL,
+        "snapshot_stride": int, "snapshot_tail": Min(float, 0.0), "initial": _INITIAL,
     },
     "field": _FIELD,
     "probes": [Pick("name", None, {name: {"center": _POINT, **keys} for name, keys in _PROBES.items()})],
@@ -98,7 +112,7 @@ SCHEMA = {
         "bounds": dict.fromkeys(("m1", "m0", "e0", "h0"), Req(float)),
     },
     "geometry": {"delta": float, "R": float, "r0": float, "omega": float,
-                 "n_samples": int, "d": int, "n_selfchecks": int},
+                 "n_samples": int, "d": int, "n_selfchecks": Min(int, 0)},
     "iterate": {
         "degiorgi": [dict.fromkeys(("beta", "alpha", "v0"), Req(float))],
         "moser": [{"p": Req(float), "cbar": Req(float), "a": Req(float), "n": Req(int)}],
@@ -125,7 +139,11 @@ def _check(val, node, where: str) -> None:
         if not isinstance(tag, str) or tag not in node.variants:
             raise ConfigError(f"{where}.{node.key} must be one of {sorted(node.variants)}, got {tag!r}")
         node = {node.key: str, **node.variants[tag]}
-    if isinstance(node, dict):
+    if isinstance(node, Min):
+        _check(val, node.node, where)
+        if val < node.lo:
+            raise ConfigError(f"{where} must be at least {node.lo}, got {val!r}")
+    elif isinstance(node, dict):
         unknown = sorted(set(val) - set(node))
         if unknown:
             raise ConfigError(f"unknown keys {unknown} in {where}")

@@ -8,7 +8,8 @@ seed), so evaluation order and process boundaries cannot change it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, ClassVar
+from operator import itemgetter
+from typing import Callable, ClassVar, NamedTuple
 
 import numpy as np
 from scipy.stats import qmc
@@ -26,12 +27,24 @@ class EllipticityBounds:
             raise ValueError(f"need 0 < lambda <= Lambda, got {self.lam}, {self.big_lam}")
 
 
+class NodeCoefficients(NamedTuple):
+    """The coefficients at one fixed set of nodes as functions of time: for
+    nodes of shape (..., d), ``a(t)``/``b(t)``/``s(t)`` return (..., d, d) /
+    (..., d) / (...,) arrays."""
+
+    a: Callable[[float], np.ndarray]
+    b: Callable[[float], np.ndarray]
+    s: Callable[[float], np.ndarray]
+
+
 @dataclass(frozen=True)
 class CoefficientField:
     """Rough data (A, B, s) with its declared bounds and generation descriptor.
 
     ``a_fn``/``b_fn``/``s_fn`` accept x, v of shape (..., d) and t of shape
     (...,) (or scalar) and return (..., d, d) / (..., d) / (...,) arrays.
+    ``nodes_fn`` binds the same field to fixed nodes x, v and returns its
+    :class:`NodeCoefficients`, having computed the spatial part once.
     ``time_key`` buckets times into intervals on which the field is constant,
     allowing solvers to reuse factorisations; the default never reuses.
     """
@@ -43,6 +56,7 @@ class CoefficientField:
     a_fn: Callable
     b_fn: Callable
     s_fn: Callable
+    nodes_fn: Callable[[np.ndarray, np.ndarray], NodeCoefficients]
     time_key: Callable[[float], object] = field(default=lambda t: t)
 
     def a(self, x, v, t) -> np.ndarray:
@@ -56,6 +70,17 @@ class CoefficientField:
     def s(self, x, v, t) -> np.ndarray:
         x, v, t = _as_points(x, v, t, self.d)
         return self.s_fn(x, v, t)
+
+    def at_nodes(self, x, v) -> NodeCoefficients:
+        """Evaluators t -> A, t -> B, t -> s at the fixed nodes (x, v), for a
+        solver that evaluates the field at the same nodes at many times.
+
+        They return what ``a``/``b``/``s`` return at those nodes: the same
+        bits for constant, checkerboard and rotating fields, and for smooth
+        fields the same sums of cosines added in another order.
+        """
+        x, v, _ = _as_points(x, v, 0.0, self.d)
+        return self.nodes_fn(x, v)
 
 
 def _as_points(x, v, t, d: int):
@@ -182,10 +207,15 @@ def _constant_field(recipe: ConstantRecipe, bounds: EllipticityBounds, seed: int
     def s_fn(x, v, t):
         return np.full(t.shape, recipe.s_value)
 
+    def nodes_fn(x, v):
+        t = np.zeros(x.shape[:-1])
+        return NodeCoefficients(lambda _: a_fn(x, v, t), lambda _: b_fn(x, v, t),
+                                lambda _: s_fn(x, v, t))
+
     return CoefficientField(
         d=d, bounds=bounds, s_bound=abs(recipe.s_value),
         descriptor=_descriptor(recipe, bounds, seed, d),
-        a_fn=a_fn, b_fn=b_fn, s_fn=s_fn, time_key=lambda t: 0,
+        a_fn=a_fn, b_fn=b_fn, s_fn=s_fn, nodes_fn=nodes_fn, time_key=lambda t: 0,
     )
 
 
@@ -197,6 +227,7 @@ def _checkerboard_field(recipe: CheckerboardRecipe, bounds: EllipticityBounds, s
     if b_max > bounds.big_lam:
         raise ValueError("b_max may not exceed Lambda")
     cache: dict[tuple, tuple[np.ndarray, np.ndarray, float]] = {}
+    pick_a, pick_b, pick_s = itemgetter(0), itemgetter(1), itemgetter(2)   # of a cell's (a, b, s)
 
     def _cell_values(idx: tuple) -> tuple[np.ndarray, np.ndarray, float]:
         got = cache.get(idx)
@@ -212,34 +243,53 @@ def _checkerboard_field(recipe: CheckerboardRecipe, bounds: EllipticityBounds, s
             cache[idx] = got
         return got
 
-    def _indices(x, v, t):
+    def _space_indices(x, v):
         ix = np.floor(x / ell**3).astype(np.int64)
         iv = np.floor(v / ell).astype(np.int64)
-        it = np.floor(t / ell**2).astype(np.int64)
-        return np.concatenate([ix, iv, it[..., None]], axis=-1)
+        return np.concatenate([ix, iv], axis=-1)
+
+    def _cells(idx):
+        """The distinct cells among the index rows ``idx`` (..., k) and the
+        position of each row's cell among them."""
+        return np.unique(idx.reshape(-1, idx.shape[-1]), axis=0, return_inverse=True)
+
+    def _lookup(cells, inv, shape, pick):
+        out = np.asarray([pick(_cell_values(tuple(row))) for row in cells])[inv]
+        return out.reshape(shape + out.shape[1:])
 
     def _eval(x, v, t, pick):
-        idx = _indices(x, v, t)
-        flat = idx.reshape(-1, idx.shape[-1])
-        uniq, inv = np.unique(flat, axis=0, return_inverse=True)
-        table = [pick(_cell_values(tuple(row))) for row in uniq]
-        out = np.asarray(table)[inv]
-        return out.reshape(x.shape[:-1] + out.shape[1:])
+        it = np.floor(t / ell**2).astype(np.int64)
+        uniq, inv = _cells(np.concatenate([_space_indices(x, v), it[..., None]], axis=-1))
+        return _lookup(uniq, inv, x.shape[:-1], pick)
 
     def a_fn(x, v, t):
-        return _eval(x, v, t, lambda cell: cell[0])
+        return _eval(x, v, t, pick_a)
 
     def b_fn(x, v, t):
-        return _eval(x, v, t, lambda cell: cell[1])
+        return _eval(x, v, t, pick_b)
 
     def s_fn(x, v, t):
-        return _eval(x, v, t, lambda cell: cell[2])
+        return _eval(x, v, t, pick_s)
+
+    def time_key(t):
+        return int(np.floor(t / ell**2))
+
+    def nodes_fn(x, v):
+        # appending one time index to every row keeps the order of the
+        # distinct rows, so the inverse of the spatial rows serves every time
+        uniq, inv = _cells(_space_indices(x, v))
+        spatial = [tuple(row) for row in uniq.tolist()]
+
+        def bound(pick):
+            return lambda t: _lookup([row + (time_key(t),) for row in spatial], inv,
+                                     x.shape[:-1], pick)
+
+        return NodeCoefficients(bound(pick_a), bound(pick_b), bound(pick_s))
 
     return CoefficientField(
         d=d, bounds=bounds, s_bound=recipe.s_max,
         descriptor=_descriptor(recipe, bounds, seed, d),
-        a_fn=a_fn, b_fn=b_fn, s_fn=s_fn,
-        time_key=lambda t: int(np.floor(t / ell**2)),
+        a_fn=a_fn, b_fn=b_fn, s_fn=s_fn, nodes_fn=nodes_fn, time_key=time_key,
     )
 
 
@@ -259,38 +309,66 @@ def _smooth_field(recipe: SmoothRandomRecipe, bounds: EllipticityBounds, seed: i
         [1.0 / recipe.corr_t],
     ])
 
+    a_fields = range(d)
+    b_fields = range(d, 2 * d) if b_max != 0.0 else range(0)
+    s_fields = range(2 * d, 2 * d + 1) if recipe.s_max != 0.0 else range(0)
+
     def _raw(x, v, t, k):
         z = np.concatenate([x, v, t[..., None]], axis=-1) * scales
         phase = np.einsum("...j,mj->...m", z, freqs[k]) + phases[k]
         return np.einsum("...m,m->...", np.cos(phase), amps[k])
 
-    def _unit(x, v, t, k):
-        # three-sigma clip into [0, 1]
-        return np.clip(0.5 + _raw(x, v, t, k) / (3.0 * 0.7071), 0.0, 1.0)
+    def _node_raw(x, v, k):
+        """t -> _raw(x, v, t, k) at fixed nodes: with the spatial phases P
+        computed once, cos(P + theta(t)) = cos P cos theta - sin P sin theta."""
+        p = (np.concatenate([x, v], axis=-1) * scales[:-1]) @ freqs[k, :, :-1].T + phases[k]
+        cos_p, sin_p = np.cos(p), np.sin(p)
 
-    def a_fn(x, v, t):
+        def raw(t):
+            theta = (t * scales[-1]) * freqs[k, :, -1]
+            return cos_p @ (amps[k] * np.cos(theta)) - sin_p @ (amps[k] * np.sin(theta))
+
+        return raw
+
+    def _unit(raw):
+        # three-sigma clip into [0, 1]
+        return np.clip(0.5 + raw / (3.0 * 0.7071), 0.0, 1.0)
+
+    # each of _a, _b, _s builds its coefficient from raw(k), the k-th random
+    # Fourier sum at points of leading shape ``shape``
+    def _a(raw, shape):
         lam, big = bounds.lam, bounds.big_lam
-        eigs = np.stack([lam + (big - lam) * _unit(x, v, t, k) for k in range(d)], axis=-1)
-        out = np.zeros(x.shape + (d,))
-        for i in range(d):
-            out[..., i, i] = eigs[..., i]
+        out = np.zeros(shape + (d, d))
+        for i in a_fields:
+            out[..., i, i] = lam + (big - lam) * _unit(raw(i))
         return out
 
-    def b_fn(x, v, t):
-        if b_max == 0.0:
-            return np.zeros(x.shape)
-        comps = np.stack([2.0 * _unit(x, v, t, d + k) - 1.0 for k in range(d)], axis=-1)
+    def _b(raw, shape):
+        if not b_fields:
+            return np.zeros(shape + (d,))
+        comps = np.stack([2.0 * _unit(raw(k)) - 1.0 for k in b_fields], axis=-1)
         return (b_max / np.sqrt(d)) * comps
 
-    def s_fn(x, v, t):
-        if recipe.s_max == 0.0:
-            return np.zeros(t.shape)
-        return recipe.s_max * (2.0 * _unit(x, v, t, 2 * d) - 1.0)
+    def _s(raw, shape):
+        if not s_fields:
+            return np.zeros(shape)
+        return recipe.s_max * (2.0 * _unit(raw(s_fields[0])) - 1.0)
+
+    def pointwise(build):
+        return lambda x, v, t: build(lambda k: _raw(x, v, t, k), t.shape)
+
+    def nodes_fn(x, v):
+        def bound(build, ks):
+            # only the fields ``build`` evaluates get mode tables
+            raws = {k: _node_raw(x, v, k) for k in ks}
+            return lambda t: build(lambda k: raws[k](t), x.shape[:-1])
+
+        return NodeCoefficients(bound(_a, a_fields), bound(_b, b_fields), bound(_s, s_fields))
 
     return CoefficientField(
         d=d, bounds=bounds, s_bound=recipe.s_max,
         descriptor=_descriptor(recipe, bounds, seed, d),
-        a_fn=a_fn, b_fn=b_fn, s_fn=s_fn,
+        a_fn=pointwise(_a), b_fn=pointwise(_b), s_fn=pointwise(_s), nodes_fn=nodes_fn,
     )
 
 
@@ -301,15 +379,16 @@ def _rotating_field(recipe: RotatingAnisotropyRecipe, bounds: EllipticityBounds,
     shift = rng.uniform(0.0, 2.0 * np.pi)
     lam, big = bounds.lam, bounds.big_lam
 
-    def _angle(x, v, t):
-        return 2.0 * np.pi * (x[..., 0] / recipe.period**3 + t / recipe.period**2) + shift
+    def _phase(x):
+        return x[..., 0] / recipe.period**3
 
-    def a_fn(x, v, t):
-        ang = _angle(x, v, t)
+    def _a(phase, t):
+        """A at points whose first position component gives ``phase``."""
+        ang = 2.0 * np.pi * (phase + t / recipe.period**2) + shift
         if d == 1:
             val = 0.5 * (lam + big) + 0.5 * (big - lam) * np.cos(ang)
             return val[..., None, None]
-        out = np.zeros(x.shape + (d,))
+        out = np.zeros(ang.shape + (d, d))
         c, s = np.cos(ang), np.sin(ang)
         for i in range(d):
             out[..., i, i] = big
@@ -319,16 +398,24 @@ def _rotating_field(recipe: RotatingAnisotropyRecipe, bounds: EllipticityBounds,
         out[..., 0, 1] = out[..., 1, 0] = (lam - big) * c * s
         return out
 
+    def a_fn(x, v, t):
+        return _a(_phase(x), t)
+
     def b_fn(x, v, t):
         return np.zeros(x.shape)
 
     def s_fn(x, v, t):
         return np.zeros(t.shape)
 
+    def nodes_fn(x, v):
+        phase = _phase(x)
+        return NodeCoefficients(lambda t: _a(phase, t), lambda _: np.zeros(x.shape),
+                                lambda _: np.zeros(x.shape[:-1]))
+
     return CoefficientField(
         d=d, bounds=bounds, s_bound=0.0,
         descriptor=_descriptor(recipe, bounds, seed, d),
-        a_fn=a_fn, b_fn=b_fn, s_fn=s_fn,
+        a_fn=a_fn, b_fn=b_fn, s_fn=s_fn, nodes_fn=nodes_fn,
     )
 
 
@@ -352,15 +439,20 @@ def field_from_descriptor(desc: dict) -> CoefficientField:
 
 
 def scaled_diffusion(field_in: CoefficientField, factor: float) -> CoefficientField:
-    """Multiply A by a factor while keeping the declared bounds (negative control)."""
-    inner = field_in.a_fn
+    """Multiply A by a factor while keeping the declared bounds (negative
+    control); the node evaluators scale A too, so a solver sees the corruption."""
+    inner, inner_nodes = field_in.a_fn, field_in.nodes_fn
 
     def a_fn(x, v, t):
         return factor * inner(x, v, t)
 
+    def nodes_fn(x, v):
+        coeffs = inner_nodes(x, v)
+        return coeffs._replace(a=lambda t: factor * coeffs.a(t))
+
     desc = dict(field_in.descriptor)
     desc["corrupted_scale"] = factor
-    return replace(field_in, a_fn=a_fn, descriptor=desc)
+    return replace(field_in, a_fn=a_fn, nodes_fn=nodes_fn, descriptor=desc)
 
 
 @dataclass(frozen=True)

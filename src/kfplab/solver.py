@@ -22,7 +22,7 @@ from scipy.linalg import lapack
 from scipy.sparse import csc_matrix, csr_matrix, identity
 from scipy.sparse.linalg import splu
 
-from .fields import CoefficientField
+from .fields import CoefficientField, NodeCoefficients
 from .trajectory import (
     EnergyLedger,
     LedgerRow,
@@ -137,7 +137,10 @@ class _TransportPlan:
 
 
 class _Collision1D:
-    """Implicit finite-volume collision solve, one tridiagonal block per x-cell."""
+    """Implicit finite-volume collision solve, one tridiagonal block per x-cell.
+
+    ``coeffs`` evaluates the field at the grid nodes, in the grid's order.
+    """
 
     def __init__(self, grid: PhaseGrid, field: CoefficientField, dt: float, periodic_v: bool):
         self.grid = grid
@@ -147,16 +150,19 @@ class _Collision1D:
         self._key: object = object()
         self._factors = None
         self._dt_source: np.ndarray | float = 0.0
-        self._x = np.repeat(grid.x_axis, grid.nv)[:, None]
-        self._v = np.tile(grid.v_axis, grid.nx)[:, None]
+        self.coeffs = field.at_nodes(np.repeat(grid.x_axis, grid.nv)[:, None],
+                                     np.tile(grid.v_axis, grid.nx)[:, None])
 
     def _assemble(self, t: float) -> None:
+        shape = (self.grid.nx, self.grid.nv)
+        self._dt_source = _dt_source(self.field, self.coeffs, t, self.dt, shape)
+        self._factorise(self.coeffs.a(t)[..., 0, 0].reshape(shape),
+                        self.coeffs.b(t)[..., 0].reshape(shape))
+
+    def _factorise(self, a_cell: np.ndarray, b_cell: np.ndarray) -> None:
+        """Factorise I - dt L for the node values of A and B, each (nx, nv)."""
         g = self.grid
         nx, nv, hv = g.nx, g.nv, g.hv
-        a_cell = self.field.a(self._x, self._v, t)[..., 0, 0].reshape(nx, nv)
-        b_cell = self.field.b(self._x, self._v, t)[..., 0].reshape(nx, nv)
-        self._dt_source = _dt_source(self.field, self._x, self._v, t, self.dt, (nx, nv))
-
         a_face = 0.5 * (a_cell[:, :-1] + a_cell[:, 1:])
         a_right = np.zeros((nx, nv))
         a_left = np.zeros((nx, nv))
@@ -224,12 +230,13 @@ class _Collision1D:
         return out.reshape(values.shape)
 
 
-def _dt_source(field: CoefficientField, x, v, t: float, dt: float, shape) -> np.ndarray | float:
+def _dt_source(field: CoefficientField, coeffs: NodeCoefficients, t: float, dt: float,
+               shape) -> np.ndarray | float:
     """dt * s at the nodes, or 0.0 for a field without source.  Adding 0.0
     still turns -0.0 into +0.0, as adding dt * s(x, v, t) = +0.0 did."""
     if field.s_bound == 0:
         return 0.0
-    return dt * field.s(x, v, t).reshape(shape)
+    return dt * coeffs.s(t).reshape(shape)
 
 
 def _cell_matrices_2d(a: np.ndarray, b: np.ndarray, hv: float, dt: float) -> list:
@@ -313,7 +320,7 @@ class _Collision2D:
         self._key: object = object()
         self._lus: list = []
         self._dt_sources: np.ndarray | float = 0.0
-        self._x, self._v = (mesh.reshape(-1, 2) for mesh in grid.meshes())
+        self.coeffs = field.at_nodes(*(mesh.reshape(-1, 2) for mesh in grid.meshes()))
 
     def _assemble(self, t: float) -> None:
         self._lus = []   # two live sets of factors would raise peak memory
@@ -322,9 +329,9 @@ class _Collision2D:
     def _cell_matrices(self, t: float) -> list:
         """I - dt L of every x-cell as a CSC matrix; sets ``_dt_sources``."""
         nv, nvv, n_cells = self.grid.nv, self.grid.nv**2, self.grid.nx**2
-        a = self.field.a(self._x, self._v, t).reshape(n_cells, nv, nv, 2, 2)
-        b = self.field.b(self._x, self._v, t).reshape(n_cells, nv, nv, 2)
-        self._dt_sources = _dt_source(self.field, self._x, self._v, t, self.dt, (n_cells, nvv))
+        a = self.coeffs.a(t).reshape(n_cells, nv, nv, 2, 2)
+        b = self.coeffs.b(t).reshape(n_cells, nv, nv, 2)
+        self._dt_sources = _dt_source(self.field, self.coeffs, t, self.dt, (n_cells, nvv))
         chunk = max(1, _CHUNK_NODES // nvv)
         return [block for c in range(0, n_cells, chunk) for block in _cell_matrices_2d(
             a[c:c + chunk], b[c:c + chunk], self.grid.hv, self.dt)]
@@ -410,8 +417,6 @@ def solve(cfg: SolverConfig, f0: PhaseGridFunction) -> Trajectory:
     coll = _make_collision(cfg)
     transport = _make_transport(cfg)
     grid = cfg.grid
-
-    x_mesh, v_mesh = grid.meshes()
     state = PhaseGridFunction(grid, f0.values, 0.0)
 
     src_cache: dict = {}
@@ -421,7 +426,7 @@ def solve(cfg: SolverConfig, f0: PhaseGridFunction) -> Trajectory:
             return 0.0
         key = cfg.field.time_key(t)
         if key not in src_cache:
-            s = cfg.field.s(x_mesh, v_mesh, t)
+            s = coll.coeffs.s(t).reshape(grid.shape)
             src_cache[key] = float((s**2).sum() * grid.cell_volume)
         return src_cache[key]
 

@@ -3,10 +3,12 @@
 ``advect_axis`` recomputes the semi-Lagrangian gather (or the upwind Courant
 numbers) on every call and indexes through ``moveaxis``; ``gradient_v_sq``
 and ``ledger_row`` go through ``np.gradient``; ``Collision2D`` assembles the
-d = 2 stencil node by node; both collision oracles evaluate the source at
-every assembly and add ``dt * s`` at every step; ``solve`` evaluates the
-source for every ledger row and stacks a list of snapshot copies.  Each is
-the arithmetic the fast path must reproduce bitwise.
+d = 2 stencil node by node; both collision oracles evaluate A, B and s
+through ``field.a/b/s`` at every assembly (never through the node-bound
+evaluators) and add ``dt * s`` at every step; ``solve`` evaluates the source
+through ``field.s`` for every ledger row and stacks a list of snapshot
+copies.  Each is the arithmetic the fast path must reproduce bitwise, for
+smooth fields up to the rounding of the node evaluators.
 """
 
 from __future__ import annotations
@@ -82,15 +84,17 @@ def ledger_row(n, state, grid, source_l2):
 
 
 class Collision1D(_Collision1D):
-    """The tridiagonal solve with the source re-evaluated on fresh node
-    meshes at every assembly and ``dt * s`` formed at every step."""
+    """The tridiagonal solve with A, B and s evaluated through ``field.a/b/s``
+    on fresh node meshes at every assembly and ``dt * s`` formed at every step."""
 
     def _assemble(self, t):
-        super()._assemble(t)
         g = self.grid
         x_mesh = np.repeat(g.x_axis, g.nv)[:, None]
         v_mesh = np.tile(g.v_axis, g.nx)[:, None]
-        self._source = self.field.s(x_mesh, v_mesh, t).reshape(g.nx, g.nv)
+        shape = (g.nx, g.nv)
+        self._factorise(self.field.a(x_mesh, v_mesh, t)[..., 0, 0].reshape(shape),
+                        self.field.b(x_mesh, v_mesh, t)[..., 0].reshape(shape))
+        self._source = self.field.s(x_mesh, v_mesh, t).reshape(shape)
 
     def apply(self, values, t):
         key = self.field.time_key(t)

@@ -251,6 +251,12 @@ MALFORMED = {
                                [{"name": "levelsets", "theta": 0.5, "r": 0.3, "region": "unit_box"}]),
     "landau_input_and_profile": ("landau", ("landau",),
                                  {"gamma": -3.0, "input": "f.kvg", "profile": {"n": 8}}),
+    "geometry_negative_selfchecks": ("geometry", ("geometry",), {"n_selfchecks": -1}),
+    "fractional_zero_pairs": ("run", ("probes",),
+                              [{"name": "fractional", "s_order": 0.5, "r": 0.3, "n_pairs": 0}]),
+    "field_negative_s_max": ("solve", ("field", "s_max"), -1.0),
+    "negative_snapshot_tail": ("solve", ("solver", "snapshot_tail"), -1.0),
+    "smooth_field_zero_modes": ("solve", ("field",), {"recipe": "smooth", "n_modes": 0}),
 }
 
 

@@ -124,6 +124,38 @@ class TestCertification:
         assert rep.to_dict()["verdict"] == "ok"
 
 
+NODE_RECIPES = {
+    "constant": ConstantRecipe(b_value=0.7, s_value=-0.2),
+    "checkerboard": CheckerboardRecipe(cell=0.7, b_max=1.5, s_max=0.4),
+    "rotating": RotatingAnisotropyRecipe(period=0.8),
+    "smooth": SmoothRandomRecipe(corr_x=0.8, corr_v=0.5, corr_t=0.3, s_max=0.4),
+}
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("name", sorted(NODE_RECIPES))
+def test_node_evaluators_match_pointwise(name, d):
+    # smooth fields add the same Fourier modes in another order; the others
+    # must give the same bits.  A scaled field (the negative control) must
+    # scale A at the nodes too.
+    bounds = EllipticityBounds(0.5, 2.0)
+    rng = np.random.default_rng(d)
+    for seed in range(3):
+        field = sample_field(NODE_RECIPES[name], bounds, seed=seed, d=d)
+        if seed == 2:
+            field = scaled_diffusion(field, 3.0)
+        x, v, _ = eval_points(rng, d, n=256)
+        coeffs = field.at_nodes(x, v)
+        for t in rng.uniform(-1.0, 2.0, size=6):
+            for got, want in ((coeffs.a(t), field.a(x, v, t)), (coeffs.b(t), field.b(x, v, t)),
+                              (coeffs.s(t), field.s(x, v, t))):
+                assert got.shape == want.shape
+                if name == "smooth":
+                    assert np.max(np.abs(got - want)) <= 1e-13
+                else:
+                    assert got.tobytes() == want.tobytes()
+
+
 def test_descriptor_round_trip():
     bounds = EllipticityBounds(0.5, 2.0)
     for recipe in (

@@ -8,9 +8,11 @@ from kfplab.fields import (
     CheckerboardRecipe,
     ConstantRecipe,
     EllipticityBounds,
+    NodeCoefficients,
     RotatingAnisotropyRecipe,
     SmoothRandomRecipe,
     sample_field,
+    scaled_diffusion,
 )
 from kfplab.geometry import Cylinder, KineticPoint
 from kfplab.probes import c01_constant, energy_estimate_check
@@ -412,6 +414,15 @@ D2_FIELDS = {
 }
 
 
+def _pointwise_nodes(field):
+    """``field`` with node evaluators that call its plain ``a/b/s``."""
+    def nodes_fn(x, v):
+        def bind(fn):
+            return lambda t: fn(x, v, np.full(x.shape[:-1], t))
+        return NodeCoefficients(bind(field.a_fn), bind(field.b_fn), bind(field.s_fn))
+    return replace(field, nodes_fn=nodes_fn)
+
+
 def _same_csc(a, b):
     return all(
         getattr(a, k).dtype == getattr(b, k).dtype
@@ -505,6 +516,11 @@ class TestFastPathsMatchOracles:
         recipe, seed = D2_FIELDS[name]
         grid = PhaseGrid(d=2, x_extent=2.0, nx=3, v_max=2.0, nv=7)
         field = sample_field(recipe, EllipticityBounds(0.5, 2.0), seed=seed, d=2)
+        if name == "smooth":
+            # a smooth field's node evaluators agree with its a/b/s only to
+            # rounding (test_fields bounds by how much), so here the assembly
+            # is handed the oracle's own coefficients
+            field = _pointwise_nodes(field)
         fast = _Collision2D(grid, field, 0.03, False)
         slow = oracle.Collision2D(grid, field, 0.03, False)
         slow._assemble(0.37)
@@ -547,7 +563,7 @@ class TestFastPathsMatchOracles:
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_field_evaluated_once_per_assembly_and_zero_source_never(self, d):
-        calls = {"a": 0, "s": 0}
+        calls = {"a": 0, "s": 0, "nodes": 0, "plain": 0}
         base = sample_field(RotatingAnisotropyRecipe(), EllipticityBounds(0.5, 1.0), seed=1, d=d)
 
         def counted(name, fn):
@@ -556,11 +572,47 @@ class TestFastPathsMatchOracles:
                 return fn(*args)
             return wrapped
 
-        field = replace(base, a_fn=counted("a", base.a_fn), s_fn=counted("s", base.s_fn))
+        def nodes_fn(x, v):
+            coeffs = base.nodes_fn(x, v)
+            return coeffs._replace(a=counted("a", coeffs.a), s=counted("s", coeffs.s))
+
+        field = replace(base, a_fn=counted("plain", base.a_fn), s_fn=counted("plain", base.s_fn),
+                        nodes_fn=counted("nodes", nodes_fn))
         grid = PhaseGrid(d=d, x_extent=2.0, nx=4, v_max=2.0, nv=5)
         cfg = SolverConfig(grid=grid, dt=0.05, t_end=0.2, field=field)
         solve(cfg, PhaseGridFunction(grid, _random_state(grid, 6), 0.0))
-        assert calls == {"a": cfg.n_steps, "s": 0}
+        assert calls == {"a": cfg.n_steps, "s": 0, "nodes": 1, "plain": 0}
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_smooth_field_solve_near_oracle(self, d):
+        # the node evaluators sum the Fourier modes in another order than
+        # field.a/b/s, which moves a smooth-field run in its last bits only
+        grid = PhaseGrid(d=d, x_extent=2.0, nx=6 if d == 1 else 3, v_max=2.0,
+                         nv=8 if d == 1 else 5)
+        field = sample_field(SmoothRandomRecipe(corr_v=0.5, b_max=1.0, s_max=0.3),
+                             EllipticityBounds(0.5, 2.0), seed=4, d=d)
+        cfg = SolverConfig(grid=grid, dt=0.05, t_end=0.3, field=field, snapshot_stride=2)
+        f0 = PhaseGridFunction(grid, _random_state(grid, 8), 0.0)
+        got, want = solve(cfg, f0), oracle.solve(cfg, f0)
+        assert got.times.tobytes() == want.times.tobytes()
+        assert np.max(np.abs(got.values - want.values)) <= 1e-12
+        for row, ref in zip(got.ledger.rows, want.ledger.rows):
+            assert row.source_l2 == pytest.approx(ref.source_l2, rel=1e-12, abs=0.0)
+            assert row.mass == pytest.approx(ref.mass, rel=1e-12, abs=1e-14)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_solve_scaled_field(self, d):
+        base = sample_field(CheckerboardRecipe(cell=0.7, b_max=1.0, s_max=0.2),
+                            EllipticityBounds(0.5, 2.0), seed=11, d=d)
+        field = scaled_diffusion(base, 3.0)
+        grid = PhaseGrid(d=d, x_extent=2.0, nx=4, v_max=2.0, nv=5)
+        cfg = SolverConfig(grid=grid, dt=0.05, t_end=0.2, field=field)
+        f0 = PhaseGridFunction(grid, _random_state(grid, 7), 0.0)
+        got, want = solve(cfg, f0), oracle.solve(cfg, f0)
+        unscaled = solve(replace(cfg, field=base), f0)
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.ledger.csv_lines() == want.ledger.csv_lines()
+        assert got.values.tobytes() != unscaled.values.tobytes()
 
     def test_plan_built_once_per_solve(self, monkeypatch):
         built = []
