@@ -309,6 +309,7 @@ class _Collision2D:
 
     Cross-diffusion terms use the symmetric face-averaged stencil; the
     M-matrix (hence positivity) guarantee only holds for moderate anisotropy.
+    ``coeffs`` evaluates the field at the grid nodes, in the grid's order.
     """
 
     def __init__(self, grid: PhaseGrid, field: CoefficientField, dt: float, periodic_v: bool):
