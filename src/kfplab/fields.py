@@ -8,7 +8,6 @@ seed), so evaluation order and process boundaries cannot change it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from operator import itemgetter
 from typing import Callable, ClassVar, NamedTuple
 
 import numpy as np
@@ -43,8 +42,10 @@ class CoefficientField:
 
     ``a_fn``/``b_fn``/``s_fn`` accept x, v of shape (..., d) and t of shape
     (...,) (or scalar) and return (..., d, d) / (..., d) / (...,) arrays.
-    ``nodes_fn`` binds the same field to fixed nodes x, v and returns its
-    :class:`NodeCoefficients`, having computed the spatial part once.
+    ``nodes_fn``, if set, binds the same field to fixed nodes x, v and
+    returns its :class:`NodeCoefficients`, having computed the spatial part
+    once; without it :meth:`at_nodes` binds ``a``/``b``/``s`` to the nodes.
+    A wrapper that replaces ``a_fn``, ``b_fn`` or ``s_fn`` drops ``nodes_fn``.
     ``time_key`` buckets times into intervals on which the field is constant,
     allowing solvers to reuse factorisations; the default never reuses.
     """
@@ -56,7 +57,7 @@ class CoefficientField:
     a_fn: Callable
     b_fn: Callable
     s_fn: Callable
-    nodes_fn: Callable[[np.ndarray, np.ndarray], NodeCoefficients]
+    nodes_fn: Callable[[np.ndarray, np.ndarray], NodeCoefficients] | None = None
     time_key: Callable[[float], object] = field(default=lambda t: t)
 
     def a(self, x, v, t) -> np.ndarray:
@@ -76,11 +77,14 @@ class CoefficientField:
         solver that evaluates the field at the same nodes at many times.
 
         They return what ``a``/``b``/``s`` return at those nodes: the same
-        bits for constant, checkerboard and rotating fields, and for smooth
-        fields the same sums of cosines added in another order.
+        bits without ``nodes_fn``, and for smooth fields the same sums of
+        cosines added in another order.
         """
         x, v, _ = _as_points(x, v, 0.0, self.d)
-        return self.nodes_fn(x, v)
+        if self.nodes_fn is not None:
+            return self.nodes_fn(x, v)
+        return NodeCoefficients(lambda t: self.a(x, v, t), lambda t: self.b(x, v, t),
+                                lambda t: self.s(x, v, t))
 
 
 def _as_points(x, v, t, d: int):
@@ -207,15 +211,10 @@ def _constant_field(recipe: ConstantRecipe, bounds: EllipticityBounds, seed: int
     def s_fn(x, v, t):
         return np.full(t.shape, recipe.s_value)
 
-    def nodes_fn(x, v):
-        t = np.zeros(x.shape[:-1])
-        return NodeCoefficients(lambda _: a_fn(x, v, t), lambda _: b_fn(x, v, t),
-                                lambda _: s_fn(x, v, t))
-
     return CoefficientField(
         d=d, bounds=bounds, s_bound=abs(recipe.s_value),
         descriptor=_descriptor(recipe, bounds, seed, d),
-        a_fn=a_fn, b_fn=b_fn, s_fn=s_fn, nodes_fn=nodes_fn, time_key=lambda t: 0,
+        a_fn=a_fn, b_fn=b_fn, s_fn=s_fn, time_key=lambda t: 0,
     )
 
 
@@ -227,7 +226,6 @@ def _checkerboard_field(recipe: CheckerboardRecipe, bounds: EllipticityBounds, s
     if b_max > bounds.big_lam:
         raise ValueError("b_max may not exceed Lambda")
     cache: dict[tuple, tuple[np.ndarray, np.ndarray, float]] = {}
-    pick_a, pick_b, pick_s = itemgetter(0), itemgetter(1), itemgetter(2)   # of a cell's (a, b, s)
 
     def _cell_values(idx: tuple) -> tuple[np.ndarray, np.ndarray, float]:
         got = cache.get(idx)
@@ -243,53 +241,34 @@ def _checkerboard_field(recipe: CheckerboardRecipe, bounds: EllipticityBounds, s
             cache[idx] = got
         return got
 
-    def _space_indices(x, v):
+    def _indices(x, v, t):
         ix = np.floor(x / ell**3).astype(np.int64)
         iv = np.floor(v / ell).astype(np.int64)
-        return np.concatenate([ix, iv], axis=-1)
-
-    def _cells(idx):
-        """The distinct cells among the index rows ``idx`` (..., k) and the
-        position of each row's cell among them."""
-        return np.unique(idx.reshape(-1, idx.shape[-1]), axis=0, return_inverse=True)
-
-    def _lookup(cells, inv, shape, pick):
-        out = np.asarray([pick(_cell_values(tuple(row))) for row in cells])[inv]
-        return out.reshape(shape + out.shape[1:])
+        it = np.floor(t / ell**2).astype(np.int64)
+        return np.concatenate([ix, iv, it[..., None]], axis=-1)
 
     def _eval(x, v, t, pick):
-        it = np.floor(t / ell**2).astype(np.int64)
-        uniq, inv = _cells(np.concatenate([_space_indices(x, v), it[..., None]], axis=-1))
-        return _lookup(uniq, inv, x.shape[:-1], pick)
+        idx = _indices(x, v, t)
+        flat = idx.reshape(-1, idx.shape[-1])
+        uniq, inv = np.unique(flat, axis=0, return_inverse=True)
+        table = [pick(_cell_values(tuple(row))) for row in uniq]
+        out = np.asarray(table)[inv]
+        return out.reshape(x.shape[:-1] + out.shape[1:])
 
     def a_fn(x, v, t):
-        return _eval(x, v, t, pick_a)
+        return _eval(x, v, t, lambda cell: cell[0])
 
     def b_fn(x, v, t):
-        return _eval(x, v, t, pick_b)
+        return _eval(x, v, t, lambda cell: cell[1])
 
     def s_fn(x, v, t):
-        return _eval(x, v, t, pick_s)
-
-    def time_key(t):
-        return int(np.floor(t / ell**2))
-
-    def nodes_fn(x, v):
-        # appending one time index to every row keeps the order of the
-        # distinct rows, so the inverse of the spatial rows serves every time
-        uniq, inv = _cells(_space_indices(x, v))
-        spatial = [tuple(row) for row in uniq.tolist()]
-
-        def bound(pick):
-            return lambda t: _lookup([row + (time_key(t),) for row in spatial], inv,
-                                     x.shape[:-1], pick)
-
-        return NodeCoefficients(bound(pick_a), bound(pick_b), bound(pick_s))
+        return _eval(x, v, t, lambda cell: cell[2])
 
     return CoefficientField(
         d=d, bounds=bounds, s_bound=recipe.s_max,
         descriptor=_descriptor(recipe, bounds, seed, d),
-        a_fn=a_fn, b_fn=b_fn, s_fn=s_fn, nodes_fn=nodes_fn, time_key=time_key,
+        a_fn=a_fn, b_fn=b_fn, s_fn=s_fn,
+        time_key=lambda t: int(np.floor(t / ell**2)),
     )
 
 
@@ -379,16 +358,15 @@ def _rotating_field(recipe: RotatingAnisotropyRecipe, bounds: EllipticityBounds,
     shift = rng.uniform(0.0, 2.0 * np.pi)
     lam, big = bounds.lam, bounds.big_lam
 
-    def _phase(x):
-        return x[..., 0] / recipe.period**3
+    def _angle(x, v, t):
+        return 2.0 * np.pi * (x[..., 0] / recipe.period**3 + t / recipe.period**2) + shift
 
-    def _a(phase, t):
-        """A at points whose first position component gives ``phase``."""
-        ang = 2.0 * np.pi * (phase + t / recipe.period**2) + shift
+    def a_fn(x, v, t):
+        ang = _angle(x, v, t)
         if d == 1:
             val = 0.5 * (lam + big) + 0.5 * (big - lam) * np.cos(ang)
             return val[..., None, None]
-        out = np.zeros(ang.shape + (d, d))
+        out = np.zeros(x.shape + (d,))
         c, s = np.cos(ang), np.sin(ang)
         for i in range(d):
             out[..., i, i] = big
@@ -398,24 +376,16 @@ def _rotating_field(recipe: RotatingAnisotropyRecipe, bounds: EllipticityBounds,
         out[..., 0, 1] = out[..., 1, 0] = (lam - big) * c * s
         return out
 
-    def a_fn(x, v, t):
-        return _a(_phase(x), t)
-
     def b_fn(x, v, t):
         return np.zeros(x.shape)
 
     def s_fn(x, v, t):
         return np.zeros(t.shape)
 
-    def nodes_fn(x, v):
-        phase = _phase(x)
-        return NodeCoefficients(lambda t: _a(phase, t), lambda _: np.zeros(x.shape),
-                                lambda _: np.zeros(x.shape[:-1]))
-
     return CoefficientField(
         d=d, bounds=bounds, s_bound=0.0,
         descriptor=_descriptor(recipe, bounds, seed, d),
-        a_fn=a_fn, b_fn=b_fn, s_fn=s_fn, nodes_fn=nodes_fn,
+        a_fn=a_fn, b_fn=b_fn, s_fn=s_fn,
     )
 
 
@@ -440,19 +410,16 @@ def field_from_descriptor(desc: dict) -> CoefficientField:
 
 def scaled_diffusion(field_in: CoefficientField, factor: float) -> CoefficientField:
     """Multiply A by a factor while keeping the declared bounds (negative
-    control); the node evaluators scale A too, so a solver sees the corruption."""
-    inner, inner_nodes = field_in.a_fn, field_in.nodes_fn
+    control).  Dropping ``nodes_fn`` makes the node evaluators a solver uses
+    go through the scaled ``a_fn`` too."""
+    inner = field_in.a_fn
 
     def a_fn(x, v, t):
         return factor * inner(x, v, t)
 
-    def nodes_fn(x, v):
-        coeffs = inner_nodes(x, v)
-        return coeffs._replace(a=lambda t: factor * coeffs.a(t))
-
     desc = dict(field_in.descriptor)
     desc["corrupted_scale"] = factor
-    return replace(field_in, a_fn=a_fn, nodes_fn=nodes_fn, descriptor=desc)
+    return replace(field_in, a_fn=a_fn, nodes_fn=None, descriptor=desc)
 
 
 @dataclass(frozen=True)

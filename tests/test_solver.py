@@ -8,7 +8,6 @@ from kfplab.fields import (
     CheckerboardRecipe,
     ConstantRecipe,
     EllipticityBounds,
-    NodeCoefficients,
     RotatingAnisotropyRecipe,
     SmoothRandomRecipe,
     sample_field,
@@ -414,15 +413,6 @@ D2_FIELDS = {
 }
 
 
-def _pointwise_nodes(field):
-    """``field`` with node evaluators that call its plain ``a/b/s``."""
-    def nodes_fn(x, v):
-        def bind(fn):
-            return lambda t: fn(x, v, np.full(x.shape[:-1], t))
-        return NodeCoefficients(bind(field.a_fn), bind(field.b_fn), bind(field.s_fn))
-    return replace(field, nodes_fn=nodes_fn)
-
-
 def _same_csc(a, b):
     return all(
         getattr(a, k).dtype == getattr(b, k).dtype
@@ -520,7 +510,7 @@ class TestFastPathsMatchOracles:
             # a smooth field's node evaluators agree with its a/b/s only to
             # rounding (test_fields bounds by how much), so here the assembly
             # is handed the oracle's own coefficients
-            field = _pointwise_nodes(field)
+            field = replace(field, nodes_fn=None)
         fast = _Collision2D(grid, field, 0.03, False)
         slow = oracle.Collision2D(grid, field, 0.03, False)
         slow._assemble(0.37)
@@ -563,7 +553,7 @@ class TestFastPathsMatchOracles:
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_field_evaluated_once_per_assembly_and_zero_source_never(self, d):
-        calls = {"a": 0, "s": 0, "nodes": 0, "plain": 0}
+        calls = {"a": 0, "s": 0}
         base = sample_field(RotatingAnisotropyRecipe(), EllipticityBounds(0.5, 1.0), seed=1, d=d)
 
         def counted(name, fn):
@@ -572,16 +562,38 @@ class TestFastPathsMatchOracles:
                 return fn(*args)
             return wrapped
 
-        def nodes_fn(x, v):
-            coeffs = base.nodes_fn(x, v)
-            return coeffs._replace(a=counted("a", coeffs.a), s=counted("s", coeffs.s))
-
-        field = replace(base, a_fn=counted("plain", base.a_fn), s_fn=counted("plain", base.s_fn),
-                        nodes_fn=counted("nodes", nodes_fn))
+        field = replace(base, a_fn=counted("a", base.a_fn), s_fn=counted("s", base.s_fn))
         grid = PhaseGrid(d=d, x_extent=2.0, nx=4, v_max=2.0, nv=5)
         cfg = SolverConfig(grid=grid, dt=0.05, t_end=0.2, field=field)
         solve(cfg, PhaseGridFunction(grid, _random_state(grid, 6), 0.0))
-        assert calls == {"a": cfg.n_steps, "s": 0, "nodes": 1, "plain": 0}
+        assert calls == {"a": cfg.n_steps, "s": 0}
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_smooth_nodes_bound_once_per_solve(self, d):
+        # the mode tables are built once per run, and the ledger's source
+        # column reuses the collision step's evaluator
+        calls = {"nodes": 0, "a": 0, "s": 0, "plain": 0}
+        base = sample_field(SmoothRandomRecipe(s_max=0.3), EllipticityBounds(0.5, 2.0), seed=2, d=d)
+
+        def counted(name, fn):
+            def wrapped(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapped
+
+        def nodes_fn(x, v):
+            calls["nodes"] += 1
+            coeffs = base.nodes_fn(x, v)
+            return coeffs._replace(a=counted("a", coeffs.a), s=counted("s", coeffs.s))
+
+        field = replace(base, nodes_fn=nodes_fn, **{name: counted("plain", getattr(base, name))
+                                                    for name in ("a_fn", "b_fn", "s_fn")})
+        grid = PhaseGrid(d=d, x_extent=2.0, nx=4, v_max=2.0, nv=5)
+        cfg = SolverConfig(grid=grid, dt=0.05, t_end=0.2, field=field)
+        traj = solve(cfg, PhaseGridFunction(grid, _random_state(grid, 6), 0.0))
+        assert calls["nodes"] == 1 and calls["plain"] == 0
+        assert calls["a"] == cfg.n_steps
+        assert calls["s"] == cfg.n_steps + len(traj.ledger.rows)
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_smooth_field_solve_near_oracle(self, d):
