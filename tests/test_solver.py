@@ -613,9 +613,13 @@ class TestFastPathsMatchOracles:
             assert row.mass == pytest.approx(ref.mass, rel=1e-12, abs=1e-14)
 
     @pytest.mark.parametrize("d", [1, 2])
-    def test_solve_scaled_field(self, d):
-        base = sample_field(CheckerboardRecipe(cell=0.7, b_max=1.0, s_max=0.2),
-                            EllipticityBounds(0.5, 2.0), seed=11, d=d)
+    @pytest.mark.parametrize("recipe", [CheckerboardRecipe(cell=0.7, b_max=1.0, s_max=0.2),
+                                        SmoothRandomRecipe(corr_v=0.5, b_max=1.0, s_max=0.2)],
+                             ids=["checkerboard", "smooth"])
+    def test_solve_scaled_field(self, recipe, d):
+        # the solver must see the scaled A, also for a field with its own
+        # node evaluator, and gives the oracle's bits
+        base = sample_field(recipe, EllipticityBounds(0.5, 2.0), seed=11, d=d)
         field = scaled_diffusion(base, 3.0)
         grid = PhaseGrid(d=d, x_extent=2.0, nx=4, v_max=2.0, nv=5)
         cfg = SolverConfig(grid=grid, dt=0.05, t_end=0.2, field=field)
