@@ -102,7 +102,6 @@ def _cmd_solve(cfg: dict, args, with_probes: bool) -> int:
     field = build_field(cfg, seed_override=args.seed)
     solver_cfg = build_solver_config(cfg, field)
     f0 = build_initial(solver_cfg.grid, cfg["solver"].get("initial"))
-    cert = certify_field(field, seed=seed)
     try:
         traj = solve(solver_cfg, f0)
     except np.linalg.LinAlgError as exc:
@@ -112,11 +111,12 @@ def _cmd_solve(cfg: dict, args, with_probes: bool) -> int:
     out = _out_dir(cfg, args)
     out.mkdir(parents=True, exist_ok=True)
     save_trajectory(out, traj, seed=seed, digest=config_digest(cfg))
-    return _probe_and_report(cfg, traj, cert, out, with_probes)
+    return _probe_and_report(cfg, traj, field, seed, out, with_probes)
 
 
-def _probe_and_report(cfg: dict, traj, cert, out: Path, with_probes: bool) -> int:
-    """Run the config's probes (when asked), then write probes.csv and report.json."""
+def _probe_and_report(cfg: dict, traj, field, seed: int, out: Path, with_probes: bool) -> int:
+    """Run the config's probes (when asked), certify the field on the run's own
+    domain (its grid and stored times), then write probes.csv and report.json."""
     probe_reports = []
     if with_probes:
         for spec in cfg.get("probes", []):
@@ -126,7 +126,9 @@ def _probe_and_report(cfg: dict, traj, cert, out: Path, with_probes: bool) -> in
                 print(f"probe {spec.get('name')!r} rejected: {exc}", file=sys.stderr)
                 return EXIT_CONFIG
         _write_probe_csv(out / "probes.csv", probe_reports)
-    invariants = _invariants(cfg, traj, cert)
+    g = traj.grid
+    box = (0.0, g.x_extent), (-g.v_max, g.v_max), (float(traj.times[0]), float(traj.times[-1]))
+    invariants = _invariants(cfg, traj, certify_field(field, seed=seed, box=box))
     write_report(out / "report.json", _report(cfg, probe_reports, invariants))
     if not all(item["passed"] for item in invariants):
         print("invariant violation; see report.json", file=sys.stderr)
@@ -151,8 +153,7 @@ def _cmd_probe(cfg: dict, args) -> int:
         print(f"cannot load snapshots from {out}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     field = traj.field if traj.field is not None else build_field(cfg, seed_override=args.seed)
-    cert = certify_field(field, seed=_seed(cfg, args))
-    return _probe_and_report(cfg, traj, cert, out, with_probes=True)
+    return _probe_and_report(cfg, traj, field, _seed(cfg, args), out, with_probes=True)
 
 
 def _cmd_landau(cfg: dict, args) -> int:

@@ -25,12 +25,12 @@ from .geometry import (
     CylinderShape,
     GalileanTransform,
     KineticPoint,
-    collared_windows,
     compose,
     iterated_times,
 )
 from .iteration import holder_alpha, sobolev_p
-from .trajectory import PhaseBox, PhaseGrid, Trajectory, gradient_v_sq, region_mask
+from .trajectory import (Footprint, PhaseBox, Trajectory, gradient_v_sq, periodic_shift,
+                         region_mask)
 
 
 @dataclass(frozen=True)
@@ -105,30 +105,29 @@ class RegionSlice(NamedTuple):
 
 
 def sample_region(traj: Trajectory, region) -> list[RegionSlice]:
-    """The snapshots of a base-free trajectory that meet ``region``.
-
-    One vector test on the snapshot times, with the arithmetic of
-    :func:`region_mask`, keeps the snapshots inside the collared time window;
-    masks are built only for those, and snapshots whose mask is empty are
-    dropped.  Every probe is a reduction over this list in snapshot order.
-    """
-    _, _, t_lo, t_hi = collared_windows(*region.windows())
+    """The snapshots of a base-free trajectory that meet ``region`` by the rule
+    of :class:`Footprint`, worked out once here.  One vector test on the
+    snapshot times keeps those in the collared time window; masks are built
+    only for them, empty ones are dropped, and every probe reduces this list
+    in snapshot order."""
+    footprint = Footprint.of(traj.grid, region)
     dt = traj.times - region.center.t
     tw = traj.time_weights()
     cell = traj.grid.cell_volume
     sample = []
-    for n in np.flatnonzero((dt > t_lo) & (dt <= t_hi)):
-        mask = region_mask(traj, region, int(n))
+    for n in np.flatnonzero((dt > footprint.t_lo) & (dt <= footprint.t_hi)):
+        mask = region_mask(traj, footprint, int(n))
         if mask.any():
             sample.append(RegionSlice(int(n), mask, traj.values[n][mask], tw[n], cell * tw[n]))
     return sample
 
 
-def _nodes(grid: PhaseGrid, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinates (x, v), each of shape (k, d), of the nodes of a mask in C order."""
+def _nodes(mask: np.ndarray, x_axes, v_axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinates (x, v), each (k, d), of a mask's nodes in C order; x per axis."""
+    d = len(x_axes)
     idx = np.nonzero(mask)
-    x = np.stack([grid.x_axis[i] for i in idx[: grid.d]], axis=-1)
-    v = np.stack([grid.v_axis[i] for i in idx[grid.d :]], axis=-1)
+    x = np.stack([ax[i] for ax, i in zip(x_axes, idx[:d])], axis=-1)
+    v = np.stack([v_axis[i] for i in idx[d:]], axis=-1)
     return x, v
 
 
@@ -156,38 +155,12 @@ def _integrate(traj: Trajectory, sample: list[RegionSlice], term) -> float:
     return total
 
 
-def _domain(traj: Trajectory) -> tuple[float, float, float, float, float, float]:
-    g = traj.grid
-    return (
-        float(g.x_axis[0]),
-        float(g.x_axis[-1]),
-        float(g.v_axis[0]),
-        float(g.v_axis[-1]),
-        float(traj.times[0]),
-        float(traj.times[-1]),
-    )
-
-
-def _fits_domain(traj: Trajectory, region) -> bool:
-    """Whether the region (with its slant) stays inside the grid box and times."""
-    x_lo, x_hi, v_lo, v_hi, t_lo, t_hi = _domain(traj)
-    wx, wv, w_lo, w_hi = region.windows()
-    c = region.center
-    for m in range(traj.d):
-        drift = (min(w_lo * c.v[m], w_hi * c.v[m]), max(w_lo * c.v[m], w_hi * c.v[m]))
-        if c.x[m] + drift[0] - wx < x_lo or c.x[m] + drift[1] + wx > x_hi:
-            return False
-        if c.v[m] - wv < v_lo or c.v[m] + wv > v_hi:
-            return False
-    return c.t + w_lo >= t_lo and c.t + w_hi <= t_hi
-
-
 def _source_values(traj: Trajectory, piece: RegionSlice) -> np.ndarray:
-    """s at the in-region nodes of one sampled snapshot (zero when s_bound = 0)."""
-    field = traj.field
+    """s at a sampled snapshot's in-region nodes, at the solver's node coordinates."""
+    field, g = traj.field, traj.grid
     if field is None or field.s_bound == 0.0:
         return np.zeros(piece.values.size)
-    x, v = _nodes(traj.grid, piece.mask)
+    x, v = _nodes(piece.mask, [g.x_axis] * g.d, g.v_axis)
     return field.s(x, v, float(traj.times[piece.n]))
 
 
@@ -342,29 +315,25 @@ def holder_fit(
 
     Fits log osc against log r_k (slope = measured Hoelder exponent) and also
     converts the measured per-level contraction theta_hat into the predicted
-    exponent ln theta_hat / ln(omega/2).  Levels with oscillation at roundoff
-    are dropped; fewer than three usable levels is an error.
+    exponent ln theta_hat / ln(omega/2).  Empty levels and those with
+    oscillation at roundoff are dropped; all levels empty or fewer than three
+    usable levels is an error.
     """
     traj, z1 = _native(traj, z1)
     if not 0.0 < omega < 1.0:
         raise ValueError(f"omega must lie in (0, 1), got {omega}")
     if r_base is None:
-        r_base = _largest_radius(traj, z1, factor=2.0)
-    else:
-        probe = Cylinder(z1, 2.0 * r_base)
-        if not _fits_domain(traj, probe):
-            raise ValueError("Q_{2 r_base}(z1) does not fit inside the domain")
+        r_base = _largest_radius(traj, z1)
     radii = [(omega / 2.0) ** k * r_base / 2.0 for k in range(1, k_levels + 1)]
     scale = float(np.abs(traj.values).max())
     floor = 10.0 * np.finfo(float).eps * max(scale, 1.0)
 
     levels: list[tuple[float, float]] = []
-    for r in radii:
-        try:
-            osc = oscillation(traj, Cylinder(z1, r))
-        except ValueError:
-            continue
-        if osc > floor:
+    samples = [sample_region(traj, Cylinder(z1, r)) for r in radii]
+    if not any(samples):
+        raise ValueError("no oscillation level meets the stored snapshots")
+    for r, sample in zip(radii, samples):
+        if sample and (osc := _region_max(sample) - _region_min(sample)) > floor:
             levels.append((r, osc))
     if 0 < len(levels) < 3:
         raise ValueError(f"only {len(levels)} usable oscillation levels, need >= 3")
@@ -397,25 +366,12 @@ def holder_fit(
     )
 
 
-def _largest_radius(traj: Trajectory, z1: KineticPoint, factor: float = 2.0) -> float:
-    """Largest r <= 1 with Q_{factor r}(z1) inside the grid box and time range."""
-    x_lo, x_hi, v_lo, v_hi, t_lo, t_hi = _domain(traj)
-    if z1.t > t_hi or z1.t <= t_lo:
-        raise ValueError("base point time outside the stored range")
-    r = min(1.0, math.sqrt(z1.t - t_lo) / factor)
-    for m in range(traj.d):
-        r = min(r, (v_hi - z1.v[m]) / factor, (z1.v[m] - v_lo) / factor)
-        slack = min(x_hi - z1.x[m], z1.x[m] - x_lo)
-        # window (factor r)^3 plus slant drift (factor r)^2 |v| must fit
-        lo, hi = 0.0, r
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            need = (factor * mid) ** 3 + (factor * mid) ** 2 * abs(z1.v[m])
-            if need <= slack:
-                lo = mid
-            else:
-                hi = mid
-        r = min(r, lo)
+def _largest_radius(traj: Trajectory, z1: KineticPoint) -> float:
+    """Largest r <= 1 with Q_{2r}(z1) after the first snapshot and admitted
+    by :class:`Footprint` (clear of the v-walls, x window within the period)."""
+    g = traj.grid
+    r = min(1.0, math.sqrt(max(z1.t - float(traj.times[0]), 0.0)) / 2.0,
+            (g.v_max - float(np.abs(z1.v).max())) / 2.0, (g.x_extent / 2.0) ** (1.0 / 3.0) / 2.0)
     if r <= 0.0:
         raise ValueError("no admissible radius at this base point")
     return r
@@ -473,8 +429,6 @@ def harnack_probe(traj: Trajectory, params: HarnackParams) -> ProbeReport:
     unit = sample_region(traj, Cylinder(center, 1.0))
     minus = sample_region(traj, params.q_minus())
     plus = sample_region(traj, params.q_plus())
-    if not minus or not plus:
-        raise ValueError("Harnack cylinders do not intersect the stored grid")
     sup_minus = _region_max(minus)
     inf_plus = _region_min(plus)
     f_min_unit = min((float(piece.values.min()) for piece in unit), default=math.inf)
@@ -517,7 +471,7 @@ def doubling_probe(
         raise ValueError("doubling probe requires a sign-definite (s >= 0) run")
     if n_levels < 1:
         raise ValueError("n_levels must be >= 1")
-    x_lo, x_hi, v_lo, v_hi, t_lo, t_hi = _domain(traj)
+    t_lo, t_hi = float(traj.times[0]), float(traj.times[-1])
     t_top = iterated_times(n_levels)[1]
     if r is None:
         r = 0.95 * math.sqrt((t_hi - t_lo) / (t_top + 1.0))
@@ -567,9 +521,10 @@ def weighted_mean(traj: Trajectory, z0: KineticPoint, r_scale: float, t: float) 
     """Cutoff-weighted spatial mean of f at one snapshot time.
 
     The cutoff is the product bump with plateau (r^3, r) per (x, v) axis,
-    support (2r)^3, 2r (all offsets taken in the co-moving frame of z0); the
-    normalisation is the grid integral of the cutoff, so a function constant
-    on the support is reproduced exactly.
+    support (2r)^3, 2r (all offsets taken in the co-moving frame of z0, x
+    offsets at their nearest periodic image); the normalisation is the grid
+    integral of the cutoff, so a function constant on the support is
+    reproduced exactly.
     """
     traj, z0, at_t = _native(traj, z0, KineticPoint(z0.x, z0.v, t))
     t = at_t.t
@@ -591,6 +546,7 @@ def _cutoff(traj: Trajectory, z0: KineticPoint, r_scale: float, n: int) -> np.nd
     chi = np.ones(g.shape)
     for m in range(g.d):
         x_off = g.x_axis - z0.x[m] - (t - z0.t) * z0.v[m]
+        x_off = x_off - periodic_shift(x_off, g.x_extent)
         shape = [1] * (2 * g.d)
         shape[m] = g.nx
         chi = chi * smooth_bump(x_off / r_scale**3).reshape(shape)
@@ -613,8 +569,6 @@ def caccioppoli_probe(traj: Trajectory, z0: KineticPoint, r_scale: float) -> Pro
     q_r = Cylinder(z0, r, CylinderShape.CUBE)
     q_2r = Cylinder(z0, 2.0 * r, CylinderShape.CUBE)
     q_3r = Cylinder(z0, 3.0 * r, CylinderShape.CUBE)
-    if not _fits_domain(traj, q_3r):
-        raise ValueError("Q_{3R}(z0) exceeds the computational domain")
 
     grad = cache(lambda n: gradient_v_sq(traj.values[n], traj.grid))
 
@@ -660,17 +614,21 @@ def fractional_seminorm(
     """Discrete Gagliardo seminorm over the region by pair subsampling.
 
     sum over point pairs of |f(z) - f(z')|^2 / |z - z'|^{D + 2s} with
-    D = 2d + 1, distances taken in the trajectory's native frame; Monte Carlo
-    over pairs with a fixed seed, or the exact double sum when small enough.
+    D = 2d + 1, distances taken in the trajectory's native frame between the
+    node images inside the region's x window; Monte Carlo over pairs with a
+    fixed seed, or the exact double sum when small enough.
     """
     if not 0.0 < s_order < 1.0:
         raise ValueError(f"s_order must lie in (0, 1), got {s_order}")
     traj, region = _native(traj, region)
     sample = sample_region(traj, region)
     _require_points(sample)
+    g = traj.grid
+    footprint = Footprint.of(g, region)
     coords = []
     for piece in sample:
-        xs, vs = _nodes(traj.grid, piece.mask)
+        shifts = footprint.x_shifts(float(traj.times[piece.n]) - region.center.t)
+        xs, vs = _nodes(piece.mask, [g.x_axis - shift for _, shift in shifts], g.v_axis)
         ts = np.full(xs.shape[0], float(traj.times[piece.n]))
         coords.append(np.concatenate([xs, vs, ts[:, None]], axis=1))
     z = np.concatenate(coords)

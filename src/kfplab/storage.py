@@ -76,10 +76,15 @@ def write_ledger(path, ledger: EnergyLedger) -> None:
 
 
 def read_ledger(path) -> EnergyLedger:
+    """Parse a ledger CSV; a wrong header or a row of the wrong width is a ValueError."""
     lines = Path(path).read_text().strip().splitlines()
+    if not lines or lines[0] != ",".join(EnergyLedger.FIELDS):
+        raise ValueError(f"{path} does not start with the ledger header")
     rows = []
-    for line in lines[1:]:
+    for i, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
+        if len(parts) != len(EnergyLedger.FIELDS):
+            raise ValueError(f"{path} line {i} has {len(parts)} fields, not {len(EnergyLedger.FIELDS)}")
         rows.append(
             LedgerRow(
                 step=int(parts[0]),

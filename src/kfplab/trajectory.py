@@ -1,6 +1,6 @@
-"""Phase-space grids, grid functions, solver trajectories, the region
-membership mask the probes sample through, and the |grad_v f|^2 that the
-solver's ledger and the energy-type probes share.
+"""Phase-space grids, grid functions, solver trajectories, the one rule for
+how a probe region meets the grid (:class:`Footprint`), and the |grad_v f|^2
+that the solver's ledger and the energy-type probes share.
 
 A trajectory may carry a Galilean ``base`` transform: it is viewed in the
 transformed frame while the stored values stay untouched.  :func:`region_mask`
@@ -209,31 +209,72 @@ def gradient_v_sq(values: np.ndarray, grid: PhaseGrid) -> np.ndarray:
     return out
 
 
-def region_mask(traj: Trajectory, region, n: int) -> np.ndarray:
-    """Boolean membership mask of grid nodes in ``region`` at snapshot ``n``.
+def periodic_shift(offsets: np.ndarray, x_extent: float) -> np.ndarray:
+    """The multiple of the period taking each x offset to its nearest image."""
+    return x_extent * np.rint(offsets / x_extent)
 
-    ``region`` is a Cylinder or PhaseBox.  This is the one definition of
-    membership; the trajectory must be base-free (probes pull their geometry
-    back through the base before sampling).
+
+@dataclass(frozen=True)
+class Footprint:
+    """How a Cylinder or PhaseBox meets a phase grid, worked out once per region.
+
+    x is periodic: a node is tested at its image nearest the centre's path.
+    An x window wider than the period (2 wx > x_extent) or a reach past a
+    velocity wall (|v0| + wv > v_max) is a ValueError.  In time a region is
+    whatever part of it meets the stored snapshots, never an error.
     """
+
+    grid: PhaseGrid
+    center: KineticPoint
+    wx: float
+    t_lo: float
+    t_hi: float
+    per_coordinate: bool
+    v_mask: np.ndarray
+
+    @staticmethod
+    def of(grid: PhaseGrid, region) -> "Footprint":
+        wx, wv, t_lo, t_hi = region.windows()
+        c = region.center
+        if 2.0 * wx > grid.x_extent:
+            raise ValueError(f"region x window 2 * {wx!r} is wider than the period {grid.x_extent!r}")
+        if float(np.abs(c.v).max()) + wv > grid.v_max:
+            raise ValueError(f"region reaches past a velocity wall: |v0| + {wv!r} > {grid.v_max!r}")
+        wx, wv, t_lo, t_hi = collared_windows(wx, wv, t_lo, t_hi)
+        per_coordinate = region.per_coordinate()
+        v_mask = _window([grid.v_axis - c.v[m] for m in range(grid.d)], wv, per_coordinate)
+        return Footprint(grid, c, wx, t_lo, t_hi, per_coordinate, v_mask)
+
+    def x_shifts(self, dt: float) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per x axis: node offsets from the centre's path at ``dt``, and their shift."""
+        g, c = self.grid, self.center
+        offsets = [g.x_axis - c.x[m] - dt * c.v[m] for m in range(g.d)]
+        return [(off, periodic_shift(off, g.x_extent)) for off in offsets]
+
+    def mask(self, dt: float) -> np.ndarray:
+        """Full-grid membership mask at time offset ``dt`` from the centre."""
+        if not (self.t_lo < dt <= self.t_hi):
+            return np.zeros(self.grid.shape, dtype=bool)
+        x_off = [off - shift for off, shift in self.x_shifts(dt)]
+        return np.multiply.outer(_window(x_off, self.wx, self.per_coordinate), self.v_mask)
+
+
+def _window(offsets: list[np.ndarray], w: float, per_coordinate: bool) -> np.ndarray:
+    """Outer membership of per-axis offsets: each |o| < w, or Euclidean |o| < w."""
+    if per_coordinate:
+        return reduce(np.multiply.outer, [np.abs(o) < w for o in offsets])
+    return reduce(np.add.outer, [o**2 for o in offsets]) < w**2
+
+
+def region_mask(traj: Trajectory, region, n: int) -> np.ndarray:
+    """Boolean membership mask of grid nodes in ``region`` (a Cylinder, a
+    PhaseBox or its :class:`Footprint`) at snapshot ``n`` of a base-free
+    trajectory; probes pull their geometry back through the base first."""
     if traj.base is not None:
         raise ValueError("region_mask needs a base-free trajectory")
-    g = traj.grid
-    c = region.center
-    dt_rel = float(traj.times[n]) - c.t
-    wx, wv, t_lo, t_hi = collared_windows(*region.windows())
-    if not (t_lo < dt_rel <= t_hi):
-        return np.zeros(g.shape, dtype=bool)
-
-    # separable per-axis offsets in the centre's co-moving frame
-    x_off = [g.x_axis - c.x[m] - dt_rel * c.v[m] for m in range(g.d)]
-    v_off = [g.v_axis - c.v[m] for m in range(g.d)]
-    if region.per_coordinate():
-        axis_masks = [np.abs(o) < wx for o in x_off] + [np.abs(o) < wv for o in v_off]
-        return reduce(np.multiply.outer, axis_masks)
-    xsq = reduce(np.add.outer, [o**2 for o in x_off])
-    vsq = reduce(np.add.outer, [o**2 for o in v_off])
-    return np.multiply.outer(xsq < wx**2, vsq < wv**2)
+    if not isinstance(region, Footprint):
+        region = Footprint.of(traj.grid, region)
+    return region.mask(float(traj.times[n]) - region.center.t)
 
 
 @dataclass(frozen=True)
@@ -252,15 +293,8 @@ class PhaseBox:
         if not self.t_lo < self.t_hi:
             raise ValueError("need t_lo < t_hi")
 
-    @property
-    def d(self) -> int:
-        return self.center.d
-
     def windows(self) -> tuple[float, float, float, float]:
         return self.x_radius, self.v_radius, self.t_lo, self.t_hi
 
     def per_coordinate(self) -> bool:
         return False
-
-    def transformed(self, z0: KineticPoint) -> "PhaseBox":
-        return replace(self, center=compose(z0, self.center))

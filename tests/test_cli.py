@@ -1,11 +1,12 @@
 import json
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from kfplab import storage
+from kfplab import cli, storage
 from kfplab.cli import main
 from kfplab.config import build_field, build_initial, build_solver_config, load_config, validate_config
 from kfplab.storage import (
@@ -85,6 +86,25 @@ class TestRunCommand:
         report = json.loads((out / "report.json").read_text())
         cert = [i for i in report["invariants"] if i["name"] == "certify_field"][0]
         assert not cert["passed"]
+
+    def test_field_broken_only_during_the_run_exit_four(self, tmp_path, monkeypatch):
+        # A tripled for t >= 0 only: the certificate must sample the run's own times
+        def broken_field(cfg, seed_override=None):
+            field = build_field(cfg, seed_override)
+            a_fn = field.a_fn
+
+            def tripled(x, v, t):
+                return np.where((np.asarray(t) >= 0.0)[..., None, None], 3.0, 1.0) * a_fn(x, v, t)
+
+            return replace(field, a_fn=tripled, nodes_fn=None)
+
+        monkeypatch.setattr(cli, "build_field", broken_field)
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, base_config(out))
+        assert main(["run", "--config", str(cfg)]) == 4
+        report = json.loads((out / "report.json").read_text())
+        cert = [i for i in report["invariants"] if i["name"] == "certify_field"][0]
+        assert cert["value"] == "violated"
 
     def test_byte_identical_reruns(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -336,6 +356,35 @@ class TestOtherCommands:
         ])
         cfg = write_config(tmp_path, config)
         assert main(["run", "--config", str(cfg)]) == 2
+
+    def test_probe_past_velocity_wall_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        config = base_config(out, probes=[
+            {"name": "norm", "p": 2, "r": 0.4, "center": [2.0, 2.8, 0.25]},
+        ])
+        cfg = write_config(tmp_path, config)
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert "velocity wall" in capsys.readouterr().err
+
+    def test_truncated_ledger_row_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, base_config(out))
+        assert main(["solve", "--config", str(cfg)]) == 0
+        ledger = out / "ledger.csv"
+        text = ledger.read_text()
+        ledger.write_text(text[: text.rstrip().rindex(",")] + "\n")
+        with pytest.raises(ValueError, match="fields"):
+            load_trajectory(out)
+        assert main(["probe", "--config", str(cfg)]) == 2
+        assert "ledger.csv" in capsys.readouterr().err
+
+    def test_ledger_with_wrong_header_exits_two(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, base_config(out))
+        assert main(["solve", "--config", str(cfg)]) == 0
+        ledger = out / "ledger.csv"
+        ledger.write_text(ledger.read_text().replace("gradv_l2,", ""))
+        assert main(["probe", "--config", str(cfg)]) == 2
 
     def test_geometry_defaults_pass(self, tmp_path):
         assert main(["geometry", "--out", str(tmp_path)]) == 0

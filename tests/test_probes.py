@@ -19,10 +19,12 @@ from kfplab.geometry import (
 )
 from kfplab.probes import (
     HarnackParams,
+    _largest_radius,
     _native,
     _source_values,
     caccioppoli_probe,
     doubling_probe,
+    energy_estimate_check,
     fractional_seminorm,
     gain_probe,
     gehring_probe,
@@ -521,6 +523,42 @@ class TestRegionSample:
         with pytest.raises(ValueError):
             region_mask(moved, self._regions()[0], 0)
 
+    def _seam_regions(self):
+        def at(x, v, t):
+            return GalileanTransform(self.BASE).apply(KineticPoint.of(x, v, t))
+
+        # native centres near x = 0 and x = x_extent, so every region wraps
+        return [
+            Cylinder(at([0.05, 1.97], [0.21, -0.33], 0.6), 0.83),
+            Cylinder(at([1.95, 0.1], [0.3, 0.1], 0.6), 0.83, CylinderShape.CUBE),
+            PhaseBox(at([0.0, 1.0], [0.0, 0.2], 0.6), 0.6, 0.9, -0.45, 0.0),
+        ]
+
+    def test_seam_regions_match_periodic_membership(self, moved):
+        grid = moved.grid
+        x, v = grid.meshes()
+        images = [np.array([i, j]) * grid.x_extent for i in (-1, 0, 1) for j in (-1, 0, 1)]
+        for region in self._seam_regions():
+            native, pulled = _native(moved, region)
+            sample = sample_region(native, pulled)
+            expected = []
+            for n, t in enumerate(moved.times):
+                mask = np.zeros(grid.shape, dtype=bool)
+                for image in images:
+                    xs, vs, ts = GalileanTransform(moved.base).apply_arrays(
+                        x + image, v, np.full(x.shape[:-1], t))
+                    if isinstance(region, PhaseBox):
+                        mask |= _box_contains(region, xs, vs, ts)
+                    else:
+                        mask |= region.contains_arrays(xs, vs, ts)
+                if mask.any():
+                    expected.append((n, mask))
+            assert [p.n for p in sample] == [n for n, _ in expected], region
+            for piece, (n, mask) in zip(sample, expected):
+                assert np.array_equal(piece.mask, mask), (region, n)
+            # the region reaches across the seam at every sampled snapshot
+            assert all(piece.mask[0].any() and piece.mask[-1].any() for piece in sample)
+
 
 class TestSourceValues:
     """s on the sampled nodes equals s evaluated on the whole mesh, then masked."""
@@ -542,3 +580,136 @@ class TestSourceValues:
         for piece in sample:
             full = field.s(x, v, float(traj.times[piece.n]))
             assert np.array_equal(_source_values(traj, piece), full[piece.mask])
+
+
+def _ones(traj):
+    return Trajectory(traj.grid, traj.times, np.ones_like(traj.values), field=traj.field)
+
+
+class TestPeriodicRegions:
+    """Regions meet the grid periodically in x: a cylinder on the seam is the
+    same set of nodes as anywhere else."""
+
+    @pytest.mark.parametrize("x0", [0.0, 4.99])
+    def test_seam_cylinder_measures_like_interior(self, identity_run, x0):
+        ones = _ones(identity_run)
+        inside = Cylinder(KineticPoint.of(2.5, 0.0, 1.0), 0.9)
+        seam = Cylinder(KineticPoint.of(x0, 0.0, 1.0), 0.9)
+        assert grid_measure(ones, inside) == pytest.approx(2.2613525390625, abs=1e-12)
+        assert abs(grid_measure(ones, seam) - grid_measure(ones, inside)) <= 1e-13
+        assert abs(norm_on_cylinder(ones, seam, 2.0) - norm_on_cylinder(ones, inside, 2.0)) <= 1e-13
+
+    @staticmethod
+    def _constants(traj, dx):
+        """Every probe constant on cylinders moved by dx in x (exact fractional sum)."""
+        def at(x, v, t):
+            return KineticPoint.of(x + dx, v, t)
+
+        center, mid = at(2.5, 0.0, 1.0), at(2.5, 0.0, 0.9)
+        q_small, q_big = Cylinder(center, 0.25), Cylinder(center, 0.5)
+        ls = level_set_measures(traj, 0.5, q_big)
+        out = {"norm2": norm_on_cylinder(traj, q_big, 2.0), "osc": oscillation(traj, q_big),
+               "ls_high": ls.high, "ls_low": ls.low, "ls_mid": ls.mid,
+               "wmean": weighted_mean(traj, center, 0.3, center.t),
+               "fractional": fractional_seminorm(traj, 1.0 / 3.0, Cylinder(center, 0.4),
+                                                 n_pairs=10**8)}
+        reports = {
+            "gain": gain_probe(traj, q_small, q_big),
+            "energy": energy_estimate_check(traj, q_small, q_big),
+            "harnack": harnack_probe(traj, HarnackParams(r=0.25, delta=0.3, rho1=0.4, rho2=0.6,
+                                                         center=mid)),
+            "holder": holder_fit(traj, center, omega=0.9, k_levels=3, r_base=0.45),
+            "doubling": doubling_probe(traj, z0=at(2.5, 0.0, 0.25), r=0.19),
+            "caccio": caccioppoli_probe(traj, center, 0.3),
+            "gehring": gehring_probe(traj, 2.0, Cylinder(center, 0.7, CylinderShape.CUBE)),
+            "prop": propagation_probe(traj, HarnackParams(r=0.1, delta=0.015, rho1=0.2, rho2=0.3,
+                                                          center=center), [0.08, 0.1, 0.12]),
+        }
+        for name, report in reports.items():
+            out.update({f"{name}_{k}": v for k, v in report.constants.items()})
+        return out
+
+    @pytest.mark.parametrize("k", [3, 29, 32])
+    def test_rolled_trajectory_moves_constants(self, identity_run, k):
+        # k = 29 and 32 put the cylinders across the seam (x = 4.77 and 5.0)
+        rolled = Trajectory(identity_run.grid, identity_run.times,
+                            np.roll(identity_run.values, k, axis=1), field=identity_run.field)
+        reference = self._constants(identity_run, 0.0)
+        moved = self._constants(rolled, k * identity_run.grid.hx)
+        assert sorted(moved) == sorted(reference)
+        for key, ref in reference.items():
+            assert abs(moved[key] - ref) <= 1e-13 * abs(ref), (key, moved[key], ref)
+
+
+def _every_probe(z, r_base):
+    """One call per probe kind, each with cylinders around z."""
+    def harnack_params(r, delta, rho1, rho2):
+        return HarnackParams(r=r, delta=delta, rho1=rho1, rho2=rho2, center=z)
+
+    q = Cylinder(z, 0.5)
+    return {
+        "norm": lambda tr: norm_on_cylinder(tr, q, 2.0),
+        "measure": lambda tr: grid_measure(tr, q),
+        "levelsets": lambda tr: level_set_measures(tr, 0.5, q),
+        "oscillation": lambda tr: oscillation(tr, q),
+        "fractional": lambda tr: fractional_seminorm(tr, 1.0 / 3.0, q),
+        "gain": lambda tr: gain_probe(tr, Cylinder(z, 0.25), q),
+        "energy": lambda tr: energy_estimate_check(tr, Cylinder(z, 0.25), q),
+        "harnack": lambda tr: harnack_probe(tr, harnack_params(0.25, 0.3, 0.4, 0.6)),
+        "holder": lambda tr: holder_fit(tr, z, omega=0.9, k_levels=3, r_base=r_base),
+        "doubling": lambda tr: doubling_probe(tr, z0=z, r=0.19),
+        "caccioppoli": lambda tr: caccioppoli_probe(tr, z, 0.3),
+        "gehring": lambda tr: gehring_probe(tr, 2.0, Cylinder(z, 0.7, CylinderShape.CUBE)),
+        "propagation": lambda tr: propagation_probe(tr, harnack_params(0.1, 0.015, 0.2, 0.3),
+                                                    [0.08, 0.1]),
+    }
+
+
+class TestRegionRejections:
+    """Every probe rejects a region that reaches past a velocity wall or whose
+    x window is wider than the period, through the one rule of Footprint."""
+
+    @pytest.mark.parametrize("probe", sorted(_every_probe(KineticPoint.origin(), 0.45)))
+    def test_velocity_wall(self, probe):
+        traj = synthetic(lambda x, v, t: np.ones_like(x), nx=16, nv=32, nt=33, t0=0.0, t1=1.0)
+        z = KineticPoint.of(2.0, 1.999, 0.25)
+        with pytest.raises(ValueError, match="velocity wall"):
+            _every_probe(z, 0.45)[probe](traj)
+
+    @pytest.mark.parametrize("probe", sorted(_every_probe(KineticPoint.origin(), 0.45)))
+    def test_x_window_wider_than_period(self, probe):
+        traj = synthetic(lambda x, v, t: np.ones_like(x), nx=4, nv=32, nt=33, x_extent=1e-4,
+                         t0=0.0, t1=1.0)
+        z = KineticPoint.of(5e-5, 0.0, 0.25)
+        with pytest.raises(ValueError, match="wider than the period"):
+            _every_probe(z, 0.45)[probe](traj)
+
+    def test_time_is_truncated_not_rejected(self, identity_run):
+        # Q_1 at t = 0.5 reaches back to t = -0.5, before the first snapshot
+        ones = _ones(identity_run)
+        early = Cylinder(KineticPoint.of(2.5, 0.0, 0.5), 1.0)
+        late = Cylinder(KineticPoint.of(2.5, 0.0, 1.0), 1.0)
+        assert 0.0 < grid_measure(ones, early) < grid_measure(ones, late)
+
+
+class TestHolderDefaultRadius:
+    # centres on grid nodes and snapshot times, so every ladder level is sampled
+    @pytest.mark.parametrize("x_extent, z1", [
+        (48.0, KineticPoint.of(2.0, 0.0, 0.25)),   # time binds
+        (48.0, KineticPoint.of(2.0, 1.75, 2.0)),   # velocity wall binds
+        (4.8, KineticPoint.of(3.9, 0.0, 3.0)),     # period binds
+        (48.0, KineticPoint.of(2.0, 0.0, 4.5)),    # capped at 1
+    ])
+    def test_closed_form(self, x_extent, z1):
+        traj = synthetic(lambda x, v, t: np.ones_like(x), x_extent=x_extent, v_max=3.0,
+                         nt=81, t0=0.0, t1=5.0)
+        g = traj.grid
+        expected = min(1.0, math.sqrt(z1.t) / 2.0, (g.v_max - abs(z1.v[0])) / 2.0,
+                       (g.x_extent / 2.0) ** (1.0 / 3.0) / 2.0)
+        assert _largest_radius(traj, z1) == expected
+        assert holder_fit(traj, z1, omega=0.9, k_levels=3).params["r_base"] == expected
+
+    def test_base_point_before_the_run_rejected(self):
+        traj = synthetic(lambda x, v, t: np.ones_like(x), t0=0.0, t1=1.0)
+        with pytest.raises(ValueError, match="no admissible radius"):
+            holder_fit(traj, KineticPoint.of(2.0, 0.0, -0.5))
