@@ -641,7 +641,7 @@ class TestPeriodicRegions:
             assert abs(moved[key] - ref) <= 1e-13 * abs(ref), (key, moved[key], ref)
 
 
-def _every_probe(z, r_base):
+def _every_probe(z):
     """One call per probe kind, each with cylinders around z."""
     def harnack_params(r, delta, rho1, rho2):
         return HarnackParams(r=r, delta=delta, rho1=rho1, rho2=rho2, center=z)
@@ -656,7 +656,7 @@ def _every_probe(z, r_base):
         "gain": lambda tr: gain_probe(tr, Cylinder(z, 0.25), q),
         "energy": lambda tr: energy_estimate_check(tr, Cylinder(z, 0.25), q),
         "harnack": lambda tr: harnack_probe(tr, harnack_params(0.25, 0.3, 0.4, 0.6)),
-        "holder": lambda tr: holder_fit(tr, z, omega=0.9, k_levels=3, r_base=r_base),
+        "holder": lambda tr: holder_fit(tr, z, omega=0.9, k_levels=3, r_base=0.45),
         "doubling": lambda tr: doubling_probe(tr, z0=z, r=0.19),
         "caccioppoli": lambda tr: caccioppoli_probe(tr, z, 0.3),
         "gehring": lambda tr: gehring_probe(tr, 2.0, Cylinder(z, 0.7, CylinderShape.CUBE)),
@@ -665,24 +665,31 @@ def _every_probe(z, r_base):
     }
 
 
+PROBE_KINDS = sorted(_every_probe(KineticPoint.origin()))
+
+
 class TestRegionRejections:
     """Every probe rejects a region that reaches past a velocity wall or whose
     x window is wider than the period, through the one rule of Footprint."""
 
-    @pytest.mark.parametrize("probe", sorted(_every_probe(KineticPoint.origin(), 0.45)))
+    @pytest.mark.parametrize("probe", PROBE_KINDS)
     def test_velocity_wall(self, probe):
         traj = synthetic(lambda x, v, t: np.ones_like(x), nx=16, nv=32, nt=33, t0=0.0, t1=1.0)
         z = KineticPoint.of(2.0, 1.999, 0.25)
         with pytest.raises(ValueError, match="velocity wall"):
-            _every_probe(z, 0.45)[probe](traj)
+            _every_probe(z)[probe](traj)
 
-    @pytest.mark.parametrize("probe", sorted(_every_probe(KineticPoint.origin(), 0.45)))
+    @pytest.mark.parametrize("probe", PROBE_KINDS)
     def test_x_window_wider_than_period(self, probe):
         traj = synthetic(lambda x, v, t: np.ones_like(x), nx=4, nv=32, nt=33, x_extent=1e-4,
                          t0=0.0, t1=1.0)
         z = KineticPoint.of(5e-5, 0.0, 0.25)
         with pytest.raises(ValueError, match="wider than the period"):
-            _every_probe(z, 0.45)[probe](traj)
+            _every_probe(z)[probe](traj)
+
+    def test_identity_grid_cylinder_past_wall(self, identity_run):
+        with pytest.raises(ValueError, match="velocity wall"):
+            grid_measure(_ones(identity_run), Cylinder(KineticPoint.of(2.5, 3.8, 1.0), 0.9))
 
     def test_time_is_truncated_not_rejected(self, identity_run):
         # Q_1 at t = 0.5 reaches back to t = -0.5, before the first snapshot
