@@ -237,9 +237,9 @@ class Footprint:
         wx, wv, t_lo, t_hi = region.windows()
         c = region.center
         if 2.0 * wx > grid.x_extent:
-            raise ValueError(f"region x window 2 * {wx!r} is wider than the period {grid.x_extent!r}")
-        if float(np.abs(c.v).max()) + wv > grid.v_max:
-            raise ValueError(f"region reaches past a velocity wall: |v0| + {wv!r} > {grid.v_max!r}")
+            raise ValueError(f"region x window 2 wx = {2.0 * wx!r} is wider than the period {grid.x_extent!r}")
+        if (reach := float(np.abs(c.v).max()) + wv) > grid.v_max:
+            raise ValueError(f"region reaches past a velocity wall: |v0| + wv = {reach!r} > {grid.v_max!r}")
         wx, wv, t_lo, t_hi = collared_windows(wx, wv, t_lo, t_hi)
         per_coordinate = region.per_coordinate()
         v_mask = _window([grid.v_axis - c.v[m] for m in range(grid.d)], wv, per_coordinate)

@@ -629,9 +629,9 @@ class TestPeriodicRegions:
             out.update({f"{name}_{k}": v for k, v in report.constants.items()})
         return out
 
-    @pytest.mark.parametrize("k", [3, 29, 32])
+    @pytest.mark.parametrize("k", [29, 32])
     def test_rolled_trajectory_moves_constants(self, identity_run, k):
-        # k = 29 and 32 put the cylinders across the seam (x = 4.77 and 5.0)
+        # the moved cylinders sit across the seam (x = 4.77 and 5.0)
         rolled = Trajectory(identity_run.grid, identity_run.times,
                             np.roll(identity_run.values, k, axis=1), field=identity_run.field)
         reference = self._constants(identity_run, 0.0)
@@ -702,7 +702,6 @@ class TestRegionRejections:
 class TestHolderDefaultRadius:
     # centres on grid nodes and snapshot times, so every ladder level is sampled
     @pytest.mark.parametrize("x_extent, z1", [
-        (48.0, KineticPoint.of(2.0, 0.0, 0.25)),   # time binds
         (48.0, KineticPoint.of(2.0, 1.75, 2.0)),   # velocity wall binds
         (4.8, KineticPoint.of(3.9, 0.0, 3.0)),     # period binds
         (48.0, KineticPoint.of(2.0, 0.0, 4.5)),    # capped at 1
