@@ -11,7 +11,8 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, ClassVar, NamedTuple
 
 import numpy as np
-from scipy.stats import qmc
+
+from .geometry import halton
 
 
 @dataclass(frozen=True)
@@ -456,10 +457,13 @@ def certify_field(
     """Sample the field and check eigenvalues, |B| and |s| against the bounds.
 
     ``box`` gives (lo, hi) per group (x, v, t); the x/v windows apply to every
-    component.  The verdict is "ok" or "violated" with a witness point.
+    component.  The points are ``geometry.halton(2 d + 1, n_samples, seed)``, a
+    scrambled Halton sequence drawn from ``np.random.default_rng(seed)``:
+    columns 0..d-1 give x, d..2d-1 give v and column 2d gives t.  The verdict
+    is "ok" or "violated" with a witness point.
     """
     d = field_in.d
-    u = qmc.Halton(d=2 * d + 1, seed=seed).random(n_samples)
+    u = halton(2 * d + 1, n_samples, seed)
     (x_lo, x_hi), (v_lo, v_hi), (t_lo, t_hi) = box
     xs = x_lo + (x_hi - x_lo) * u[:, :d]
     vs = v_lo + (v_hi - v_lo) * u[:, d : 2 * d]

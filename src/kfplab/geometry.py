@@ -13,7 +13,6 @@ from enum import Enum
 
 import numpy as np
 from scipy.special import ndtri
-from scipy.stats import qmc
 
 
 def unit_ball_volume(d: int) -> float:
@@ -305,6 +304,35 @@ def _ball_from_uniform(u_dir: np.ndarray, u_rad: np.ndarray, radius) -> np.ndarr
     return g * (rad / norm)[..., None]
 
 
+def halton(dims: int, n: int, seed) -> np.ndarray:
+    """The first n points of a scrambled Halton sequence in [0, 1)^dims.
+
+    Column j is the radical inverse of 0, 1, ..., n - 1 in the j-th prime base
+    b, with its k-th digit sent through its own random permutation of
+    range(b) (Owen, "A randomized Halton algorithm in R", arXiv:1706.02808).
+    ``np.random.default_rng(seed)`` draws ceil(54 / log2 b) - 1 permutations
+    per base, base by base, which reproduces
+    ``scipy.stats.qmc.Halton(d=dims, seed=seed).random(n)`` bit for bit.
+    """
+    bases: list[int] = []
+    b = 2
+    while len(bases) < dims:
+        if all(b % p for p in bases):
+            bases.append(b)
+        b += 1
+    rng = np.random.default_rng(seed)
+    out = np.zeros((dims, n))
+    for row, b in zip(out, bases):
+        q, f = np.arange(n), 1.0 / b
+        for _ in range(math.ceil(54 / math.log2(b)) - 1):
+            row += rng.permutation(b)[q % b] * f
+            f /= b
+            q //= b
+    # column-major like scipy's result: reductions over the sample columns
+    # round differently on a C-ordered copy
+    return out.T
+
+
 @dataclass(frozen=True)
 class CoveringReport:
     """Outcome of the paraboloid covering checks for the doubling geometry."""
@@ -371,7 +399,9 @@ def verify_covering(
     condition delta >= R^2 + (4^3/(3 omega^2)) (4R)^{1/3} holds, otherwise
     reported as "hypothesis unmet" with no verdict.
 
-    Sampling is quasi-random (Halton) so failures are reproducible per seed.
+    Sampling is quasi-random: ``halton(6 (d + 1) + 5, n_samples, seed)``, a
+    scrambled Halton sequence drawn from ``np.random.default_rng(seed)``, so
+    failures are reproducible per seed.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
@@ -390,7 +420,7 @@ def verify_covering(
     # Halton dims: z in Q^- (2 balls + time), r, paraboloid point
     # (rho, w ball, y ball, s), z+ in Q^+ (2 balls + time); a ball costs d+1.
     dims = 6 * (d + 1) + 5
-    u = qmc.Halton(d=dims, seed=seed).random(n_samples)
+    u = halton(dims, n_samples, seed)
     col = 0
 
     def take(k: int) -> np.ndarray:

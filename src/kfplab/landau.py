@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft as sp_fft
-from scipy.signal import fftconvolve
 
 from .geometry import unit_ball_volume
 from .iteration import kappa_exponent
@@ -222,13 +221,22 @@ def convolve_direct(f: VelocityGridFunction, kernel: np.ndarray, periodic: bool 
 
 
 def convolve_fft(f: VelocityGridFunction, kernel: np.ndarray, periodic: bool = False) -> np.ndarray:
-    """FFT evaluation of the same lattice convolution as ``convolve_direct``."""
+    """FFT evaluation of the same lattice convolution as ``convolve_direct``.
+
+    The non-periodic branch is the "valid" part of the linear convolution,
+    the steps ``scipy.signal.fftconvolve(vals, ker, mode="valid")`` takes,
+    with the transform of ``vals`` computed once for every kernel component.
+    """
     grid, vals = f.grid, f.values
     n, d = grid.n, grid.d
     comp_shape = kernel.shape[d:]
     out = np.empty(vals.shape + comp_shape)
     if periodic:
         fhat = sp_fft.fftn(vals)
+    else:
+        fshape = [sp_fft.next_fast_len(3 * n - 2, True)] * d
+        vhat = sp_fft.rfftn(vals, fshape)
+        valid = (slice(n - 1, 2 * n - 1),) * d
     for comp in itertools.product(*[range(s) for s in comp_shape]):
         ker = kernel[(...,) + comp]
         if periodic:
@@ -238,7 +246,7 @@ def convolve_fft(f: VelocityGridFunction, kernel: np.ndarray, periodic: bool = F
             np.add.at(folded, tuple(mesh), ker)
             conv = sp_fft.ifftn(fhat * sp_fft.fftn(folded)).real
         else:
-            conv = fftconvolve(vals, ker, mode="valid")
+            conv = sp_fft.irfftn(sp_fft.rfftn(ker, fshape) * vhat, fshape)[valid]
         out[(...,) + comp] = conv
     return out * grid.cell_volume
 

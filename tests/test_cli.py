@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -473,3 +476,14 @@ class TestOtherCommands:
         assert np.array_equal(reloaded.times, old.times)
         assert sorted(p.name for p in out.iterdir()) == [
             "ledger.csv", "report.json", "run_meta.json", "snapshots"]
+
+
+def test_import_graph_leaves_out_scipy_stats_and_signal():
+    # scipy.stats alone costs about 0.8 s of every command's start-up
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, kfplab.cli, kfplab.landau; "
+            "print(*[m for m in sys.modules if m.split('.')[:2] in (['scipy', 'stats'], ['scipy', 'signal'])])")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    assert done.stdout.split() == []

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.stats import qmc
 
+from kfplab import fields
 from kfplab.fields import (
     CheckerboardRecipe,
     ConstantRecipe,
@@ -122,6 +124,21 @@ class TestCertification:
         field = sample_field(ConstantRecipe(), EllipticityBounds(1.0, 1.0), seed=0, d=1)
         rep = certify_field(field, n_samples=16, box=BOX, seed=0)
         assert rep.to_dict()["verdict"] == "ok"
+
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_report_unchanged_from_scipy_sampling(self, monkeypatch, seed, d):
+        # oracle: the same sample points drawn by scipy.stats.qmc.Halton
+        bounds = EllipticityBounds(0.5, 2.0)
+        good = sample_field(SmoothRandomRecipe(s_max=0.3), bounds, seed=2, d=d)
+        bad = scaled_diffusion(sample_field(CheckerboardRecipe(), bounds, seed=7, d=d), 1.5)
+        fast = [certify_field(f, n_samples=512, box=BOX, seed=seed) for f in (good, bad)]
+        monkeypatch.setattr(fields, "halton",
+                            lambda dims, n, s: qmc.Halton(d=dims, seed=s).random(n))
+        slow = [certify_field(f, n_samples=512, box=BOX, seed=seed) for f in (good, bad)]
+        assert [r.verdict for r in fast] == ["ok", "violated"]
+        assert fast == slow
 
 
 NODE_RECIPES = {

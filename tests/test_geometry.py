@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.stats import qmc
 
+from kfplab import geometry
 from kfplab.geometry import (
     Cylinder,
     CylinderShape,
@@ -13,6 +15,7 @@ from kfplab.geometry import (
     Paraboloid,
     compose,
     covering_threshold,
+    halton,
     iterated_cylinder,
     iterated_radius,
     iterated_times,
@@ -258,6 +261,31 @@ class TestCovering:
         a = verify_covering(0.2, 1e-11, 0.1, n_samples=500, seed=9).to_dict()
         b = verify_covering(0.2, 1e-11, 0.1, n_samples=500, seed=9).to_dict()
         assert a == b
+
+
+def scipy_halton(dims, n, seed):
+    """The scrambled Halton sequence ``halton`` reproduces."""
+    return qmc.Halton(d=dims, seed=seed).random(n)
+
+
+class TestHalton:
+    @pytest.mark.parametrize("dims, n, seed", [
+        (3, 512, 0), (5, 512, 7), (7, 4096, 3), (23, 100, 0), (29, 4096, 11),
+    ])
+    def test_bitwise_equal_to_scipy(self, dims, n, seed):
+        assert np.array_equal(halton(dims, n, seed), scipy_halton(dims, n, seed))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("delta, r_plus, r0, omega", [
+        (0.2, 1e-11, 0.1, 0.25),   # the CLI defaults: both claims pass
+        (0.5, 0.7, 0.7, 0.45),     # claim (a) fails with counterexamples
+    ])
+    def test_covering_report_unchanged(self, monkeypatch, seed, d, delta, r_plus, r0, omega):
+        args = dict(delta=delta, r_plus=r_plus, r0=r0, omega=omega, n_samples=2000, d=d, seed=seed)
+        fast = verify_covering(**args).to_dict()
+        monkeypatch.setattr(geometry, "halton", scipy_halton)
+        assert fast == verify_covering(**args).to_dict()
 
 
 def test_ball_volumes():

@@ -1,7 +1,10 @@
 import math
 
+import itertools
+
 import numpy as np
 import pytest
+from scipy.signal import fftconvolve
 
 from kfplab.landau import (
     BoundsReport,
@@ -10,6 +13,9 @@ from kfplab.landau import (
     VelocityGrid,
     VelocityGridFunction,
     check_coefficient_bounds,
+    convolve_fft,
+    kernel_a,
+    kernel_b,
     kernel_c,
     landau_a,
     landau_a_field,
@@ -118,6 +124,22 @@ class TestCoefficientFields:
             slow = fn(f, p, method="direct")
             scale = np.max(np.abs(slow))
             assert np.max(np.abs(fast - slow)) <= 1e-10 * scale
+
+    @pytest.mark.parametrize("kernel, gamma", [
+        (kernel, gamma) for kernel in (kernel_a, kernel_b, kernel_c) for gamma in (-3.0, -1.3, 0.5)
+        if not (kernel is kernel_c and gamma == -3.0)  # c is pointwise at gamma = -d
+    ])
+    def test_fft_equals_per_component_fftconvolve(self, kernel, gamma):
+        # oracle: one scipy.signal.fftconvolve(..., "valid") per kernel component
+        g = VelocityGrid(v_max=4.0, n=16, d=3)
+        rng = np.random.default_rng(5)
+        f = VelocityGridFunction(g, rng.uniform(size=(16,) * 3))
+        ker = kernel(g, LandauParams(d=3, gamma=gamma))
+        comp_shape = ker.shape[3:]
+        slow = np.empty(f.values.shape + comp_shape)
+        for comp in itertools.product(*[range(s) for s in comp_shape]):
+            slow[(...,) + comp] = fftconvolve(f.values, ker[(...,) + comp], mode="valid")
+        assert np.array_equal(convolve_fft(f, ker), slow * g.cell_volume)
 
     def test_fft_matches_direct_wide_1d(self):
         g = VelocityGrid(v_max=6.0, n=64, d=1)
