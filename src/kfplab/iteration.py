@@ -83,10 +83,13 @@ def degiorgi_threshold(beta: float, alpha: float, v0: float, n_terms: int = 30) 
         direct_log = np.full(n_terms + 1, -np.inf)
         bound_log = np.full(n_terms + 1, -np.inf)
     else:
-        # exact recursion: log V_n = S_n log beta + alpha^n log V_0
+        # exact recursion: log V_n = S_n log beta + alpha^n log V_0; the bound
+        # alpha^n log gamma exceeds it by (alpha^n exponent - S_n) log beta,
+        # which is (alpha + n (alpha - 1)) / (alpha - 1)^2 log beta >= 0; adding
+        # that gap keeps bound_log >= direct_log in floating point as well
         sums = np.array([0.0] + [exponent_sum(alpha, int(n)) for n in ns[1:]])
         direct_log = sums * math.log(beta) + alpha**ns.astype(float) * math.log(v0)
-        bound_log = alpha**ns.astype(float) * log_gamma
+        bound_log = direct_log + (alpha + ns * (alpha - 1.0)) / (alpha - 1.0) ** 2 * math.log(beta)
 
     converges = log_gamma < 0.0
     return DeGiorgiReport(

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kfplab.iteration import (
@@ -79,6 +79,7 @@ class TestDeGiorgiThreshold:
         st.floats(min_value=1e-12, max_value=0.5),
     )
     @settings(max_examples=60, deadline=None)
+    @example(beta=1.0000000000000002, alpha=2.9375, v0=0.25)  # log terms near 1e9
     def test_bound_dominates_direct(self, beta, alpha, v0):
         rep = degiorgi_threshold(beta, alpha, v0, n_terms=20)
         finite = np.isfinite(rep.direct_log) & np.isfinite(rep.bound_log)
