@@ -656,7 +656,8 @@ def fractional_seminorm(
     diff = z[ii] - z[jj]
     dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
     contrib = (f[ii] - f[jj]) ** 2 / dist**power * w[ii] * w[jj]
-    return float(n_pts * n_pts * contrib.mean())
+    # the kept draws are uniform over the n (n - 1) ordered pairs i != j
+    return float(n_pts * (n_pts - 1) * contrib.mean())
 
 
 def gehring_probe(

@@ -317,6 +317,18 @@ class TestFractionalSeminorm:
         assert math.isfinite(vals[-1])
         assert vals[0] < vals[1] < vals[2]
 
+    def test_monte_carlo_mean_is_the_exact_sum(self):
+        # 14 points in Q_0.4; n^2 - 1 draws force the Monte Carlo branch
+        traj = synthetic(lambda x, v, t: np.exp(-((x - 2.0) ** 2) - v**2 + 0.1 * t),
+                         nx=32, nv=32, nt=9)
+        q = Cylinder(shifted_origin(), 0.4)
+        n_pts = sum(piece.values.size for piece in sample_region(traj, q))
+        assert n_pts == 14
+        exact = fractional_seminorm(traj, 1.0 / 3.0, q)
+        estimates = [fractional_seminorm(traj, 1.0 / 3.0, q, n_pairs=n_pts**2 - 1, seed=s)
+                     for s in range(400)]
+        assert np.mean(estimates) == pytest.approx(exact, rel=0.01)
+
     def test_seeded_reproducibility(self, identity_run):
         q = Cylinder(KineticPoint.of(2.5, 0.0, 1.0), 0.4)
         a = fractional_seminorm(identity_run, 1.0 / 3.0, q, n_pairs=5000, seed=3)
