@@ -304,7 +304,7 @@ def _ball_from_uniform(u_dir: np.ndarray, u_rad: np.ndarray, radius) -> np.ndarr
     return g * (rad / norm)[..., None]
 
 
-def halton(dims: int, n: int, seed) -> np.ndarray:
+def halton(dims: int, n: int, seed: int | None) -> np.ndarray:
     """The first n points of a scrambled Halton sequence in [0, 1)^dims.
 
     Column j is the radical inverse of 0, 1, ..., n - 1 in the j-th prime base

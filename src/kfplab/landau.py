@@ -225,7 +225,7 @@ def convolve_fft(f: VelocityGridFunction, kernel: np.ndarray, periodic: bool = F
 
     The non-periodic branch is the "valid" part of the linear convolution,
     the steps ``scipy.signal.fftconvolve(vals, ker, mode="valid")`` takes,
-    with the transform of ``vals`` computed once for every kernel component.
+    with one transform of ``vals`` shared by all kernel components.
     """
     grid, vals = f.grid, f.values
     n, d = grid.n, grid.d

@@ -129,6 +129,7 @@ class TestCoefficientFields:
         (kernel, gamma) for kernel in (kernel_a, kernel_b, kernel_c) for gamma in (-3.0, -1.3, 0.5)
         if not (kernel is kernel_c and gamma == -3.0)  # c is pointwise at gamma = -d
     ])
+    @pytest.mark.filterwarnings("ignore:hard potentials:UserWarning")
     def test_fft_equals_per_component_fftconvolve(self, kernel, gamma):
         # oracle: one scipy.signal.fftconvolve(..., "valid") per kernel component
         g = VelocityGrid(v_max=4.0, n=16, d=3)
