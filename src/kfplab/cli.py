@@ -163,6 +163,7 @@ def _cmd_landau(cfg: dict, args) -> int:
     d = section.get("d", 3)
     try:
         params = LandauParams(d=d, **given(section, "gamma", "a_const", "b_const", "c_const"))
+        iteration.kappa_exponent(params.gamma, d)  # the bound check covers gamma in [-d, 0] only
         bounds = MomentBounds(**section.get("bounds", {"m1": 0.1, "m0": 10.0, "e0": 10.0, "h0": 10.0}))
         if "input" in section:
             values, v_max = read_velocity_profile(section["input"])
@@ -172,8 +173,7 @@ def _cmd_landau(cfg: dict, args) -> int:
             grid = VelocityGrid(v_max=spec.get("v_max", 6.0), n=spec.get("n", 16), d=d)
             profile = maxwellian(grid, **given(spec, "sigma"))
     except (OSError, ValueError) as exc:
-        print(f"cannot set up the landau check: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"cannot set up the landau check: {exc}") from exc
     try:
         report = check_coefficient_bounds(profile, params, bounds)
     except ValueError as exc:

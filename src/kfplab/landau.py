@@ -42,7 +42,7 @@ class LandauParams:
             warnings.warn(
                 "hard potentials (gamma > 0) accepted; velocity moments beyond the "
                 "energy are assumed finite",
-                stacklevel=2,
+                stacklevel=3,
             )
 
 
@@ -158,14 +158,33 @@ def kernel_a(grid: VelocityGrid, params: LandauParams) -> np.ndarray:
     The w = 0 cell contributes 0: the directional factor is undefined there and
     the kernel is integrable, so the omitted cell vanishes under refinement.
     """
+    return _from_upper(_kernel_a_upper(grid, params), grid.d)
+
+
+def _kernel_a_upper(grid: VelocityGrid, params: LandauParams) -> np.ndarray:
+    """The components i <= j of ``kernel_a`` in ``np.triu_indices`` order.
+
+    w_i w_j commutes, so the kernel is symmetric bit for bit and these
+    d(d+1)/2 components determine it.
+    """
     if params.gamma + 2.0 <= -grid.d:
         raise ValueError("gamma + 2 must exceed -d for an integrable kernel")
+    i, j = np.triu_indices(grid.d)
     w = _offset_lattice(grid)
     sq = np.einsum("...i,...i->...", w, w)
     safe = np.where(sq > 0.0, sq, 1.0)
-    proj = np.eye(grid.d) - w[..., :, None] * w[..., None, :] / safe[..., None, None]
+    proj = np.eye(grid.d)[i, j] - w[..., i] * w[..., j] / safe[..., None]
     radial = np.where(sq > 0.0, safe ** ((params.gamma + 2.0) / 2.0), 0.0)
-    return proj * radial[..., None, None]
+    return proj * radial[..., None]
+
+
+def _from_upper(upper: np.ndarray, d: int) -> np.ndarray:
+    """Symmetric (..., d, d) matrices from their components i <= j."""
+    i, j = np.triu_indices(d)
+    out = np.empty(upper.shape[:-1] + (d, d))
+    out[..., i, j] = upper
+    out[..., j, i] = upper
+    return out
 
 
 def kernel_b(grid: VelocityGrid, params: LandauParams) -> np.ndarray:
@@ -223,9 +242,11 @@ def convolve_direct(f: VelocityGridFunction, kernel: np.ndarray, periodic: bool 
 def convolve_fft(f: VelocityGridFunction, kernel: np.ndarray, periodic: bool = False) -> np.ndarray:
     """FFT evaluation of the same lattice convolution as ``convolve_direct``.
 
-    The non-periodic branch is the "valid" part of the linear convolution,
-    the steps ``scipy.signal.fftconvolve(vals, ker, mode="valid")`` takes,
-    with one transform of ``vals`` shared by all kernel components.
+    The non-periodic branch is the "valid" part of the linear convolution with
+    zero padding to L = ``next_fast_len(3n - 2)`` per axis, bitwise what
+    ``scipy.signal.fftconvolve(vals, ker, mode="valid")`` returns.  The
+    density is transformed once per call; each kernel component goes through
+    ``_valid_convolution``, which skips the padding.
     """
     grid, vals = f.grid, f.values
     n, d = grid.n, grid.d
@@ -233,22 +254,41 @@ def convolve_fft(f: VelocityGridFunction, kernel: np.ndarray, periodic: bool = F
     out = np.empty(vals.shape + comp_shape)
     if periodic:
         fhat = sp_fft.fftn(vals)
+        fold = tuple(np.meshgrid(*[np.arange(-(n - 1), n) % n] * d, indexing="ij"))
     else:
-        fshape = [sp_fft.next_fast_len(3 * n - 2, True)] * d
-        vhat = sp_fft.rfftn(vals, fshape)
-        valid = (slice(n - 1, 2 * n - 1),) * d
+        size = sp_fft.next_fast_len(3 * n - 2, True)
+        vhat = sp_fft.rfftn(vals, [size] * d)
     for comp in itertools.product(*[range(s) for s in comp_shape]):
         ker = kernel[(...,) + comp]
         if periodic:
             folded = np.zeros_like(vals)
-            idx_axes = [np.arange(-(n - 1), n) % n for _ in range(d)]
-            mesh = np.meshgrid(*idx_axes, indexing="ij")
-            np.add.at(folded, tuple(mesh), ker)
+            np.add.at(folded, fold, ker)
             conv = sp_fft.ifftn(fhat * sp_fft.fftn(folded)).real
         else:
-            conv = sp_fft.irfftn(sp_fft.rfftn(ker, fshape) * vhat, fshape)[valid]
+            conv = _valid_convolution(vhat, ker, size, n)
         out[(...,) + comp] = conv
     return out * grid.cell_volume
+
+
+def _valid_convolution(vhat: np.ndarray, ker: np.ndarray, size: int, n: int) -> np.ndarray:
+    """``irfftn(rfftn(ker, s) * vhat, s)[valid]`` with s = (size,) * d, bit for bit.
+
+    Both transforms go one axis at a time in pocketfft's own order: the real
+    axis last, the complex axes 0 ... d-2 in turn.  The forward transform pads
+    each axis only when it comes to it, so lines that are all padding are
+    never transformed; the inverse keeps only the n valid rows of each axis
+    once it is done, and scales once at the end, as ``irfftn`` does.
+    """
+    d = ker.ndim
+    spec = sp_fft.rfft(ker, size, axis=-1)
+    for axis in range(d - 1):
+        spec = sp_fft.fft(spec, size, axis=axis)
+    spec *= vhat
+    keep = slice(n - 1, 2 * n - 1)
+    for axis in range(d - 1):
+        spec = sp_fft.ifft(spec, axis=axis, norm="forward")[(slice(None),) * axis + (keep,)]
+    conv = sp_fft.irfft(spec, size, axis=-1, norm="forward")[..., keep]
+    return conv * (1.0 / size**d)
 
 
 def landau_a_field(
@@ -260,8 +300,8 @@ def landau_a_field(
     """Diffusion matrices A[f] at every grid point, shape (n, ..., n, d, d)."""
     _check_dims(f, params)
     conv = convolve_fft if method == "fft" else convolve_direct
-    out = params.a_const * conv(f, kernel_a(f.grid, params), periodic=periodic)
-    return 0.5 * (out + np.swapaxes(out, -1, -2))
+    upper = params.a_const * conv(f, _kernel_a_upper(f.grid, params), periodic=periodic)
+    return _from_upper(upper, params.d)
 
 
 def landau_b_field(

@@ -274,6 +274,7 @@ MALFORMED = {
                                [{"name": "levelsets", "theta": 0.5, "r": 0.3, "region": "unit_box"}]),
     "landau_input_and_profile": ("landau", ("landau",),
                                  {"gamma": -3.0, "input": "f.kvg", "profile": {"n": 8}}),
+    "landau_hard_potential": ("landau", ("landau",), {"gamma": 0.5, "profile": {"n": 8}}),
     "geometry_negative_selfchecks": ("geometry", ("geometry",), {"n_selfchecks": -1}),
     "fractional_zero_pairs": ("run", ("probes",),
                               [{"name": "fractional", "s_order": 0.5, "r": 0.3, "n_pairs": 0}]),

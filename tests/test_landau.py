@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from scipy.signal import fftconvolve
 
+import landau_oracle as oracle
+from kfplab import landau
 from kfplab.landau import (
     BoundsReport,
     LandauParams,
@@ -223,8 +225,64 @@ class TestCoefficientFields:
         assert center == pytest.approx(exact, rel=1e-12)
 
     def test_hard_potential_warns(self):
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning) as record:
             LandauParams(d=3, gamma=0.5)
+        assert record[0].filename == __file__
+
+
+ORACLE_SIZES = {1: (17, 32), 2: (9, 16), 3: (5, 8)}
+ORACLE_CASES = [
+    (d, n, kernel, gamma)
+    for d, sizes in ORACLE_SIZES.items()
+    for n in sizes
+    for kernel in (kernel_a, kernel_b, kernel_c)
+    for gamma in sorted({-float(d), -2.0, -1.3, 0.0, 0.5})
+    if gamma >= -d and not (kernel is kernel_c and gamma == -d)  # c is pointwise at gamma = -d
+]
+
+
+def random_density(d, n, seed=7):
+    g = VelocityGrid(v_max=4.0, n=n, d=d)
+    return VelocityGridFunction(g, np.random.default_rng(seed).uniform(size=(n,) * d))
+
+
+@pytest.mark.filterwarnings("ignore:hard potentials:UserWarning")
+class TestAgainstOracle:
+    """The fast convolution and A field reproduce ``landau_oracle`` bit for bit."""
+
+    @pytest.mark.parametrize("periodic", [False, True])
+    @pytest.mark.parametrize("d, n, kernel, gamma", ORACLE_CASES)
+    def test_convolve_fft(self, d, n, kernel, gamma, periodic):
+        f = random_density(d, n)
+        ker = kernel(f.grid, LandauParams(d=d, gamma=gamma))
+        assert np.array_equal(convolve_fft(f, ker, periodic), oracle.convolve_fft(f, ker, periodic))
+
+    @pytest.mark.parametrize("d, gamma", [(1, -1.0), (2, -1.3), (3, -3.0), (3, 0.5)])
+    def test_kernel_a(self, d, gamma):
+        g = VelocityGrid(v_max=4.0, n=6, d=d)
+        p = LandauParams(d=d, gamma=gamma)
+        assert np.array_equal(kernel_a(g, p), oracle.kernel_a(g, p))
+
+    @pytest.mark.parametrize("periodic", [False, True])
+    @pytest.mark.parametrize("method", ["fft", "direct"])
+    @pytest.mark.parametrize("d, n, gamma", [(1, 17, -0.5), (2, 8, -2.0), (3, 5, -1.3)])
+    def test_a_field_is_exactly_symmetric(self, d, n, gamma, method, periodic):
+        f = random_density(d, n)
+        p = LandauParams(d=d, gamma=gamma, a_const=1.7)
+        a = landau_a_field(f, p, method=method, periodic=periodic)
+        assert np.array_equal(a, np.swapaxes(a, -1, -2))
+        assert np.array_equal(a, oracle.landau_a_field(f, p, method=method, periodic=periodic))
+
+    @pytest.mark.parametrize("d, n, gamma", [(1, 32, -1.0), (2, 16, -1.3), (3, 8, -3.0),
+                                             (3, 8, -2.0), (3, 9, 0.0)])
+    def test_bounds_report(self, monkeypatch, d, n, gamma):
+        f = maxwellian(VelocityGrid(v_max=5.0, n=n, d=d))
+        p = LandauParams(d=d, gamma=gamma)
+        bounds = MomentBounds(m1=0.5, m0=2.0, e0=2.0, h0=0.0)
+        fast = check_coefficient_bounds(f, p, bounds)
+        monkeypatch.setattr(landau, "convolve_fft", oracle.convolve_fft)
+        monkeypatch.setattr(landau, "landau_a_field", oracle.landau_a_field)
+        assert fast == check_coefficient_bounds(f, p, bounds)
 
 
 class TestBoundsChecks:
