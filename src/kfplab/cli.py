@@ -162,8 +162,8 @@ def _cmd_landau(cfg: dict, args) -> int:
         raise ConfigError("config has no landau section")
     d = section.get("d", 3)
     try:
+        iteration.kappa_exponent(section["gamma"], d)  # the bound check covers gamma in [-d, 0] only
         params = LandauParams(d=d, **given(section, "gamma", "a_const", "b_const", "c_const"))
-        iteration.kappa_exponent(params.gamma, d)  # the bound check covers gamma in [-d, 0] only
         bounds = MomentBounds(**section.get("bounds", {"m1": 0.1, "m0": 10.0, "e0": 10.0, "h0": 10.0}))
         if "input" in section:
             values, v_max = read_velocity_profile(section["input"])

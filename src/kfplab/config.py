@@ -106,7 +106,7 @@ SCHEMA = {
     "probes": [Pick("name", None, {name: {"center": _POINT, **keys} for name, keys in _PROBES.items()})],
     "output": {"dir": str},
     "landau": {
-        "input": str, "gamma": Req(float), "d": int,
+        "input": str, "gamma": Req(float), "d": Min(int, 2),
         "a_const": float, "b_const": float, "c_const": float,
         "profile": {"v_max": float, "n": int, "sigma": float},
         "bounds": dict.fromkeys(("m1", "m0", "e0", "h0"), Req(float)),

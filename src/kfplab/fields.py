@@ -447,12 +447,15 @@ class CertReport:
         }
 
 
+# relative slack of the certificate's eigenvalue, drift and source checks
+_CERTIFY_RTOL = 1e-9
+
+
 def certify_field(
     field_in: CoefficientField,
     n_samples: int = 512,
     box: tuple[tuple[float, float], ...] = ((-1.0, 1.0), (-1.0, 1.0), (-1.0, 0.0)),
     seed: int = 0,
-    rtol: float = 1e-9,
 ) -> CertReport:
     """Sample the field and check eigenvalues, |B| and |s| against the bounds.
 
@@ -476,13 +479,13 @@ def certify_field(
     s = np.abs(field_in.s(xs, vs, ts))
 
     lam, big = field_in.bounds.lam, field_in.bounds.big_lam
-    tol_lo = lam * (1.0 - rtol)
-    tol_hi = big * (1.0 + rtol)
+    tol_lo = lam * (1.0 - _CERTIFY_RTOL)
+    tol_hi = big * (1.0 + _CERTIFY_RTOL)
     bad = (
         (eigs.min(axis=-1) < tol_lo)
         | (eigs.max(axis=-1) > tol_hi)
         | (b_norm > tol_hi)
-        | (s > field_in.s_bound * (1.0 + rtol) + 1e-300)
+        | (s > field_in.s_bound * (1.0 + _CERTIFY_RTOL) + 1e-300)
     )
     witness = None
     if np.any(bad):

@@ -74,17 +74,6 @@ class VelocityGrid:
         axes = np.meshgrid(*([self.axis()] * self.d), indexing="ij")
         return np.stack([a.ravel() for a in axes], axis=-1)
 
-    def index_of(self, v) -> tuple[int, ...]:
-        """Index of a grid point; raises if v is not a node of the grid."""
-        v = np.atleast_1d(np.asarray(v, dtype=float))
-        if v.size != self.d:
-            raise ValueError(f"point has dimension {v.size}, grid has {self.d}")
-        raw = (v + self.v_max) / self.h - 0.5
-        idx = np.rint(raw).astype(int)
-        if np.any(idx < 0) or np.any(idx >= self.n) or np.any(np.abs(raw - idx) > 1e-9):
-            raise ValueError(f"{v} is not a grid point of [-{self.v_max}, {self.v_max}]^{self.d}")
-        return tuple(int(i) for i in idx)
-
 
 @dataclass(frozen=True)
 class VelocityGridFunction:
@@ -104,11 +93,11 @@ class VelocityGridFunction:
         object.__setattr__(self, "values", vals)
 
 
-def maxwellian(grid: VelocityGrid, sigma: float = 1.0, mass: float = 1.0) -> VelocityGridFunction:
+def maxwellian(grid: VelocityGrid, sigma: float = 1.0) -> VelocityGridFunction:
     """Isotropic Gaussian density with unit-integral normalisation in the limit."""
     pts = grid.points()
     sq = np.einsum("ij,ij->i", pts, pts)
-    vals = mass * np.exp(-sq / (2.0 * sigma**2)) / (2.0 * math.pi * sigma**2) ** (grid.d / 2.0)
+    vals = np.exp(-sq / (2.0 * sigma**2)) / (2.0 * math.pi * sigma**2) ** (grid.d / 2.0)
     return VelocityGridFunction(grid, vals.reshape((grid.n,) * grid.d))
 
 
@@ -209,11 +198,11 @@ def kernel_c(grid: VelocityGrid, params: LandauParams) -> np.ndarray:
     return vals
 
 
-def convolve_direct(f: VelocityGridFunction, kernel: np.ndarray, periodic: bool = False) -> np.ndarray:
-    """O(N^2) summation oracle: out[i] = h^d sum_k kernel(k) f[i - k].
+def convolve_direct(f: VelocityGridFunction, kernel: np.ndarray) -> np.ndarray:
+    """O(N^2) reference sum: out[i] = h^d sum_k kernel(k) f[i - k].
 
     ``kernel`` lives on the offset lattice (2n-1 per axis, trailing component
-    axes allowed).  Zero padding outside the box unless ``periodic``.
+    axes allowed); f is zero outside the box.
     """
     grid, vals = f.grid, f.values
     n, d = grid.n, grid.d
@@ -224,26 +213,19 @@ def convolve_direct(f: VelocityGridFunction, kernel: np.ndarray, periodic: bool 
         kv = kernel[idx]
         if not np.any(kv):
             continue
-        if periodic:
-            shifted = np.roll(vals, shift=offs, axis=tuple(range(d)))
-        else:
-            shifted = np.zeros_like(vals)
-            src = tuple(
-                slice(max(0, -o), n - max(0, o)) for o in offs
-            )
-            dst = tuple(
-                slice(max(0, o), n - max(0, -o)) for o in offs
-            )
-            shifted[dst] = vals[src]
+        shifted = np.zeros_like(vals)
+        src = tuple(slice(max(0, -o), n - max(0, o)) for o in offs)
+        dst = tuple(slice(max(0, o), n - max(0, -o)) for o in offs)
+        shifted[dst] = vals[src]
         out += shifted[(...,) + (None,) * len(comp_shape)] * kv
     return out * grid.cell_volume
 
 
-def convolve_fft(f: VelocityGridFunction, kernel: np.ndarray, periodic: bool = False) -> np.ndarray:
+def convolve_fft(f: VelocityGridFunction, kernel: np.ndarray) -> np.ndarray:
     """FFT evaluation of the same lattice convolution as ``convolve_direct``.
 
-    The non-periodic branch is the "valid" part of the linear convolution with
-    zero padding to L = ``next_fast_len(3n - 2)`` per axis, bitwise what
+    The "valid" part of the linear convolution with zero padding to
+    L = ``next_fast_len(3n - 2)`` per axis, bitwise what
     ``scipy.signal.fftconvolve(vals, ker, mode="valid")`` returns.  The
     density is transformed once per call; each kernel component goes through
     ``_valid_convolution``, which skips the padding.
@@ -252,21 +234,10 @@ def convolve_fft(f: VelocityGridFunction, kernel: np.ndarray, periodic: bool = F
     n, d = grid.n, grid.d
     comp_shape = kernel.shape[d:]
     out = np.empty(vals.shape + comp_shape)
-    if periodic:
-        fhat = sp_fft.fftn(vals)
-        fold = tuple(np.meshgrid(*[np.arange(-(n - 1), n) % n] * d, indexing="ij"))
-    else:
-        size = sp_fft.next_fast_len(3 * n - 2, True)
-        vhat = sp_fft.rfftn(vals, [size] * d)
+    size = sp_fft.next_fast_len(3 * n - 2, True)
+    vhat = sp_fft.rfftn(vals, [size] * d)
     for comp in itertools.product(*[range(s) for s in comp_shape]):
-        ker = kernel[(...,) + comp]
-        if periodic:
-            folded = np.zeros_like(vals)
-            np.add.at(folded, fold, ker)
-            conv = sp_fft.ifftn(fhat * sp_fft.fftn(folded)).real
-        else:
-            conv = _valid_convolution(vhat, ker, size, n)
-        out[(...,) + comp] = conv
+        out[(...,) + comp] = _valid_convolution(vhat, kernel[(...,) + comp], size, n)
     return out * grid.cell_volume
 
 
@@ -291,56 +262,25 @@ def _valid_convolution(vhat: np.ndarray, ker: np.ndarray, size: int, n: int) -> 
     return conv * (1.0 / size**d)
 
 
-def landau_a_field(
-    f: VelocityGridFunction,
-    params: LandauParams,
-    method: str = "fft",
-    periodic: bool = False,
-) -> np.ndarray:
+def landau_a_field(f: VelocityGridFunction, params: LandauParams) -> np.ndarray:
     """Diffusion matrices A[f] at every grid point, shape (n, ..., n, d, d)."""
     _check_dims(f, params)
-    conv = convolve_fft if method == "fft" else convolve_direct
-    upper = params.a_const * conv(f, _kernel_a_upper(f.grid, params), periodic=periodic)
+    upper = params.a_const * convolve_fft(f, _kernel_a_upper(f.grid, params))
     return _from_upper(upper, params.d)
 
 
-def landau_b_field(
-    f: VelocityGridFunction,
-    params: LandauParams,
-    method: str = "fft",
-    periodic: bool = False,
-) -> np.ndarray:
+def landau_b_field(f: VelocityGridFunction, params: LandauParams) -> np.ndarray:
     """Drift vectors B[f] at every grid point, shape (n, ..., n, d)."""
     _check_dims(f, params)
-    conv = convolve_fft if method == "fft" else convolve_direct
-    return params.b_const * conv(f, kernel_b(f.grid, params), periodic=periodic)
+    return params.b_const * convolve_fft(f, kernel_b(f.grid, params))
 
 
-def landau_c_field(
-    f: VelocityGridFunction,
-    params: LandauParams,
-    method: str = "fft",
-    periodic: bool = False,
-) -> np.ndarray:
+def landau_c_field(f: VelocityGridFunction, params: LandauParams) -> np.ndarray:
     """Reaction coefficients c[f]; pointwise c f in the Coulomb-type case gamma = -d."""
     _check_dims(f, params)
     if params.gamma == -params.d:
         return params.c_const * f.values.copy()
-    conv = convolve_fft if method == "fft" else convolve_direct
-    return params.c_const * conv(f, kernel_c(f.grid, params), periodic=periodic)
-
-
-def landau_a(f: VelocityGridFunction, params: LandauParams, v) -> np.ndarray:
-    """A[f] at one grid point v."""
-    return landau_a_field(f, params)[f.grid.index_of(v)]
-
-
-def landau_c(f: VelocityGridFunction, params: LandauParams, v) -> float:
-    """c[f] at one grid point v (exactly c_const * f(v) when gamma = -d)."""
-    idx = f.grid.index_of(v)
-    if params.gamma == -params.d:
-        return float(params.c_const * f.values[idx])
-    return float(landau_c_field(f, params)[idx])
+    return params.c_const * convolve_fft(f, kernel_c(f.grid, params))
 
 
 def _check_dims(f: VelocityGridFunction, params: LandauParams) -> None:

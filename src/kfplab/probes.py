@@ -306,7 +306,6 @@ def oscillation(traj: Trajectory, region) -> float:
 def holder_fit(
     traj: Trajectory,
     z1: KineticPoint,
-    theta: float | None = None,
     omega: float = 0.25,
     k_levels: int = 4,
     r_base: float | None = None,
@@ -356,8 +355,6 @@ def holder_fit(
         for i, (r, o) in enumerate(levels, start=1):
             constants[f"r_{i}"] = float(r)
             constants[f"osc_{i}"] = float(o)
-        if theta is not None:
-            constants["alpha_target"] = holder_alpha(theta, omega)
     return ProbeReport(
         name="holder",
         params={"omega": omega, "k_levels": k_levels, "r_base": float(r_base)},
@@ -660,14 +657,18 @@ def fractional_seminorm(
     return float(n_pts * (n_pts - 1) * contrib.mean())
 
 
+# the Gehring scan: inner radii r0/4 * 2^-j, time shifts per radius, and the
+# cap on the fitted integrability gain epsilon
+_GEHRING_RADII = 3
+_GEHRING_TIME_SHIFTS = 3
+_GEHRING_EPS_CAP = 1.0
+
+
 def gehring_probe(
     traj: Trajectory,
     q: float,
     q0: Cylinder,
     theta: float = 0.5,
-    n_radii: int = 3,
-    n_time_shifts: int = 3,
-    eps_cap: float = 1.0,
 ) -> ProbeReport:
     """Reverse-Hoelder scan of g = |grad_v f|^2 on cube cylinders.
 
@@ -688,10 +689,10 @@ def gehring_probe(
     r0 = q0.radius
 
     scan: list[tuple[Cylinder, Cylinder]] = []
-    for j in range(n_radii):
+    for j in range(_GEHRING_RADII):
         r_small = r0 / 4.0 * 0.5**j
-        for k in range(n_time_shifts):
-            t_c = c.t - (r0**2 - (4.0 * r_small) ** 2) * k / max(1, n_time_shifts - 1)
+        for k in range(_GEHRING_TIME_SHIFTS):
+            t_c = c.t - (r0**2 - (4.0 * r_small) ** 2) * k / (_GEHRING_TIME_SHIFTS - 1)
             center = KineticPoint(c.x, c.v, t_c)
             inner = Cylinder(center, r_small, CylinderShape.CUBE)
             outer = Cylinder(center, 4.0 * r_small, CylinderShape.CUBE)
@@ -728,7 +729,7 @@ def gehring_probe(
     q_1 = sample_region(traj, Cylinder(c, 0.75 * r0))
     g_all = np.sort(np.concatenate([grad(piece.n)[piece.mask] for piece in q_2]))[::-1]
     positive = g_all[g_all > 0.0]
-    eps_emp = eps_cap
+    eps_emp = _GEHRING_EPS_CAP
     if positive.size >= 16:
         m = max(8, positive.size // 10)
         lam = positive[:m]
@@ -738,7 +739,7 @@ def gehring_probe(
             slope, _ = np.polyfit(np.log(lam), np.log(survival), 1)
             a_tail = -slope
             if a_tail > 1.0:
-                eps_emp = float(min(eps_cap, 2.0 * (a_tail - 1.0)))
+                eps_emp = float(min(_GEHRING_EPS_CAP, 2.0 * (a_tail - 1.0)))
             else:
                 eps_emp = 0.0
 

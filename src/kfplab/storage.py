@@ -11,11 +11,12 @@ from __future__ import annotations
 import hashlib
 import json
 import shutil
+import typing
 from pathlib import Path
 
 import numpy as np
 
-from .fields import CoefficientField, field_from_descriptor
+from .fields import field_from_descriptor
 from .trajectory import EnergyLedger, LedgerRow, PhaseGrid, Trajectory
 
 SCHEMA_VERSION = 1
@@ -80,23 +81,14 @@ def read_ledger(path) -> EnergyLedger:
     lines = Path(path).read_text().strip().splitlines()
     if not lines or lines[0] != ",".join(EnergyLedger.FIELDS):
         raise ValueError(f"{path} does not start with the ledger header")
+    kinds = typing.get_type_hints(LedgerRow)
     rows = []
     for i, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
         if len(parts) != len(EnergyLedger.FIELDS):
             raise ValueError(f"{path} line {i} has {len(parts)} fields, not {len(EnergyLedger.FIELDS)}")
-        rows.append(
-            LedgerRow(
-                step=int(parts[0]),
-                time=float(parts[1]),
-                mass=float(parts[2]),
-                l2=float(parts[3]),
-                fmin=float(parts[4]),
-                fmax=float(parts[5]),
-                gradv_l2=float(parts[6]),
-                source_l2=float(parts[7]),
-            )
-        )
+        rows.append(LedgerRow(**{name: kinds[name](part)
+                                 for name, part in zip(EnergyLedger.FIELDS, parts)}))
     return EnergyLedger(tuple(rows))
 
 
@@ -145,7 +137,7 @@ def save_trajectory(out_dir, traj: Trajectory, seed: int, digest: str) -> None:
     shutil.rmtree(retired, ignore_errors=True)
 
 
-def load_trajectory(out_dir, field: CoefficientField | None = None) -> Trajectory:
+def load_trajectory(out_dir) -> Trajectory:
     """Rebuild a trajectory from stored snapshots (field from its descriptor)."""
     out = Path(out_dir)
     meta = json.loads((out / "run_meta.json").read_text())
@@ -161,8 +153,8 @@ def load_trajectory(out_dir, field: CoefficientField | None = None) -> Trajector
             nv=int(gm["nv"]),
         )
         n_snapshots = meta["n_snapshots"]
-        if field is None and meta.get("field_descriptor"):
-            field = field_from_descriptor(meta["field_descriptor"])
+        descriptor = meta.get("field_descriptor")
+        field = field_from_descriptor(descriptor) if descriptor else None
     except KeyError as exc:
         raise ValueError(f"run_meta.json in {out} lacks the key {exc}") from exc
     snaps = sorted((out / "snapshots").glob("snap_*.kfs"))

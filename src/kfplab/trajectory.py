@@ -11,7 +11,7 @@ with the group action.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import reduce
 from typing import Callable
 
@@ -108,19 +108,15 @@ class EnergyLedger:
 
     rows: tuple[LedgerRow, ...]
 
-    FIELDS = ("step", "time", "mass", "l2", "fmin", "fmax", "gradv_l2", "source_l2")
+    FIELDS = tuple(f.name for f in fields(LedgerRow))
 
     def column(self, name: str) -> np.ndarray:
         return np.array([getattr(r, name) for r in self.rows])
 
     def csv_lines(self) -> list[str]:
-        lines = [",".join(self.FIELDS)]
-        for r in self.rows:
-            lines.append(
-                f"{r.step},{r.time!r},{r.mass!r},{r.l2!r},{r.fmin!r},{r.fmax!r},"
-                f"{r.gradv_l2!r},{r.source_l2!r}"
-            )
-        return lines
+        return [",".join(self.FIELDS)] + [
+            ",".join(repr(getattr(r, name)) for name in self.FIELDS) for r in self.rows
+        ]
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,8 @@
 
 ``convolve_fft`` transforms every kernel component over the whole zero-padded
 box with ``rfftn`` and inverts it with ``irfftn`` before slicing out the valid
-part, and its periodic branch rebuilds the fold indices for every component;
-``kernel_a`` builds all d^2 components, and ``landau_a_field`` convolves each
-of them and then symmetrises.  Each is the arithmetic the fast path must
+part; ``kernel_a`` builds all d^2 components, and ``landau_a_field`` convolves
+each of them and then symmetrises.  Each is the arithmetic the fast path must
 reproduce bitwise.
 """
 
@@ -20,7 +19,6 @@ from kfplab.landau import (
     VelocityGrid,
     VelocityGridFunction,
     _offset_lattice,
-    convolve_direct,
 )
 
 
@@ -35,37 +33,20 @@ def kernel_a(grid: VelocityGrid, params: LandauParams) -> np.ndarray:
     return proj * radial[..., None, None]
 
 
-def convolve_fft(f: VelocityGridFunction, kernel: np.ndarray, periodic: bool = False) -> np.ndarray:
+def convolve_fft(f: VelocityGridFunction, kernel: np.ndarray) -> np.ndarray:
     grid, vals = f.grid, f.values
     n, d = grid.n, grid.d
     comp_shape = kernel.shape[d:]
     out = np.empty(vals.shape + comp_shape)
-    if periodic:
-        fhat = sp_fft.fftn(vals)
-    else:
-        fshape = [sp_fft.next_fast_len(3 * n - 2, True)] * d
-        vhat = sp_fft.rfftn(vals, fshape)
-        valid = (slice(n - 1, 2 * n - 1),) * d
+    fshape = [sp_fft.next_fast_len(3 * n - 2, True)] * d
+    vhat = sp_fft.rfftn(vals, fshape)
+    valid = (slice(n - 1, 2 * n - 1),) * d
     for comp in itertools.product(*[range(s) for s in comp_shape]):
         ker = kernel[(...,) + comp]
-        if periodic:
-            folded = np.zeros_like(vals)
-            idx_axes = [np.arange(-(n - 1), n) % n for _ in range(d)]
-            mesh = np.meshgrid(*idx_axes, indexing="ij")
-            np.add.at(folded, tuple(mesh), ker)
-            conv = sp_fft.ifftn(fhat * sp_fft.fftn(folded)).real
-        else:
-            conv = sp_fft.irfftn(sp_fft.rfftn(ker, fshape) * vhat, fshape)[valid]
-        out[(...,) + comp] = conv
+        out[(...,) + comp] = sp_fft.irfftn(sp_fft.rfftn(ker, fshape) * vhat, fshape)[valid]
     return out * grid.cell_volume
 
 
-def landau_a_field(
-    f: VelocityGridFunction,
-    params: LandauParams,
-    method: str = "fft",
-    periodic: bool = False,
-) -> np.ndarray:
-    conv = convolve_fft if method == "fft" else convolve_direct
-    out = params.a_const * conv(f, kernel_a(f.grid, params), periodic=periodic)
+def landau_a_field(f: VelocityGridFunction, params: LandauParams) -> np.ndarray:
+    out = params.a_const * convolve_fft(f, kernel_a(f.grid, params))
     return 0.5 * (out + np.swapaxes(out, -1, -2))

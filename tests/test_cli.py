@@ -275,6 +275,7 @@ MALFORMED = {
     "landau_input_and_profile": ("landau", ("landau",),
                                  {"gamma": -3.0, "input": "f.kvg", "profile": {"n": 8}}),
     "landau_hard_potential": ("landau", ("landau",), {"gamma": 0.5, "profile": {"n": 8}}),
+    "landau_one_dimension": ("landau", ("landau",), {"gamma": -0.5, "d": 1, "profile": {"n": 64}}),
     "geometry_negative_selfchecks": ("geometry", ("geometry",), {"n_selfchecks": -1}),
     "fractional_zero_pairs": ("run", ("probes",),
                               [{"name": "fractional", "s_order": 0.5, "r": 0.3, "n_pairs": 0}]),
@@ -285,6 +286,7 @@ MALFORMED = {
 
 
 @pytest.mark.parametrize("command, path, value", MALFORMED.values(), ids=list(MALFORMED))
+@pytest.mark.filterwarnings("error")
 def test_malformed_config_exits_two(tmp_path, capsys, command, path, value):
     out = tmp_path / "out"
     config = base_config(out)
