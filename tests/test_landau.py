@@ -179,6 +179,23 @@ class TestCoefficientFields:
             split = fn(fa, p) + fn(fb, p)
             assert np.max(np.abs(combined - split)) <= 1e-12 * max(1.0, np.max(np.abs(split)))
 
+    def test_translation_covariance_periodic(self):
+        # A vanishes in d = 1 and c is the total mass at gamma = 0; B carries the check
+        g = VelocityGrid(v_max=3.0, n=16, d=1)
+        p = LandauParams(d=1, gamma=0.0)
+        rng = np.random.default_rng(2)
+        vals = rng.uniform(size=16)
+        for kernel in (kernel_a, kernel_b, kernel_c):
+
+            def periodic_conv(values):
+                f = VelocityGridFunction(g, values)
+                wide, ker = oracle.periodic_extension(f, kernel(g, p))
+                return oracle.middle_tile(convolve_fft(wide, ker), g.n, g.d)
+
+            out = periodic_conv(vals)
+            out_shift = periodic_conv(np.roll(vals, 1))
+            assert np.allclose(np.roll(out, 1, axis=0), out_shift, atol=1e-12)
+
     def test_coulomb_case_is_pointwise(self):
         g = VelocityGrid(v_max=3.0, n=16, d=2)
         p = LandauParams(d=2, gamma=-2.0, c_const=1.7)
@@ -233,11 +250,22 @@ def random_density(d, n, seed=7):
 class TestAgainstOracle:
     """The fast convolution and A field reproduce ``landau_oracle`` bit for bit."""
 
+    @pytest.mark.parametrize("periodic", [False, True])
     @pytest.mark.parametrize("d, n, kernel, gamma", ORACLE_CASES)
-    def test_convolve_fft(self, d, n, kernel, gamma):
+    def test_convolve_fft(self, d, n, kernel, gamma, periodic):
+        # periodic: the one zero-padded path, run on the periodic extension,
+        # gives the image sum over the torus, up to rounding on the sum of |terms|
         f = random_density(d, n)
         ker = kernel(f.grid, LandauParams(d=d, gamma=gamma))
-        assert np.array_equal(convolve_fft(f, ker), oracle.convolve_fft(f, ker))
+        if periodic:
+            torus = oracle.convolve_periodic(f, ker)
+            scale = np.max(oracle.convolve_periodic(f, np.abs(ker)))
+            f, ker = oracle.periodic_extension(f, ker)
+        out = convolve_fft(f, ker)
+        assert np.array_equal(out, oracle.convolve_fft(f, ker))
+        if periodic:
+            tile = oracle.middle_tile(out, n, d)
+            assert np.max(np.abs(tile - torus)) <= 1e-12 * scale
 
     @pytest.mark.parametrize("d, gamma", [(1, -1.0), (2, -1.3), (3, -3.0), (3, 0.5)])
     def test_kernel_a(self, d, gamma):
@@ -245,13 +273,24 @@ class TestAgainstOracle:
         p = LandauParams(d=d, gamma=gamma)
         assert np.array_equal(kernel_a(g, p), oracle.kernel_a(g, p))
 
+    @pytest.mark.parametrize("periodic", [False, True])
+    @pytest.mark.parametrize("method", ["fft", "direct"])
     @pytest.mark.parametrize("d, n, gamma", [(1, 17, -0.5), (2, 8, -2.0), (3, 5, -1.3)])
-    def test_a_field_is_exactly_symmetric(self, d, n, gamma):
+    def test_a_field_is_exactly_symmetric(self, d, n, gamma, method, periodic):
+        # landau_a_field is the fft path on f; the others are its reference sum
+        # and both paths on the periodic extension of f
         f = random_density(d, n)
         p = LandauParams(d=d, gamma=gamma, a_const=1.7)
-        a = landau_a_field(f, p)
+        if method == "fft" and not periodic:
+            a = landau_a_field(f, p)
+        else:
+            conv = convolve_fft if method == "fft" else convolve_direct
+            g, ker = f, kernel_a(f.grid, p)
+            if periodic:
+                g, ker = oracle.periodic_extension(f, ker)
+            a = p.a_const * conv(g, ker)
         assert np.array_equal(a, np.swapaxes(a, -1, -2))
-        assert np.array_equal(a, oracle.landau_a_field(f, p))
+        assert np.array_equal(a, oracle.landau_a_field(f, p, method=method, periodic=periodic))
 
     @pytest.mark.parametrize("d, n, gamma", [(1, 32, -1.0), (2, 16, -1.3), (3, 8, -3.0),
                                              (3, 8, -2.0), (3, 9, 0.0)])
