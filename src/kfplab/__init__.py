@@ -17,7 +17,7 @@ from .geometry import (
     verify_covering,
 )
 from .landau import LandauParams, MomentBounds, VelocityGrid, VelocityGridFunction, moments
-from .solver import SolverConfig, kolmogorov_oracle, solve, step
+from .solver import SolverConfig, solve, step
 from .trajectory import PhaseGrid, PhaseGridFunction, Trajectory
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "VelocityGridFunction",
     "certify_field",
     "iterated_cylinder",
-    "kolmogorov_oracle",
     "moments",
     "sample_field",
     "scale_point",

@@ -449,24 +449,25 @@ class CertReport:
 
 # relative slack of the certificate's eigenvalue, drift and source checks
 _CERTIFY_RTOL = 1e-9
+# sample points of one certificate
+_CERTIFY_SAMPLES = 512
 
 
 def certify_field(
     field_in: CoefficientField,
-    n_samples: int = 512,
     box: tuple[tuple[float, float], ...] = ((-1.0, 1.0), (-1.0, 1.0), (-1.0, 0.0)),
     seed: int = 0,
 ) -> CertReport:
     """Sample the field and check eigenvalues, |B| and |s| against the bounds.
 
     ``box`` gives (lo, hi) per group (x, v, t); the x/v windows apply to every
-    component.  The points are ``geometry.halton(2 d + 1, n_samples, seed)``, a
-    scrambled Halton sequence drawn from ``np.random.default_rng(seed)``:
-    columns 0..d-1 give x, d..2d-1 give v and column 2d gives t.  The verdict
-    is "ok" or "violated" with a witness point.
+    component.  The points are ``geometry.halton(2 d + 1, _CERTIFY_SAMPLES,
+    seed)``, a scrambled Halton sequence drawn from
+    ``np.random.default_rng(seed)``: columns 0..d-1 give x, d..2d-1 give v and
+    column 2d gives t.  The verdict is "ok" or "violated" with a witness point.
     """
     d = field_in.d
-    u = halton(2 * d + 1, n_samples, seed)
+    u = halton(2 * d + 1, _CERTIFY_SAMPLES, seed)
     (x_lo, x_hi), (v_lo, v_hi), (t_lo, t_hi) = box
     xs = x_lo + (x_hi - x_lo) * u[:, :d]
     vs = v_lo + (v_hi - v_lo) * u[:, d : 2 * d]
@@ -492,7 +493,7 @@ def certify_field(
         i = int(np.flatnonzero(bad)[0])
         witness = tuple(xs[i]) + tuple(vs[i]) + (float(ts[i]),)
     return CertReport(
-        n_samples=n_samples,
+        n_samples=_CERTIFY_SAMPLES,
         min_eig=float(eigs.min()),
         max_eig=float(eigs.max()),
         max_drift=float(b_norm.max()),

@@ -60,13 +60,6 @@ class KineticPoint:
         """Build a point from scalars or sequences (scalars mean d = 1)."""
         return KineticPoint(np.atleast_1d(x), np.atleast_1d(v), t)
 
-    def isclose(self, other: "KineticPoint", tol: float = 1e-12) -> bool:
-        return (
-            bool(np.all(np.abs(self.x - other.x) <= tol))
-            and bool(np.all(np.abs(self.v - other.v) <= tol))
-            and abs(self.t - other.t) <= tol
-        )
-
 
 @dataclass(frozen=True)
 class GalileanTransform:

@@ -14,28 +14,13 @@ import numpy as np
 def exponent_sum(alpha: float, n: int) -> float:
     """Closed form of n + alpha (n-1) + ... + alpha^{n-1}.
 
-    Equals (alpha (alpha^n - 1) - n (alpha - 1)) / (alpha - 1)^2 and must match
-    the direct summation ``exponent_sum_direct``.
+    Equals (alpha (alpha^n - 1) - n (alpha - 1)) / (alpha - 1)^2.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if alpha == 1.0:
         raise ValueError("alpha = 1 is degenerate; the limit value is n (n + 1) / 2")
     return (alpha * (alpha**n - 1.0) - n * (alpha - 1.0)) / (alpha - 1.0) ** 2
-
-
-def exponent_sum_direct(alpha: float, n: int) -> float:
-    """Direct-summation oracle for ``exponent_sum``."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return float(sum(alpha**j * (n - j) for j in range(n)))
-
-
-def exponent_sum_bound(alpha: float, n: int) -> float:
-    """The dominating bound (alpha / (alpha - 1)^2) alpha^n, valid for alpha > 1."""
-    if alpha <= 1.0:
-        raise ValueError(f"bound requires alpha > 1, got {alpha}")
-    return alpha / (alpha - 1.0) ** 2 * alpha**n
 
 
 @dataclass(frozen=True)
@@ -57,8 +42,13 @@ class DeGiorgiReport:
         return np.exp(self.bound_log)
 
 
-def degiorgi_threshold(beta: float, alpha: float, v0: float, n_terms: int = 30) -> DeGiorgiReport:
-    """Evaluate the level-set recursion V_n = beta^n V_{n-1}^alpha and its bound.
+# terms of the level-set recursion that ``degiorgi_threshold`` evaluates
+_DEGIORGI_TERMS = 30
+
+
+def degiorgi_threshold(beta: float, alpha: float, v0: float) -> DeGiorgiReport:
+    """Evaluate the level-set recursion V_n = beta^n V_{n-1}^alpha and its bound
+    for n = 0 .. ``_DEGIORGI_TERMS``.
 
     Returns gamma = beta^{alpha/(alpha-1)^2} V_0, the verdict
     ("converges" iff gamma < 1), and both sequences in log space so that the
@@ -71,17 +61,15 @@ def degiorgi_threshold(beta: float, alpha: float, v0: float, n_terms: int = 30) 
         raise ValueError(f"beta must be >= 1, got {beta}")
     if v0 < 0.0:
         raise ValueError(f"V0 must be >= 0, got {v0}")
-    if n_terms < 1:
-        raise ValueError("n_terms must be >= 1")
 
     exponent = alpha / (alpha - 1.0) ** 2
     log_gamma = exponent * math.log(beta) + (math.log(v0) if v0 > 0 else -math.inf)
     gamma = math.exp(log_gamma) if log_gamma < 700 else math.inf
 
-    ns = np.arange(n_terms + 1)
+    ns = np.arange(_DEGIORGI_TERMS + 1)
     if v0 == 0.0:
-        direct_log = np.full(n_terms + 1, -np.inf)
-        bound_log = np.full(n_terms + 1, -np.inf)
+        direct_log = np.full(ns.size, -np.inf)
+        bound_log = np.full(ns.size, -np.inf)
     else:
         # exact recursion: log V_n = S_n log beta + alpha^n log V_0; the bound
         # alpha^n log gamma exceeds it by (alpha^n exponent - S_n) log beta,
@@ -153,12 +141,3 @@ def kappa_exponent(gamma: float, d: int) -> float:
         return (d - 1) * (gamma + 2.0) + gamma
     return 3.0 * gamma + 2.0
 
-
-def smallest_doubling_count(nu: float, d: int = 1) -> int:
-    """Smallest k with k nu > |B_1 x B_1 x (-2, 0]| (nu is a free parameter)."""
-    if nu <= 0:
-        raise ValueError(f"nu must be positive, got {nu}")
-    from .geometry import unit_ball_volume
-
-    volume = unit_ball_volume(d) ** 2 * 2.0
-    return int(math.floor(volume / nu)) + 1

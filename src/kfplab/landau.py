@@ -198,31 +198,9 @@ def kernel_c(grid: VelocityGrid, params: LandauParams) -> np.ndarray:
     return vals
 
 
-def convolve_direct(f: VelocityGridFunction, kernel: np.ndarray) -> np.ndarray:
-    """O(N^2) reference sum: out[i] = h^d sum_k kernel(k) f[i - k].
-
-    ``kernel`` lives on the offset lattice (2n-1 per axis, trailing component
-    axes allowed); f is zero outside the box.
-    """
-    grid, vals = f.grid, f.values
-    n, d = grid.n, grid.d
-    comp_shape = kernel.shape[d:]
-    out = np.zeros(vals.shape + comp_shape)
-    for idx in itertools.product(range(2 * n - 1), repeat=d):
-        offs = tuple(i - (n - 1) for i in idx)
-        kv = kernel[idx]
-        if not np.any(kv):
-            continue
-        shifted = np.zeros_like(vals)
-        src = tuple(slice(max(0, -o), n - max(0, o)) for o in offs)
-        dst = tuple(slice(max(0, o), n - max(0, -o)) for o in offs)
-        shifted[dst] = vals[src]
-        out += shifted[(...,) + (None,) * len(comp_shape)] * kv
-    return out * grid.cell_volume
-
-
 def convolve_fft(f: VelocityGridFunction, kernel: np.ndarray) -> np.ndarray:
-    """FFT evaluation of the same lattice convolution as ``convolve_direct``.
+    """FFT evaluation of the lattice convolution
+    out[i] = h^d sum_k kernel(k) f[i - k], with f zero outside the box.
 
     The "valid" part of the linear convolution with zero padding to
     L = ``next_fast_len(3n - 2)`` per axis, bitwise what

@@ -213,13 +213,6 @@ def _norm(sample: list[RegionSlice], p, normalized: bool = False) -> float:
     return total ** (1.0 / p)
 
 
-def grid_measure(traj: Trajectory, region) -> float:
-    """Counting-measure x cell-volume x time-weight measure of the region."""
-    traj, region = _native(traj, region)
-    cell = traj.grid.cell_volume
-    return float(sum(piece.mask.sum() * cell * piece.tw for piece in sample_region(traj, region)))
-
-
 def gain_probe(traj: Trajectory, q_int: Cylinder, q_ext: Cylinder) -> ProbeReport:
     """Empirical constant of the integrability gain on nested cylinders.
 
@@ -751,7 +744,6 @@ def gehring_probe(
         params={"q": q, "theta": theta, "r0": r0, "n_scanned": len(scan)},
         constants={
             "b_emp": b_emp,
-            "theta_emp": theta,
             "epsilon_emp": eps_emp,
             "l2eps_ratio": ratio,
             "b_arg_radius": math.nan if b_arg is None else b_arg[0],

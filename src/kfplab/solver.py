@@ -2,7 +2,7 @@
 
     df/dt + v . grad_x f = div_v (A grad_v f) + B . grad_v f + s
 
-on a periodic-in-x box with no-flux (or periodic) velocity walls.
+on a periodic-in-x box with no-flux velocity walls.
 
 The splitting pairs the skew-symmetric transport with the velocity-elliptic
 collision operator: each Strang step does a transport half-step, an implicit
@@ -33,7 +33,6 @@ from .trajectory import (
 )
 
 SCHEMES = ("semi_lagrangian", "upwind")
-BOUNDARIES = ("periodic_x_noflux_v", "periodic_both")
 _CHUNK_NODES = 2**14   # d = 2 assembly works on cells of at most this many nodes at once
 
 
@@ -45,7 +44,6 @@ class SolverConfig:
     dt: float
     t_end: float
     field: CoefficientField
-    boundary: str = "periodic_x_noflux_v"
     scheme: str = "semi_lagrangian"
     snapshot_stride: int = 1
     snapshot_tail: float = 0.0   # additionally keep every step in (t_end - tail, t_end]
@@ -55,8 +53,6 @@ class SolverConfig:
             raise ValueError("dt and t_end must be positive")
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}")
-        if self.boundary not in BOUNDARIES:
-            raise ValueError(f"boundary must be one of {BOUNDARIES}")
         if self.field.d != self.grid.d:
             raise ValueError("field dimension does not match grid")
         if self.snapshot_stride < 1:
@@ -142,11 +138,10 @@ class _Collision1D:
     ``coeffs`` evaluates the field at the grid nodes, in the grid's order.
     """
 
-    def __init__(self, grid: PhaseGrid, field: CoefficientField, dt: float, periodic_v: bool):
+    def __init__(self, grid: PhaseGrid, field: CoefficientField, dt: float):
         self.grid = grid
         self.field = field
         self.dt = dt
-        self.periodic_v = periodic_v
         self._key: object = object()
         self._factors = None
         self._dt_source: np.ndarray | float = 0.0
@@ -168,50 +163,28 @@ class _Collision1D:
         a_left = np.zeros((nx, nv))
         a_right[:, :-1] = a_face
         a_left[:, 1:] = a_face
+        # one-sided drift at the walls keeps constants in the kernel
         bp = np.maximum(b_cell, 0.0)
         bm = np.minimum(b_cell, 0.0)
-
-        if self.periodic_v:
-            a_wrap = 0.5 * (a_cell[:, -1] + a_cell[:, 0])
-            a_right[:, -1] = a_wrap
-            a_left[:, 0] = a_wrap
-        else:
-            # one-sided drift at the walls keeps constants in the kernel
-            bp = bp.copy()
-            bm = bm.copy()
-            bp[:, -1] = 0.0
-            bm[:, 0] = 0.0
+        bp[:, -1] = 0.0
+        bm[:, 0] = 0.0
 
         up = a_right / hv**2 + bp / hv
         lo = a_left / hv**2 - bm / hv
         di = -(a_right + a_left) / hv**2 - (bp - bm) / hv
 
         dt = self.dt
-        if self.periodic_v:
-            rows, cols, vals = [], [], []
-            idx = np.arange(nx * nv).reshape(nx, nv)
-            for j_shift, coefs in ((0, 1.0 - dt * di), (1, -dt * up), (-1, -dt * lo)):
-                target = np.roll(idx, -j_shift, axis=1)
-                rows.append(idx.ravel())
-                cols.append(target.ravel())
-                vals.append(np.asarray(coefs).ravel())
-            mat = csr_matrix(
-                (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                shape=(nx * nv, nx * nv),
-            )
-            self._factors = ("sparse", splu(mat.tocsc()))
-        else:
-            dd = (1.0 - dt * di).ravel()
-            up_full = (-dt * up).copy()
-            lo_full = (-dt * lo).copy()
-            up_full[:, -1] = 0.0
-            lo_full[:, 0] = 0.0
-            du = up_full.ravel()[:-1]
-            dl = lo_full.ravel()[1:]
-            dl_f, d_f, du_f, du2, ipiv, info = lapack.dgttrf(dl, dd, du)
-            if info != 0:
-                raise np.linalg.LinAlgError(f"collision matrix factorisation failed ({info})")
-            self._factors = ("banded", (dl_f, d_f, du_f, du2, ipiv))
+        dd = (1.0 - dt * di).ravel()
+        up_full = -dt * up
+        lo_full = -dt * lo
+        up_full[:, -1] = 0.0
+        lo_full[:, 0] = 0.0
+        du = up_full.ravel()[:-1]
+        dl = lo_full.ravel()[1:]
+        dl_f, d_f, du_f, du2, ipiv, info = lapack.dgttrf(dl, dd, du)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"collision matrix factorisation failed ({info})")
+        self._factors = (dl_f, d_f, du_f, du2, ipiv)
 
     def apply(self, values: np.ndarray, t: float) -> np.ndarray:
         key = self.field.time_key(t)
@@ -219,14 +192,9 @@ class _Collision1D:
             self._assemble(t)
             self._key = key
         rhs = (values + self._dt_source).ravel()
-        kind, fac = self._factors
-        if kind == "sparse":
-            out = fac.solve(rhs)
-        else:
-            dl_f, d_f, du_f, du2, ipiv = fac
-            out, info = lapack.dgttrs(dl_f, d_f, du_f, du2, ipiv, rhs, overwrite_b=True)
-            if info != 0:
-                raise np.linalg.LinAlgError(f"collision solve failed ({info})")
+        out, info = lapack.dgttrs(*self._factors, rhs, overwrite_b=True)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"collision solve failed ({info})")
         return out.reshape(values.shape)
 
 
@@ -312,9 +280,7 @@ class _Collision2D:
     ``coeffs`` evaluates the field at the grid nodes, in the grid's order.
     """
 
-    def __init__(self, grid: PhaseGrid, field: CoefficientField, dt: float, periodic_v: bool):
-        if periodic_v:
-            raise NotImplementedError("periodic velocity walls are d = 1 only")
+    def __init__(self, grid: PhaseGrid, field: CoefficientField, dt: float):
         self.grid = grid
         self.field = field
         self.dt = dt
@@ -350,10 +316,8 @@ class _Collision2D:
 
 
 def _make_collision(cfg: SolverConfig):
-    periodic_v = cfg.boundary == "periodic_both"
-    if cfg.grid.d == 1:
-        return _Collision1D(cfg.grid, cfg.field, cfg.dt, periodic_v)
-    return _Collision2D(cfg.grid, cfg.field, cfg.dt, periodic_v)
+    cls = _Collision1D if cfg.grid.d == 1 else _Collision2D
+    return cls(cfg.grid, cfg.field, cfg.dt)
 
 
 def _make_transport(cfg: SolverConfig) -> _TransportPlan:
@@ -451,75 +415,3 @@ def solve(cfg: SolverConfig, f0: PhaseGridFunction) -> Trajectory:
         ledger=EnergyLedger(tuple(rows)),
     )
 
-
-def kolmogorov_moments(t: float) -> tuple[float, float, float]:
-    """(Var x, Cov(x, v), Var v) of the constant-diffusion flow at time t.
-
-    Frozen against a 10^6-path Euler-Maruyama run of dv = sqrt(2) dW,
-    dx = v dt (measured at t = 1: 0.66574, 1.00015, 2.00237).
-    """
-    return 2.0 * t**3 / 3.0, t**2, 2.0 * t
-
-
-def kolmogorov_oracle(x, v, t: float, d: int = 1) -> np.ndarray:
-    """Fundamental solution of df/dt + v . grad_x f = Lap_v f from a point mass.
-
-    Per spatial dimension, (x, v) is jointly Gaussian with zero mean and
-    covariance [[2t^3/3, t^2], [t^2, 2t]]; the density factorises over
-    dimensions.  Arrays broadcast elementwise; for d > 1 the last axis of x
-    and v must hold the components.
-    """
-    if t <= 0:
-        raise ValueError(f"time must be positive, got {t}")
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    var_x, cov, var_v = kolmogorov_moments(t)
-    det = var_x * var_v - cov**2
-    if d == 1 and (x.ndim == 0 or x.shape[-1:] != (1,)):
-        comps = [(x, v)]
-    else:
-        if x.shape[-1] != d:
-            raise ValueError(f"x must have trailing dimension {d}")
-        comps = [(x[..., m], v[..., m]) for m in range(d)]
-    out = 1.0
-    for xc, vc in comps:
-        q = (var_v * xc**2 - 2.0 * cov * xc * vc + var_x * vc**2) / det
-        out = out * np.exp(-0.5 * q) / (2.0 * math.pi * math.sqrt(det))
-    return out
-
-
-def gaussian_exact_solution(
-    x, v, t: float, var_x0: float, var_v0: float, mean_x: float = 0.0, mean_v: float = 0.0
-):
-    """Exact evolved Gaussian for A = I, B = 0, s = 0 initial data.
-
-    With independent Gaussian initial data the solution stays Gaussian with
-    Var x = var_x0 + t^2 var_v0 + 2t^3/3, Cov = t var_v0 + t^2,
-    Var v = var_v0 + 2t; the mean follows the free flow.
-    """
-    var_x = var_x0 + t**2 * var_v0 + 2.0 * t**3 / 3.0
-    cov = t * var_v0 + t**2
-    var_v = var_v0 + 2.0 * t
-    det = var_x * var_v - cov**2
-    xc = np.asarray(x, dtype=float) - (mean_x + t * mean_v)
-    vc = np.asarray(v, dtype=float) - mean_v
-    q = (var_v * xc**2 - 2.0 * cov * xc * vc + var_x * vc**2) / det
-    return np.exp(-0.5 * q) / (2.0 * math.pi * math.sqrt(det))
-
-
-def comparison_check(
-    f0: PhaseGridFunction, g0: PhaseGridFunction, cfg: SolverConfig, tol: float = 1e-12
-) -> tuple[bool, float]:
-    """Run both initial states and verify ordering is preserved at all snapshots.
-
-    Requires f0 <= g0 pointwise.  Returns (ok, worst violation); the monotone
-    schemes (upwind or linear-interpolation semi-Lagrangian transport with the
-    M-matrix implicit collision step) must keep the violation at roundoff.
-    """
-    if np.any(f0.values > g0.values):
-        raise ValueError("comparison_check requires f0 <= g0 pointwise")
-    traj_f = solve(cfg, f0)
-    traj_g = solve(cfg, g0)
-    violation = float(np.max(traj_f.values - traj_g.values))
-    scale = max(1.0, float(np.abs(g0.values).max()))
-    return violation <= tol * scale, violation

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 from functools import reduce
-from typing import Callable
 
 import numpy as np
 
@@ -162,19 +161,6 @@ class Trajectory:
 
     def scaled_values(self, c: float) -> "Trajectory":
         return replace(self, values=c * self.values)
-
-    @staticmethod
-    def from_function(
-        grid: PhaseGrid,
-        times,
-        fn: Callable[[np.ndarray, np.ndarray, float], np.ndarray],
-        field: CoefficientField | None = None,
-    ) -> "Trajectory":
-        """Sample fn(X, V, t) on the grid; X, V have shape (*grid.shape, d)."""
-        times = np.asarray(times, dtype=float)
-        x, v = grid.meshes()
-        vals = np.stack([np.asarray(fn(x, v, float(t)), dtype=float) for t in times])
-        return Trajectory(grid=grid, times=times, values=vals, field=field)
 
 
 def gradient_v_sq(values: np.ndarray, grid: PhaseGrid) -> np.ndarray:

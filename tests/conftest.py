@@ -1,3 +1,5 @@
+"""Fixtures and the small references that several test modules share."""
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,11 @@ def gaussian_bump(grid, cx, cv, sx, sv, floor=0.0, mass=1.0):
     qv = np.sum((v - cv) ** 2, axis=-1) / sv**2
     amp = mass / ((2 * np.pi) ** grid.d * sx**grid.d * sv**grid.d)
     return PhaseGridFunction(grid, amp * np.exp(-0.5 * (qx + qv)) + floor, 0.0)
+
+
+def exponent_sum_direct(alpha, n):
+    """n + alpha (n-1) + ... + alpha^{n-1}, summed term by term."""
+    return float(sum(alpha**j * (n - j) for j in range(n)))
 
 
 @pytest.fixture(scope="session")

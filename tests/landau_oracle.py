@@ -4,7 +4,8 @@
 box with ``rfftn`` and inverts it with ``irfftn`` before slicing out the valid
 part; ``kernel_a`` builds all d^2 components, and ``landau_a_field`` convolves
 each of them and then symmetrises.  Each is the arithmetic the fast path must
-reproduce bitwise.
+reproduce bitwise.  ``convolve_direct`` is the O(N^2) lattice sum that both
+FFT paths must match to rounding.
 
 The module has no periodic convolution.  ``periodic_extension`` turns one into
 a zero-padded one, and ``convolve_periodic`` folds the kernel onto the torus
@@ -23,7 +24,6 @@ from kfplab.landau import (
     VelocityGrid,
     VelocityGridFunction,
     _offset_lattice,
-    convolve_direct,
 )
 
 
@@ -36,6 +36,29 @@ def kernel_a(grid: VelocityGrid, params: LandauParams) -> np.ndarray:
     proj = np.eye(grid.d) - w[..., :, None] * w[..., None, :] / safe[..., None, None]
     radial = np.where(sq > 0.0, safe ** ((params.gamma + 2.0) / 2.0), 0.0)
     return proj * radial[..., None, None]
+
+
+def convolve_direct(f: VelocityGridFunction, kernel: np.ndarray) -> np.ndarray:
+    """O(N^2) reference sum: out[i] = h^d sum_k kernel(k) f[i - k].
+
+    ``kernel`` lives on the offset lattice (2n-1 per axis, trailing component
+    axes allowed); f is zero outside the box.
+    """
+    grid, vals = f.grid, f.values
+    n, d = grid.n, grid.d
+    comp_shape = kernel.shape[d:]
+    out = np.zeros(vals.shape + comp_shape)
+    for idx in itertools.product(range(2 * n - 1), repeat=d):
+        offs = tuple(i - (n - 1) for i in idx)
+        kv = kernel[idx]
+        if not np.any(kv):
+            continue
+        shifted = np.zeros_like(vals)
+        src = tuple(slice(max(0, -o), n - max(0, o)) for o in offs)
+        dst = tuple(slice(max(0, o), n - max(0, -o)) for o in offs)
+        shifted[dst] = vals[src]
+        out += shifted[(...,) + (None,) * len(comp_shape)] * kv
+    return out * grid.cell_volume
 
 
 def convolve_fft(f: VelocityGridFunction, kernel: np.ndarray) -> np.ndarray:

@@ -282,6 +282,9 @@ MALFORMED = {
     "field_negative_s_max": ("solve", ("field", "s_max"), -1.0),
     "negative_snapshot_tail": ("solve", ("solver", "snapshot_tail"), -1.0),
     "smooth_field_zero_modes": ("solve", ("field",), {"recipe": "smooth", "n_modes": 0}),
+    "solver_boundary": ("solve", ("solver",), {"d": 2, "x_extent": 4.0, "nx": 8, "v_max": 3.0,
+                                               "nv": 8, "dt": 0.015625, "t_end": 0.125,
+                                               "boundary": "periodic_both"}),
 }
 
 

@@ -90,7 +90,7 @@ class TestSmoothAndRotating:
     def test_smooth_clipped(self):
         bounds = EllipticityBounds(0.5, 2.0)
         field = sample_field(SmoothRandomRecipe(s_max=0.3), bounds, seed=2, d=1)
-        rep = certify_field(field, n_samples=512, box=BOX, seed=0)
+        rep = certify_field(field, box=BOX, seed=0)
         assert rep.verdict == "ok"
         assert rep.max_source <= 0.3 + 1e-12
 
@@ -107,7 +107,7 @@ class TestSmoothAndRotating:
 class TestCertification:
     def test_constant_identity(self):
         field = sample_field(ConstantRecipe(), EllipticityBounds(1.0, 1.0), seed=0, d=1)
-        rep = certify_field(field, n_samples=128, box=BOX, seed=0)
+        rep = certify_field(field, box=BOX, seed=0)
         assert rep.verdict == "ok"
         assert rep.min_eig == pytest.approx(1.0)
         assert rep.max_eig == pytest.approx(1.0)
@@ -116,13 +116,13 @@ class TestCertification:
         bounds = EllipticityBounds(0.5, 2.0)
         field = sample_field(CheckerboardRecipe(), bounds, seed=7, d=1)
         bad = scaled_diffusion(field, 3.0 * bounds.big_lam)
-        rep = certify_field(bad, n_samples=128, box=BOX, seed=0)
+        rep = certify_field(bad, box=BOX, seed=0)
         assert rep.verdict == "violated"
         assert rep.witness is not None
 
     def test_report_round_trip(self):
         field = sample_field(ConstantRecipe(), EllipticityBounds(1.0, 1.0), seed=0, d=1)
-        rep = certify_field(field, n_samples=16, box=BOX, seed=0)
+        rep = certify_field(field, box=BOX, seed=0)
         assert rep.to_dict()["verdict"] == "ok"
 
 
@@ -133,10 +133,10 @@ class TestCertification:
         bounds = EllipticityBounds(0.5, 2.0)
         good = sample_field(SmoothRandomRecipe(s_max=0.3), bounds, seed=2, d=d)
         bad = scaled_diffusion(sample_field(CheckerboardRecipe(), bounds, seed=7, d=d), 1.5)
-        fast = [certify_field(f, n_samples=512, box=BOX, seed=seed) for f in (good, bad)]
+        fast = [certify_field(f, box=BOX, seed=seed) for f in (good, bad)]
         monkeypatch.setattr(fields, "halton",
                             lambda dims, n, s: qmc.Halton(d=dims, seed=s).random(n))
-        slow = [certify_field(f, n_samples=512, box=BOX, seed=seed) for f in (good, bad)]
+        slow = [certify_field(f, box=BOX, seed=seed) for f in (good, bad)]
         assert [r.verdict for r in fast] == ["ok", "violated"]
         assert fast == slow
 

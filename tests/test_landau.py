@@ -15,7 +15,6 @@ from kfplab.landau import (
     VelocityGrid,
     VelocityGridFunction,
     check_coefficient_bounds,
-    convolve_direct,
     convolve_fft,
     kernel_a,
     kernel_b,
@@ -128,7 +127,7 @@ class TestCoefficientFields:
         f = maxwellian(g)
         for fn, kernel, const in reference_sums(p):
             fast = fn(f, p)
-            slow = const * convolve_direct(f, kernel(g, p))
+            slow = const * oracle.convolve_direct(f, kernel(g, p))
             scale = np.max(np.abs(slow))
             assert np.max(np.abs(fast - slow)) <= 1e-10 * scale
 
@@ -156,7 +155,7 @@ class TestCoefficientFields:
         f = VelocityGridFunction(g, rng.uniform(size=64))
         for fn, kernel, const in reference_sums(p):
             fast = fn(f, p)
-            slow = const * convolve_direct(f, kernel(g, p))
+            slow = const * oracle.convolve_direct(f, kernel(g, p))
             assert np.max(np.abs(fast - slow)) <= 1e-10 * np.max(np.abs(slow))
 
     def test_positive_semidefinite(self):
@@ -284,7 +283,7 @@ class TestAgainstOracle:
         if method == "fft" and not periodic:
             a = landau_a_field(f, p)
         else:
-            conv = convolve_fft if method == "fft" else convolve_direct
+            conv = convolve_fft if method == "fft" else oracle.convolve_direct
             g, ker = f, kernel_a(f.grid, p)
             if periodic:
                 g, ker = oracle.periodic_extension(f, ker)

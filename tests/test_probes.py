@@ -28,7 +28,6 @@ from kfplab.probes import (
     fractional_seminorm,
     gain_probe,
     gehring_probe,
-    grid_measure,
     harnack_probe,
     holder_fit,
     level_set_measures,
@@ -42,10 +41,25 @@ from kfplab.probes import (
 from kfplab.trajectory import PhaseBox, PhaseGrid, Trajectory, region_mask
 
 
+def sampled_trajectory(grid, times, fn, field=None):
+    """A trajectory holding fn(X, V, t) on the grid; X, V have shape (*grid.shape, d)."""
+    times = np.asarray(times, dtype=float)
+    x, v = grid.meshes()
+    vals = np.stack([np.asarray(fn(x, v, float(t)), dtype=float) for t in times])
+    return Trajectory(grid=grid, times=times, values=vals, field=field)
+
+
+def grid_measure(traj, region):
+    """Counting-measure x cell-volume x time-weight measure of the region."""
+    traj, region = _native(traj, region)
+    cell = traj.grid.cell_volume
+    return float(sum(piece.mask.sum() * cell * piece.tw for piece in sample_region(traj, region)))
+
+
 def synthetic(fn, nx=48, nv=48, nt=65, x_extent=4.0, v_max=2.0, t0=-1.1, t1=0.0):
     grid = PhaseGrid(d=1, x_extent=x_extent, nx=nx, v_max=v_max, nv=nv)
     times = np.linspace(t0, t1, nt)
-    return Trajectory.from_function(
+    return sampled_trajectory(
         grid, times, lambda x, v, t: fn(x[..., 0], v[..., 0], t)
     )
 
@@ -196,7 +210,7 @@ class TestHarnack:
     def test_scale_invariance_with_source(self):
         # multiplying f and s by the same factor leaves the quotient unchanged
         from kfplab.fields import ConstantRecipe, EllipticityBounds, sample_field
-        from kfplab.trajectory import PhaseGrid, Trajectory
+        from kfplab.trajectory import PhaseGrid
 
         grid = PhaseGrid(d=1, x_extent=4.0, nx=32, v_max=2.0, nv=32)
         times = np.linspace(-1.0, 0.0, 33)
@@ -205,7 +219,7 @@ class TestHarnack:
 
         def make(scale):
             field = sample_field(ConstantRecipe(s_value=scale * 0.2), bounds, seed=0, d=1)
-            return Trajectory.from_function(
+            return sampled_trajectory(
                 grid, times,
                 lambda x, v, t: np.full(x.shape[:-1], scale * 0.5),
                 field=field,
@@ -474,7 +488,7 @@ class TestRegionSample:
     @pytest.fixture(scope="class")
     def moved(self):
         grid = PhaseGrid(d=2, x_extent=2.0, nx=10, v_max=1.5, nv=10)
-        traj = Trajectory.from_function(
+        traj = sampled_trajectory(
             grid, np.linspace(0.0, 0.8, 9),
             lambda x, v, t: np.sin(x[..., 0] + 2.0 * v[..., 1]) + t * v[..., 0],
         )
@@ -584,8 +598,8 @@ class TestSourceValues:
     def test_sampled_nodes_match_full_mesh(self, recipe):
         field = sample_field(recipe, EllipticityBounds(0.5, 2.0), seed=3, d=1)
         grid = PhaseGrid(d=1, x_extent=4.0, nx=24, v_max=2.0, nv=24)
-        traj = Trajectory.from_function(grid, np.linspace(0.0, 1.0, 11),
-                                        lambda x, v, t: x[..., 0] + v[..., 0], field=field)
+        traj = sampled_trajectory(grid, np.linspace(0.0, 1.0, 11),
+                                  lambda x, v, t: x[..., 0] + v[..., 0], field=field)
         sample = sample_region(traj, Cylinder(KineticPoint.of(2.0, 0.1, 0.9), 0.9))
         assert sample
         x, v = grid.meshes()
