@@ -20,7 +20,13 @@ def exponent_sum(alpha: float, n: int) -> float:
         raise ValueError(f"n must be >= 1, got {n}")
     if alpha == 1.0:
         raise ValueError("alpha = 1 is degenerate; the limit value is n (n + 1) / 2")
-    return (alpha * (alpha**n - 1.0) - n * (alpha - 1.0)) / (alpha - 1.0) ** 2
+    try:
+        total = (alpha * (alpha**n - 1.0) - n * (alpha - 1.0)) / (alpha - 1.0) ** 2
+    except OverflowError:
+        total = math.inf
+    if not math.isfinite(total):
+        raise ValueError(f"the sum overflows a float at alpha = {alpha!r}, n = {n}")
+    return total
 
 
 @dataclass(frozen=True)

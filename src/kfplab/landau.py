@@ -202,17 +202,21 @@ def convolve_fft(f: VelocityGridFunction, kernel: np.ndarray) -> np.ndarray:
     """FFT evaluation of the lattice convolution
     out[i] = h^d sum_k kernel(k) f[i - k], with f zero outside the box.
 
-    The "valid" part of the linear convolution with zero padding to
-    L = ``next_fast_len(3n - 2)`` per axis, bitwise what
-    ``scipy.signal.fftconvolve(vals, ker, mode="valid")`` returns.  The
-    density is transformed once per call; each kernel component goes through
-    ``_valid_convolution``, which skips the padding.
+    Circular convolution of length L = ``next_fast_len(2n - 1)`` per axis.
+    The linear convolution of the n density values with the 2n - 1 kernel
+    offsets is nonzero only on [0, 3n - 3]; length L folds outputs [L, 3n - 3]
+    onto [0, 3n - 3 - L], which lies below the n "valid" outputs
+    [n - 1, 2n - 2] exactly when L >= 2n - 1 (overlap-save).  Those outputs
+    are therefore the linear ones, up to rounding; the tests check them
+    against the O(N^2) direct sum and against ``scipy.signal.fftconvolve``.
+    The density is transformed once per call; each kernel component goes
+    through ``_valid_convolution``, which skips the padding.
     """
     grid, vals = f.grid, f.values
     n, d = grid.n, grid.d
     comp_shape = kernel.shape[d:]
     out = np.empty(vals.shape + comp_shape)
-    size = sp_fft.next_fast_len(3 * n - 2, True)
+    size = sp_fft.next_fast_len(2 * n - 1, True)
     vhat = sp_fft.rfftn(vals, [size] * d)
     for comp in itertools.product(*[range(s) for s in comp_shape]):
         out[(...,) + comp] = _valid_convolution(vhat, kernel[(...,) + comp], size, n)
@@ -222,11 +226,12 @@ def convolve_fft(f: VelocityGridFunction, kernel: np.ndarray) -> np.ndarray:
 def _valid_convolution(vhat: np.ndarray, ker: np.ndarray, size: int, n: int) -> np.ndarray:
     """``irfftn(rfftn(ker, s) * vhat, s)[valid]`` with s = (size,) * d, bit for bit.
 
-    Both transforms go one axis at a time in pocketfft's own order: the real
-    axis last, the complex axes 0 ... d-2 in turn.  The forward transform pads
-    each axis only when it comes to it, so lines that are all padding are
-    never transformed; the inverse keeps only the n valid rows of each axis
-    once it is done, and scales once at the end, as ``irfftn`` does.
+    The valid slice is [n - 1, 2n - 1) on every axis.  Both transforms go one
+    axis at a time in pocketfft's own order: the real axis last, the complex
+    axes 0 ... d-2 in turn.  The forward transform pads each axis only when it
+    comes to it, so lines that are all padding are never transformed; the
+    inverse keeps only the n valid rows of each axis once it is done, and
+    scales once at the end, as ``irfftn`` does.
     """
     d = ker.ndim
     spec = sp_fft.rfft(ker, size, axis=-1)

@@ -2,10 +2,15 @@
 
 ``convolve_fft`` transforms every kernel component over the whole zero-padded
 box with ``rfftn`` and inverts it with ``irfftn`` before slicing out the valid
-part; ``kernel_a`` builds all d^2 components, and ``landau_a_field`` convolves
-each of them and then symmetrises.  Each is the arithmetic the fast path must
-reproduce bitwise.  ``convolve_direct`` is the O(N^2) lattice sum that both
-FFT paths must match to rounding.
+part.  At its default length ``next_fast_len(3n - 2)``, the full length of the
+linear convolution, it returns bitwise what ``scipy.signal.fftconvolve(...,
+mode="valid")`` does; at the program's own circular length
+``next_fast_len(2n - 1)`` it is the arithmetic that ``kfplab.landau``'s
+per-axis, trimmed transform must reproduce bitwise.  The program's fields
+equal the default-length result to rounding, as both are the linear
+convolution.  ``kernel_a`` builds all d^2 components, and ``landau_a_field``
+convolves each of them and then symmetrises.  ``convolve_direct`` is the
+O(N^2) lattice sum that every FFT path must match to rounding.
 
 The module has no periodic convolution.  ``periodic_extension`` turns one into
 a zero-padded one, and ``convolve_periodic`` folds the kernel onto the torus
@@ -61,12 +66,16 @@ def convolve_direct(f: VelocityGridFunction, kernel: np.ndarray) -> np.ndarray:
     return out * grid.cell_volume
 
 
-def convolve_fft(f: VelocityGridFunction, kernel: np.ndarray) -> np.ndarray:
+def convolve_fft(
+    f: VelocityGridFunction, kernel: np.ndarray, size: int | None = None
+) -> np.ndarray:
+    """Whole-box FFT convolution of length ``size`` per axis, by default
+    ``next_fast_len(3n - 2)``; any size >= 2n - 1 gives the linear result."""
     grid, vals = f.grid, f.values
     n, d = grid.n, grid.d
     comp_shape = kernel.shape[d:]
     out = np.empty(vals.shape + comp_shape)
-    fshape = [sp_fft.next_fast_len(3 * n - 2, True)] * d
+    fshape = [size or sp_fft.next_fast_len(3 * n - 2, True)] * d
     vhat = sp_fft.rfftn(vals, fshape)
     valid = (slice(n - 1, 2 * n - 1),) * d
     for comp in itertools.product(*[range(s) for s in comp_shape]):

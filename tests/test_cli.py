@@ -245,6 +245,8 @@ MALFORMED = {
     "landau_input_number": ("landau", ("landau",), {"gamma": -3.0, "input": 5}),
     "degiorgi_beta_string": ("iterate", ("iterate",),
                              {"degiorgi": [{"beta": "1", "alpha": 2.0, "v0": 0.5}]}),
+    "degiorgi_alpha_overflow": ("iterate", ("iterate",),
+                                {"degiorgi": [{"beta": 2.0, "alpha": 1e12, "v0": 0.5}]}),
     "moser_without_n": ("iterate", ("iterate",), {"moser": [{"p": 4.0, "cbar": 2.0, "a": 1.0}]}),
     "probe_not_an_object": ("run", ("probes",), [1]),
     "probes_not_a_list": ("run", ("probes",), {"name": "norm"}),

@@ -51,6 +51,12 @@ class TestExponentSum:
         with pytest.raises(ValueError):
             exponent_sum(1.0, 5)
 
+    # 1e12 ** 30 raises OverflowError; 1e10 * 1e10 ** 30 rounds to inf
+    @pytest.mark.parametrize("alpha", [1e12, 1e10])
+    def test_overflowing_sum_rejected(self, alpha):
+        with pytest.raises(ValueError, match="overflows"):
+            exponent_sum(alpha, 30)
+
 
 class TestDeGiorgiThreshold:
     def test_zero_start(self):

@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy import fft as sp_fft
 from scipy.signal import fftconvolve
 
 import landau_oracle as oracle
@@ -31,6 +32,20 @@ def reference_sums(p):
     """Each field function with the kernel and constant of its O(N^2) reference sum."""
     return ((landau_a_field, kernel_a, p.a_const), (landau_b_field, kernel_b, p.b_const),
             (landau_c_field, kernel_c, p.c_const))
+
+
+def abs_scale(f, kernel):
+    """Per-component maximum of the convolution of |f| with |kernel|.
+
+    FFT rounding is relative to it, so the tests state their tolerances in it.
+    """
+    g = VelocityGridFunction(f.grid, np.abs(f.values))
+    return np.max(oracle.convolve_fft(g, np.abs(kernel)), axis=tuple(range(f.grid.d)))
+
+
+def circular_length(n):
+    """The per-axis transform length of ``convolve_fft``."""
+    return sp_fft.next_fast_len(2 * n - 1, True)
 
 
 def zero_function(grid):
@@ -146,7 +161,8 @@ class TestCoefficientFields:
         slow = np.empty(f.values.shape + comp_shape)
         for comp in itertools.product(*[range(s) for s in comp_shape]):
             slow[(...,) + comp] = fftconvolve(f.values, ker[(...,) + comp], mode="valid")
-        assert np.array_equal(convolve_fft(f, ker), slow * g.cell_volume)
+        err = np.abs(convolve_fft(f, ker) - slow * g.cell_volume)
+        assert np.all(err <= 1e-14 * abs_scale(f, ker))
 
     def test_fft_matches_direct_wide_1d(self):
         g = VelocityGrid(v_max=6.0, n=64, d=1)
@@ -247,7 +263,9 @@ def random_density(d, n, seed=7):
 
 @pytest.mark.filterwarnings("ignore:hard potentials:UserWarning")
 class TestAgainstOracle:
-    """The fast convolution and A field reproduce ``landau_oracle`` bit for bit."""
+    """The fast convolution and A field against ``landau_oracle``: bit for bit
+    at the program's own transform length, to rounding at the 3n - 2 length
+    that ``fftconvolve`` uses."""
 
     @pytest.mark.parametrize("periodic", [False, True])
     @pytest.mark.parametrize("d, n, kernel, gamma", ORACLE_CASES)
@@ -261,10 +279,32 @@ class TestAgainstOracle:
             scale = np.max(oracle.convolve_periodic(f, np.abs(ker)))
             f, ker = oracle.periodic_extension(f, ker)
         out = convolve_fft(f, ker)
-        assert np.array_equal(out, oracle.convolve_fft(f, ker))
+        assert np.array_equal(out, oracle.convolve_fft(f, ker, circular_length(f.grid.n)))
+        assert np.all(np.abs(out - oracle.convolve_fft(f, ker)) <= 1e-14 * abs_scale(f, ker))
         if periodic:
             tile = oracle.middle_tile(out, n, d)
             assert np.max(np.abs(tile - torus)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("kernel", ["kernel_c", "random"])
+    @pytest.mark.parametrize("d, n", [(1, 5), (1, 8), (1, 13), (1, 14), (3, 5)])
+    def test_circular_length_on_the_aliasing_bound(self, d, n, kernel):
+        # at L = 2n - 1 the last linear output, 3n - 3, folds onto n - 2, just
+        # below the valid rows; one point shorter and it lands on row n - 1.
+        # Kernel and density are nonzero everywhere, so that would show.
+        # kernel_c at gamma = 0 is 1 at every offset; the random kernel also
+        # breaks the w -> -w symmetry, under which dropping the last offset
+        # and wrapping the last valid row onto row 0 would go unseen
+        assert circular_length(n) == 2 * n - 1
+        g = VelocityGrid(v_max=4.0, n=n, d=d)
+        rng = np.random.default_rng(11)
+        f = VelocityGridFunction(g, rng.uniform(0.5, 1.5, size=(n,) * d))
+        if kernel == "kernel_c":
+            ker = kernel_c(g, LandauParams(d=d, gamma=0.0))
+        else:
+            ker = rng.uniform(0.5, 1.5, size=(2 * n - 1,) * d)
+        assert np.all(ker != 0.0)
+        slow = oracle.convolve_direct(f, ker)
+        assert np.max(np.abs(convolve_fft(f, ker) - slow)) <= 1e-12 * np.max(slow)
 
     @pytest.mark.parametrize("d, gamma", [(1, -1.0), (2, -1.3), (3, -3.0), (3, 0.5)])
     def test_kernel_a(self, d, gamma):
@@ -280,27 +320,39 @@ class TestAgainstOracle:
         # and both paths on the periodic extension of f
         f = random_density(d, n)
         p = LandauParams(d=d, gamma=gamma, a_const=1.7)
+        g, ker = f, kernel_a(f.grid, p)
+        if periodic:
+            g, ker = oracle.periodic_extension(f, ker)
         if method == "fft" and not periodic:
             a = landau_a_field(f, p)
         else:
             conv = convolve_fft if method == "fft" else oracle.convolve_direct
-            g, ker = f, kernel_a(f.grid, p)
-            if periodic:
-                g, ker = oracle.periodic_extension(f, ker)
             a = p.a_const * conv(g, ker)
         assert np.array_equal(a, np.swapaxes(a, -1, -2))
-        assert np.array_equal(a, oracle.landau_a_field(f, p, method=method, periodic=periodic))
+        want = oracle.landau_a_field(f, p, method=method, periodic=periodic)
+        assert np.all(np.abs(a - want) <= 1e-14 * p.a_const * abs_scale(g, ker))
 
     @pytest.mark.parametrize("d, n, gamma", [(1, 32, -1.0), (2, 16, -1.3), (3, 8, -3.0),
                                              (3, 8, -2.0), (3, 9, 0.0)])
     def test_bounds_report(self, monkeypatch, d, n, gamma):
+        # the Maxwellian's det ratio ties exactly at mirror-image points, so
+        # the argmin may move among them: it is checked by the oracle's ratio
+        # there, not by its coordinates
         f = maxwellian(VelocityGrid(v_max=5.0, n=n, d=d))
         p = LandauParams(d=d, gamma=gamma)
         bounds = MomentBounds(m1=0.5, m0=2.0, e0=2.0, h0=0.0)
         fast = check_coefficient_bounds(f, p, bounds)
         monkeypatch.setattr(landau, "convolve_fft", oracle.convolve_fft)
         monkeypatch.setattr(landau, "landau_a_field", oracle.landau_a_field)
-        assert fast == check_coefficient_bounds(f, p, bounds)
+        slow = check_coefficient_bounds(f, p, bounds)
+        assert (fast.kappa, fast.moments, fast.verdict) == (slow.kappa, slow.moments, slow.verdict)
+        for name in ("det_ratio_min", "a_norm_ratio_max", "b_norm_ratio_max", "c_ratio_max"):
+            assert getattr(fast, name) == pytest.approx(getattr(slow, name), rel=1e-12, abs=0.0)
+        pts = f.grid.points()
+        det = np.prod(np.linalg.eigvalsh(oracle.landau_a_field(f, p).reshape(-1, d, d)), axis=-1)
+        ratio = det / (1.0 + np.linalg.norm(pts, axis=-1)) ** slow.kappa
+        at_fast = ratio[np.all(pts == fast.det_ratio_argmin, axis=-1)]
+        assert at_fast == pytest.approx([slow.det_ratio_min], rel=1e-12, abs=0.0)
 
 
 class TestBoundsChecks:
