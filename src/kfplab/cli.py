@@ -96,7 +96,7 @@ def _report(cfg: dict, probes: list[dict], invariants: list[dict]) -> dict:
 
 
 def _cmd_solve(cfg: dict, args, with_probes: bool) -> int:
-    from .solver import solve
+    from .solver import SolverFailure, solve
 
     seed = _seed(cfg, args)
     field = build_field(cfg, seed_override=args.seed)
@@ -104,7 +104,7 @@ def _cmd_solve(cfg: dict, args, with_probes: bool) -> int:
     f0 = build_initial(solver_cfg.grid, cfg["solver"].get("initial"))
     try:
         traj = solve(solver_cfg, f0)
-    except np.linalg.LinAlgError as exc:
+    except (np.linalg.LinAlgError, SolverFailure) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

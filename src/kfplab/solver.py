@@ -34,6 +34,11 @@ from .trajectory import (
 
 SCHEMES = ("semi_lagrangian", "upwind")
 _CHUNK_NODES = 2**14   # d = 2 assembly works on cells of at most this many nodes at once
+_BLOCK_BYTES = 2**18   # the ledger reduces blocks of states this large, which stay in L2
+
+
+class SolverFailure(ArithmeticError):
+    """The scheme produced a non-finite value; the message names the step."""
 
 
 @dataclass(frozen=True)
@@ -76,13 +81,19 @@ class SolverConfig:
 
 class _TransportPlan:
     """The transport half-step of one run, v . grad_x over ``dtau``, with its
-    gather built once.
+    gather and its buffers built once.
 
     Along each x-axis in turn, semi-Lagrangian transport pulls every node
-    from its two upstream neighbours, out = (1 - a) f[i0] + a f[i1], through
-    flat indices into ``values.ravel()``; upwind keeps its rolled differences
-    with the Courant numbers fixed.  Each axis works in the layout that puts
-    (x-axis, paired v-axis) first and hands back a transposed view of it.
+    from its two upstream neighbours, out = (1 - a) f[i0] + a f[i1].  It
+    gathers f[i0] through flat indices into ``values.ravel()``; as i1 = i0 - 1
+    and the shift depends on v only, f[i1] of row i is f[i0] of row i - 1.
+    The weights are stored at the full shape of the gathered array.  Upwind
+    keeps its rolled differences with the Courant numbers fixed.  Each axis
+    works in the layout that puts (x-axis, paired v-axis) first and hands
+    back a transposed view of it.
+
+    Semi-Lagrangian axes write into two buffers in turn, so a result stays
+    valid until the next ``apply``, which may take it as its input.
     """
 
     def __init__(self, grid: PhaseGrid, dtau: float, scheme: str):
@@ -93,10 +104,14 @@ class _TransportPlan:
             shift = np.floor(c).astype(int)
             a = c - shift
             i0 = (np.arange(grid.nx)[:, None] - shift[None, :]) % grid.nx
-            i1 = (i0 - 1) % grid.nx
             cols = np.arange(grid.nv)[None, :]
+            # every axis's moved layout has this shape: (x-axis, paired v-axis, rest)
+            shape = (grid.nx, grid.nv) + (grid.nx,) * (d - 1) + (grid.nv,) * (d - 1)
             bcast = (grid.nv,) + (1,) * (2 * d - 2)
-            self._weights = ((1.0 - a).reshape(bcast), a.reshape(bcast))
+            self._weights = tuple(np.broadcast_to(w.reshape(bcast), shape).copy()
+                                  for w in (1.0 - a, a))
+            self._far = np.empty(shape)
+            self._buffers = [np.empty(shape) for _ in range(2)]
         else:
             if np.max(np.abs(c)) > 1.0 + 1e-12:
                 raise ValueError("upwind CFL violated in transport substep")
@@ -108,19 +123,23 @@ class _TransportPlan:
             fwd = pair + tuple(k for k in range(2 * d) if k not in pair)
             back = tuple(int(k) for k in np.argsort(fwd))
             moved = node.transpose(fwd)
-            sources = (moved[i0, cols], moved[i1, cols]) if self.semi_lagrangian else None
+            sources = moved[i0, cols] if self.semi_lagrangian else None
             self._axes.append((fwd, back, sources))
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         out = values
         for fwd, back, sources in self._axes:
             if self.semi_lagrangian:
-                flat = out.ravel()
-                moved = flat.take(sources[0])
-                moved *= self._weights[0]
-                far = flat.take(sources[1])
-                far *= self._weights[1]
-                moved += far
+                w_near, w_far = self._weights
+                moved = self._buffers[0]
+                self._buffers.reverse()
+                # every index is in range: "clip" changes none, and unlike
+                # "raise" it writes into the buffer without an extra copy
+                out.ravel().take(sources, out=moved, mode="clip")
+                np.multiply(moved[:-1], w_far[1:], out=self._far[1:])
+                np.multiply(moved[-1], w_far[0], out=self._far[0])
+                moved *= w_near
+                moved += self._far
             else:
                 cp, cm = self._courant
                 moved = out.transpose(fwd)
@@ -136,6 +155,8 @@ class _Collision1D:
     """Implicit finite-volume collision solve, one tridiagonal block per x-cell.
 
     ``coeffs`` evaluates the field at the grid nodes, in the grid's order.
+    ``apply`` solves in a right-hand-side buffer allocated once per run and
+    returns it, so its result stays valid until the next ``apply``.
     """
 
     def __init__(self, grid: PhaseGrid, field: CoefficientField, dt: float):
@@ -145,6 +166,7 @@ class _Collision1D:
         self._key: object = object()
         self._factors = None
         self._dt_source: np.ndarray | float = 0.0
+        self._rhs = np.empty(grid.nx * grid.nv)   # the right-hand side, solved in place
         self.coeffs = field.at_nodes(np.repeat(grid.x_axis, grid.nv)[:, None],
                                      np.tile(grid.v_axis, grid.nx)[:, None])
 
@@ -191,8 +213,8 @@ class _Collision1D:
         if key != self._key:
             self._assemble(t)
             self._key = key
-        rhs = (values + self._dt_source).ravel()
-        out, info = lapack.dgttrs(*self._factors, rhs, overwrite_b=True)
+        np.add(values, self._dt_source, out=self._rhs.reshape(values.shape))
+        out, info = lapack.dgttrs(*self._factors, self._rhs, overwrite_b=True)
         if info != 0:
             raise np.linalg.LinAlgError(f"collision solve failed ({info})")
         return out.reshape(values.shape)
@@ -327,7 +349,11 @@ def _make_transport(cfg: SolverConfig) -> _TransportPlan:
 def step(
     state: PhaseGridFunction, cfg: SolverConfig, _collision=None, _transport=None
 ) -> PhaseGridFunction:
-    """One Strang step: transport(dt/2) o implicit collision(dt) o transport(dt/2)."""
+    """One Strang step: transport(dt/2) o implicit collision(dt) o transport(dt/2).
+
+    With the run's own ``_transport`` plan, the new state's values may be the
+    plan's buffer, valid until the plan's next half-step.
+    """
     if state.grid != cfg.grid:
         raise ValueError("state grid does not match solver config")
     coll = _collision if _collision is not None else _make_collision(cfg)
@@ -339,21 +365,39 @@ def step(
     return PhaseGridFunction(cfg.grid, vals, state.time + cfg.dt)
 
 
-def _ledger_row(
-    n: int, state: PhaseGridFunction, grid: PhaseGrid, source_l2: float
-) -> LedgerRow:
+def _stack_like(values: np.ndarray, count: int) -> np.ndarray:
+    """An uninitialised (count, *values.shape) array whose every entry is laid
+    out in memory as ``values``, a dense array with positive strides, is."""
+    order = sorted(range(values.ndim), key=lambda k: -values.strides[k])
+    stack = np.empty((count,) + tuple(values.shape[k] for k in order))
+    return stack.transpose((0,) + tuple(1 + order.index(k) for k in range(values.ndim)))
+
+
+def _ledger_rows(first: int, times: list[float], block: np.ndarray, grid: PhaseGrid,
+                 source_l2_at) -> list[LedgerRow]:
+    """The ledger rows of the states ``block[k]`` at steps ``first + k``.
+
+    Each column is one reduction over the block's trailing axes, which adds
+    every state in its own memory order, as a reduction of that state alone
+    does.  A non-finite value shows in fmin or fmax, as NaN and +-inf pass
+    through min and max; the first row holding one is a SolverFailure.
+    """
     w = grid.cell_volume
-    vals = state.values
-    return LedgerRow(
-        step=n,
-        time=state.time,
-        mass=float(vals.sum() * w),
-        l2=float((vals**2).sum() * w),
-        fmin=float(vals.min()),
-        fmax=float(vals.max()),
-        gradv_l2=float(gradient_v_sq(vals, grid).sum() * w),
-        source_l2=source_l2,
+    axes = tuple(range(1, block.ndim))
+    fmin, fmax = block.min(axis=axes), block.max(axis=axes)
+    bad = ~(np.isfinite(fmin) & np.isfinite(fmax))
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise SolverFailure(f"non-finite value at step {first + k} (t = {times[k]!r})")
+    columns = (
+        (block.sum(axis=axes) * w).tolist(),
+        ((block**2).sum(axis=axes) * w).tolist(),
+        fmin.tolist(),
+        fmax.tolist(),
+        (gradient_v_sq(block, grid).sum(axis=axes) * w).tolist(),
     )
+    return [LedgerRow(first + k, t, *row, source_l2_at(t))
+            for k, (t, *row) in enumerate(zip(times, *columns))]
 
 
 def _snapshot_steps(cfg: SolverConfig) -> tuple[list[int], list[float]]:
@@ -376,6 +420,10 @@ def solve(cfg: SolverConfig, f0: PhaseGridFunction) -> Trajectory:
 
     Snapshots are stored at step 0, every ``snapshot_stride`` steps, at the
     final step, and at every step within the trailing ``snapshot_tail`` window.
+    Each step's state is copied into a block of about ``_BLOCK_BYTES`` that
+    keeps the state's memory layout, and the ledger reduces a full block at
+    once.  The first ledger row with a non-finite value raises
+    SolverFailure, which names its step.
     """
     if f0.grid != cfg.grid:
         raise ValueError("initial state grid does not match solver config")
@@ -399,13 +447,23 @@ def solve(cfg: SolverConfig, f0: PhaseGridFunction) -> Trajectory:
     slot = {n: k for k, n in enumerate(stored_steps)}
     values = np.empty((len(times),) + grid.shape)
     values[0] = state.values
-    rows = [_ledger_row(0, state, grid, source_l2_at(0.0))]
+    rows = _ledger_rows(0, [state.time], state.values[None], grid, source_l2_at)
 
+    block_size = max(1, _BLOCK_BYTES // state.values.nbytes)
+    block = None
+    block_times: list[float] = []
     for n in range(1, cfg.n_steps + 1):
         state = step(state, cfg, _collision=coll, _transport=transport)
-        rows.append(_ledger_row(n, state, grid, source_l2_at(state.time)))
+        if block is None:   # every step's state has the first one's layout
+            block = _stack_like(state.values, block_size)
+        block[len(block_times)] = state.values
+        block_times.append(state.time)
         if n in slot:
             values[slot[n]] = state.values
+        if len(block_times) == len(block) or n == cfg.n_steps:
+            rows += _ledger_rows(n + 1 - len(block_times), block_times,
+                                 block[:len(block_times)], grid, source_l2_at)
+            block_times = []
 
     return Trajectory(
         grid=grid,
@@ -414,4 +472,3 @@ def solve(cfg: SolverConfig, f0: PhaseGridFunction) -> Trajectory:
         field=cfg.field,
         ledger=EnergyLedger(tuple(rows)),
     )
-

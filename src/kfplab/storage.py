@@ -81,14 +81,15 @@ def read_ledger(path) -> EnergyLedger:
     lines = Path(path).read_text().strip().splitlines()
     if not lines or lines[0] != ",".join(EnergyLedger.FIELDS):
         raise ValueError(f"{path} does not start with the ledger header")
-    kinds = typing.get_type_hints(LedgerRow)
+    hints = typing.get_type_hints(LedgerRow)
+    kinds = [hints[name] for name in EnergyLedger.FIELDS]
     rows = []
+    # row by row, so no more than one row's strings are alive at once
     for i, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
-        if len(parts) != len(EnergyLedger.FIELDS):
-            raise ValueError(f"{path} line {i} has {len(parts)} fields, not {len(EnergyLedger.FIELDS)}")
-        rows.append(LedgerRow(**{name: kinds[name](part)
-                                 for name, part in zip(EnergyLedger.FIELDS, parts)}))
+        if len(parts) != len(kinds):
+            raise ValueError(f"{path} line {i} has {len(parts)} fields, not {len(kinds)}")
+        rows.append(LedgerRow(*map(type.__call__, kinds, parts)))
     return EnergyLedger(tuple(rows))
 
 

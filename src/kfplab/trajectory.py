@@ -11,8 +11,9 @@ with the group action.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from functools import reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,7 +74,11 @@ class PhaseGrid:
 
 @dataclass(frozen=True)
 class PhaseGridFunction:
-    """A scalar field on a phase grid at one time stamp."""
+    """A scalar field on a phase grid at one time stamp.
+
+    Finiteness is not checked here: the solver reads it from each ledger
+    row's fmin and fmax, through which NaN and +-inf propagate.
+    """
 
     grid: PhaseGrid
     values: np.ndarray
@@ -83,14 +88,13 @@ class PhaseGridFunction:
         vals = np.asarray(self.values, dtype=float)
         if vals.shape != self.grid.shape:
             raise ValueError(f"values shape {vals.shape} does not match grid {self.grid.shape}")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("values must be finite")
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "time", float(self.time))
 
 
-@dataclass(frozen=True)
-class LedgerRow:
+class LedgerRow(NamedTuple):
+    """One step of the ledger: integrals of the state and its extremes."""
+
     step: int
     time: float
     mass: float
@@ -107,15 +111,15 @@ class EnergyLedger:
 
     rows: tuple[LedgerRow, ...]
 
-    FIELDS = tuple(f.name for f in fields(LedgerRow))
+    FIELDS = LedgerRow._fields
 
     def column(self, name: str) -> np.ndarray:
         return np.array([getattr(r, name) for r in self.rows])
 
     def csv_lines(self) -> list[str]:
-        return [",".join(self.FIELDS)] + [
-            ",".join(repr(getattr(r, name)) for name in self.FIELDS) for r in self.rows
-        ]
+        """The header, then one line per row: each value's repr, comma-separated."""
+        line = ",".join(["%r"] * len(self.FIELDS))
+        return [",".join(self.FIELDS)] + [line % r for r in self.rows]
 
 
 @dataclass(frozen=True)
@@ -164,23 +168,30 @@ class Trajectory:
 
 
 def gradient_v_sq(values: np.ndarray, grid: PhaseGrid) -> np.ndarray:
-    """|grad_v f|^2 of one snapshot, summed over the velocity components in
-    order.
+    """|grad_v f|^2 of a state, or of a stack of states (..., *grid.shape),
+    summed over the velocity components in order.
 
     Each component is np.gradient's arithmetic at uniform spacing: central
     differences (f[j+1] - f[j-1]) / (2 hv) inside and one-sided ones at the
     velocity walls, so the result equals the np.gradient form bitwise and
-    keeps the memory layout of ``values``.  The first squared component is
-    written in place rather than added to zeros, which gives the same bits.
+    keeps the memory layout of ``values``.  The central differences are taken
+    in one pass over the whole array flattened in memory order, at the
+    component axis's stride; the nodes that pass pairs across a wall are the
+    wall nodes, which the one-sided differences then overwrite.  The first
+    squared component is written in place rather than added to zeros, which
+    gives the same bits.
     """
     h = grid.hv
+    flat = values.ravel(order="K")
     out = np.empty_like(values)
     for m in range(grid.d):
         dv = out if m == 0 else np.empty_like(values)
-        lead = (slice(None),) * (grid.d + m)
-        inner = dv[lead + (slice(1, -1),)]
-        np.subtract(values[lead + (slice(2, None),)], values[lead + (slice(None, -2),)], out=inner)
+        axis = values.ndim - grid.d + m
+        s = dv.strides[axis] // dv.itemsize
+        inner = dv.ravel(order="K")[s:-s]
+        np.subtract(flat[2 * s:], flat[:-2 * s], out=inner)
         inner /= 2.0 * h
+        lead = (slice(None),) * axis
         for edge, hi, lo in ((0, 1, 0), (-1, -1, -2)):
             side = dv[lead + (edge,)]
             np.subtract(values[lead + (hi,)], values[lead + (lo,)], out=side)

@@ -6,19 +6,29 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import kfplab
 import kfplab.cli  # the tracer wraps functions of cli and of the modules it loads
+from kfplab.fields import CheckerboardRecipe, EllipticityBounds, sample_field
+from kfplab.solver import SolverConfig
+from kfplab.trajectory import PhaseGrid, PhaseGridFunction
 
 KFPBENCH = Path(__file__).resolve().parents[1] / "kfpbench"
 TRACING = KFPBENCH / "tracing.py"
 WORKLOADS = KFPBENCH / "workloads.py"
 
 
-def test_tracer_installs_on_every_traced_function(monkeypatch):
+def _load_tracing(monkeypatch):
     spec = importlib.util.spec_from_file_location("kfpbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, tracing)  # its dataclasses look themselves up
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_tracer_installs_on_every_traced_function(monkeypatch):
+    tracing = _load_tracing(monkeypatch)
     original = kfplab.landau.landau_a_field
     tracer = tracing.Tracer()
     tracer.install(kfplab)
@@ -76,3 +86,25 @@ def test_every_name_the_workloads_use_resolves():
         if obj is None:
             missing.append(".".join((module, name, *path)))
     assert missing == []
+
+
+def test_traced_solve_has_one_step_span_per_step(monkeypatch):
+    # solve calls the module-level step once per step, also across the
+    # ledger's blocks (32 states of 32^2 here), so solver.steps counts steps
+    tracing = _load_tracing(monkeypatch)
+    grid = PhaseGrid(d=1, x_extent=4.0, nx=32, v_max=3.0, nv=32)
+    field = sample_field(CheckerboardRecipe(cell=1.0, b_max=1.0), EllipticityBounds(0.5, 2.0),
+                         seed=5, d=1)
+    cfg = SolverConfig(grid=grid, dt=0.01, t_end=0.7, field=field, snapshot_stride=10)
+    f0 = PhaseGridFunction(grid, np.full(grid.shape, 0.5), 0.0)
+    tracer = tracing.Tracer()
+    tracer.install(kfplab)
+    try:
+        kfplab.solver.solve(cfg, f0)
+    finally:
+        tracer.uninstall()
+    (solve,) = [i for i, span in enumerate(tracer.spans) if span.name == "solver.solve"]
+    steps = [span for span in tracer.spans if span.name == "solver.step"]
+    assert len(steps) == cfg.n_steps == 70
+    assert all(span.parent == solve for span in steps)
+    assert tracing.layer_metrics(tracer.spans)["solver.steps"] == cfg.n_steps

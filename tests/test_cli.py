@@ -21,6 +21,7 @@ from kfplab.storage import (
     write_velocity_profile,
 )
 from kfplab.landau import VelocityGrid, maxwellian
+from kfplab.trajectory import EnergyLedger, LedgerRow
 
 
 def base_config(out_dir, initial=None, field=None, probes=None):
@@ -70,6 +71,24 @@ class TestSnapshotFormat:
         assert v_max == 4.0
         assert np.array_equal(back, f.values)
 
+    def test_ledger_round_trip(self, tmp_path):
+        # each value is written as its repr and read back to the same bits
+        rng = np.random.default_rng(0)
+        vals = rng.standard_normal((10_000, 7)) * 10.0 ** rng.integers(-300, 300, (10_000, 7))
+        vals[:4] = [[-0.0, 5e-324, 1e-310, 1e300, -1e300, 0.1, 2.5e-308]] * 4
+        ledger = EnergyLedger(tuple(LedgerRow(n, *row) for n, row in enumerate(vals.tolist())))
+        path = tmp_path / "ledger.csv"
+        storage.write_ledger(path, ledger)
+        lines = [",".join(repr(getattr(r, name)) for name in EnergyLedger.FIELDS)
+                 for r in ledger.rows]
+        assert path.read_text() == "\n".join([",".join(EnergyLedger.FIELDS)] + lines) + "\n"
+        back = storage.read_ledger(path)
+        assert [r.step for r in back.rows] == list(range(10_000))
+        assert np.array([r[1:] for r in back.rows]).tobytes() == vals.tobytes()
+        path.write_text(path.read_text().replace("1e+300", "1e+300x", 1))
+        with pytest.raises(ValueError):
+            storage.read_ledger(path)
+
 
 class TestRunCommand:
     def test_zero_data_degenerate_probes_exit_zero(self, tmp_path):
@@ -108,6 +127,29 @@ class TestRunCommand:
         report = json.loads((out / "report.json").read_text())
         cert = [i for i in report["invariants"] if i["name"] == "certify_field"][0]
         assert cert["value"] == "violated"
+
+    def test_nan_mid_solve_exits_three_with_its_step(self, tmp_path, capsys, monkeypatch):
+        # the ledger reads finiteness from fmin and fmax; step 5 lies inside
+        # the first block of 32 states the ledger reduces
+        from kfplab import solver
+
+        apply = solver._Collision1D.apply
+        calls = []
+
+        def poisoned(self, values, t):
+            out = apply(self, values, t)
+            calls.append(t)
+            if len(calls) == 5:
+                out[3, 7] = np.nan
+            return out
+
+        monkeypatch.setattr(solver._Collision1D, "apply", poisoned)
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, base_config(out))
+        assert main(["solve", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert re.search(r"solver failure: .*\bstep 5\b", err)
+        assert not out.exists()
 
     def test_byte_identical_reruns(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

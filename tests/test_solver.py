@@ -442,9 +442,68 @@ class TestFastPathsMatchOracles:
             np.asfortranarray(vals),
             np.moveaxis(np.moveaxis(vals, 0, -1).copy(), -1, 0),
             np.repeat(vals, 2, axis=-1)[..., ::2],
+            vals[..., ::-1],
         ]
         for arr in layouts:
             assert _same_array(gradient_v_sq(arr, grid), oracle.gradient_v_sq(arr, grid))
+        # a stack of states: each entry as if it stood alone
+        stack = np.stack([vals, 2.0 * vals, -vals])
+        got = gradient_v_sq(stack, grid)
+        assert all(_same_array(got[k], oracle.gradient_v_sq(stack[k], grid)) for k in range(3))
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_solve_across_ledger_blocks(self, d, scheme, monkeypatch):
+        # the ledger reduces blocks of K states: runs of 1, K - 1, K, K + 1
+        # and 2K + 3 steps end inside, on and past a block's end.  d = 1 runs
+        # at the module's block size (K = 128 here); d = 2, whose oracle
+        # assembles node by node, at K = 4
+        if d == 1:
+            grid = PhaseGrid(d=1, x_extent=4.0, nx=16, v_max=3.0, nv=16)
+            dt = 0.01
+        else:
+            grid = PhaseGrid(d=2, x_extent=2.0, nx=3, v_max=2.0, nv=4)
+            dt = 0.05
+            monkeypatch.setattr(solver_mod, "_BLOCK_BYTES", 4 * 8 * math.prod(grid.shape))
+        k = solver_mod._BLOCK_BYTES // (8 * math.prod(grid.shape))
+        assert k == (128 if d == 1 else 4)
+        field = sample_field(CheckerboardRecipe(cell=0.5, b_max=1.0, s_max=0.5),
+                             EllipticityBounds(0.5, 2.0), seed=3, d=d)
+        for n_steps in (1, k - 1, k, k + 1, 2 * k + 3):
+            cfg = SolverConfig(grid=grid, dt=dt, t_end=n_steps * dt, field=field, scheme=scheme,
+                               snapshot_stride=5)
+            f0 = PhaseGridFunction(grid, _random_state(grid, n_steps), 0.0)
+            got, want = solve(cfg, f0), oracle.solve(cfg, f0)
+            assert len(got.ledger.rows) == n_steps + 1
+            assert got.times.tobytes() == want.times.tobytes()
+            assert got.values.tobytes() == want.values.tobytes()
+            assert got.ledger.csv_lines() == want.ledger.csv_lines()
+
+    @pytest.mark.parametrize("d, n", [(1, 256), (2, 16)])
+    def test_ledger_block_rows_match_single_state_rows(self, d, n):
+        # 256^2 and 16^4 states are longer than numpy's 8192-element
+        # reduction buffer; the d = 2 block keeps the transport's layout
+        grid = PhaseGrid(d=d, x_extent=2.0, nx=n, v_max=2.0, nv=n)
+        plan = _make_transport(SolverConfig(grid=grid, dt=0.01, t_end=0.01,
+                                            field=identity_field(d)))
+        block = solver_mod._stack_like(plan.apply(np.zeros(grid.shape)), 3)
+        rng = np.random.default_rng(d)
+        for k in range(3):
+            block[k] = rng.standard_normal(grid.shape) * 10.0 ** (3 * k - 3)
+        times = [0.5, 0.75, 1.0]
+        rows = solver_mod._ledger_rows(7, times, block, grid, lambda t: 2.0 * t)
+        for k, row in enumerate(rows):
+            state = PhaseGridFunction(grid, block[k], times[k])
+            assert row == oracle.ledger_row(7 + k, state, grid, 2.0 * times[k])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_state_is_a_solver_failure_at_its_step(self, bad):
+        grid = PhaseGrid(d=1, x_extent=4.0, nx=8, v_max=3.0, nv=8)
+        cfg = SolverConfig(grid=grid, dt=0.05, t_end=0.2, field=identity_field())
+        vals = _random_state(grid, 1)
+        vals[3, 4] = bad
+        with pytest.raises(solver_mod.SolverFailure, match=r"step 0 \(t = 0\.0\)"):
+            solve(cfg, PhaseGridFunction(grid, vals, 0.0))
 
     def test_solve_checkerboard_with_drift_and_source(self):
         grid = PhaseGrid(d=1, x_extent=5.0, nx=32, v_max=4.0, nv=32)
