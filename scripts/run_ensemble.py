@@ -13,19 +13,12 @@ import time
 
 import numpy as np
 
+from kfplab.config import build_initial
 from kfplab.fields import CheckerboardRecipe, EllipticityBounds, sample_field
 from kfplab.geometry import Cylinder, KineticPoint
 from kfplab.probes import HarnackParams, gain_probe, harnack_probe, holder_fit
 from kfplab.solver import SolverConfig, solve
-from kfplab.trajectory import PhaseGrid, PhaseGridFunction
-
-
-def initial_bump(grid, cx, sx, sv, floor):
-    x, v = grid.meshes()
-    qx = np.sum((x - cx) ** 2, axis=-1) / sx**2
-    qv = np.sum(v**2, axis=-1) / sv**2
-    amp = 1.0 / (2 * np.pi * sx * sv)
-    return PhaseGridFunction(grid, amp * np.exp(-0.5 * (qx + qv)) + floor, 0.0)
+from kfplab.trajectory import PhaseGrid
 
 
 def one_run(seed, nx, nv, dt):
@@ -38,7 +31,8 @@ def one_run(seed, nx, nv, dt):
     )
     cfg = SolverConfig(grid=grid, dt=dt, t_end=1.0, field=field,
                        snapshot_stride=max(nx, 64), snapshot_tail=0.014)
-    traj = solve(cfg, initial_bump(grid, 2.5, 0.2, 0.35, 0.01))
+    traj = solve(cfg, build_initial(grid, {"kind": "gaussian", "center_x": 2.5, "sigma_x": 0.2,
+                                           "sigma_v": 0.35, "floor": 0.01}))
     harnack = harnack_probe(traj, HarnackParams(
         r=0.25, delta=0.3, rho1=0.4, rho2=0.6, q=2.0,
         center=KineticPoint.of(2.5, 0.0, 0.9),

@@ -24,7 +24,7 @@ from . import iteration
 from .config import (ConfigError, build_field, build_initial, build_solver_config, given,
                      load_config, run_probe)
 from .fields import certify_field
-from .geometry import GalileanTransform, KineticPoint, verify_covering
+from .geometry import group_product, group_quotient, verify_covering
 from .landau import (
     LandauParams,
     MomentBounds,
@@ -212,23 +212,14 @@ def _cmd_geometry(cfg: dict, args) -> int:
         )
     except ValueError as exc:
         raise ConfigError(f"geometry: {exc}") from exc
-    worst = 0.0
-    for _ in range(n_checks):
-        z0 = KineticPoint(rng.normal(size=d), rng.normal(size=d), float(rng.normal()))
-        z1 = KineticPoint(rng.normal(size=d), rng.normal(size=d), float(rng.normal()))
-        z = KineticPoint(rng.normal(size=d), rng.normal(size=d), float(rng.normal()))
-        t0, t1 = GalileanTransform(z0), GalileanTransform(z1)
-        left = t0.apply(t1.apply(z))
-        right = GalileanTransform(t0.apply(z1)).apply(z)
-        back = t0.apply_inverse(t0.apply(z))
-        worst = max(
-            worst,
-            float(np.max(np.abs(left.x - right.x))),
-            abs(left.t - right.t),
-            float(np.max(np.abs(back.x - z.x))),
-            float(np.max(np.abs(back.v - z.v))),
-            abs(back.t - z.t),
-        )
+    # check i draws the (x, v, t) of its z0, z1 and z in turn
+    draws = rng.normal(size=(n_checks, 3, 2 * d + 1))
+    z0, z1, z = ((p[:, :d], p[:, d:-1], p[:, -1]) for p in draws.swapaxes(0, 1))
+    left = group_product(z0, group_product(z1, z))
+    right = group_product(group_product(z0, z1), z)
+    back = group_quotient(z0, group_product(z0, z))
+    deviations = (left[0] - right[0], left[2] - right[2], back[0] - z[0], back[1] - z[1], back[2] - z[2])
+    worst = max(float(np.abs(dev).max(initial=0.0)) for dev in deviations)
     group_ok = worst <= 1e-10
     out = _out_dir(cfg, args)
     out.mkdir(parents=True, exist_ok=True)

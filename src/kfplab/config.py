@@ -170,9 +170,14 @@ def given(section: dict, *keys: str) -> dict:
     return {key: section[key] for key in keys if key in section}
 
 
+def _non_finite(literal: str):
+    """JSON has no NaN or infinities; Python's parser would read these literals."""
+    raise ConfigError(f"non-finite number {literal} is not allowed")
+
+
 def load_config(path) -> dict:
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(Path(path).read_text(), parse_constant=_non_finite)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     validate_config(raw)

@@ -435,17 +435,6 @@ class CertReport:
     verdict: str
     witness: tuple | None
 
-    def to_dict(self) -> dict:
-        return {
-            "n_samples": self.n_samples,
-            "min_eig": self.min_eig,
-            "max_eig": self.max_eig,
-            "max_drift": self.max_drift,
-            "max_source": self.max_source,
-            "verdict": self.verdict,
-            "witness": None if self.witness is None else [float(w) for w in self.witness],
-        }
-
 
 # relative slack of the certificate's eigenvalue, drift and source checks
 _CERTIFY_RTOL = 1e-9

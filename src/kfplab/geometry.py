@@ -60,43 +60,57 @@ class KineticPoint:
         """Build a point from scalars or sequences (scalars mean d = 1)."""
         return KineticPoint(np.atleast_1d(x), np.atleast_1d(v), t)
 
+    def __iter__(self):
+        """Unpack as the triple (x, v, t) the group law takes."""
+        return iter((self.x, self.v, self.t))
+
+
+def group_product(z0, z):
+    """The group law z0 o z = (x0 + x + t v0, v0 + v, t0 + t).
+
+    Both arguments are (x, v, t) triples, a KineticPoint or arrays of shape
+    (..., d), (..., d), (...); either side may hold one point per sample.
+    """
+    x0, v0, t0 = z0
+    x, v, t = z
+    t = np.asarray(t, dtype=float)
+    return x0 + x + t[..., None] * v0, v0 + v, t0 + t
+
+
+def group_quotient(z0, z):
+    """z0^{-1} o z = (x - x0 - (t - t0) v0, v - v0, t - t0): z in the frame of z0.
+
+    Takes the triples :func:`group_product` takes.
+    """
+    x0, v0, t0 = z0
+    x, v, t = z
+    dt = np.asarray(t, dtype=float) - t0
+    return x - x0 - dt[..., None] * v0, v - v0, dt
+
 
 @dataclass(frozen=True)
 class GalileanTransform:
-    """The equation-invariant change of frame z -> (x0 + x + t v0, v0 + v, t0 + t)."""
+    """The equation-invariant change of frame z -> base o z."""
 
     base: KineticPoint
 
+    def _same_d(self, z: KineticPoint) -> KineticPoint:
+        if z.d != self.base.d:
+            raise ValueError(f"dimension mismatch: transform d={self.base.d}, point d={z.d}")
+        return z
+
     def apply(self, z: KineticPoint) -> KineticPoint:
-        b = self.base
-        if z.d != b.d:
-            raise ValueError(f"dimension mismatch: transform d={b.d}, point d={z.d}")
-        return KineticPoint(b.x + z.x + z.t * b.v, b.v + z.v, b.t + z.t)
+        return KineticPoint(*group_product(self.base, self._same_d(z)))
 
     def apply_inverse(self, z: KineticPoint) -> KineticPoint:
-        b = self.base
-        if z.d != b.d:
-            raise ValueError(f"dimension mismatch: transform d={b.d}, point d={z.d}")
-        return KineticPoint(z.x - b.x - (z.t - b.t) * b.v, z.v - b.v, z.t - b.t)
+        return KineticPoint(*group_quotient(self.base, self._same_d(z)))
 
     def apply_arrays(self, xs: np.ndarray, vs: np.ndarray, ts: np.ndarray):
         """Vectorized ``apply`` on arrays of shape (..., d) / (...,)."""
-        b = self.base
-        ts = np.asarray(ts, dtype=float)
-        return (
-            b.x + xs + ts[..., None] * b.v,
-            b.v + vs,
-            b.t + ts,
-        )
+        return group_product(self.base, (xs, vs, ts))
 
     def apply_inverse_arrays(self, xs: np.ndarray, vs: np.ndarray, ts: np.ndarray):
-        b = self.base
-        ts = np.asarray(ts, dtype=float)
-        return (
-            xs - b.x - (ts - b.t)[..., None] * b.v,
-            vs - b.v,
-            ts - b.t,
-        )
+        return group_quotient(self.base, (xs, vs, ts))
 
 
 def compose(z0: KineticPoint, z1: KineticPoint) -> KineticPoint:
@@ -208,11 +222,7 @@ class Cylinder:
 
     def contains_arrays(self, xs: np.ndarray, vs: np.ndarray, ts: np.ndarray) -> np.ndarray:
         """Vectorized membership on arrays of shape (..., d) / (...,)."""
-        c = self.center
-        ts = np.asarray(ts, dtype=float)
-        dt = ts - c.t
-        yx = xs - c.x - dt[..., None] * c.v
-        yv = vs - c.v
+        yx, yv, dt = group_quotient(self.center, (xs, vs, ts))
         wx, wv, t_lo, t_hi = collared_windows(*self.windows())
         in_t = (dt > t_lo) & (dt <= t_hi)
         if self.shape is CylinderShape.CUBE:
@@ -271,15 +281,18 @@ class Paraboloid:
     def _factor(self) -> float:
         return (16.0 if self.sign < 0 else 4.0) / self.omega**2
 
+    def time_floor(self, ys: np.ndarray, ws: np.ndarray) -> np.ndarray:
+        """The least unit-scale s with (y, w, s) inside: (4/3)(c rho^2 - 1)."""
+        wn = np.sqrt(np.einsum("...i,...i->...", ws, ws))
+        yn = np.sqrt(np.einsum("...i,...i->...", ys, ys))
+        rho = np.maximum(wn, np.cbrt(yn))
+        return (4.0 / 3.0) * (self._factor * rho**2 - 1.0)
+
     def contains_arrays(self, ys: np.ndarray, ws: np.ndarray, ss: np.ndarray) -> np.ndarray:
         r = self.scale
         ys = np.asarray(ys, dtype=float) / r**3
         ws = np.asarray(ws, dtype=float) / r
-        ss = np.asarray(ss, dtype=float) / r**2
-        wn = np.sqrt(np.einsum("...i,...i->...", ws, ws))
-        yn = np.sqrt(np.einsum("...i,...i->...", ys, ys))
-        rho = np.maximum(wn, np.cbrt(yn))
-        return ss >= (4.0 / 3.0) * (self._factor * rho**2 - 1.0)
+        return np.asarray(ss, dtype=float) / r**2 >= self.time_floor(ys, ws)
 
     def contains(self, y, w, s: float) -> bool:
         y = np.atleast_1d(np.asarray(y, dtype=float))
@@ -407,7 +420,6 @@ def verify_covering(
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
 
-    plus = Paraboloid(+1, omega)
     q_unit = Cylinder(KineticPoint.origin(d), 1.0)
 
     # Halton dims: z in Q^- (2 balls + time), r, paraboloid point
@@ -434,17 +446,12 @@ def verify_covering(
     rho = rho_max * np.maximum(take(1)[:, 0], 1e-9)
     pw = _ball_from_uniform(take(d), take(1)[:, 0], rho)
     py = _ball_from_uniform(take(d), take(1)[:, 0], rho**3)
-    rho_eff = np.maximum(
-        np.sqrt(np.einsum("ij,ij->i", pw, pw)),
-        np.cbrt(np.sqrt(np.einsum("ij,ij->i", py, py))),
-    )
-    s_lo = (4.0 / 3.0) * (plus._factor * rho_eff**2 - 1.0)
+    s_lo = Paraboloid(+1, omega).time_floor(py, pw)
     ps = s_lo + (s_cap - s_lo) * take(1)[:, 0]
 
-    # compose q = z o (r . p)
-    qx = zx + rs[:, None] ** 3 * py + (rs**2 * ps)[:, None] * zv
-    qv = zv + rs[:, None] * pw
-    qt = zt + rs**2 * ps
+    # q = z o delta_r(p)
+    r_col = rs[:, None]
+    qx, qv, qt = group_product((zx, zv, zt), (r_col**3 * py, r_col * pw, rs**2 * ps))
 
     relevant = qt <= 0.0
     inside = q_unit.contains_arrays(qx, qv, qt)
@@ -463,14 +470,8 @@ def verify_covering(
     pt = -(r_plus**2) * take(1)[:, 0]
     if hypothesis_met:
         # y = z^{-1} o z+, tested against r P^- at the per-sample scale r
-        yt = pt - zt
-        yv = pv - zv
-        yx = px - zx - yt[:, None] * zv
-        rho = np.maximum(
-            np.sqrt(np.einsum("ij,ij->i", yv, yv)) / rs,
-            np.cbrt(np.sqrt(np.einsum("ij,ij->i", yx, yx))) / rs,
-        )
-        ok = yt / rs**2 >= (4.0 / 3.0) * ((16.0 / omega**2) * rho**2 - 1.0)
+        yx, yv, yt = group_quotient((zx, zv, zt), (px, pv, pt))
+        ok = Paraboloid(-1, omega).contains_arrays(yx / r_col**3, yv / r_col, yt / rs**2)
         checked_b = n_samples
         counter_b = tuple(
             (float(yx[i, 0]), float(yv[i, 0]), float(yt[i])) for i in np.flatnonzero(~ok)[:5]

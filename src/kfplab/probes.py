@@ -29,8 +29,7 @@ from .geometry import (
     iterated_times,
 )
 from .iteration import holder_alpha, sobolev_p
-from .trajectory import (Footprint, PhaseBox, Trajectory, gradient_v_sq, periodic_shift,
-                         region_mask)
+from .trajectory import Footprint, PhaseBox, Trajectory, gradient_v_sq, region_mask, x_offset
 
 
 @dataclass(frozen=True)
@@ -523,28 +522,27 @@ def weighted_mean(traj: Trajectory, z0: KineticPoint, r_scale: float, t: float) 
     n = int(np.argmin(np.abs(traj.times - t)))
     if abs(float(traj.times[n]) - t) > 1e-9 * max(1.0, abs(t)):
         raise ValueError(f"no stored snapshot at time {t}")
-    chi = _cutoff(traj, z0, r_scale, n)
-    denom = float(chi.sum())
-    if denom == 0.0:
-        raise ValueError("cutoff support does not intersect the grid")
-    return float((traj.values[n] * chi).sum() / denom)
+    return _mean_at(traj, z0, r_scale, n)
 
 
-def _cutoff(traj: Trajectory, z0: KineticPoint, r_scale: float, n: int) -> np.ndarray:
+def _mean_at(traj: Trajectory, z0: KineticPoint, r_scale: float, n: int) -> float:
+    """:func:`weighted_mean` at snapshot ``n`` of a base-free trajectory."""
     g = traj.grid
-    t = float(traj.times[n])
+    dt = float(traj.times[n]) - z0.t
     chi = np.ones(g.shape)
     for m in range(g.d):
-        x_off = g.x_axis - z0.x[m] - (t - z0.t) * z0.v[m]
-        x_off = x_off - periodic_shift(x_off, g.x_extent)
+        off, shift = x_offset(g, z0, dt, m)
         shape = [1] * (2 * g.d)
         shape[m] = g.nx
-        chi = chi * smooth_bump(x_off / r_scale**3).reshape(shape)
+        chi = chi * smooth_bump((off - shift) / r_scale**3).reshape(shape)
         v_off = g.v_axis - z0.v[m]
         shape = [1] * (2 * g.d)
         shape[g.d + m] = g.nv
         chi = chi * smooth_bump(v_off / r_scale).reshape(shape)
-    return chi
+    denom = float(chi.sum())
+    if denom == 0.0:
+        raise ValueError("cutoff support does not intersect the grid")
+    return float((traj.values[n] * chi).sum() / denom)
 
 
 def caccioppoli_probe(traj: Trajectory, z0: KineticPoint, r_scale: float) -> ProbeReport:
@@ -566,7 +564,7 @@ def caccioppoli_probe(traj: Trajectory, z0: KineticPoint, r_scale: float) -> Pro
         return grad(piece.n)[piece.mask].sum()
 
     def spread(piece, scale):
-        mean = weighted_mean(traj, z0, scale, float(traj.times[piece.n]))
+        mean = _mean_at(traj, z0, scale, piece.n)
         return ((piece.values - mean) ** 2).sum()
 
     s_r = sample_region(traj, q_r)
@@ -614,11 +612,11 @@ def fractional_seminorm(
     sample = sample_region(traj, region)
     _require_points(sample)
     g = traj.grid
-    footprint = Footprint.of(g, region)
     coords = []
     for piece in sample:
-        shifts = footprint.x_shifts(float(traj.times[piece.n]) - region.center.t)
-        xs, vs = _nodes(piece.mask, [g.x_axis - shift for _, shift in shifts], g.v_axis)
+        dt = float(traj.times[piece.n]) - region.center.t
+        x_axes = [g.x_axis - x_offset(g, region.center, dt, m)[1] for m in range(g.d)]
+        xs, vs = _nodes(piece.mask, x_axes, g.v_axis)
         ts = np.full(xs.shape[0], float(traj.times[piece.n]))
         coords.append(np.concatenate([xs, vs, ts[:, None]], axis=1))
     z = np.concatenate(coords)

@@ -202,9 +202,12 @@ def gradient_v_sq(values: np.ndarray, grid: PhaseGrid) -> np.ndarray:
     return out
 
 
-def periodic_shift(offsets: np.ndarray, x_extent: float) -> np.ndarray:
-    """The multiple of the period taking each x offset to its nearest image."""
-    return x_extent * np.rint(offsets / x_extent)
+def x_offset(grid: PhaseGrid, center: KineticPoint, dt: float, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """x axis ``m``: the nodes' offsets from the path of ``center`` at time
+    offset ``dt``, and the multiple of the period taking each to its nearest
+    image (exactly 0.0 for offsets shorter than half the period)."""
+    off = grid.x_axis - center.x[m] - dt * center.v[m]
+    return off, grid.x_extent * np.rint(off / grid.x_extent)
 
 
 @dataclass(frozen=True)
@@ -238,17 +241,12 @@ class Footprint:
         v_mask = _window([grid.v_axis - c.v[m] for m in range(grid.d)], wv, per_coordinate)
         return Footprint(grid, c, wx, t_lo, t_hi, per_coordinate, v_mask)
 
-    def x_shifts(self, dt: float) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per x axis: node offsets from the centre's path at ``dt``, and their shift."""
-        g, c = self.grid, self.center
-        offsets = [g.x_axis - c.x[m] - dt * c.v[m] for m in range(g.d)]
-        return [(off, periodic_shift(off, g.x_extent)) for off in offsets]
-
     def mask(self, dt: float) -> np.ndarray:
         """Full-grid membership mask at time offset ``dt`` from the centre."""
         if not (self.t_lo < dt <= self.t_hi):
             return np.zeros(self.grid.shape, dtype=bool)
-        x_off = [off - shift for off, shift in self.x_shifts(dt)]
+        g = self.grid
+        x_off = [off - shift for off, shift in (x_offset(g, self.center, dt, m) for m in range(g.d))]
         return np.multiply.outer(_window(x_off, self.wx, self.per_coordinate), self.v_mask)
 
 

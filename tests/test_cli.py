@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -22,6 +23,9 @@ from kfplab.storage import (
 )
 from kfplab.landau import VelocityGrid, maxwellian
 from kfplab.trajectory import EnergyLedger, LedgerRow
+
+# `kfplab geometry` reports written by kfplab at commit 5bc6bae (see test_geometry)
+GOLDEN = json.loads((Path(__file__).parent / "data" / "geometry_golden.json").read_text())
 
 
 def base_config(out_dir, initial=None, field=None, probes=None):
@@ -329,6 +333,11 @@ MALFORMED = {
     "solver_boundary": ("solve", ("solver",), {"d": 2, "x_extent": 4.0, "nx": 8, "v_max": 3.0,
                                                "nv": 8, "dt": 0.015625, "t_end": 0.125,
                                                "boundary": "periodic_both"}),
+    # json.dumps writes these as the literals NaN, Infinity and -Infinity
+    "constant_initial_nan": ("solve", ("solver", "initial"), {"kind": "constant", "value": math.nan}),
+    "x_extent_infinity": ("solve", ("solver", "x_extent"), math.inf),
+    "gaussian_center_v_minus_infinity": ("solve", ("solver", "initial"),
+                                         {"kind": "gaussian", "center_v": -math.inf}),
 }
 
 
@@ -446,6 +455,23 @@ class TestOtherCommands:
         assert "group_law" in names and "covering" in names
         group = [p for p in report["probes"] if p["name"] == "group_law"][0]
         assert group["verdict"] == "ok"
+
+    def test_geometry_without_selfchecks_passes(self, tmp_path):
+        cfg = write_config(tmp_path, {"schema_version": 1, "geometry": {"n_selfchecks": 0}})
+        assert main(["geometry", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        report = json.loads((tmp_path / "out" / "geometry_report.json").read_text())
+        group = [p for p in report["probes"] if p["name"] == "group_law"][0]
+        assert group["constants"]["worst_deviation"] == "0.0" and group["verdict"] == "ok"
+
+    @pytest.mark.parametrize("case", GOLDEN["geometry_reports"],
+                             ids=["defaults", "d2", "d3_claim_a_fails"])
+    def test_geometry_report_matches_golden(self, tmp_path, case):
+        out = tmp_path / "out"
+        argv = ["geometry", "--out", str(out)]
+        if case["config"] is not None:
+            argv += ["--config", str(write_config(tmp_path, case["config"]))]
+        assert main(argv) == case["exit"]
+        assert (out / "geometry_report.json").read_bytes() == case["report"].encode("utf-8")
 
     def test_landau_coulomb_kappa(self, tmp_path):
         grid = VelocityGrid(v_max=5.0, n=12, d=3)

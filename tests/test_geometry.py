@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,8 @@ from kfplab.geometry import (
     Paraboloid,
     compose,
     covering_threshold,
+    group_product,
+    group_quotient,
     halton,
     iterated_cylinder,
     iterated_radius,
@@ -25,6 +29,11 @@ from kfplab.geometry import (
 )
 
 coord = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
+
+# Covering reports and `kfplab geometry` reports written by kfplab at commit
+# 5bc6bae, where verify_covering and the CLI still spelled out the group law
+# inline and the CLI checked it point by point.
+GOLDEN = json.loads((Path(__file__).parent / "data" / "geometry_golden.json").read_text())
 
 
 def pt(x, v, t):
@@ -73,6 +82,31 @@ class TestTransforms:
         left = GalileanTransform(z0).apply(GalileanTransform(z1).apply(z))
         right = GalileanTransform(compose(z0, z1)).apply(z)
         assert points_close(left, right, tol=1e-10)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_per_sample_bases_match_per_point_transforms(self, d):
+        rng = np.random.default_rng(d)
+        n = 300
+        base = (rng.normal(size=(n, d)), rng.normal(size=(n, d)), rng.normal(size=n))
+        z = (rng.normal(size=(n, d)), rng.normal(size=(n, d)), rng.normal(size=n))
+        fwd = group_product(base, z)
+        inv = group_quotient(base, z)
+        for i in range(n):
+            b = KineticPoint(base[0][i], base[1][i], base[2][i])
+            p = KineticPoint(z[0][i], z[1][i], z[2][i])
+            t = GalileanTransform(b)
+            # the per-point transforms, and the law written out as the transforms had it
+            expected = [
+                (fwd, t.apply(p)),
+                (fwd, (b.x + p.x + p.t * b.v, b.v + p.v, b.t + p.t)),
+                (inv, t.apply_inverse(p)),
+                (inv, (p.x - b.x - (p.t - b.t) * b.v, p.v - b.v, p.t - b.t)),
+            ]
+            for got, want in expected:
+                x, v, s = want
+                assert got[0][i].tobytes() == x.tobytes()
+                assert got[1][i].tobytes() == v.tobytes()
+                assert got[2][i] == s
 
     def test_dimension_mismatch(self):
         t = GalileanTransform(KineticPoint.origin(2))
@@ -267,6 +301,12 @@ class TestCovering:
         a = verify_covering(0.2, 1e-11, 0.1, n_samples=500, seed=9).to_dict()
         b = verify_covering(0.2, 1e-11, 0.1, n_samples=500, seed=9).to_dict()
         assert a == b
+
+
+@pytest.mark.parametrize("case", GOLDEN["covering"],
+                         ids=lambda c: "d{d}-seed{seed}-delta{delta}-R{r_plus}".format(**c["args"]))
+def test_covering_report_matches_golden(case):
+    assert json.dumps(verify_covering(**case["args"]).to_dict()) == json.dumps(case["report"])
 
 
 def scipy_halton(dims, n, seed):

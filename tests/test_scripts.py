@@ -1,0 +1,48 @@
+"""Each script under scripts/ runs end to end through its main() at a tiny size."""
+
+import importlib.util
+import math
+import sys
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def run_script(monkeypatch, capsys, name: str, *args: str) -> list[str]:
+    """Call ``main()`` of scripts/<name>.py with ``args`` as its command line;
+    return the lines it printed to stdout."""
+    spec = importlib.util.spec_from_file_location(f"script_{name}", SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.setattr(sys, "argv", [f"{name}.py", *args])
+    assert module.main() in (None, 0)
+    return capsys.readouterr().out.splitlines()
+
+
+def test_covering_sweep(monkeypatch, capsys):
+    lines = run_script(monkeypatch, capsys, "covering_sweep", "--samples", "256")
+    assert lines[0] == "delta,R,threshold,hypothesis,claim_a,claim_b"
+    rows = [line.split(",") for line in lines[1:]]
+    assert len(rows) == 20  # 4 deltas x 5 radii, each R <= sqrt(delta)
+    for *_, hypothesis, claim_a, claim_b in rows:
+        assert claim_a in ("pass", "fail")
+        assert claim_b == ("pass" if hypothesis == "True" else "hypothesis unmet")
+
+
+def test_run_ensemble(monkeypatch, capsys):
+    lines = run_script(monkeypatch, capsys, "run_ensemble", "--size", "1", "--nx", "32",
+                       "--nv", "32", "--dt", repr(1 / 4096))
+    assert lines[0] == "seed,c_emp,gain_cbar,alpha_fit"
+    assert len(lines) == 2
+    seed, *constants = lines[1].split(",")
+    assert seed == "100" and all(math.isfinite(float(c)) for c in constants)
+
+
+def test_sde_reference(monkeypatch, capsys):
+    lines = run_script(monkeypatch, capsys, "sde_reference", "--paths", "1000", "--steps", "10")
+    assert lines[0].startswith("paths=1000 steps=10 t=1.0")
+    moments = {line.split()[0]: float(line.split()[2]) for line in lines[1:]}
+    # 1000 paths: the sample moments lie within a few standard errors of 2t, t^2, 2t^3/3
+    assert moments == pytest.approx({"var_v": 2.0, "cov_xv": 1.0, "var_x": 2.0 / 3.0}, rel=0.25)
