@@ -219,10 +219,20 @@ def build_solver_config(cfg: dict, field) -> SolverConfig:
         raise ConfigError("config has no solver section")
     try:
         grid = PhaseGrid(d=_dimension(cfg), **given(section, "x_extent", "nx", "v_max", "nv"))
-        return SolverConfig(grid=grid, field=field, **given(
+        solver_cfg = SolverConfig(grid=grid, field=field, **given(
             section, "dt", "t_end", "scheme", "snapshot_stride", "snapshot_tail"))
     except (ValueError, NotImplementedError) as exc:
         raise ConfigError(str(exc)) from exc
+    # the run evaluates the field on [0, x_extent] x [-v_max, v_max] x [0, t_end]; a
+    # recipe that cannot index that box rejects it here, at its two extreme corners
+    ones = np.ones(grid.d)
+    try:
+        field.a(np.outer([0.0, grid.x_extent], ones), np.outer([-grid.v_max, grid.v_max], ones),
+                np.array([0.0, solver_cfg.t_end]))
+    except ValueError as exc:
+        raise ConfigError(f"solver grid (x_extent {grid.x_extent!r}, v_max {grid.v_max!r}, "
+                          f"t_end {solver_cfg.t_end!r}) reaches beyond the field: {exc}") from exc
+    return solver_cfg
 
 
 def build_initial(grid: PhaseGrid, section: dict | None) -> PhaseGridFunction:

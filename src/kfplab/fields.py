@@ -219,6 +219,10 @@ def _constant_field(recipe: ConstantRecipe, bounds: EllipticityBounds, seed: int
     )
 
 
+# cell indices are int64 and seed the cell's draws through _zigzag, which doubles them
+_CELL_INDEX_LIMIT = 2.0**62
+
+
 def _checkerboard_field(recipe: CheckerboardRecipe, bounds: EllipticityBounds, seed: int, d: int) -> CoefficientField:
     if recipe.cell <= 0:
         raise ValueError(f"cell size must be positive, got {recipe.cell}")
@@ -243,10 +247,11 @@ def _checkerboard_field(recipe: CheckerboardRecipe, bounds: EllipticityBounds, s
         return got
 
     def _indices(x, v, t):
-        ix = np.floor(x / ell**3).astype(np.int64)
-        iv = np.floor(v / ell).astype(np.int64)
-        it = np.floor(t / ell**2).astype(np.int64)
-        return np.concatenate([ix, iv, it[..., None]], axis=-1)
+        cells = np.concatenate([np.floor(x / ell**3), np.floor(v / ell),
+                                np.floor(t / ell**2)[..., None]], axis=-1)
+        if not np.all(np.abs(cells) < _CELL_INDEX_LIMIT):
+            raise ValueError(f"checkerboard cell index (cell = {ell!r}) beyond 2^62 or not finite")
+        return cells.astype(np.int64)
 
     def _eval(x, v, t, pick):
         idx = _indices(x, v, t)

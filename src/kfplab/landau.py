@@ -116,13 +116,6 @@ def moments(f: VelocityGridFunction) -> tuple[float, float, float]:
     return m, e, h
 
 
-def _offset_lattice(grid: VelocityGrid) -> np.ndarray:
-    """Offsets w = k h for k in [-(n-1), n-1]^d, shape (2n-1, ..., 2n-1, d)."""
-    k = np.arange(-(grid.n - 1), grid.n) * grid.h
-    axes = np.meshgrid(*([k] * grid.d), indexing="ij")
-    return np.stack(axes, axis=-1)
-
-
 def _singular_cell_average(grid: VelocityGrid, gamma: float) -> float:
     """Cell average of |w|^gamma over the w = 0 cell.
 
@@ -154,17 +147,21 @@ def _kernel_a_upper(grid: VelocityGrid, params: LandauParams) -> np.ndarray:
     """The components i <= j of ``kernel_a`` in ``np.triu_indices`` order.
 
     w_i w_j commutes, so the kernel is symmetric bit for bit and these
-    d(d+1)/2 components determine it.
+    d(d+1)/2 components determine it.  They are computed on the orthant
+    k >= 0 and mirrored (``_mirror``).  The diagonal is even.  A_ij with
+    i != j is odd in axes i and j: it is (0.0 - p) r with p = w_i w_j / |w|^2,
+    and flipping w_i or w_j flips p, so the mirror takes 0.0 - x.  That is
+    the lattice value bit for bit, also where p = 0 and both are +0.0, which
+    -x would turn into -0.0.
     """
     if params.gamma + 2.0 <= -grid.d:
         raise ValueError("gamma + 2 must exceed -d for an integrable kernel")
     i, j = np.triu_indices(grid.d)
-    w = _offset_lattice(grid)
-    sq = np.einsum("...i,...i->...", w, w)
-    safe = np.where(sq > 0.0, sq, 1.0)
+    w, safe, radial = _orthant_radial(grid, params.gamma + 2.0)
     proj = np.eye(grid.d)[i, j] - w[..., i] * w[..., j] / safe[..., None]
-    radial = np.where(sq > 0.0, safe ** ((params.gamma + 2.0) / 2.0), 0.0)
-    return proj * radial[..., None]
+    axes = np.arange(grid.d)[:, None]
+    return _mirror(proj * radial[..., None], grid.d, (i == axes) != (j == axes),
+                   lambda x, out: np.subtract(0.0, x, out=out))
 
 
 def _from_upper(upper: np.ndarray, d: int) -> np.ndarray:
@@ -177,25 +174,59 @@ def _from_upper(upper: np.ndarray, d: int) -> np.ndarray:
 
 
 def kernel_b(grid: VelocityGrid, params: LandauParams) -> np.ndarray:
-    """Vector kernel |w|^gamma w on the offset lattice (0 at w = 0)."""
-    w = _offset_lattice(grid)
-    sq = np.einsum("...i,...i->...", w, w)
-    safe = np.where(sq > 0.0, sq, 1.0)
-    radial = np.where(sq > 0.0, safe ** (params.gamma / 2.0), 0.0)
-    return w * radial[..., None]
+    """Vector kernel |w|^gamma w on the offset lattice (0 at w = 0).
+
+    Computed on the orthant k >= 0 and mirrored.  B_m is odd in axis m and
+    (-w_m) r is -(w_m r) bit for bit, so the mirror takes -x.  0.0 - x
+    would differ where w_m r underflows to 0, as on a grid with h ~ 1e-300.
+    """
+    w, _, radial = _orthant_radial(grid, params.gamma)
+    return _mirror(w * radial[..., None], grid.d, np.eye(grid.d, dtype=bool), np.negative)
 
 
 def kernel_c(grid: VelocityGrid, params: LandauParams) -> np.ndarray:
-    """Scalar kernel |w|^gamma with the singular cell replaced by its average."""
+    """Scalar kernel |w|^gamma with the singular cell replaced by its average.
+
+    Even in every axis: computed on the orthant k >= 0 and mirrored.
+    """
     if params.gamma <= -grid.d:
         raise ValueError("pointwise kernel only exists for gamma > -d")
-    w = _offset_lattice(grid)
+    _, _, vals = _orthant_radial(grid, params.gamma)
+    vals[(0,) * grid.d] = _singular_cell_average(grid, params.gamma)
+    return _mirror(vals, grid.d)
+
+
+def _orthant_radial(grid: VelocityGrid, power: float):
+    """On the orthant w = k h, k in [0, n-1]^d: w (shape (n, ..., n, d)),
+    |w|^2 with 1 at w = 0, and |w|^power with 0 at w = 0."""
+    k = np.arange(grid.n) * grid.h
+    w = np.stack(np.meshgrid(*([k] * grid.d), indexing="ij"), axis=-1)
     sq = np.einsum("...i,...i->...", w, w)
     safe = np.where(sq > 0.0, sq, 1.0)
-    vals = np.where(sq > 0.0, safe ** (params.gamma / 2.0), 0.0)
-    center = tuple([grid.n - 1] * grid.d)
-    vals[center] = _singular_cell_average(grid, params.gamma)
-    return vals
+    radial = np.where(sq > 0.0, safe ** (power / 2.0), 0.0)
+    return w, safe, radial
+
+
+def _mirror(half: np.ndarray, d: int, odd: np.ndarray | None = None, negate=None) -> np.ndarray:
+    """A kernel on the offset lattice k in [-(n-1), n-1]^d from its values
+    ``half`` on the orthant k >= 0.
+
+    Each of the 2^d orthants is written straight from ``half``, reversed on
+    the axes it flips; ``odd[axis, c]`` marks a trailing component c that is
+    odd in ``axis``, and one that flips an odd number of them then goes
+    through ``negate(x, out=x)``.  A scalar kernel, even in every axis, has
+    no ``odd``.  Reading only ``half`` keeps numpy from buffering an
+    overlapping copy of the kernel.
+    """
+    n = half.shape[0]
+    full = np.empty((2 * n - 1,) * d + half.shape[d:])
+    for flips in itertools.product((False, True), repeat=d):
+        dst = full[tuple(slice(None, n - 1) if flip else slice(n - 1, None) for flip in flips)]
+        dst[...] = half[tuple(slice(None, 0, -1) if flip else slice(None) for flip in flips)]
+        if odd is not None:
+            for comp in np.flatnonzero(odd[list(flips)].sum(axis=0) % 2):
+                negate(dst[..., comp], out=dst[..., comp])
+    return full
 
 
 def convolve_fft(f: VelocityGridFunction, kernel: np.ndarray) -> np.ndarray:
@@ -212,15 +243,27 @@ def convolve_fft(f: VelocityGridFunction, kernel: np.ndarray) -> np.ndarray:
     The density is transformed once per call; each kernel component goes
     through ``_valid_convolution``, which skips the padding.
     """
-    grid, vals = f.grid, f.values
-    n, d = grid.n, grid.d
+    return _convolve(f, kernel, None)
+
+
+def _density_spectrum(f: VelocityGridFunction) -> np.ndarray:
+    """The density's ``rfftn`` at the circular length of ``convolve_fft``."""
+    size = sp_fft.next_fast_len(2 * f.grid.n - 1, True)
+    return sp_fft.rfftn(f.values, [size] * f.grid.d)
+
+
+def _convolve(f: VelocityGridFunction, kernel: np.ndarray, vhat: np.ndarray | None) -> np.ndarray:
+    """``convolve_fft`` from the density's spectrum ``vhat``, which is
+    computed here when the caller has none to share."""
+    if vhat is None:
+        vhat = _density_spectrum(f)
+    n, d = f.grid.n, f.grid.d
     comp_shape = kernel.shape[d:]
-    out = np.empty(vals.shape + comp_shape)
+    out = np.empty(f.values.shape + comp_shape)
     size = sp_fft.next_fast_len(2 * n - 1, True)
-    vhat = sp_fft.rfftn(vals, [size] * d)
     for comp in itertools.product(*[range(s) for s in comp_shape]):
         out[(...,) + comp] = _valid_convolution(vhat, kernel[(...,) + comp], size, n)
-    return out * grid.cell_volume
+    return out * f.grid.cell_volume
 
 
 def _valid_convolution(vhat: np.ndarray, ker: np.ndarray, size: int, n: int) -> np.ndarray:
@@ -248,22 +291,36 @@ def _valid_convolution(vhat: np.ndarray, ker: np.ndarray, size: int, n: int) -> 
 def landau_a_field(f: VelocityGridFunction, params: LandauParams) -> np.ndarray:
     """Diffusion matrices A[f] at every grid point, shape (n, ..., n, d, d)."""
     _check_dims(f, params)
-    upper = params.a_const * convolve_fft(f, _kernel_a_upper(f.grid, params))
-    return _from_upper(upper, params.d)
+    return _a_field(f, params, None)
 
 
 def landau_b_field(f: VelocityGridFunction, params: LandauParams) -> np.ndarray:
     """Drift vectors B[f] at every grid point, shape (n, ..., n, d)."""
     _check_dims(f, params)
-    return params.b_const * convolve_fft(f, kernel_b(f.grid, params))
+    return _b_field(f, params, None)
 
 
 def landau_c_field(f: VelocityGridFunction, params: LandauParams) -> np.ndarray:
     """Reaction coefficients c[f]; pointwise c f in the Coulomb-type case gamma = -d."""
     _check_dims(f, params)
+    return _c_field(f, params, None)
+
+
+# The fields from the density's spectrum ``vhat``, or from a fresh one when
+# ``vhat`` is None; ``check_coefficient_bounds`` shares one among all three.
+def _a_field(f: VelocityGridFunction, params: LandauParams, vhat: np.ndarray | None) -> np.ndarray:
+    upper = params.a_const * _convolve(f, _kernel_a_upper(f.grid, params), vhat)
+    return _from_upper(upper, params.d)
+
+
+def _b_field(f: VelocityGridFunction, params: LandauParams, vhat: np.ndarray | None) -> np.ndarray:
+    return params.b_const * _convolve(f, kernel_b(f.grid, params), vhat)
+
+
+def _c_field(f: VelocityGridFunction, params: LandauParams, vhat: np.ndarray | None) -> np.ndarray:
     if params.gamma == -params.d:
         return params.c_const * f.values.copy()
-    return params.c_const * convolve_fft(f, kernel_c(f.grid, params))
+    return params.c_const * _convolve(f, kernel_c(f.grid, params), vhat)
 
 
 def _check_dims(f: VelocityGridFunction, params: LandauParams) -> None:
@@ -322,7 +379,8 @@ def check_coefficient_bounds(
     """Measure det A / (1+|v|)^kappa and the coefficient size envelopes.
 
     kappa = (d-1)(gamma+2) + gamma for gamma in [-2, 0] and 3 gamma + 2 for
-    gamma in [-d, -2).  The moment window is a precondition.
+    gamma in [-d, -2).  The moment window is a precondition.  The density is
+    transformed once, and A, B and c are convolved from that one spectrum.
     """
     _check_dims(f, params)
     m, e, h = moments(f)
@@ -335,13 +393,14 @@ def check_coefficient_bounds(
 
     pts = f.grid.points()
     speed = np.sqrt(np.einsum("ij,ij->i", pts, pts))
-    a_field = landau_a_field(f, params).reshape(-1, d, d)
+    vhat = _density_spectrum(f)
+    a_field = _a_field(f, params, vhat).reshape(-1, d, d)
     eigs = np.linalg.eigvalsh(a_field)
     det = np.prod(eigs, axis=-1)
     a_norm = np.abs(eigs).max(axis=-1)
-    b_field = landau_b_field(f, params).reshape(-1, d)
+    b_field = _b_field(f, params, vhat).reshape(-1, d)
     b_norm = np.sqrt(np.einsum("ij,ij->i", b_field, b_field))
-    c_vals = np.abs(landau_c_field(f, params).ravel())
+    c_vals = np.abs(_c_field(f, params, vhat).ravel())
     sup_f = float(f.values.max())
 
     det_ratio = det / (1.0 + speed) ** kappa

@@ -63,6 +63,8 @@ class SolverConfig:
         if self.snapshot_stride < 1:
             raise ValueError("snapshot_stride must be >= 1")
         steps = self.t_end / self.dt
+        if not math.isfinite(steps):
+            raise ValueError(f"t_end / dt = {steps!r} is not a finite number of steps")
         if abs(steps - round(steps)) > 1e-9 * steps:
             raise ValueError(f"t_end / dt = {steps!r} is not a whole number of steps")
         if self.grid.d > 2:

@@ -12,6 +12,11 @@ convolution.  ``kernel_a`` builds all d^2 components, and ``landau_a_field``
 convolves each of them and then symmetrises.  ``convolve_direct`` is the
 O(N^2) lattice sum that every FFT path must match to rounding.
 
+``kernel_a_upper``, ``kernel_b`` and ``kernel_c`` evaluate the kernels at
+every point of the offset lattice, as the program did before it computed them
+on one orthant and mirrored them; the program's kernels must equal them byte
+for byte, signed zeros included.
+
 The module has no periodic convolution.  ``periodic_extension`` turns one into
 a zero-padded one, and ``convolve_periodic`` folds the kernel onto the torus
 to give the image sum that the extension must reproduce.
@@ -28,14 +33,52 @@ from kfplab.landau import (
     LandauParams,
     VelocityGrid,
     VelocityGridFunction,
-    _offset_lattice,
+    _singular_cell_average,
 )
+
+
+def offset_lattice(grid: VelocityGrid) -> np.ndarray:
+    """Offsets w = k h for k in [-(n-1), n-1]^d, shape (2n-1, ..., 2n-1, d)."""
+    k = np.arange(-(grid.n - 1), grid.n) * grid.h
+    axes = np.meshgrid(*([k] * grid.d), indexing="ij")
+    return np.stack(axes, axis=-1)
+
+
+def kernel_a_upper(grid: VelocityGrid, params: LandauParams) -> np.ndarray:
+    if params.gamma + 2.0 <= -grid.d:
+        raise ValueError("gamma + 2 must exceed -d for an integrable kernel")
+    i, j = np.triu_indices(grid.d)
+    w = offset_lattice(grid)
+    sq = np.einsum("...i,...i->...", w, w)
+    safe = np.where(sq > 0.0, sq, 1.0)
+    proj = np.eye(grid.d)[i, j] - w[..., i] * w[..., j] / safe[..., None]
+    radial = np.where(sq > 0.0, safe ** ((params.gamma + 2.0) / 2.0), 0.0)
+    return proj * radial[..., None]
+
+
+def kernel_b(grid: VelocityGrid, params: LandauParams) -> np.ndarray:
+    w = offset_lattice(grid)
+    sq = np.einsum("...i,...i->...", w, w)
+    safe = np.where(sq > 0.0, sq, 1.0)
+    radial = np.where(sq > 0.0, safe ** (params.gamma / 2.0), 0.0)
+    return w * radial[..., None]
+
+
+def kernel_c(grid: VelocityGrid, params: LandauParams) -> np.ndarray:
+    if params.gamma <= -grid.d:
+        raise ValueError("pointwise kernel only exists for gamma > -d")
+    w = offset_lattice(grid)
+    sq = np.einsum("...i,...i->...", w, w)
+    safe = np.where(sq > 0.0, sq, 1.0)
+    vals = np.where(sq > 0.0, safe ** (params.gamma / 2.0), 0.0)
+    vals[(grid.n - 1,) * grid.d] = _singular_cell_average(grid, params.gamma)
+    return vals
 
 
 def kernel_a(grid: VelocityGrid, params: LandauParams) -> np.ndarray:
     if params.gamma + 2.0 <= -grid.d:
         raise ValueError("gamma + 2 must exceed -d for an integrable kernel")
-    w = _offset_lattice(grid)
+    w = offset_lattice(grid)
     sq = np.einsum("...i,...i->...", w, w)
     safe = np.where(sq > 0.0, sq, 1.0)
     proj = np.eye(grid.d) - w[..., :, None] * w[..., None, :] / safe[..., None, None]

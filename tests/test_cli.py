@@ -336,6 +336,10 @@ MALFORMED = {
     # json.dumps writes these as the literals NaN, Infinity and -Infinity
     "constant_initial_nan": ("solve", ("solver", "initial"), {"kind": "constant", "value": math.nan}),
     "x_extent_infinity": ("solve", ("solver", "x_extent"), math.inf),
+    # finite, but t_end / dt overflows, and the checkerboard cannot index the grid
+    "dt_tiny": ("run", ("solver", "dt"), 1e-320),
+    "x_extent_huge": ("run", ("solver", "x_extent"), 1e308),
+    "v_max_huge": ("run", ("solver", "v_max"), 1e308),
     "gaussian_center_v_minus_infinity": ("solve", ("solver", "initial"),
                                          {"kind": "gaussian", "center_v": -math.inf}),
 }

@@ -1,6 +1,8 @@
-import math
-
 import itertools
+import json
+import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -256,6 +258,15 @@ ORACLE_CASES = [
 ]
 
 
+KERNEL_CASES = [
+    (d, n, gamma)
+    for d in (1, 2, 3)
+    for n in (2, 3, 8, 9)
+    for gamma in sorted({-float(d), -2.0, -1.3, 0.0, 0.5})
+    if gamma >= -d
+]
+
+
 def random_density(d, n, seed=7):
     g = VelocityGrid(v_max=4.0, n=n, d=d)
     return VelocityGridFunction(g, np.random.default_rng(seed).uniform(size=(n,) * d))
@@ -265,7 +276,8 @@ def random_density(d, n, seed=7):
 class TestAgainstOracle:
     """The fast convolution and A field against ``landau_oracle``: bit for bit
     at the program's own transform length, to rounding at the 3n - 2 length
-    that ``fftconvolve`` uses."""
+    that ``fftconvolve`` uses.  The mirrored kernels byte for byte against
+    the full-lattice ones."""
 
     @pytest.mark.parametrize("periodic", [False, True])
     @pytest.mark.parametrize("d, n, kernel, gamma", ORACLE_CASES)
@@ -312,6 +324,28 @@ class TestAgainstOracle:
         p = LandauParams(d=d, gamma=gamma)
         assert np.array_equal(kernel_a(g, p), oracle.kernel_a(g, p))
 
+    @pytest.mark.parametrize("v_max", [4.0, 1e-300])
+    @pytest.mark.parametrize("fast, slow", [
+        (landau._kernel_a_upper, oracle.kernel_a_upper), (kernel_b, oracle.kernel_b),
+        (kernel_c, oracle.kernel_c)], ids=["a_upper", "b", "c"])
+    @pytest.mark.parametrize("d, n, gamma", KERNEL_CASES)
+    def test_kernel_bytes(self, d, n, gamma, fast, slow, v_max):
+        # the orthant and its mirror give every bit of the full-lattice
+        # formula, signed zeros included, which np.array_equal would not see.
+        # At h ~ 1e-300 |w|^2 underflows to 0 and the products with it are
+        # signed zeros; there c's cell average divides by h^d = 0 for d > 1
+        g = VelocityGrid(v_max=v_max, n=n, d=d)
+        p = LandauParams(d=d, gamma=gamma)
+        try:
+            want = slow(g, p)
+        except (ValueError, ZeroDivisionError) as exc:
+            with pytest.raises(type(exc)):
+                fast(g, p)
+            return
+        got = fast(g, p)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("periodic", [False, True])
     @pytest.mark.parametrize("method", ["fft", "direct"])
     @pytest.mark.parametrize("d, n, gamma", [(1, 17, -0.5), (2, 8, -2.0), (3, 5, -1.3)])
@@ -342,8 +376,8 @@ class TestAgainstOracle:
         p = LandauParams(d=d, gamma=gamma)
         bounds = MomentBounds(m1=0.5, m0=2.0, e0=2.0, h0=0.0)
         fast = check_coefficient_bounds(f, p, bounds)
-        monkeypatch.setattr(landau, "convolve_fft", oracle.convolve_fft)
-        monkeypatch.setattr(landau, "landau_a_field", oracle.landau_a_field)
+        monkeypatch.setattr(landau, "_convolve", lambda f, ker, vhat: oracle.convolve_fft(f, ker))
+        monkeypatch.setattr(landau, "_a_field", lambda f, p, vhat: oracle.landau_a_field(f, p))
         slow = check_coefficient_bounds(f, p, bounds)
         assert (fast.kappa, fast.moments, fast.verdict) == (slow.kappa, slow.moments, slow.verdict)
         for name in ("det_ratio_min", "a_norm_ratio_max", "b_norm_ratio_max", "c_ratio_max"):
@@ -353,6 +387,40 @@ class TestAgainstOracle:
         ratio = det / (1.0 + np.linalg.norm(pts, axis=-1)) ** slow.kappa
         at_fast = ratio[np.all(pts == fast.det_ratio_argmin, axis=-1)]
         assert at_fast == pytest.approx([slow.det_ratio_min], rel=1e-12, abs=0.0)
+
+
+# BoundsReport.to_dict() of Maxwellians, written by kfplab at commit 18f17ee,
+# before the kernels were built on one orthant and the density's transform shared
+LANDAU_GOLDEN = json.loads((Path(__file__).parent / "data" / "landau_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", LANDAU_GOLDEN["bounds_reports"],
+                         ids=lambda c: "d{d}-n{n}-gamma{gamma}".format(**c["args"]))
+def test_bounds_report_matches_golden(case):
+    args = case["args"]
+    f = maxwellian(VelocityGrid(v_max=args["v_max"], n=args["n"], d=args["d"]))
+    report = check_coefficient_bounds(f, LandauParams(d=args["d"], gamma=args["gamma"]),
+                                      MomentBounds(**args["bounds"]))
+    assert json.dumps(report.to_dict()) == json.dumps(case["report"])
+
+
+@pytest.mark.parametrize("gamma", [-3.0, -1.3])
+def test_bounds_check_peak_memory(gamma):
+    # every kernel is built on the orthant k >= 0 and only then mirrored, so
+    # no full-lattice temporary of w, |w|^2 or the projection is ever held:
+    # the peak is the 12 MB A kernel and the transforms of one component
+    g = VelocityGrid(v_max=6.0, n=32, d=3)
+    p = LandauParams(d=3, gamma=gamma)
+    f = maxwellian(g)
+    bounds = MomentBounds(m1=0.5, m0=2.0, e0=2.0, h0=0.0)
+    limit = 2 * landau._kernel_a_upper(g, p).nbytes
+    tracemalloc.start()
+    try:
+        check_coefficient_bounds(f, p, bounds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit
 
 
 class TestBoundsChecks:
