@@ -99,7 +99,7 @@ SCHEMA = {
     "seed": int,
     "solver": {
         "d": int, "x_extent": Req(float), "nx": Req(int), "v_max": Req(float), "nv": Req(int),
-        "dt": Req(float), "t_end": Req(float), "scheme": str,
+        "dt": Req(float), "t_end": Req(float),
         "snapshot_stride": int, "snapshot_tail": Min(float, 0.0), "initial": _INITIAL,
     },
     "field": _FIELD,
@@ -220,7 +220,7 @@ def build_solver_config(cfg: dict, field) -> SolverConfig:
     try:
         grid = PhaseGrid(d=_dimension(cfg), **given(section, "x_extent", "nx", "v_max", "nv"))
         solver_cfg = SolverConfig(grid=grid, field=field, **given(
-            section, "dt", "t_end", "scheme", "snapshot_stride", "snapshot_tail"))
+            section, "dt", "t_end", "snapshot_stride", "snapshot_tail"))
     except (ValueError, NotImplementedError) as exc:
         raise ConfigError(str(exc)) from exc
     # the run evaluates the field on [0, x_extent] x [-v_max, v_max] x [0, t_end]; a

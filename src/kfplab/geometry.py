@@ -105,13 +105,6 @@ class GalileanTransform:
     def apply_inverse(self, z: KineticPoint) -> KineticPoint:
         return KineticPoint(*group_quotient(self.base, self._same_d(z)))
 
-    def apply_arrays(self, xs: np.ndarray, vs: np.ndarray, ts: np.ndarray):
-        """Vectorized ``apply`` on arrays of shape (..., d) / (...,)."""
-        return group_product(self.base, (xs, vs, ts))
-
-    def apply_inverse_arrays(self, xs: np.ndarray, vs: np.ndarray, ts: np.ndarray):
-        return group_quotient(self.base, (xs, vs, ts))
-
 
 def compose(z0: KineticPoint, z1: KineticPoint) -> KineticPoint:
     """Group product z0 o z1 = T_{z0}(z1)."""

@@ -127,11 +127,13 @@ def _singular_cell_average(grid: VelocityGrid, gamma: float) -> float:
         raise ValueError("kernel |w|^gamma is not integrable at the origin")
     if gamma == 0.0:
         return 1.0
+    if grid.cell_volume == 0.0:
+        raise ValueError(f"{grid}: its cell volume h^{grid.d} underflows to 0.0")
     d = grid.d
     vb = unit_ball_volume(d)
     r_eq = grid.h / vb ** (1.0 / d)
     integral = d * vb * r_eq ** (gamma + d) / (gamma + d)
-    return integral / grid.h**d
+    return integral / grid.cell_volume
 
 
 def kernel_a(grid: VelocityGrid, params: LandauParams) -> np.ndarray:

@@ -6,10 +6,10 @@ on a periodic-in-x box with no-flux velocity walls.
 
 The splitting pairs the skew-symmetric transport with the velocity-elliptic
 collision operator: each Strang step does a transport half-step, an implicit
-finite-volume collision step, and a second transport half-step.  Both transport
-schemes (linear-interpolation semi-Lagrangian and first-order upwind) and the
-implicit M-matrix collision solve are monotone in one velocity dimension, which
-yields discrete positivity and a comparison principle.
+finite-volume collision step, and a second transport half-step.  The
+linear-interpolation semi-Lagrangian transport and the implicit M-matrix
+collision solve are monotone in one velocity dimension, which yields discrete
+positivity and a comparison principle.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .trajectory import (
     gradient_v_sq,
 )
 
-SCHEMES = ("semi_lagrangian", "upwind")
 _CHUNK_NODES = 2**14   # d = 2 assembly works on cells of at most this many nodes at once
 _BLOCK_BYTES = 2**18   # the ledger reduces blocks of states this large, which stay in L2
 
@@ -43,21 +42,18 @@ class SolverFailure(ArithmeticError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Grid, step size, scheme and coefficient data of one run."""
+    """Grid, step size and coefficient data of one run."""
 
     grid: PhaseGrid
     dt: float
     t_end: float
     field: CoefficientField
-    scheme: str = "semi_lagrangian"
     snapshot_stride: int = 1
     snapshot_tail: float = 0.0   # additionally keep every step in (t_end - tail, t_end]
 
     def __post_init__(self) -> None:
         if self.dt <= 0 or self.t_end <= 0:
             raise ValueError("dt and t_end must be positive")
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"scheme must be one of {SCHEMES}")
         if self.field.d != self.grid.d:
             raise ValueError("field dimension does not match grid")
         if self.snapshot_stride < 1:
@@ -69,12 +65,6 @@ class SolverConfig:
             raise ValueError(f"t_end / dt = {steps!r} is not a whole number of steps")
         if self.grid.d > 2:
             raise NotImplementedError("solver supports d = 1 and d = 2")
-        if self.scheme == "upwind":
-            cfl = self.grid.v_max * self.dt / self.grid.hx
-            if cfl > 1.0 + 1e-12:
-                raise ValueError(
-                    f"upwind CFL violated: v_max dt / hx = {cfl:.3g} > 1; reduce dt"
-                )
 
     @property
     def n_steps(self) -> int:
@@ -85,70 +75,53 @@ class _TransportPlan:
     """The transport half-step of one run, v . grad_x over ``dtau``, with its
     gather and its buffers built once.
 
-    Along each x-axis in turn, semi-Lagrangian transport pulls every node
-    from its two upstream neighbours, out = (1 - a) f[i0] + a f[i1].  It
-    gathers f[i0] through flat indices into ``values.ravel()``; as i1 = i0 - 1
-    and the shift depends on v only, f[i1] of row i is f[i0] of row i - 1.
-    The weights are stored at the full shape of the gathered array.  Upwind
-    keeps its rolled differences with the Courant numbers fixed.  Each axis
-    works in the layout that puts (x-axis, paired v-axis) first and hands
-    back a transposed view of it.
+    Along each x-axis in turn, linear-interpolation semi-Lagrangian transport
+    pulls every node from its two upstream neighbours,
+    out = (1 - a) f[i0] + a f[i1].  It gathers f[i0] through flat indices into
+    ``values.ravel()``; as i1 = i0 - 1 and the shift depends on v only, f[i1]
+    of row i is f[i0] of row i - 1.  The weights are stored at the full shape
+    of the gathered array.  Each axis works in the layout that puts (x-axis,
+    paired v-axis) first and hands back a transposed view of it.
 
-    Semi-Lagrangian axes write into two buffers in turn, so a result stays
-    valid until the next ``apply``, which may take it as its input.
+    The axes write into two buffers in turn, so a result stays valid until
+    the next ``apply``, which may take it as its input.
     """
 
-    def __init__(self, grid: PhaseGrid, dtau: float, scheme: str):
+    def __init__(self, grid: PhaseGrid, dtau: float):
         d = grid.d
-        self.semi_lagrangian = scheme == "semi_lagrangian"
         c = grid.v_axis * dtau / grid.hx
-        if self.semi_lagrangian:
-            shift = np.floor(c).astype(int)
-            a = c - shift
-            i0 = (np.arange(grid.nx)[:, None] - shift[None, :]) % grid.nx
-            cols = np.arange(grid.nv)[None, :]
-            # every axis's moved layout has this shape: (x-axis, paired v-axis, rest)
-            shape = (grid.nx, grid.nv) + (grid.nx,) * (d - 1) + (grid.nv,) * (d - 1)
-            bcast = (grid.nv,) + (1,) * (2 * d - 2)
-            self._weights = tuple(np.broadcast_to(w.reshape(bcast), shape).copy()
-                                  for w in (1.0 - a, a))
-            self._far = np.empty(shape)
-            self._buffers = [np.empty(shape) for _ in range(2)]
-        else:
-            if np.max(np.abs(c)) > 1.0 + 1e-12:
-                raise ValueError("upwind CFL violated in transport substep")
-            self._courant = (np.maximum(c, 0.0)[None, :, None], np.minimum(c, 0.0)[None, :, None])
+        shift = np.floor(c).astype(int)
+        a = c - shift
+        i0 = (np.arange(grid.nx)[:, None] - shift[None, :]) % grid.nx
+        cols = np.arange(grid.nv)[None, :]
+        # every axis's moved layout has this shape: (x-axis, paired v-axis, rest)
+        shape = (grid.nx, grid.nv) + (grid.nx,) * (d - 1) + (grid.nv,) * (d - 1)
+        bcast = (grid.nv,) + (1,) * (2 * d - 2)
+        self._weights = tuple(np.broadcast_to(w.reshape(bcast), shape).copy()
+                              for w in (1.0 - a, a))
+        self._far = np.empty(shape)
+        self._buffers = [np.empty(shape) for _ in range(2)]
         node = np.arange(math.prod(grid.shape)).reshape(grid.shape)
         self._axes = []
         for axis in range(d):
             pair = (axis, d + axis)
             fwd = pair + tuple(k for k in range(2 * d) if k not in pair)
             back = tuple(int(k) for k in np.argsort(fwd))
-            moved = node.transpose(fwd)
-            sources = moved[i0, cols] if self.semi_lagrangian else None
-            self._axes.append((fwd, back, sources))
+            self._axes.append((back, node.transpose(fwd)[i0, cols]))
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         out = values
-        for fwd, back, sources in self._axes:
-            if self.semi_lagrangian:
-                w_near, w_far = self._weights
-                moved = self._buffers[0]
-                self._buffers.reverse()
-                # every index is in range: "clip" changes none, and unlike
-                # "raise" it writes into the buffer without an extra copy
-                out.ravel().take(sources, out=moved, mode="clip")
-                np.multiply(moved[:-1], w_far[1:], out=self._far[1:])
-                np.multiply(moved[-1], w_far[0], out=self._far[0])
-                moved *= w_near
-                moved += self._far
-            else:
-                cp, cm = self._courant
-                moved = out.transpose(fwd)
-                work = moved.reshape(moved.shape[0], moved.shape[1], -1)
-                fm = np.roll(work, 1, axis=0)
-                fp = np.roll(work, -1, axis=0)
-                moved = (work - cp * (work - fm) - cm * (fp - work)).reshape(moved.shape)
+        w_near, w_far = self._weights
+        for back, sources in self._axes:
+            moved = self._buffers[0]
+            self._buffers.reverse()
+            # every index is in range: "clip" changes none, and unlike
+            # "raise" it writes into the buffer without an extra copy
+            out.ravel().take(sources, out=moved, mode="clip")
+            np.multiply(moved[:-1], w_far[1:], out=self._far[1:])
+            np.multiply(moved[-1], w_far[0], out=self._far[0])
+            moved *= w_near
+            moved += self._far
             out = moved.transpose(back)
         return out
 
@@ -237,8 +210,9 @@ def _cell_matrices_2d(a: np.ndarray, b: np.ndarray, hv: float, dt: float) -> lis
 
     Per node and axis m, the face to the next node along v_m gives 4 diffusion
     and 8 cross-diffusion entries (+/- to its two cells, so mass telescopes;
-    no flux through the walls), then each axis gives 2 upwind drift entries,
-    one-sided at the walls: (n_cells, nv, nv, 28) slots whose valid ones, in
+    no flux through the walls), then each axis gives 2 drift entries,
+    differenced toward the neighbour B_m points at and dropped where that
+    neighbour is past a wall: (n_cells, nv, nv, 28) slots whose valid ones, in
     C order, are the entries in assembly order.
     """
     n_cells, nv = a.shape[:2]
@@ -345,7 +319,7 @@ def _make_collision(cfg: SolverConfig):
 
 
 def _make_transport(cfg: SolverConfig) -> _TransportPlan:
-    return _TransportPlan(cfg.grid, 0.5 * cfg.dt, cfg.scheme)
+    return _TransportPlan(cfg.grid, 0.5 * cfg.dt)
 
 
 def step(

@@ -39,6 +39,9 @@ def read_snapshot(path) -> tuple[dict, np.ndarray]:
         header = json.loads(fh.readline().decode("utf-8"))
         if not isinstance(header, dict) or header.get("schema_version") != SCHEMA_VERSION:
             raise ValueError(f"snapshot schema version mismatch in {path}")
+        for key in ("dims", "time"):
+            if key not in header:
+                raise ValueError(f"snapshot header in {path} lacks the key {key!r}")
         payload = fh.read()
     dims = tuple(header["dims"])
     arr = np.frombuffer(payload, dtype=np.float64).reshape(dims).copy()

@@ -1,14 +1,14 @@
 """The solver's slow paths, kept as test oracles for the fast ones.
 
-``advect_axis`` recomputes the semi-Lagrangian gather (or the upwind Courant
-numbers) on every call and indexes through ``moveaxis``; ``gradient_v_sq``
-and ``ledger_row`` go through ``np.gradient``; ``Collision2D`` assembles the
-d = 2 stencil node by node; both collision oracles evaluate A, B and s
-through ``field.a/b/s`` at every assembly (never through the node-bound
-evaluators) and add ``dt * s`` at every step; ``solve`` evaluates the source
-through ``field.s`` for every ledger row and stacks a list of snapshot
-copies.  Each is the arithmetic the fast path must reproduce bitwise, for
-smooth fields up to the rounding of the node evaluators.
+``advect_axis`` recomputes the semi-Lagrangian gather on every call and
+indexes through ``moveaxis``; ``gradient_v_sq`` and ``ledger_row`` go through
+``np.gradient``; ``Collision2D`` assembles the d = 2 stencil node by node;
+both collision oracles evaluate A, B and s through ``field.a/b/s`` at every
+assembly (never through the node-bound evaluators) and add ``dt * s`` at
+every step; ``solve`` evaluates the source through ``field.s`` for every
+ledger row and stacks a list of snapshot copies.  Each is the arithmetic the
+fast path must reproduce bitwise, for smooth fields up to the rounding of the
+node evaluators.
 
 The exact solutions of the constant-diffusion flow (``kolmogorov_oracle``,
 ``gaussian_exact_solution``) and ``comparison_check``, which runs two ordered
@@ -29,41 +29,30 @@ from kfplab.solver import SolverConfig, _Collision1D, _Collision2D, solve as fas
 from kfplab.trajectory import EnergyLedger, LedgerRow, PhaseGridFunction, Trajectory
 
 
-def advect_axis(values, grid, axis, dtau, scheme):
+def advect_axis(values, grid, axis, dtau):
     """Advect along x-axis ``axis`` with speed given by the paired v-axis."""
     d = grid.d
     v_axis_idx = d + axis
     moved = np.moveaxis(values, (axis, v_axis_idx), (0, 1))
     shape = moved.shape
     work = moved.reshape(grid.nx, grid.nv, -1)
-    speeds = grid.v_axis
 
-    if scheme == "semi_lagrangian":
-        beta = speeds * dtau / grid.hx
-        k = np.floor(beta).astype(int)
-        a = beta - k
-        rows = np.arange(grid.nx)[:, None]
-        i0 = (rows - k[None, :]) % grid.nx
-        i1 = (i0 - 1) % grid.nx
-        cols = np.arange(grid.nv)[None, :]
-        out = (1.0 - a)[None, :, None] * work[i0, cols, :] + a[None, :, None] * work[i1, cols, :]
-    else:
-        c = speeds * dtau / grid.hx
-        if np.max(np.abs(c)) > 1.0 + 1e-12:
-            raise ValueError("upwind CFL violated in transport substep")
-        cp = np.maximum(c, 0.0)[None, :, None]
-        cm = np.minimum(c, 0.0)[None, :, None]
-        fm = np.roll(work, 1, axis=0)
-        fp = np.roll(work, -1, axis=0)
-        out = work - cp * (work - fm) - cm * (fp - work)
+    beta = grid.v_axis * dtau / grid.hx
+    k = np.floor(beta).astype(int)
+    a = beta - k
+    rows = np.arange(grid.nx)[:, None]
+    i0 = (rows - k[None, :]) % grid.nx
+    i1 = (i0 - 1) % grid.nx
+    cols = np.arange(grid.nv)[None, :]
+    out = (1.0 - a)[None, :, None] * work[i0, cols, :] + a[None, :, None] * work[i1, cols, :]
 
     return np.moveaxis(out.reshape(shape), (0, 1), (axis, v_axis_idx))
 
 
-def transport(values, grid, dtau, scheme):
+def transport(values, grid, dtau):
     out = values
     for axis in range(grid.d):
-        out = advect_axis(out, grid, axis, dtau, scheme)
+        out = advect_axis(out, grid, axis, dtau)
     return out
 
 
@@ -233,9 +222,9 @@ def make_collision(cfg):
 def step(state, cfg, coll):
     half = 0.5 * cfg.dt
     t_mid = state.time + half
-    vals = transport(state.values, cfg.grid, half, cfg.scheme)
+    vals = transport(state.values, cfg.grid, half)
     vals = coll.apply(vals, t_mid)
-    vals = transport(vals, cfg.grid, half, cfg.scheme)
+    vals = transport(vals, cfg.grid, half)
     return PhaseGridFunction(cfg.grid, vals, state.time + cfg.dt)
 
 
@@ -343,9 +332,10 @@ def comparison_check(
 ) -> tuple[bool, float]:
     """Run both initial states and verify ordering is preserved at all snapshots.
 
-    Requires f0 <= g0 pointwise.  Returns (ok, worst violation); the monotone
-    schemes (upwind or linear-interpolation semi-Lagrangian transport with the
-    M-matrix implicit collision step) must keep the violation at roundoff.
+    Requires f0 <= g0 pointwise.  Returns (ok, worst violation); the solver's
+    monotone scheme (linear-interpolation semi-Lagrangian transport with the
+    M-matrix implicit collision step, d = 1) must keep the violation at
+    roundoff.
     """
     if np.any(f0.values > g0.values):
         raise ValueError("comparison_check requires f0 <= g0 pointwise")

@@ -262,8 +262,7 @@ def test_criterion_06_structural_invariants():
     traj_pos = solve(cfg_pos, gaussian_bump(grid, 2.0, 0.0, 0.3, 0.4))
     worst_min = float(traj_pos.values.min())
 
-    cfg_up = SolverConfig(grid=grid, dt=1 / 128, t_end=0.25, field=with_drift,
-                          scheme="upwind")
+    cfg_cmp = SolverConfig(grid=grid, dt=1 / 128, t_end=0.25, field=with_drift)
     rng = np.random.default_rng(2026)
     comparisons_ok = True
     worst_violation = 0.0
@@ -273,7 +272,7 @@ def test_criterion_06_structural_invariants():
         ok, violation = comparison_check(
             PhaseGridFunction(grid, base, 0.0),
             PhaseGridFunction(grid, base + extra, 0.0),
-            cfg_up,
+            cfg_cmp,
         )
         comparisons_ok = comparisons_ok and ok
         worst_violation = max(worst_violation, violation)

@@ -4,7 +4,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +12,14 @@ import pytest
 
 from kfplab import cli, storage
 from kfplab.cli import main
-from kfplab.config import build_field, build_initial, build_solver_config, load_config, validate_config
+from kfplab.config import (
+    SCHEMA,
+    build_field,
+    build_initial,
+    build_solver_config,
+    load_config,
+    validate_config,
+)
 from kfplab.storage import (
     canonical_json,
     load_trajectory,
@@ -22,7 +29,8 @@ from kfplab.storage import (
     write_velocity_profile,
 )
 from kfplab.landau import VelocityGrid, maxwellian
-from kfplab.trajectory import EnergyLedger, LedgerRow
+from kfplab.solver import SolverConfig
+from kfplab.trajectory import EnergyLedger, LedgerRow, PhaseGrid
 
 # `kfplab geometry` reports written by kfplab at commit 5bc6bae (see test_geometry)
 GOLDEN = json.loads((Path(__file__).parent / "data" / "geometry_golden.json").read_text())
@@ -333,6 +341,7 @@ MALFORMED = {
     "solver_boundary": ("solve", ("solver",), {"d": 2, "x_extent": 4.0, "nx": 8, "v_max": 3.0,
                                                "nv": 8, "dt": 0.015625, "t_end": 0.125,
                                                "boundary": "periodic_both"}),
+    "solver_scheme": ("solve", ("solver", "scheme"), "upwind"),
     # json.dumps writes these as the literals NaN, Infinity and -Infinity
     "constant_initial_nan": ("solve", ("solver", "initial"), {"kind": "constant", "value": math.nan}),
     "x_extent_infinity": ("solve", ("solver", "x_extent"), math.inf),
@@ -374,6 +383,13 @@ def test_schema_accepts_inf_null_and_recipe_keys():
         {"name": "levelsets", "theta": 0.5, "region": "unit_box"},
     ]
     validate_config(config)
+
+
+def test_solver_schema_names_exactly_the_fields_it_feeds():
+    # a solver key that no longer reaches a dataclass field fails here
+    fed = {f.name for f in fields(PhaseGrid)}
+    fed |= {f.name for f in fields(SolverConfig)} - {"grid", "field"}
+    assert set(SCHEMA["solver"]) == fed | {"initial"}
 
 
 def test_readme_config_builds(tmp_path):
@@ -526,6 +542,34 @@ class TestOtherCommands:
             load_trajectory(out)
         assert main(["probe", "--config", str(cfg)]) == 2
         assert "grid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["time", "dims"])
+    def test_snapshot_header_without_key_exits_two(self, tmp_path, capsys, key):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, base_config(out))
+        assert main(["solve", "--config", str(cfg)]) == 0
+        snap = out / "snapshots" / "snap_000001.kfs"
+        header, payload = snap.read_bytes().split(b"\n", 1)
+        meta = json.loads(header)
+        del meta[key]
+        snap.write_bytes(json.dumps(meta).encode("utf-8") + b"\n" + payload)
+        with pytest.raises(ValueError, match=f"snap_000001.kfs lacks the key '{key}'"):
+            load_trajectory(out)
+        assert main(["probe", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "cannot load snapshots" in err and f"snap_000001.kfs lacks the key '{key}'" in err
+
+    def test_out_flag_beats_environment_beats_config(self, tmp_path, monkeypatch):
+        flag, env, configured = (tmp_path / name for name in ("flag", "env", "configured"))
+        cfg = write_config(tmp_path, {"schema_version": 1, "output": {"dir": str(configured)}})
+        monkeypatch.setenv("KFPLAB_OUT", str(env))
+        assert main(["iterate", "--config", str(cfg), "--out", str(flag)]) == 0
+        assert (flag / "degiorgi.csv").exists() and not env.exists() and not configured.exists()
+        assert main(["iterate", "--config", str(cfg)]) == 0
+        assert (env / "degiorgi.csv").exists() and not configured.exists()
+        monkeypatch.delenv("KFPLAB_OUT")
+        assert main(["iterate", "--config", str(cfg)]) == 0
+        assert (configured / "degiorgi.csv").exists()
 
     def test_failed_rerun_keeps_previous_run(self, tmp_path, monkeypatch):
         out = tmp_path / "out"

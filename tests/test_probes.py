@@ -16,6 +16,7 @@ from kfplab.geometry import (
     CylinderShape,
     GalileanTransform,
     KineticPoint,
+    group_product,
 )
 from kfplab.probes import (
     HarnackParams,
@@ -516,7 +517,7 @@ class TestRegionSample:
         tw = traj.time_weights()
         out = []
         for n, t in enumerate(traj.times):
-            xs, vs, ts = GalileanTransform(traj.base).apply_arrays(x, v, np.full(x.shape[:-1], t))
+            xs, vs, ts = group_product(traj.base, (x, v, np.full(x.shape[:-1], t)))
             if isinstance(region, PhaseBox):
                 mask = _box_contains(region, xs, vs, ts)
             else:
@@ -571,8 +572,8 @@ class TestRegionSample:
             for n, t in enumerate(moved.times):
                 mask = np.zeros(grid.shape, dtype=bool)
                 for image in images:
-                    xs, vs, ts = GalileanTransform(moved.base).apply_arrays(
-                        x + image, v, np.full(x.shape[:-1], t))
+                    xs, vs, ts = group_product(moved.base,
+                                               (x + image, v, np.full(x.shape[:-1], t)))
                     if isinstance(region, PhaseBox):
                         mask |= _box_contains(region, xs, vs, ts)
                     else:

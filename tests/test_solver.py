@@ -17,7 +17,6 @@ from kfplab.geometry import Cylinder, KineticPoint
 from kfplab.probes import c01_constant, energy_estimate_check
 from kfplab import solver as solver_mod
 from kfplab.solver import (
-    SCHEMES,
     SolverConfig,
     _Collision2D,
     _make_collision,
@@ -85,11 +84,6 @@ class TestStepBasics:
         with pytest.raises(ValueError):
             step(PhaseGridFunction(other, np.zeros(other.shape), 0.0), cfg)
 
-    def test_upwind_cfl_guard(self):
-        grid = PhaseGrid(d=1, x_extent=4.0, nx=16, v_max=3.0, nv=16)
-        with pytest.raises(ValueError):
-            SolverConfig(grid=grid, dt=0.5, t_end=1.0, field=identity_field(), scheme="upwind")
-
 
 class TestStructuralInvariants:
     def test_mass_conserved_without_drift(self):
@@ -136,13 +130,13 @@ class TestStructuralInvariants:
 
 
 class TestComparison:
-    def _cfg(self, scheme="upwind"):
+    def _cfg(self):
         grid = PhaseGrid(d=1, x_extent=4.0, nx=32, v_max=3.0, nv=32)
         field = sample_field(
             CheckerboardRecipe(cell=1.0, b_max=1.0, s_max=0.0),
             EllipticityBounds(0.5, 2.0), seed=8, d=1,
         )
-        return SolverConfig(grid=grid, dt=1 / 64, t_end=0.25, field=field, scheme=scheme)
+        return SolverConfig(grid=grid, dt=1 / 64, t_end=0.25, field=field)
 
     def test_equality_preserved(self):
         cfg = self._cfg()
@@ -405,33 +399,30 @@ class TestFastPathsMatchOracles:
     assembly and the snapshot array against the slow paths they replaced
     (``solver_oracle``), bit for bit."""
 
-    @pytest.mark.parametrize("scheme", SCHEMES)
-    def test_half_step_d1(self, scheme):
+    def test_half_step_d1(self):
         grid = PhaseGrid(d=1, x_extent=4.0, nx=16, v_max=3.0, nv=17)
         field = sample_field(
             CheckerboardRecipe(cell=1.0, b_max=1.0, s_max=0.5),
             EllipticityBounds(0.5, 2.0), seed=4, d=1,
         )
-        cfg = SolverConfig(grid=grid, dt=0.08, t_end=0.16, field=field, scheme=scheme)
+        cfg = SolverConfig(grid=grid, dt=0.08, t_end=0.16, field=field)
         vals = _random_state(grid, 0)
-        half = oracle.transport(vals, grid, 0.5 * cfg.dt, scheme)
+        half = oracle.transport(vals, grid, 0.5 * cfg.dt)
         assert _same_array(_make_transport(cfg).apply(vals), half)
         state = PhaseGridFunction(grid, vals, 0.0)
         want = oracle.step(state, cfg, oracle.make_collision(cfg))
         assert _same_array(step(state, cfg).values, want.values)
 
-    @pytest.mark.parametrize("scheme", SCHEMES)
-    def test_half_step_d2(self, scheme):
+    def test_half_step_d2(self):
         grid = PhaseGrid(d=2, x_extent=2.0, nx=5, v_max=2.0, nv=6)
-        cfg = SolverConfig(grid=grid, dt=0.1, t_end=0.2, field=identity_field(d=2),
-                           scheme=scheme)
+        cfg = SolverConfig(grid=grid, dt=0.1, t_end=0.2, field=identity_field(d=2))
         vals = _random_state(grid, 1)
         plan = _make_transport(cfg)
-        want = oracle.transport(vals, grid, 0.5 * cfg.dt, scheme)
+        want = oracle.transport(vals, grid, 0.5 * cfg.dt)
         got = plan.apply(vals)
         assert _same_array(got, want)
         # a second half-step reads the first one's transposed output
-        assert _same_array(plan.apply(got), oracle.transport(want, grid, 0.5 * cfg.dt, scheme))
+        assert _same_array(plan.apply(got), oracle.transport(want, grid, 0.5 * cfg.dt))
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_gradient_v_sq(self, d):
@@ -451,9 +442,8 @@ class TestFastPathsMatchOracles:
         got = gradient_v_sq(stack, grid)
         assert all(_same_array(got[k], oracle.gradient_v_sq(stack[k], grid)) for k in range(3))
 
-    @pytest.mark.parametrize("scheme", SCHEMES)
     @pytest.mark.parametrize("d", [1, 2])
-    def test_solve_across_ledger_blocks(self, d, scheme, monkeypatch):
+    def test_solve_across_ledger_blocks(self, d, monkeypatch):
         # the ledger reduces blocks of K states: runs of 1, K - 1, K, K + 1
         # and 2K + 3 steps end inside, on and past a block's end.  d = 1 runs
         # at the module's block size (K = 128 here); d = 2, whose oracle
@@ -470,8 +460,7 @@ class TestFastPathsMatchOracles:
         field = sample_field(CheckerboardRecipe(cell=0.5, b_max=1.0, s_max=0.5),
                              EllipticityBounds(0.5, 2.0), seed=3, d=d)
         for n_steps in (1, k - 1, k, k + 1, 2 * k + 3):
-            cfg = SolverConfig(grid=grid, dt=dt, t_end=n_steps * dt, field=field, scheme=scheme,
-                               snapshot_stride=5)
+            cfg = SolverConfig(grid=grid, dt=dt, t_end=n_steps * dt, field=field, snapshot_stride=5)
             f0 = PhaseGridFunction(grid, _random_state(grid, n_steps), 0.0)
             got, want = solve(cfg, f0), oracle.solve(cfg, f0)
             assert len(got.ledger.rows) == n_steps + 1
