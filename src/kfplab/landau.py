@@ -383,6 +383,8 @@ def check_coefficient_bounds(
     kappa = (d-1)(gamma+2) + gamma for gamma in [-2, 0] and 3 gamma + 2 for
     gamma in [-d, -2).  The moment window is a precondition.  The density is
     transformed once, and A, B and c are convolved from that one spectrum.
+    A's eigenvalues are taken only where they can decide the report
+    (``_eigen_extremes``).
     """
     _check_dims(f, params)
     m, e, h = moments(f)
@@ -397,16 +399,10 @@ def check_coefficient_bounds(
     speed = np.sqrt(np.einsum("ij,ij->i", pts, pts))
     vhat = _density_spectrum(f)
     a_field = _a_field(f, params, vhat).reshape(-1, d, d)
-    eigs = np.linalg.eigvalsh(a_field)
-    det = np.prod(eigs, axis=-1)
-    a_norm = np.abs(eigs).max(axis=-1)
     b_field = _b_field(f, params, vhat).reshape(-1, d)
     b_norm = np.sqrt(np.einsum("ij,ij->i", b_field, b_field))
     c_vals = np.abs(_c_field(f, params, vhat).ravel())
     sup_f = float(f.values.max())
-
-    det_ratio = det / (1.0 + speed) ** kappa
-    i_min = int(np.argmin(det_ratio))
 
     if gamma >= -2.0:
         a_env = (1.0 + speed) ** (gamma + 2.0)
@@ -421,14 +417,119 @@ def check_coefficient_bounds(
     else:
         c_env = np.full_like(speed, max(sup_f, 1e-300) ** (abs(gamma) / d))
 
-    det_ratio_min = float(det_ratio[i_min])
+    det_ratio_min, i_min, a_norm_ratio_max = _eigen_extremes(
+        a_field, (1.0 + speed) ** kappa, a_env)
     return BoundsReport(
         kappa=float(kappa),
         det_ratio_min=det_ratio_min,
         det_ratio_argmin=tuple(float(x) for x in pts[i_min]),
-        a_norm_ratio_max=float((a_norm / a_env).max()),
+        a_norm_ratio_max=a_norm_ratio_max,
         b_norm_ratio_max=float((b_norm / b_env).max()),
         c_ratio_max=float((c_vals / c_env).max()),
         moments=(m, e, h),
         verdict="ok" if det_ratio_min > 0.0 else "degenerate",
     )
+
+
+# The d = 3 candidate rule of ``_eigen_extremes``.  The estimates' margins are
+# multiples of ||A||_F^3 (determinant) and of ||A||_F (largest |eigenvalue|),
+# trusted only where ||A||_F lies in _TRUSTED_NORM.  There no product of three
+# entries overflows, and both margins stay normal numbers so far above the
+# subnormal spacing that an underflowing product costs less than they allow.
+_DET_MARGIN = 1e-9
+_TOP_MARGIN = 1e-4
+_TRUSTED_NORM = (2.0**-300, 2.0**300)
+
+
+def _eigen_extremes(a: np.ndarray, det_scale: np.ndarray,
+                    top_scale: np.ndarray) -> tuple[float, int, float]:
+    """The minimum of det a / det_scale with its first index, and the maximum
+    of max |eig a| / top_scale, over a stack ``a`` of symmetric matrices
+    (shape (N, d, d)); both scales are positive.
+
+    The eigenvalues come from ``np.linalg.eigvalsh`` on the points that
+    ``_eigen_candidates`` keeps.  Those hold every point that attains either
+    extremum, so the result is that of a full-stack ``eigvalsh``, bit for bit.
+    """
+    idx = _eigen_candidates(a, det_scale, top_scale)
+    eigs = np.linalg.eigvalsh(a[idx])
+    det_ratio = np.prod(eigs, axis=-1) / det_scale[idx]
+    k = int(np.argmin(det_ratio))
+    top_ratio = np.abs(eigs).max(axis=-1) / top_scale[idx]
+    return float(det_ratio[k]), int(idx[k]), float(top_ratio.max())
+
+
+def _eigen_candidates(a: np.ndarray, det_scale: np.ndarray, top_scale: np.ndarray) -> np.ndarray:
+    """Sorted indices of the points of ``a`` whose det ratio can be the
+    minimum or whose |eig| ratio can be the maximum in ``_eigen_extremes``.
+
+    For d = 3 each point gets two intervals from ``_estimates_3x3``: its
+    determinant +- _DET_MARGIN ||A||_F^3 and its largest |eigenvalue|
+    +- _TOP_MARGIN ||A||_F, each divided by its scale.  Dividing by a
+    positive number keeps the order of rounded values, so each interval holds
+    the ratio that the exact eigenvalues give.  A point is kept when its
+    interval reaches what the others guarantee: lo <= min hi for the
+    minimum, hi >= max lo for the maximum.  Every point tied at the extremum
+    is kept, so the first index still wins.  So is every point whose
+    interval is not finite, and every point when d != 3.
+
+    With eps = 2^-53 the margins have >= 500x headroom over the error
+    argument.  The cofactor determinant and the product of LAPACK's
+    eigenvalues each lie within a few hundred eps ||A||_F^3 of det A.  The
+    closed form's error comes from r, the cosine of three times the angle,
+    which carries an error of O(eps ||A||_F / p).  Near a double eigenvalue
+    (|r| -> 1) arccos turns that into an eigenvalue error of
+    O(sqrt(eps p ||A||_F)), at most 2e-7 ||A||_F (Kopp, Int. J. Mod. Phys. C
+    19:523, 2008).  Against LAPACK on the Maxwellian's fields at gamma in
+    [-3, 0] the largest errors were 2.9e-16 ||A||_F^3 and 6.8e-9 ||A||_F.
+    """
+    if a.shape[-1] != 3:
+        return np.arange(len(a))
+    det, top, fro = _estimates_3x3(a)
+    trusted = (fro >= _TRUSTED_NORM[0]) & (fro <= _TRUSTED_NORM[1])
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        det_margin = np.where(trusted, _DET_MARGIN * fro * fro * fro, np.inf)
+        top_margin = np.where(trusted, _TOP_MARGIN * fro, np.inf)
+        keep = _reaches_extremum(det - det_margin, det + det_margin, det_scale, lowest=True)
+        keep |= _reaches_extremum(top - top_margin, top + top_margin, top_scale, lowest=False)
+    return np.flatnonzero(keep)
+
+
+def _reaches_extremum(lo: np.ndarray, hi: np.ndarray, scale: np.ndarray, lowest: bool) -> np.ndarray:
+    """Mask of the intervals [lo, hi] / scale that can hold the minimum (or
+    the maximum) of values known to lie in them; non-finite ones always can."""
+    lo, hi = lo / scale, hi / scale
+    sure = np.isfinite(lo) & np.isfinite(hi)
+    if lowest:
+        return ~sure | (lo <= hi[sure].min(initial=np.inf))
+    return ~sure | (hi >= lo[sure].max(initial=-np.inf))
+
+
+def _estimates_3x3(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The cofactor determinant, the largest |eigenvalue| and the Frobenius
+    norm of each matrix in a symmetric stack ``a`` (shape (N, 3, 3)).
+
+    The eigenvalues are Smith's trigonometric closed form (Commun. ACM 4:168,
+    1961): with q = tr A / 3, B = A - q I, p = sqrt(tr B^2 / 6) and
+    r = det B / (2 p^3), they are q + 2 p cos(arccos(r) / 3 + 2 pi k / 3).
+    Where p = 0 the largest |eigenvalue| is NaN.
+    """
+    a00, a11, a22, a01, a02, a12 = a.reshape(-1, 9)[:, [0, 4, 8, 1, 2, 5]].T.copy()
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        off = a01 * a01 + a02 * a02 + a12 * a12
+        fro = np.sqrt(a00 * a00 + a11 * a11 + a22 * a22 + 2.0 * off)
+        det = _det_3x3(a00, a11, a22, a01, a02, a12)
+        q = (a00 + a11 + a22) / 3.0
+        b00, b11, b22 = a00 - q, a11 - q, a22 - q
+        p = np.sqrt((b00 * b00 + b11 * b11 + b22 * b22 + 2.0 * off) / 6.0)
+        r = _det_3x3(b00, b11, b22, a01, a02, a12) / (2.0 * p * p * p)
+        phi = np.arccos(np.clip(r, -1.0, 1.0)) / 3.0
+        top = np.maximum(np.abs(q + 2.0 * p * np.cos(phi)),
+                         np.abs(q + 2.0 * p * np.cos(phi + 2.0 * math.pi / 3.0)))
+    return det, top, fro
+
+
+def _det_3x3(a00, a11, a22, a01, a02, a12):
+    """Cofactor expansion along the first row of the symmetric 3x3 matrix."""
+    return (a00 * (a11 * a22 - a12 * a12) - a01 * (a01 * a22 - a12 * a02)
+            + a02 * (a01 * a12 - a11 * a02))

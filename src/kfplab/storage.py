@@ -196,4 +196,7 @@ def read_velocity_profile(path) -> tuple[np.ndarray, float]:
     header, arr = read_snapshot(path)
     if header.get("kind") != "velocity":
         raise ValueError(f"{path} is not a velocity profile")
-    return arr, float(header["extents"]["v_max"])
+    try:
+        return arr, float(header["extents"]["v_max"])
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"velocity profile {path} lacks a numeric 'extents.v_max'") from exc

@@ -17,6 +17,11 @@ every point of the offset lattice, as the program did before it computed them
 on one orthant and mirrored them; the program's kernels must equal them byte
 for byte, signed zeros included.
 
+``eigen_extremes`` takes the eigenvalues of every matrix in the stack, as
+``check_coefficient_bounds`` did at every grid point before it ran
+``eigvalsh`` only on the points that can decide its report.  Patched in for
+``landau._eigen_extremes``, it turns the check back into that full-grid one.
+
 The module has no periodic convolution.  ``periodic_extension`` turns one into
 a zero-padded one, and ``convolve_periodic`` folds the kernel onto the torus
 to give the image sum that the extension must reproduce.
@@ -173,3 +178,12 @@ def landau_a_field(
         f, ker = periodic_extension(f, ker)
     out = params.a_const * conv(f, ker)
     return 0.5 * (out + np.swapaxes(out, -1, -2))
+
+
+def eigen_extremes(a: np.ndarray, det_scale: np.ndarray,
+                   top_scale: np.ndarray) -> tuple[float, int, float]:
+    """``landau._eigen_extremes`` from the eigenvalues of every matrix."""
+    eigs = np.linalg.eigvalsh(a)
+    det_ratio = np.prod(eigs, axis=-1) / det_scale
+    k = int(np.argmin(det_ratio))
+    return float(det_ratio[k]), k, float((np.abs(eigs).max(axis=-1) / top_scale).max())

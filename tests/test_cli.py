@@ -520,16 +520,24 @@ class TestOtherCommands:
         assert lines[0] == "beta,alpha,v0,gamma,verdict"
         assert len(lines) >= 2
 
-    @pytest.mark.parametrize("kind", ["missing", "plain_text"])
+    @pytest.mark.parametrize("kind", ["missing", "plain_text", "no_extents", "no_v_max"])
     def test_landau_unreadable_input_exits_two(self, tmp_path, capsys, kind):
         profile = tmp_path / "profile.kvg"
         if kind == "plain_text":
             profile.write_text("not a snapshot\n")
+        elif kind != "missing":
+            header = {"kind": "velocity", "time": 0.0}
+            if kind == "no_v_max":
+                header["extents"] = {"d": 3}
+            write_snapshot(profile, maxwellian(VelocityGrid(v_max=5.0, n=4, d=3)).values, header)
         config = {"schema_version": 1, "landau": {"input": str(profile), "gamma": -3.0},
                   "output": {"dir": str(tmp_path / "out")}}
         cfg = write_config(tmp_path, config)
         assert main(["landau", "--config", str(cfg)]) == 2
-        assert "cannot set up the landau check" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "cannot set up the landau check" in err
+        if kind.startswith("no_"):
+            assert f"{profile} lacks a numeric 'extents.v_max'" in err
 
     def test_run_meta_without_grid_exits_two(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -385,6 +385,7 @@ class TestAgainstOracle:
         fast = check_coefficient_bounds(f, p, bounds)
         monkeypatch.setattr(landau, "_convolve", lambda f, ker, vhat: oracle.convolve_fft(f, ker))
         monkeypatch.setattr(landau, "_a_field", lambda f, p, vhat: oracle.landau_a_field(f, p))
+        monkeypatch.setattr(landau, "_eigen_extremes", oracle.eigen_extremes)
         slow = check_coefficient_bounds(f, p, bounds)
         assert (fast.kappa, fast.moments, fast.verdict) == (slow.kappa, slow.moments, slow.verdict)
         for name in ("det_ratio_min", "a_norm_ratio_max", "b_norm_ratio_max", "c_ratio_max"):
@@ -394,6 +395,138 @@ class TestAgainstOracle:
         ratio = det / (1.0 + np.linalg.norm(pts, axis=-1)) ** slow.kappa
         at_fast = ratio[np.all(pts == fast.det_ratio_argmin, axis=-1)]
         assert at_fast == pytest.approx([slow.det_ratio_min], rel=1e-12, abs=0.0)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("a_const", [1.0, 1e-88, 1e88, 1e-100, 1e100])
+    @pytest.mark.parametrize("density", ["maxwellian", "random"])
+    @pytest.mark.parametrize("d, n, gamma", [(1, 16, -0.5), (2, 8, -1.3), (3, 8, -3.0),
+                                             (3, 9, -2.0), (3, 8, -1.3), (3, 9, 0.0),
+                                             (4, 3, -2.5)])
+    def test_bounds_report_bytes(self, monkeypatch, d, n, gamma, density, a_const):
+        # eigvalsh on the candidates only gives every bit of the full-grid
+        # check.  ||A||_F^3 overflows at a_const = 1e100 and underflows at
+        # 1e-100, so every point is a candidate; at 1e+-88 the margins hold
+        if density == "maxwellian":
+            f = maxwellian(VelocityGrid(v_max=5.0, n=n, d=d))
+        else:
+            f = random_density(d, n)
+        p = LandauParams(d=d, gamma=gamma, a_const=a_const)
+        bounds = MomentBounds(m1=1e-3, m0=1e6, e0=1e9, h0=1e9)
+        fast = check_coefficient_bounds(f, p, bounds)
+        monkeypatch.setattr(landau, "_eigen_extremes", oracle.eigen_extremes)
+        slow = check_coefficient_bounds(f, p, bounds)
+        assert json.dumps(fast.to_dict()) == json.dumps(slow.to_dict())
+
+
+def spd_stack(rng, size, eigs=(0.5, 2.0)):
+    """Random symmetric 3x3 matrices Q diag(e) Q^T with e drawn from ``eigs``."""
+    q, _ = np.linalg.qr(rng.normal(size=(size, 3, 3)))
+    e = rng.uniform(*eigs, size=(size, 3))
+    return np.einsum("nij,nj,nkj->nik", q, e, q)
+
+
+def adversarial_stack(case, rng):
+    """A stack of symmetric 3x3 matrices on which the candidate rule of
+    ``landau._eigen_extremes`` could go wrong."""
+    base = spd_stack(rng, 64)
+    if case == "mirror_ties":
+        # exact copies and their images under axis flips, which LAPACK may
+        # round differently, at the lowest determinant and the largest |eig|
+        low, high = spd_stack(rng, 1, (0.1, 0.2))[0], spd_stack(rng, 1, (3.0, 4.0))[0]
+        flips = [np.diag(s) for s in itertools.product((1.0, -1.0), repeat=3)]
+        for k, flip in enumerate(flips):
+            base[3 + 5 * k] = flip @ low @ flip
+            base[5 + 5 * k] = flip @ high @ flip
+        base[50], base[60] = low, high
+        return base
+    if case == "isotropic":
+        base[::4] = np.eye(3) * rng.uniform(0.5, 2.0, size=(16, 1, 1))
+        base[7], base[9] = 3.0 * np.eye(3), 0.1 * np.eye(3)
+        return base
+    if case == "near_double":
+        # c I + 1e-8 S, so p / ||A|| ~ 1e-8 and arccos loses sqrt(eps)
+        sym = rng.normal(size=(64, 3, 3))
+        sym = (sym + np.swapaxes(sym, 1, 2)) / 2.0
+        c = 1.0 + 1e-9 * rng.integers(0, 4, size=(64, 1, 1))
+        return c * np.eye(3) + 1e-8 * sym / np.linalg.norm(sym, axis=(1, 2))[:, None, None]
+    if case == "zeros":
+        base[::3] = 0.0
+        return base
+    if case == "all_zero":
+        return np.zeros((8, 3, 3))
+    if case == "indefinite":
+        # |lambda_min| > lambda_max, and negative determinants
+        return spd_stack(rng, 64, (-5.0, 2.0))
+    # ||A||_F^3 overflows or underflows; at 1e300 ||A||_F itself and det overflow
+    scale = {"huge": 1e100, "tiny": 1e-100, "overflow": 1e300}[case]
+    return scale * base
+
+
+ADVERSARIAL = ["mirror_ties", "isotropic", "near_double", "zeros", "all_zero", "indefinite",
+               "huge", "tiny", "overflow"]
+
+
+class TestEigenCandidates:
+    """``landau._eigen_extremes`` runs eigvalsh only on candidate points; its
+    result must be the full-stack one bit for bit, ties and signs included."""
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("scales", ["ones", "random"])
+    @pytest.mark.parametrize("case", ADVERSARIAL)
+    def test_adversarial_stack(self, case, scales):
+        rng = np.random.default_rng(ADVERSARIAL.index(case))
+        a = adversarial_stack(case, rng)
+        if scales == "ones":
+            det_scale = top_scale = np.ones(len(a))
+        else:
+            det_scale, top_scale = rng.uniform(0.5, 2.0, size=(2, len(a)))
+        fast = landau._eigen_extremes(a, det_scale, top_scale)
+        assert repr(fast) == repr(oracle.eigen_extremes(a, det_scale, top_scale))
+
+    @pytest.mark.parametrize("case", ["isotropic", "zeros", "huge", "tiny"])
+    def test_unusable_estimates_are_candidates(self, case):
+        # p = 0 makes the closed form NaN, and ||A||_F outside the trusted
+        # range makes the margins infinite: such points always go to eigvalsh
+        a = adversarial_stack(case, np.random.default_rng(1))
+        ones = np.ones(len(a))
+        idx = set(landau._eigen_candidates(a, ones, ones).tolist())
+        fro = np.linalg.norm(a, axis=(1, 2))
+        p = np.linalg.norm(a - np.trace(a, axis1=1, axis2=2)[:, None, None] / 3 * np.eye(3),
+                           axis=(1, 2))
+        lo, hi = landau._TRUSTED_NORM
+        unusable = np.flatnonzero((p == 0.0) | (fro < lo) | (fro > hi))
+        assert len(unusable) > 0
+        assert set(unusable.tolist()) <= idx
+
+    def test_non_finite_intervals_are_kept(self):
+        lo = np.array([np.nan, 1.0, -np.inf, 3.0])
+        hi = np.array([np.nan, 2.0, np.inf, 4.0])
+        ones = np.ones(4)
+        assert landau._reaches_extremum(lo, hi, ones, lowest=True).tolist() == [
+            True, True, True, False]
+        assert landau._reaches_extremum(lo, hi, ones, lowest=False).tolist() == [
+            True, False, True, True]
+
+    def test_other_dimensions_keep_every_point(self):
+        a = np.tile(np.eye(2), (10, 1, 1))
+        assert np.array_equal(landau._eigen_candidates(a, np.ones(10), np.ones(10)),
+                              np.arange(10))
+
+    @pytest.mark.parametrize("gamma", [-3.0, -2.0, -1.3, -0.5, 0.0])
+    def test_few_candidates_on_the_maxwellian(self, monkeypatch, gamma):
+        # the landau-coulomb bench input: d = 3, n = 32, v_max = 6
+        sizes = []
+
+        def eigvalsh(a):
+            sizes.append(len(a))
+            return full_eigvalsh(a)
+
+        full_eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        f = maxwellian(VelocityGrid(v_max=6.0, n=32, d=3))
+        bounds = MomentBounds(m1=0.5, m0=2.0, e0=2.0, h0=0.0)
+        check_coefficient_bounds(f, LandauParams(d=3, gamma=gamma), bounds)
+        assert len(sizes) == 1 and 0 < sizes[0] <= 200
 
 
 # BoundsReport.to_dict() of Maxwellians, written by kfplab at commit 18f17ee,
