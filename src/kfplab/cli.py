@@ -279,10 +279,14 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=list(_COMMANDS))
     parser.add_argument("--config", type=str, default=None, help="path to the JSON config")
     parser.add_argument("--out", type=str, default=None, help="output directory override")
-    parser.add_argument("--seed", type=int, default=None, help="seed override")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="seed override for run, solve, probe and geometry")
     args = parser.parse_args(argv)
     if args.config is None and args.command in ("run", "solve", "probe", "landau"):
         print("--config is required for this command", file=sys.stderr)
+        return EXIT_CONFIG
+    if args.seed is not None and args.command in ("landau", "iterate"):
+        print(f"--seed has no effect on {args.command}", file=sys.stderr)
         return EXIT_CONFIG
 
     try:

@@ -9,6 +9,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import fft as sp_fft
@@ -77,20 +78,31 @@ class VelocityGrid:
 
 @dataclass(frozen=True)
 class VelocityGridFunction:
-    """Non-negative density samples on a velocity grid."""
+    """Non-negative density samples on a velocity grid.
+
+    ``values`` is a read-only copy of the given array, so ``spectrum``,
+    computed once on first use, stays the transform of the values.
+    """
 
     grid: VelocityGrid
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=float)
+        vals = np.array(self.values, dtype=float)
         if vals.shape != (self.grid.n,) * self.grid.d:
             raise ValueError(f"values shape {vals.shape} does not match grid {self.grid}")
         if not np.all(np.isfinite(vals)):
             raise ValueError("values must be finite")
         if np.any(vals < 0.0):
             raise ValueError("density values must be non-negative")
+        vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """The values' ``rfftn`` at the circular length of ``convolve_fft``."""
+        size = sp_fft.next_fast_len(2 * self.grid.n - 1, True)
+        return sp_fft.rfftn(self.values, [size] * self.grid.d)
 
 
 def maxwellian(grid: VelocityGrid, sigma: float = 1.0) -> VelocityGridFunction:
@@ -242,34 +254,21 @@ def convolve_fft(f: VelocityGridFunction, kernel: np.ndarray) -> np.ndarray:
     [n - 1, 2n - 2] exactly when L >= 2n - 1 (overlap-save).  Those outputs
     are therefore the linear ones, up to rounding; the tests check them
     against the O(N^2) direct sum and against ``scipy.signal.fftconvolve``.
-    The density is transformed once per call; each kernel component goes
-    through ``_valid_convolution``, which skips the padding.
+    The density is transformed once, into ``f.spectrum``, however many
+    kernels are convolved with it; each kernel component goes through
+    ``_valid_convolution``, which skips the padding.
     """
-    return _convolve(f, kernel, None)
-
-
-def _density_spectrum(f: VelocityGridFunction) -> np.ndarray:
-    """The density's ``rfftn`` at the circular length of ``convolve_fft``."""
-    size = sp_fft.next_fast_len(2 * f.grid.n - 1, True)
-    return sp_fft.rfftn(f.values, [size] * f.grid.d)
-
-
-def _convolve(f: VelocityGridFunction, kernel: np.ndarray, vhat: np.ndarray | None) -> np.ndarray:
-    """``convolve_fft`` from the density's spectrum ``vhat``, which is
-    computed here when the caller has none to share."""
-    if vhat is None:
-        vhat = _density_spectrum(f)
     n, d = f.grid.n, f.grid.d
     comp_shape = kernel.shape[d:]
     out = np.empty(f.values.shape + comp_shape)
     size = sp_fft.next_fast_len(2 * n - 1, True)
     for comp in itertools.product(*[range(s) for s in comp_shape]):
-        out[(...,) + comp] = _valid_convolution(vhat, kernel[(...,) + comp], size, n)
+        out[(...,) + comp] = _valid_convolution(f.spectrum, kernel[(...,) + comp], size, n)
     return out * f.grid.cell_volume
 
 
-def _valid_convolution(vhat: np.ndarray, ker: np.ndarray, size: int, n: int) -> np.ndarray:
-    """``irfftn(rfftn(ker, s) * vhat, s)[valid]`` with s = (size,) * d, bit for bit.
+def _valid_convolution(spectrum: np.ndarray, ker: np.ndarray, size: int, n: int) -> np.ndarray:
+    """``irfftn(rfftn(ker, s) * spectrum, s)[valid]`` with s = (size,) * d, bit for bit.
 
     The valid slice is [n - 1, 2n - 1) on every axis.  Both transforms go one
     axis at a time in pocketfft's own order: the real axis last, the complex
@@ -282,7 +281,7 @@ def _valid_convolution(vhat: np.ndarray, ker: np.ndarray, size: int, n: int) -> 
     spec = sp_fft.rfft(ker, size, axis=-1)
     for axis in range(d - 1):
         spec = sp_fft.fft(spec, size, axis=axis)
-    spec *= vhat
+    spec *= spectrum
     keep = slice(n - 1, 2 * n - 1)
     for axis in range(d - 1):
         spec = sp_fft.ifft(spec, axis=axis, norm="forward")[(slice(None),) * axis + (keep,)]
@@ -293,36 +292,22 @@ def _valid_convolution(vhat: np.ndarray, ker: np.ndarray, size: int, n: int) -> 
 def landau_a_field(f: VelocityGridFunction, params: LandauParams) -> np.ndarray:
     """Diffusion matrices A[f] at every grid point, shape (n, ..., n, d, d)."""
     _check_dims(f, params)
-    return _a_field(f, params, None)
+    upper = params.a_const * convolve_fft(f, _kernel_a_upper(f.grid, params))
+    return _from_upper(upper, params.d)
 
 
 def landau_b_field(f: VelocityGridFunction, params: LandauParams) -> np.ndarray:
     """Drift vectors B[f] at every grid point, shape (n, ..., n, d)."""
     _check_dims(f, params)
-    return _b_field(f, params, None)
+    return params.b_const * convolve_fft(f, kernel_b(f.grid, params))
 
 
 def landau_c_field(f: VelocityGridFunction, params: LandauParams) -> np.ndarray:
     """Reaction coefficients c[f]; pointwise c f in the Coulomb-type case gamma = -d."""
     _check_dims(f, params)
-    return _c_field(f, params, None)
-
-
-# The fields from the density's spectrum ``vhat``, or from a fresh one when
-# ``vhat`` is None; ``check_coefficient_bounds`` shares one among all three.
-def _a_field(f: VelocityGridFunction, params: LandauParams, vhat: np.ndarray | None) -> np.ndarray:
-    upper = params.a_const * _convolve(f, _kernel_a_upper(f.grid, params), vhat)
-    return _from_upper(upper, params.d)
-
-
-def _b_field(f: VelocityGridFunction, params: LandauParams, vhat: np.ndarray | None) -> np.ndarray:
-    return params.b_const * _convolve(f, kernel_b(f.grid, params), vhat)
-
-
-def _c_field(f: VelocityGridFunction, params: LandauParams, vhat: np.ndarray | None) -> np.ndarray:
     if params.gamma == -params.d:
-        return params.c_const * f.values.copy()
-    return params.c_const * _convolve(f, kernel_c(f.grid, params), vhat)
+        return params.c_const * f.values
+    return params.c_const * convolve_fft(f, kernel_c(f.grid, params))
 
 
 def _check_dims(f: VelocityGridFunction, params: LandauParams) -> None:
@@ -381,10 +366,9 @@ def check_coefficient_bounds(
     """Measure det A / (1+|v|)^kappa and the coefficient size envelopes.
 
     kappa = (d-1)(gamma+2) + gamma for gamma in [-2, 0] and 3 gamma + 2 for
-    gamma in [-d, -2).  The moment window is a precondition.  The density is
-    transformed once, and A, B and c are convolved from that one spectrum.
-    A's eigenvalues are taken only where they can decide the report
-    (``_eigen_extremes``).
+    gamma in [-d, -2).  The moment window is a precondition.  A, B and c are
+    convolved from the density's one ``spectrum``.  A's eigenvalues are taken
+    only where they can decide the report (``_eigen_extremes``).
     """
     _check_dims(f, params)
     m, e, h = moments(f)
@@ -397,11 +381,10 @@ def check_coefficient_bounds(
 
     pts = f.grid.points()
     speed = np.sqrt(np.einsum("ij,ij->i", pts, pts))
-    vhat = _density_spectrum(f)
-    a_field = _a_field(f, params, vhat).reshape(-1, d, d)
-    b_field = _b_field(f, params, vhat).reshape(-1, d)
+    a_field = landau_a_field(f, params).reshape(-1, d, d)
+    b_field = landau_b_field(f, params).reshape(-1, d)
     b_norm = np.sqrt(np.einsum("ij,ij->i", b_field, b_field))
-    c_vals = np.abs(_c_field(f, params, vhat).ravel())
+    c_vals = np.abs(landau_c_field(f, params).ravel())
     sup_f = float(f.values.max())
 
     if gamma >= -2.0:

@@ -26,6 +26,8 @@ from .geometry import (
     GalileanTransform,
     KineticPoint,
     compose,
+    group_product,
+    group_quotient,
     iterated_times,
 )
 from .iteration import holder_alpha, sobolev_p
@@ -752,30 +754,29 @@ def gehring_probe(
 
 
 def _contained_in(inner: Cylinder, outer: Cylinder) -> bool:
-    """Sufficient containment check via window bounds (same-frame cylinders)."""
+    """Sufficient containment check via window bounds.
+
+    A point of ``inner`` lies, in ``outer``'s frame, at the offset of the
+    inner centre's path at its time plus at most ``inner``'s windows.  Both
+    are measured in ``outer``'s norm: max-abs for a CUBE, Euclidean
+    otherwise, where a CUBE window of half-width w reaches w sqrt(d).  The x
+    offset is affine in time, so its norm peaks at an end of the time window.
+    """
     wx_i, wv_i, tlo_i, thi_i = inner.windows()
     wx_o, wv_o, tlo_o, thi_o = outer.windows()
-    d = inner.d
-    for m in range(d):
-        dv = inner.center.v[m] - outer.center.v[m]
-        if abs(dv) + wv_i > wv_o:
+    if inner.per_coordinate() and not outer.per_coordinate():
+        wx_i, wv_i = wx_i * math.sqrt(inner.d), wv_i * math.sqrt(inner.d)
+
+    def norm(y) -> float:
+        return float(np.max(np.abs(y))) if outer.per_coordinate() else math.hypot(*y)
+
+    for t_rel in (tlo_i, thi_i):
+        path = group_product(inner.center, (0.0, 0.0, t_rel))
+        off_x, off_v, _ = group_quotient(outer.center, path)
+        if norm(off_v) + wv_i > wv_o or norm(off_x) + wx_i > wx_o:
             return False
-        # x offset in the outer frame over the inner time window
-        for t_rel in (tlo_i, thi_i):
-            t_abs = inner.center.t + t_rel
-            off = (
-                inner.center.x[m]
-                + t_rel * inner.center.v[m]
-                - outer.center.x[m]
-                - (t_abs - outer.center.t) * outer.center.v[m]
-            )
-            if abs(off) + wx_i > wx_o:
-                return False
-    in_t = (
-        inner.center.t + tlo_i >= outer.center.t + tlo_o
-        and inner.center.t + thi_i <= outer.center.t + thi_o
-    )
-    return in_t
+    return (inner.center.t + tlo_i >= outer.center.t + tlo_o
+            and inner.center.t + thi_i <= outer.center.t + thi_o)
 
 
 def propagation_probe(

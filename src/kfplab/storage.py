@@ -180,14 +180,15 @@ def load_trajectory(out_dir) -> Trajectory:
     )
 
 
-def write_velocity_profile(path, values: np.ndarray, v_max: float, seed: int = 0) -> None:
-    """Store a velocity-grid density in the snapshot format."""
+def write_velocity_profile(path, values: np.ndarray, v_max: float) -> None:
+    """Store a velocity-grid density in the snapshot format, with header
+    ``seed`` 0: a profile draws nothing at random."""
     header = {
         "kind": "velocity",
         "extents": {"d": int(np.ndim(values)), "v_max": float(v_max)},
         "spacings": {"h": 2.0 * float(v_max) / values.shape[0]},
         "time": 0.0,
-        "seed": int(seed),
+        "seed": 0,
     }
     write_snapshot(path, values, header)
 

@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import kfplab
 import kfplab.cli  # the tracer wraps functions of cli and of the modules it loads
@@ -108,3 +109,24 @@ def test_traced_solve_has_one_step_span_per_step(monkeypatch):
     assert len(steps) == cfg.n_steps == 70
     assert all(span.parent == solve for span in steps)
     assert tracing.layer_metrics(tracer.spans)["solver.steps"] == cfg.n_steps
+
+
+@pytest.mark.parametrize("gamma", [-3.0, -1.3])
+def test_traced_bound_check_times_the_landau_fields(monkeypatch, gamma):
+    # check_coefficient_bounds computes A, B and c through the public field
+    # functions, which are the ones the tracer wraps
+    tracing = _load_tracing(monkeypatch)
+    landau = kfplab.landau
+    f = landau.maxwellian(landau.VelocityGrid(v_max=5.0, n=8, d=3))
+    bounds = landau.MomentBounds(m1=0.5, m0=2.0, e0=2.0, h0=0.0)
+    tracer = tracing.Tracer()
+    tracer.install(kfplab)
+    try:
+        landau.check_coefficient_bounds(f, landau.LandauParams(d=3, gamma=gamma), bounds)
+    finally:
+        tracer.uninstall()
+    metrics = tracing.layer_metrics(tracer.spans)
+    assert metrics["landau.a_field_s"] > 0.0
+    assert metrics["landau.b_field_s"] > 0.0
+    if gamma != -3.0:
+        assert metrics["landau.c_field_s"] > 0.0

@@ -209,6 +209,14 @@ class TestConfigValidation:
     def test_missing_config(self):
         assert main(["run"]) == 2
 
+    @pytest.mark.parametrize("command", ["landau", "iterate"])
+    def test_seed_is_rejected_where_nothing_draws(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, {"schema_version": 1, "landau": {"gamma": -3.0}})
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out), "--seed", "5"]) == 2
+        assert f"--seed has no effect on {command}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_schema_version(self, tmp_path):
         config = base_config(tmp_path / "out")
         config["schema_version"] = 99

@@ -20,6 +20,7 @@ from kfplab.geometry import (
 )
 from kfplab.probes import (
     HarnackParams,
+    _contained_in,
     _largest_radius,
     _native,
     _source_values,
@@ -420,6 +421,45 @@ class TestPropagation:
         )
         with pytest.raises(ValueError):
             propagation_probe(identity_run, params, r_ladder=[0.35])
+
+
+class TestContainment:
+    def test_round_offset_is_euclidean(self):
+        # each coordinate of the v offset fits (0.45 + 0.025 <= 0.5), its length does not
+        inner = Cylinder(KineticPoint([1, 1], [0.45, 0.45], 1), 0.4, CylinderShape.ELONGATED)
+        outer = Cylinder(KineticPoint([1, 1], [0, 0], 1), 0.5)
+        assert inner.contains(inner.center) and not outer.contains(inner.center)
+        assert not _contained_in(inner, outer)
+
+    def test_cube_corner_reaches_sqrt_d(self):
+        outer = Cylinder(KineticPoint.origin(2), 1.0)
+        cube = Cylinder(KineticPoint.origin(2), 0.8, CylinderShape.CUBE)
+        corner = KineticPoint([0, 0], [0.79, 0.79], 0)
+        assert cube.contains(corner) and not outer.contains(corner)
+        assert not _contained_in(cube, outer)
+        assert _contained_in(Cylinder(KineticPoint.origin(2), 0.8), outer)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_contained_regions_lie_inside(self, d):
+        rng = np.random.default_rng(d)
+        shapes = (CylinderShape.SLANTED, CylinderShape.CUBE, CylinderShape.ELONGATED)
+        checked = 0
+        for _ in range(200):
+            oc = KineticPoint(rng.normal(size=d), 0.3 * rng.normal(size=d), rng.normal())
+            outer = Cylinder(oc, rng.uniform(0.2, 1.0), shapes[rng.integers(3)])
+            ic = KineticPoint(oc.x + 1e-3 * rng.normal(size=d), oc.v + 0.1 * rng.normal(size=d),
+                              oc.t - rng.uniform(0.0, 0.5 * outer.radius**2))
+            inner = Cylinder(ic, outer.radius * rng.uniform(0.05, 0.6), shapes[rng.integers(3)])
+            if not _contained_in(inner, outer):
+                continue
+            wx, wv, t_lo, t_hi = inner.windows()
+            y = (rng.uniform(-wx, wx, (500, d)), rng.uniform(-wv, wv, (500, d)),
+                 rng.uniform(t_lo, t_hi, 500))
+            xs, vs, ts = group_product(ic, y)
+            hit = inner.contains_arrays(xs, vs, ts)
+            assert np.all(outer.contains_arrays(xs[hit], vs[hit], ts[hit]))
+            checked += 1
+        assert checked >= 50
 
 
 class TestGainProbe:
