@@ -368,7 +368,10 @@ def check_coefficient_bounds(
     kappa = (d-1)(gamma+2) + gamma for gamma in [-2, 0] and 3 gamma + 2 for
     gamma in [-d, -2).  The moment window is a precondition.  A, B and c are
     convolved from the density's one ``spectrum``.  A's eigenvalues are taken
-    only where they can decide the report (``_eigen_extremes``).
+    only where they can decide the report (``_eigen_extremes``).  A minimum
+    det ratio that overflows, or that underflows to 0.0 where A has no zero
+    eigenvalue, is a ValueError naming ``a_const``: the report could not tell
+    such an A from an unbounded or a degenerate one.
     """
     _check_dims(f, params)
     m, e, h = moments(f)
@@ -402,6 +405,12 @@ def check_coefficient_bounds(
 
     det_ratio_min, i_min, a_norm_ratio_max = _eigen_extremes(
         a_field, (1.0 + speed) ** kappa, a_env)
+    if not math.isfinite(det_ratio_min):
+        raise ValueError(f"det A / (1+|v|)^kappa overflows to {det_ratio_min!r} "
+                         f"at a_const = {params.a_const!r}")
+    if det_ratio_min == 0.0 and np.all(np.linalg.eigvalsh(a_field[i_min]) != 0.0):
+        raise ValueError(f"det A / (1+|v|)^kappa underflows to 0.0 at a_const = "
+                         f"{params.a_const!r}, though no eigenvalue of A is zero there")
     return BoundsReport(
         kappa=float(kappa),
         det_ratio_min=det_ratio_min,

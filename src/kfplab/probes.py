@@ -142,6 +142,15 @@ def _region_max(sample: list[RegionSlice]) -> float:
     return max(float(piece.values.max()) for piece in sample)
 
 
+def _abs_max(values: np.ndarray, lo: float | None = None) -> float:
+    """max |f| as max(max f, -min f), without an |f|-sized temporary; a NaN
+    in ``values`` gives NaN, as np.abs(values).max() does.  ``lo`` is
+    values.min() where the caller already has it."""
+    if lo is None:
+        lo = values.min()
+    return float(np.maximum(values.max(), -lo))
+
+
 def _require_points(sample: list[RegionSlice]) -> None:
     if not sample:
         raise ValueError("region does not intersect the stored grid points")
@@ -223,7 +232,8 @@ def gain_probe(traj: Trajectory, q_int: Cylinder, q_ext: Cylinder) -> ProbeRepor
     """
     traj, q_int, q_ext = _native(traj, q_int, q_ext)
     _require_nested(q_int, q_ext)
-    if float(traj.values.min()) < -1e-10 * max(1.0, float(np.abs(traj.values).max())):
+    lo = float(traj.values.min())
+    if lo < -1e-10 * max(1.0, _abs_max(traj.values, lo)):
         raise ValueError("gain probe requires a non-negative run")
     p = sobolev_p(traj.d)
     ext = sample_region(traj, q_ext)
@@ -318,7 +328,7 @@ def holder_fit(
     if r_base is None:
         r_base = _largest_radius(traj, z1)
     radii = [(omega / 2.0) ** k * r_base / 2.0 for k in range(1, k_levels + 1)]
-    scale = float(np.abs(traj.values).max())
+    scale = _abs_max(traj.values)
     floor = 10.0 * np.finfo(float).eps * max(scale, 1.0)
 
     levels: list[tuple[float, float]] = []
@@ -424,7 +434,7 @@ def harnack_probe(traj: Trajectory, params: HarnackParams) -> ProbeReport:
     inf_plus = _region_min(plus)
     f_min_unit = min((float(piece.values.min()) for piece in unit), default=math.inf)
     s_sup = max((float(np.abs(_source_values(traj, piece)).max()) for piece in unit), default=0.0)
-    scale = max(1.0, float(np.abs(traj.values).max()))
+    scale = max(1.0, _abs_max(traj.values))
     if f_min_unit < -1e-10 * scale:
         raise ValueError(f"non-negative run required, min over Q_1 is {f_min_unit:.3e}")
 

@@ -34,7 +34,14 @@ def write_snapshot(path, values: np.ndarray, header: dict) -> None:
         fh.write(arr.tobytes(order="C"))
 
 
-def read_snapshot(path) -> tuple[dict, np.ndarray]:
+def read_snapshot(path, out: np.ndarray | None = None) -> tuple[dict, np.ndarray]:
+    """The header and the payload of a snapshot file.
+
+    The payload is read straight into ``out`` when it is given, a C-contiguous
+    float64 array whose shape must be the header's ``dims``, and into a new
+    array otherwise.  Other dims, or a payload of another size, is a
+    ValueError naming the file.
+    """
     with open(path, "rb") as fh:
         header = json.loads(fh.readline().decode("utf-8"))
         if not isinstance(header, dict) or header.get("schema_version") != SCHEMA_VERSION:
@@ -42,10 +49,14 @@ def read_snapshot(path) -> tuple[dict, np.ndarray]:
         for key in ("dims", "time"):
             if key not in header:
                 raise ValueError(f"snapshot header in {path} lacks the key {key!r}")
-        payload = fh.read()
-    dims = tuple(header["dims"])
-    arr = np.frombuffer(payload, dtype=np.float64).reshape(dims).copy()
-    return header, arr
+        dims = tuple(header["dims"])
+        if out is None:
+            out = np.empty(dims)
+        elif dims != out.shape:
+            raise ValueError(f"snapshot {path} has dims {list(dims)}, not {list(out.shape)}")
+        if fh.readinto(out.reshape(-1).view(np.uint8)) != out.nbytes or fh.read(1):
+            raise ValueError(f"snapshot payload in {path} is not {out.nbytes} bytes")
+    return header, out
 
 
 def _stringify_floats(obj):
@@ -76,23 +87,57 @@ def write_report(path, report: dict) -> None:
 
 
 def write_ledger(path, ledger: EnergyLedger) -> None:
-    Path(path).write_text("\n".join(ledger.csv_lines()) + "\n")
+    """Write the ledger CSV one line at a time, as each row is formatted."""
+    with open(path, "w") as fh:
+        for line in ledger.csv_lines():
+            fh.write(line + "\n")
+
+
+def _stripped_lines(fh):
+    """The lines of a text file as ``fh.read().strip().splitlines()`` gives
+    them, read one line at a time.
+
+    A line is held back until the next non-blank one arrives, so that the
+    last one can be right-stripped; blank lines are held as a count and come
+    out empty, as a whitespace-only line splits into one field whatever it
+    holds.
+    """
+    lines = (line for raw in fh for line in raw.splitlines())
+    for line in lines:
+        if line.strip():
+            held = line.lstrip()
+            break
+    else:
+        return
+    blanks = 0
+    for line in lines:
+        if not line.strip():
+            blanks += 1
+            continue
+        yield held
+        for _ in range(blanks):
+            yield ""
+        held, blanks = line, 0
+    yield held.rstrip()
 
 
 def read_ledger(path) -> EnergyLedger:
-    """Parse a ledger CSV; a wrong header or a row of the wrong width is a ValueError."""
-    lines = Path(path).read_text().strip().splitlines()
-    if not lines or lines[0] != ",".join(EnergyLedger.FIELDS):
-        raise ValueError(f"{path} does not start with the ledger header")
+    """Parse a ledger CSV line by line, so no more than one line's strings
+    are alive at once.  Surrounding whitespace and blank lines at either end
+    are ignored; a wrong header or a row of the wrong width, an interior
+    blank line included, is a ValueError naming its line."""
     hints = typing.get_type_hints(LedgerRow)
     kinds = [hints[name] for name in EnergyLedger.FIELDS]
     rows = []
-    # row by row, so no more than one row's strings are alive at once
-    for i, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != len(kinds):
-            raise ValueError(f"{path} line {i} has {len(parts)} fields, not {len(kinds)}")
-        rows.append(LedgerRow(*map(type.__call__, kinds, parts)))
+    with open(path) as fh:
+        lines = _stripped_lines(fh)
+        if next(lines, None) != ",".join(EnergyLedger.FIELDS):
+            raise ValueError(f"{path} does not start with the ledger header")
+        for i, line in enumerate(lines, start=2):
+            parts = line.split(",")
+            if len(parts) != len(kinds):
+                raise ValueError(f"{path} line {i} has {len(parts)} fields, not {len(kinds)}")
+            rows.append(LedgerRow(*map(type.__call__, kinds, parts)))
     return EnergyLedger(tuple(rows))
 
 
@@ -142,7 +187,14 @@ def save_trajectory(out_dir, traj: Trajectory, seed: int, digest: str) -> None:
 
 
 def load_trajectory(out_dir) -> Trajectory:
-    """Rebuild a trajectory from stored snapshots (field from its descriptor)."""
+    """Rebuild a trajectory from stored snapshots (field from its descriptor).
+
+    Each snapshot is read straight into its slot of one preallocated
+    ``(n_snapshots, *grid.shape)`` float64 stack, so a replay holds the stored
+    snapshots once.  A snapshot whose header's ``dims`` are not the grid's
+    shape, or whose ``time`` is not its entry of run_meta's ``times``, is a
+    ValueError naming the file.
+    """
     out = Path(out_dir)
     meta = json.loads((out / "run_meta.json").read_text())
     if not isinstance(meta, dict) or meta.get("schema_version") != SCHEMA_VERSION:
@@ -157,6 +209,7 @@ def load_trajectory(out_dir) -> Trajectory:
             nv=int(gm["nv"]),
         )
         n_snapshots = meta["n_snapshots"]
+        meta_times = meta["times"]
         descriptor = meta.get("field_descriptor")
         field = field_from_descriptor(descriptor) if descriptor else None
     except KeyError as exc:
@@ -164,20 +217,19 @@ def load_trajectory(out_dir) -> Trajectory:
     snaps = sorted((out / "snapshots").glob("snap_*.kfs"))
     if len(snaps) != n_snapshots:
         raise ValueError(f"expected {n_snapshots} snapshots, found {len(snaps)} in {out}")
-    times = []
-    values = []
-    for path in snaps:
-        header, arr = read_snapshot(path)
-        times.append(float(header["time"]))
-        values.append(arr)
+    if len(meta_times) != len(snaps):
+        raise ValueError(f"run_meta.json in {out} lists {len(meta_times)} times "
+                         f"for {len(snaps)} snapshots")
+    times = np.empty(len(snaps))
+    values = np.empty((len(snaps), *grid.shape))
+    for k, path in enumerate(snaps):
+        header, _ = read_snapshot(path, out=values[k])
+        times[k] = t = float(header["time"])
+        if t != meta_times[k]:
+            raise ValueError(f"snapshot {path} has time {t!r}, "
+                             f"but run_meta.json lists {meta_times[k]!r}")
     ledger = read_ledger(out / "ledger.csv") if (out / "ledger.csv").exists() else None
-    return Trajectory(
-        grid=grid,
-        times=np.asarray(times),
-        values=np.stack(values),
-        field=field,
-        ledger=ledger,
-    )
+    return Trajectory(grid=grid, times=times, values=values, field=field, ledger=ledger)
 
 
 def write_velocity_profile(path, values: np.ndarray, v_max: float) -> None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import reduce
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -116,10 +116,13 @@ class EnergyLedger:
     def column(self, name: str) -> np.ndarray:
         return np.array([getattr(r, name) for r in self.rows])
 
-    def csv_lines(self) -> list[str]:
-        """The header, then one line per row: each value's repr, comma-separated."""
+    def csv_lines(self) -> Iterator[str]:
+        """The header, then one line per row: each value's repr, comma-separated.
+        The lines are made one at a time, as they are consumed."""
         line = ",".join(["%r"] * len(self.FIELDS))
-        return [",".join(self.FIELDS)] + [line % r for r in self.rows]
+        yield ",".join(self.FIELDS)
+        for r in self.rows:
+            yield line % r
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 """Fixtures and the small references that several test modules share."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,17 @@ def gaussian_bump(grid, cx, cv, sx, sv, floor=0.0, mass=1.0):
 def exponent_sum_direct(alpha, n):
     """n + alpha (n-1) + ... + alpha^{n-1}, summed term by term."""
     return float(sum(alpha**j * (n - j) for j in range(n)))
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the tracemalloc peak, in bytes, that the call reached."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 @pytest.fixture(scope="session")

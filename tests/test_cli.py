@@ -575,6 +575,43 @@ class TestOtherCommands:
         err = capsys.readouterr().err
         assert "cannot load snapshots" in err and f"snap_000001.kfs lacks the key '{key}'" in err
 
+    @pytest.mark.parametrize("edit", ["dims", "time"])
+    def test_snapshot_unlike_run_meta_exits_two(self, tmp_path, capsys, edit):
+        # a [nv] payload would broadcast into its slot of the stack unnoticed
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, base_config(out))
+        assert main(["solve", "--config", str(cfg)]) == 0
+        snap = out / "snapshots" / "snap_000001.kfs"
+        header, payload = snap.read_bytes().split(b"\n", 1)
+        meta = json.loads(header)
+        if edit == "dims":
+            meta["dims"], payload = [32], payload[:32 * 8]
+            message = "snap_000001.kfs has dims [32], not [32, 32]"
+        else:
+            stored = meta["time"]
+            meta["time"] = stored + 1e-3
+            message = f"snap_000001.kfs has time {stored + 1e-3!r}, but run_meta.json lists {stored!r}"
+        snap.write_bytes(json.dumps(meta).encode("utf-8") + b"\n" + payload)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_trajectory(out)
+        assert main(["probe", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "cannot load snapshots" in err and message in err
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("a_const", [1e105, 1e-110])
+    def test_landau_det_outside_float_range_exits_four(self, tmp_path, capsys, a_const):
+        out = tmp_path / "out"
+        config = {"schema_version": 1,
+                  "landau": {"gamma": -1.3, "d": 3, "a_const": a_const,
+                             "profile": {"n": 8, "v_max": 5.0},
+                             "bounds": {"m1": 1e-3, "m0": 1e6, "e0": 1e9, "h0": 1e9}},
+                  "output": {"dir": str(out)}}
+        assert main(["landau", "--config", str(write_config(tmp_path, config))]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("bound check rejected: ") and f"at a_const = {a_const!r}" in err
+        assert not (out / "landau_report.json").exists()
+
     def test_out_flag_beats_environment_beats_config(self, tmp_path, monkeypatch):
         flag, env, configured = (tmp_path / name for name in ("flag", "env", "configured"))
         cfg = write_config(tmp_path, {"schema_version": 1, "output": {"dir": str(configured)}})

@@ -1,7 +1,7 @@
 import itertools
 import json
 import math
-import tracemalloc
+import re
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +10,7 @@ from scipy import fft as sp_fft
 from scipy.signal import fftconvolve
 
 import landau_oracle as oracle
+from conftest import traced_peak
 from kfplab import landau
 from kfplab.landau import (
     BoundsReport,
@@ -443,17 +444,28 @@ class TestAgainstOracle:
     def test_bounds_report_bytes(self, monkeypatch, d, n, gamma, density, a_const):
         # eigvalsh on the candidates only gives every bit of the full-grid
         # check.  ||A||_F^3 overflows at a_const = 1e100 and underflows at
-        # 1e-100, so every point is a candidate; at 1e+-88 the margins hold
+        # 1e-100, so every point is a candidate; at 1e+-88 the margins hold.
+        # Where det A itself leaves the float range, at d = 4 off a_const = 1
+        # and for the d = 3 random density at gamma = 0 and 1e100, both
+        # checks reject the density with the same message
         if density == "maxwellian":
             f = maxwellian(VelocityGrid(v_max=5.0, n=n, d=d))
         else:
             f = random_density(d, n)
         p = LandauParams(d=d, gamma=gamma, a_const=a_const)
         bounds = MomentBounds(m1=1e-3, m0=1e6, e0=1e9, h0=1e9)
-        fast = check_coefficient_bounds(f, p, bounds)
+
+        def outcome():
+            try:
+                return json.dumps(check_coefficient_bounds(f, p, bounds).to_dict())
+            except ValueError as exc:
+                return str(exc)
+
+        fast = outcome()
         monkeypatch.setattr(landau, "_eigen_extremes", oracle.eigen_extremes)
-        slow = check_coefficient_bounds(f, p, bounds)
-        assert json.dumps(fast.to_dict()) == json.dumps(slow.to_dict())
+        assert outcome() == fast
+        out_of_range = (d == 4 and a_const != 1.0) or (density, gamma, a_const) == ("random", 0.0, 1e100)
+        assert (f"at a_const = {a_const!r}" in fast) == out_of_range
 
 
 def spd_stack(rng, size, eigs=(0.5, 2.0)):
@@ -592,12 +604,7 @@ def test_bounds_check_peak_memory(gamma):
     f = maxwellian(g)
     bounds = MomentBounds(m1=0.5, m0=2.0, e0=2.0, h0=0.0)
     limit = 2 * landau._kernel_a_upper(g, p).nbytes
-    tracemalloc.start()
-    try:
-        check_coefficient_bounds(f, p, bounds)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(check_coefficient_bounds, f, p, bounds)
     assert peak <= limit
 
 
@@ -612,6 +619,20 @@ class TestBoundsChecks:
         assert rep.kappa == 2.0  # (d-1)(gamma+2) + gamma at gamma = 0, d = 2
         assert rep.det_ratio_min > 0.0
         assert rep.verdict == "ok"
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("a_const, message", [(1e105, "overflows to inf"),
+                                                  (1e-110, "underflows to 0.0")])
+    def test_det_ratio_outside_float_range_is_rejected(self, a_const, message):
+        # the parent reported inf with verdict ok, and 0.0 with verdict degenerate
+        f = maxwellian(VelocityGrid(v_max=5.0, n=8, d=3))
+        bounds = MomentBounds(m1=1e-3, m0=1e6, e0=1e9, h0=1e9)
+        for scale in (1e-100, 1.0, 1e100):
+            p = LandauParams(d=3, gamma=-1.3, a_const=scale)
+            assert check_coefficient_bounds(f, p, bounds).verdict == "ok"
+        p = LandauParams(d=3, gamma=-1.3, a_const=a_const)
+        with pytest.raises(ValueError, match=re.escape(f"{message} at a_const = {a_const!r}")):
+            check_coefficient_bounds(f, p, bounds)
 
     def test_moment_window_enforced(self):
         g = VelocityGrid(v_max=5.0, n=16, d=2)

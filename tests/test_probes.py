@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from kfplab.fields import (
     CheckerboardRecipe,
     ConstantRecipe,
@@ -20,6 +21,7 @@ from kfplab.geometry import (
 )
 from kfplab.probes import (
     HarnackParams,
+    _abs_max,
     _contained_in,
     _largest_radius,
     _native,
@@ -245,6 +247,37 @@ class TestHarnack:
             HarnackParams(r=0.5, delta=0.2, rho1=0.6, rho2=0.8)  # Delta <= R^2
         with pytest.raises(ValueError):
             HarnackParams(r=0.5, delta=0.3, rho1=0.4, rho2=0.8)  # rho1 < R
+
+
+class TestProbePeakMemory:
+    """The probes that scale by max |f| read it from the stored values in
+    place: none allocates a trajectory-sized temporary."""
+
+    @pytest.fixture(scope="class")
+    def traj(self):
+        # 257 snapshots over [-4, 0], so each probe's regions meet a small
+        # share of them; |v| resolves three Hoelder levels at the centre
+        return synthetic(lambda x, v, t: 1.0 + np.abs(v), nx=16, nv=256, nt=257, t0=-4.0)
+
+    @pytest.mark.parametrize("probe", ["gain", "holder", "harnack"])
+    def test_peak_is_a_fraction_of_the_trajectory(self, traj, probe):
+        z = shifted_origin()
+        calls = {
+            "gain": (gain_probe, traj, Cylinder(z, 0.3), Cylinder(z, 0.5)),
+            "holder": (holder_fit, traj, z, 0.9, 3, 0.45),
+            "harnack": (harnack_probe, traj, HarnackParams(r=0.25, delta=0.3, rho1=0.4,
+                                                           rho2=0.6, q=2.0, center=z)),
+        }
+        rep, peak = traced_peak(*calls[probe])
+        assert rep.verdict == "ok"
+        assert peak <= 0.25 * traj.values.nbytes
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_abs_max_of_non_finite_values(self, bad):
+        # max |f| = max(max f, -min f) holds for NaN and +-inf too
+        for values in (np.array([[1.0, -3.0], [bad, 0.5]]), np.array([-0.0, bad, -2.0])):
+            want = repr(float(np.abs(values).max()))
+            assert repr(_abs_max(values)) == repr(_abs_max(values, float(values.min()))) == want
 
 
 class TestDoubling:

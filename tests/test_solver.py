@@ -466,7 +466,7 @@ class TestFastPathsMatchOracles:
             assert len(got.ledger.rows) == n_steps + 1
             assert got.times.tobytes() == want.times.tobytes()
             assert got.values.tobytes() == want.values.tobytes()
-            assert got.ledger.csv_lines() == want.ledger.csv_lines()
+            assert list(got.ledger.csv_lines()) == list(want.ledger.csv_lines())
 
     @pytest.mark.parametrize("d, n", [(1, 256), (2, 16)])
     def test_ledger_block_rows_match_single_state_rows(self, d, n):
@@ -508,7 +508,7 @@ class TestFastPathsMatchOracles:
         got, want = solve(cfg, f0), oracle.solve(cfg, f0)
         assert got.times.tobytes() == want.times.tobytes()
         assert got.values.tobytes() == want.values.tobytes()
-        assert got.ledger.csv_lines() == want.ledger.csv_lines()
+        assert list(got.ledger.csv_lines()) == list(want.ledger.csv_lines())
 
     def test_solve_d2_rotating(self):
         grid = PhaseGrid(d=2, x_extent=2.0, nx=4, v_max=2.0, nv=6)
@@ -520,7 +520,7 @@ class TestFastPathsMatchOracles:
         got, want = solve(cfg, f0), oracle.solve(cfg, f0)
         assert got.times.tobytes() == want.times.tobytes()
         assert got.values.tobytes() == want.values.tobytes()
-        assert got.ledger.csv_lines() == want.ledger.csv_lines()
+        assert list(got.ledger.csv_lines()) == list(want.ledger.csv_lines())
 
     @pytest.mark.parametrize("chunk_nodes", [solver_mod._CHUNK_NODES, 100])
     @pytest.mark.parametrize("name", sorted(D2_FIELDS))
@@ -561,7 +561,7 @@ class TestFastPathsMatchOracles:
         got, want = solve(cfg, f0), oracle.solve(cfg, f0)
         assert got.times.tobytes() == want.times.tobytes()
         assert got.values.tobytes() == want.values.tobytes()
-        assert got.ledger.csv_lines() == want.ledger.csv_lines()
+        assert list(got.ledger.csv_lines()) == list(want.ledger.csv_lines())
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_negative_zero_data_without_source(self, d):
@@ -574,7 +574,7 @@ class TestFastPathsMatchOracles:
         assert _same_array(got, oracle.make_collision(cfg).apply(f0.values, 0.025))
         got, want = solve(cfg, f0), oracle.solve(cfg, f0)
         assert got.values.tobytes() == want.values.tobytes()
-        assert got.ledger.csv_lines() == want.ledger.csv_lines()
+        assert list(got.ledger.csv_lines()) == list(want.ledger.csv_lines())
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_field_evaluated_once_per_assembly_and_zero_source_never(self, d):
@@ -652,7 +652,7 @@ class TestFastPathsMatchOracles:
         got, want = solve(cfg, f0), oracle.solve(cfg, f0)
         unscaled = solve(replace(cfg, field=base), f0)
         assert got.values.tobytes() == want.values.tobytes()
-        assert got.ledger.csv_lines() == want.ledger.csv_lines()
+        assert list(got.ledger.csv_lines()) == list(want.ledger.csv_lines())
         assert got.values.tobytes() != unscaled.values.tobytes()
 
     def test_plan_built_once_per_solve(self, monkeypatch):
