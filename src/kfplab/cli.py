@@ -285,6 +285,9 @@ def main(argv=None) -> int:
     if args.config is None and args.command in ("run", "solve", "probe", "landau"):
         print("--config is required for this command", file=sys.stderr)
         return EXIT_CONFIG
+    if args.seed is not None and args.seed < 0:
+        print(f"--seed must be at least 0, got {args.seed}", file=sys.stderr)
+        return EXIT_CONFIG
     if args.seed is not None and args.command in ("landau", "iterate"):
         print(f"--seed has no effect on {args.command}", file=sys.stderr)
         return EXIT_CONFIG

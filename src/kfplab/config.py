@@ -76,7 +76,8 @@ _INITIAL = Pick("kind", "zero", {
     "gaussian": dict.fromkeys(("center_x", "center_v", "sigma_x", "sigma_v", "mass", "floor"), float),
 })
 _FIELD = Pick("recipe", "constant", {
-    kind: {"lambda": float, "Lambda": float, "seed": int, "scale_a": float, **_recipe_keys(cls)}
+    kind: {"lambda": float, "Lambda": float, "seed": Min(int, 0), "scale_a": float,
+           **_recipe_keys(cls)}
     for kind, cls in RECIPES.items()
 })
 _PROBES = {
@@ -88,7 +89,7 @@ _PROBES = {
     "oscillation": {"r": Req(float)},
     "levelsets": {"theta": Req(float), "r": float, "region": ("unit_box",)},
     "fractional": {"s_order": Req(float), "r": Req(float), "n_pairs": Min(int, 1),
-                   "seed": int},
+                   "seed": Min(int, 0)},
     "gehring": {"q": Req(float), "r0": Req(float), "theta": float},
     "propagation": {**_HARNACK, "r_ladder": Req([float])},
     "caccioppoli": {"R": Req(float)},
@@ -96,7 +97,7 @@ _PROBES = {
 }
 SCHEMA = {
     "schema_version": Req((SCHEMA_VERSION,)),
-    "seed": int,
+    "seed": Min(int, 0),
     "solver": {
         "d": int, "x_extent": Req(float), "nx": Req(int), "v_max": Req(float), "nv": Req(int),
         "dt": Req(float), "t_end": Req(float),
@@ -250,11 +251,30 @@ def build_initial(grid: PhaseGrid, section: dict | None) -> PhaseGridFunction:
         sv = section.get("sigma_v", grid.v_max / 10.0)
         if min(sx, sv) <= 0:
             raise ConfigError(f"gaussian widths must be positive, got {sx}, {sv}")
-        qx = np.sum((x - cx) ** 2, axis=-1) / sx**2
-        qv = np.sum((v - cv) ** 2, axis=-1) / sv**2
-        amp = section.get("mass", 1.0) / ((2 * math.pi) ** grid.d * sx**grid.d * sv**grid.d)
-        return PhaseGridFunction(grid, amp * np.exp(-0.5 * (qx + qv)) + section.get("floor", 0.0), 0.0)
+        sx2, sv2 = _width_squared("sigma_x", sx), _width_squared("sigma_v", sv)
+        norm = (2 * math.pi) ** grid.d * sx**grid.d * sv**grid.d
+        amp = section.get("mass", 1.0) / norm if norm > 0.0 else math.inf
+        with np.errstate(all="ignore"):   # a state that is not finite is rejected below
+            qx = np.sum((x - cx) ** 2, axis=-1) / sx2
+            qv = np.sum((v - cv) ** 2, axis=-1) / sv2
+            values = amp * np.exp(-0.5 * (qx + qv)) + section.get("floor", 0.0)
+        if not np.isfinite(values).all():
+            raise ConfigError(f"initial gaussian is not finite (sigma_x {sx!r}, sigma_v {sv!r}, "
+                              f"mass {section.get('mass', 1.0)!r}, floor {section.get('floor', 0.0)!r})")
+        return PhaseGridFunction(grid, values, 0.0)
     raise ConfigError(f"unknown initial kind {kind!r}")
+
+
+def _width_squared(key: str, width) -> float:
+    """width^2 of a gaussian initial width; a square that overflows or
+    underflows is a ConfigError naming ``key``."""
+    try:
+        square = float(width) ** 2
+    except OverflowError:
+        square = math.inf
+    if not 0.0 < square < math.inf:
+        raise ConfigError(f"initial.{key} = {width!r}: its square overflows or underflows")
+    return square
 
 
 def _point(spec, d: int) -> KineticPoint:

@@ -7,6 +7,7 @@ seed), so evaluation order and process boundaries cannot change it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, ClassVar, NamedTuple
 
@@ -41,6 +42,10 @@ class NodeCoefficients(NamedTuple):
 class CoefficientField:
     """Rough data (A, B, s) with its declared bounds and generation descriptor.
 
+    Besides the ellipticity ``bounds``, a field declares ``b_bound`` >= sup |B|,
+    ``s_bound`` >= sup |s| and ``s_min`` <= inf s.  They decide which
+    invariants a run checks and which probes may run on it.
+
     ``a_fn``/``b_fn``/``s_fn`` accept x, v of shape (..., d) and t of shape
     (...,) (or scalar) and return (..., d, d) / (..., d) / (...,) arrays.
     ``nodes_fn``, if set, binds the same field to fixed nodes x, v and
@@ -53,7 +58,9 @@ class CoefficientField:
 
     d: int
     bounds: EllipticityBounds
+    b_bound: float
     s_bound: float
+    s_min: float
     descriptor: dict
     a_fn: Callable
     b_fn: Callable
@@ -213,7 +220,8 @@ def _constant_field(recipe: ConstantRecipe, bounds: EllipticityBounds, seed: int
         return np.full(t.shape, recipe.s_value)
 
     return CoefficientField(
-        d=d, bounds=bounds, s_bound=abs(recipe.s_value),
+        d=d, bounds=bounds, b_bound=abs(recipe.b_value), s_bound=abs(recipe.s_value),
+        s_min=recipe.s_value,
         descriptor=_descriptor(recipe, bounds, seed, d),
         a_fn=a_fn, b_fn=b_fn, s_fn=s_fn, time_key=lambda t: 0,
     )
@@ -226,6 +234,12 @@ _CELL_INDEX_LIMIT = 2.0**62
 def _checkerboard_field(recipe: CheckerboardRecipe, bounds: EllipticityBounds, seed: int, d: int) -> CoefficientField:
     if recipe.cell <= 0:
         raise ValueError(f"cell size must be positive, got {recipe.cell}")
+    try:
+        finite = math.isfinite(recipe.cell**3)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ValueError(f"cell size {recipe.cell!r}: cell^3 overflows")
     ell = recipe.cell
     b_max = bounds.big_lam if recipe.b_max is None else recipe.b_max
     if b_max > bounds.big_lam:
@@ -271,7 +285,7 @@ def _checkerboard_field(recipe: CheckerboardRecipe, bounds: EllipticityBounds, s
         return _eval(x, v, t, lambda cell: cell[2])
 
     return CoefficientField(
-        d=d, bounds=bounds, s_bound=recipe.s_max,
+        d=d, bounds=bounds, b_bound=abs(b_max), s_bound=recipe.s_max, s_min=-abs(recipe.s_max),
         descriptor=_descriptor(recipe, bounds, seed, d),
         a_fn=a_fn, b_fn=b_fn, s_fn=s_fn,
         time_key=lambda t: int(np.floor(t / ell**2)),
@@ -351,7 +365,7 @@ def _smooth_field(recipe: SmoothRandomRecipe, bounds: EllipticityBounds, seed: i
         return NodeCoefficients(bound(_a, a_fields), bound(_b, b_fields), bound(_s, s_fields))
 
     return CoefficientField(
-        d=d, bounds=bounds, s_bound=recipe.s_max,
+        d=d, bounds=bounds, b_bound=abs(b_max), s_bound=recipe.s_max, s_min=-abs(recipe.s_max),
         descriptor=_descriptor(recipe, bounds, seed, d),
         a_fn=pointwise(_a), b_fn=pointwise(_b), s_fn=pointwise(_s), nodes_fn=nodes_fn,
     )
@@ -389,7 +403,7 @@ def _rotating_field(recipe: RotatingAnisotropyRecipe, bounds: EllipticityBounds,
         return np.zeros(t.shape)
 
     return CoefficientField(
-        d=d, bounds=bounds, s_bound=0.0,
+        d=d, bounds=bounds, b_bound=0.0, s_bound=0.0, s_min=0.0,
         descriptor=_descriptor(recipe, bounds, seed, d),
         a_fn=a_fn, b_fn=b_fn, s_fn=s_fn,
     )

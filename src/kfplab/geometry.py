@@ -185,6 +185,13 @@ class Cylinder:
                 raise ValueError(f"omega must lie in (0, 1/2), got {self.omega}")
         if self.shape is CylinderShape.ITERATED and self.k < 1:
             raise ValueError(f"iterated cylinder index must be >= 1, got {self.k}")
+        try:
+            wx, wv, t_lo, t_hi = self.windows()
+            ok = wx > 0.0 and wv > 0.0 and all(map(math.isfinite, (wx, wv, t_lo, t_hi)))
+        except OverflowError:
+            ok = False
+        if not ok:
+            raise ValueError(f"radius {self.radius!r} gives windows that overflow or vanish")
 
     @property
     def d(self) -> int:

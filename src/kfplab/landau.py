@@ -388,20 +388,15 @@ def check_coefficient_bounds(
     b_field = landau_b_field(f, params).reshape(-1, d)
     b_norm = np.sqrt(np.einsum("ij,ij->i", b_field, b_field))
     c_vals = np.abs(landau_c_field(f, params).ravel())
-    sup_f = float(f.values.max())
+    sup_f = max(float(f.values.max()), 1e-300)
 
-    if gamma >= -2.0:
-        a_env = (1.0 + speed) ** (gamma + 2.0)
-    else:
-        a_env = np.full_like(speed, max(sup_f, 1e-300) ** (abs(gamma + 2.0) / d))
-    if gamma >= -1.0:
-        b_env = (1.0 + speed) ** (gamma + 1.0)
-    else:
-        b_env = np.full_like(speed, max(sup_f, 1e-300) ** (abs(gamma + 1.0) / d))
-    if gamma == 0.0:
-        c_env = np.ones_like(speed)
-    else:
-        c_env = np.full_like(speed, max(sup_f, 1e-300) ** (abs(gamma) / d))
+    def envelope(p: float) -> np.ndarray:
+        """(1+|v|)^p where p >= 0, else the constant sup f^(|p|/d)."""
+        if p >= 0.0:
+            return (1.0 + speed) ** p
+        return np.full_like(speed, sup_f ** (-p / d))
+
+    a_env, b_env, c_env = envelope(gamma + 2.0), envelope(gamma + 1.0), envelope(gamma)
 
     det_ratio_min, i_min, a_norm_ratio_max = _eigen_extremes(
         a_field, (1.0 + speed) ** kappa, a_env)

@@ -175,24 +175,13 @@ def _source_values(traj: Trajectory, piece: RegionSlice) -> np.ndarray:
 
 
 def source_nonnegative(field: CoefficientField | None) -> bool:
-    if field is None:
-        return True
-    if field.s_bound == 0.0:
-        return True
-    desc = field.descriptor
-    return desc.get("kind") == "constant" and desc.get("s_value", 0.0) >= 0.0
+    """Whether the field declares s >= 0 (a run without field has no source)."""
+    return field is None or field.s_min >= 0.0
 
 
 def lower_order_free(field: CoefficientField | None) -> bool:
-    if field is None:
-        return True
-    desc = field.descriptor
-    kind = desc.get("kind")
-    if kind == "constant":
-        return desc.get("b_value", 0.0) == 0.0 and desc.get("s_value", 0.0) == 0.0
-    if kind == "rotating":
-        return True
-    return desc.get("b_max", None) == 0.0 and desc.get("s_max", 1.0) == 0.0 and field.s_bound == 0.0
+    """Whether the field declares B = 0 and s = 0 (a run without field has neither)."""
+    return field is None or field.b_bound == field.s_bound == 0.0
 
 
 def norm_on_cylinder(traj: Trajectory, region, p, normalized: bool = False) -> float:
@@ -789,23 +778,18 @@ def _contained_in(inner: Cylinder, outer: Cylinder) -> bool:
             and inner.center.t + thi_i <= outer.center.t + thi_o)
 
 
-def propagation_probe(
-    traj: Trajectory,
-    params: HarnackParams,
-    r_ladder,
-    z: KineticPoint | None = None,
-) -> ProbeReport:
-    """Minimum propagation: min_{Q^el_r(z)} f against C_pm r^{-q} min_{Q^+} f.
+def propagation_probe(traj: Trajectory, params: HarnackParams, r_ladder) -> ProbeReport:
+    """Minimum propagation: min_{Q^el_r(z)} f against C_pm r^{-q} min_{Q^+} f,
+    with z the centre of Q^-.
 
     Fits the empirical exponent q_hat from the log-log decay of
     min_{Q^el_r} f / min_{Q^+} f over the ladder of r values.
     """
-    traj, center, z = _native(traj, params.center, z)
+    traj, center = _native(traj, params.center)
     params = replace(params, center=center)
     if not source_nonnegative(traj.field):
         raise ValueError("propagation probe requires a sign-definite (s >= 0) run")
-    if z is None:
-        z = params._minus_center()
+    z = params._minus_center()
     q_minus_2 = params.q_minus(params.rho2)
     m_plus = _region_min(sample_region(traj, params.q_plus()))
 

@@ -22,7 +22,7 @@ from scipy.linalg import lapack
 from scipy.sparse import csc_matrix, csr_matrix, identity
 from scipy.sparse.linalg import splu
 
-from .fields import CoefficientField, NodeCoefficients
+from .fields import CoefficientField
 from .trajectory import (
     EnergyLedger,
     LedgerRow,
@@ -126,12 +126,16 @@ class _TransportPlan:
         return out
 
 
-class _Collision1D:
-    """Implicit finite-volume collision solve, one tridiagonal block per x-cell.
+class _Collision:
+    """Implicit finite-volume collision solve, one block per x-cell.
 
     ``coeffs`` evaluates the field at the grid nodes, in the grid's order.
-    ``apply`` solves in a right-hand-side buffer allocated once per run and
-    returns it, so its result stays valid until the next ``apply``.
+    The operator is reassembled whenever ``field.time_key`` changes.
+    ``apply`` adds dt * s to the data in a right-hand-side buffer of shape
+    (cells, nodes per cell), allocated once per run, solves there and returns
+    it, so its result stays valid until the next ``apply``.  A field without
+    source adds 0.0, which still turns -0.0 into +0.0, as adding
+    dt * s(x, v, t) = +0.0 did.
     """
 
     def __init__(self, grid: PhaseGrid, field: CoefficientField, dt: float):
@@ -139,15 +143,27 @@ class _Collision1D:
         self.field = field
         self.dt = dt
         self._key: object = object()
-        self._factors = None
         self._dt_source: np.ndarray | float = 0.0
-        self._rhs = np.empty(grid.nx * grid.nv)   # the right-hand side, solved in place
-        self.coeffs = field.at_nodes(np.repeat(grid.x_axis, grid.nv)[:, None],
-                                     np.tile(grid.v_axis, grid.nx)[:, None])
+        self._rhs = np.empty((grid.nx**grid.d, grid.nv**grid.d))
+        self.coeffs = field.at_nodes(*(mesh.reshape(-1, grid.d) for mesh in grid.meshes()))
+
+    def apply(self, values: np.ndarray, t: float) -> np.ndarray:
+        key = self.field.time_key(t)
+        if key != self._key:
+            if self.field.s_bound != 0:
+                self._dt_source = self.dt * self.coeffs.s(t).reshape(self.grid.shape)
+            self._assemble(t)
+            self._key = key
+        np.add(values, self._dt_source, out=self._rhs.reshape(values.shape))
+        return self._solve().reshape(values.shape)
+
+
+class _Collision1D(_Collision):
+    """The d = 1 collision step: one tridiagonal LAPACK factorisation for all
+    x-cells, solved by ``dgttrs`` in the right-hand-side buffer."""
 
     def _assemble(self, t: float) -> None:
-        shape = (self.grid.nx, self.grid.nv)
-        self._dt_source = _dt_source(self.field, self.coeffs, t, self.dt, shape)
+        shape = self._rhs.shape
         self._factorise(self.coeffs.a(t)[..., 0, 0].reshape(shape),
                         self.coeffs.b(t)[..., 0].reshape(shape))
 
@@ -183,25 +199,11 @@ class _Collision1D:
             raise np.linalg.LinAlgError(f"collision matrix factorisation failed ({info})")
         self._factors = (dl_f, d_f, du_f, du2, ipiv)
 
-    def apply(self, values: np.ndarray, t: float) -> np.ndarray:
-        key = self.field.time_key(t)
-        if key != self._key:
-            self._assemble(t)
-            self._key = key
-        np.add(values, self._dt_source, out=self._rhs.reshape(values.shape))
-        out, info = lapack.dgttrs(*self._factors, self._rhs, overwrite_b=True)
+    def _solve(self) -> np.ndarray:
+        out, info = lapack.dgttrs(*self._factors, self._rhs.ravel(), overwrite_b=True)
         if info != 0:
             raise np.linalg.LinAlgError(f"collision solve failed ({info})")
-        return out.reshape(values.shape)
-
-
-def _dt_source(field: CoefficientField, coeffs: NodeCoefficients, t: float, dt: float,
-               shape) -> np.ndarray | float:
-    """dt * s at the nodes, or 0.0 for a field without source.  Adding 0.0
-    still turns -0.0 into +0.0, as adding dt * s(x, v, t) = +0.0 did."""
-    if field.s_bound == 0:
-        return 0.0
-    return dt * coeffs.s(t).reshape(shape)
+        return out
 
 
 def _cell_matrices_2d(a: np.ndarray, b: np.ndarray, hv: float, dt: float) -> list:
@@ -270,47 +272,31 @@ def _cell_matrices_2d(a: np.ndarray, b: np.ndarray, hv: float, dt: float) -> lis
     return blocks
 
 
-class _Collision2D:
-    """Implicit collision solve for d = 2: one sparse LU per x-cell.
+class _Collision2D(_Collision):
+    """The d = 2 collision step: one sparse LU per x-cell.
 
     Cross-diffusion terms use the symmetric face-averaged stencil; the
     M-matrix (hence positivity) guarantee only holds for moderate anisotropy.
-    ``coeffs`` evaluates the field at the grid nodes, in the grid's order.
     """
-
-    def __init__(self, grid: PhaseGrid, field: CoefficientField, dt: float):
-        self.grid = grid
-        self.field = field
-        self.dt = dt
-        self._key: object = object()
-        self._lus: list = []
-        self._dt_sources: np.ndarray | float = 0.0
-        self.coeffs = field.at_nodes(*(mesh.reshape(-1, 2) for mesh in grid.meshes()))
 
     def _assemble(self, t: float) -> None:
         self._lus = []   # two live sets of factors would raise peak memory
         self._lus = [splu(block) for block in self._cell_matrices(t)]
 
     def _cell_matrices(self, t: float) -> list:
-        """I - dt L of every x-cell as a CSC matrix; sets ``_dt_sources``."""
+        """I - dt L of every x-cell as a CSC matrix."""
         nv, nvv, n_cells = self.grid.nv, self.grid.nv**2, self.grid.nx**2
         a = self.coeffs.a(t).reshape(n_cells, nv, nv, 2, 2)
         b = self.coeffs.b(t).reshape(n_cells, nv, nv, 2)
-        self._dt_sources = _dt_source(self.field, self.coeffs, t, self.dt, (n_cells, nvv))
         chunk = max(1, _CHUNK_NODES // nvv)
         return [block for c in range(0, n_cells, chunk) for block in _cell_matrices_2d(
             a[c:c + chunk], b[c:c + chunk], self.grid.hv, self.dt)]
 
-    def apply(self, values: np.ndarray, t: float) -> np.ndarray:
-        key = self.field.time_key(t)
-        if key != self._key:
-            self._assemble(t)
-            self._key = key
-        rhs = values.reshape(len(self._lus), -1) + self._dt_sources
-        out = np.empty_like(rhs)
+    def _solve(self) -> np.ndarray:
+        rhs = self._rhs
         for ci, lu in enumerate(self._lus):
-            out[ci] = lu.solve(rhs[ci])
-        return out.reshape(values.shape)
+            rhs[ci] = lu.solve(rhs[ci])
+        return rhs
 
 
 def _make_collision(cfg: SolverConfig):

@@ -359,6 +359,19 @@ MALFORMED = {
     "v_max_huge": ("run", ("solver", "v_max"), 1e308),
     "gaussian_center_v_minus_infinity": ("solve", ("solver", "initial"),
                                          {"kind": "gaussian", "center_v": -math.inf}),
+    "seed_negative": ("run", ("seed",), -1),
+    "field_seed_negative": ("solve", ("field", "seed"), -1),
+    "fractional_seed_negative": ("run", ("probes",), [{"name": "fractional", "s_order": 0.5,
+                                                       "r": 0.3, "seed": -1}]),
+    # a window or width whose power overflows or underflows, and initial data
+    # that is not finite, are config errors before any step runs
+    "checkerboard_cell_huge": ("solve", ("field", "cell"), 1e300),
+    "gaussian_sigma_x_huge": ("solve", ("solver", "initial"), {"kind": "gaussian", "sigma_x": 1e300}),
+    "gaussian_sigma_v_huge": ("solve", ("solver", "initial"), {"kind": "gaussian", "sigma_v": 1e300}),
+    "gaussian_sigma_x_tiny": ("solve", ("solver", "initial"), {"kind": "gaussian", "sigma_x": 1e-300}),
+    "gaussian_amplitude_overflows": ("solve", ("solver", "initial"),
+                                     {"kind": "gaussian", "sigma_x": 1e-150, "sigma_v": 1e-150,
+                                      "mass": 1e300}),
 }
 
 
@@ -378,6 +391,32 @@ def test_malformed_config_exits_two(tmp_path, capsys, command, path, value):
     cfg = write_config(tmp_path, config)
     assert main([command, "--config", str(cfg)]) == 2
     assert "invalid config:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("probe", [
+    {"name": "oscillation", "r": 1e300},
+    {"name": "gain", "r_int": 0.2, "r_ext": 1e300},
+    {"name": "caccioppoli", "R": 1e300},
+    {"name": "caccioppoli", "R": 1e-300},
+    {"name": "caccioppoli", "R": 5e-324},
+], ids=["oscillation_huge", "gain_huge", "caccioppoli_huge", "caccioppoli_tiny",
+        "caccioppoli_subnormal"])
+@pytest.mark.filterwarnings("error")
+def test_probe_window_that_overflows_or_vanishes_is_rejected(tmp_path, capsys, probe):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, base_config(out, probes=[probe]))
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert re.search(rf"probe '{probe['name']}' rejected: radius .* overflow or vanish",
+                     capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command", ["run", "geometry"])
+def test_negative_seed_flag_exits_two(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, base_config(out))
+    assert main([command, "--config", str(cfg), "--seed", "-1"]) == 2
+    assert "--seed must be at least 0, got -1" in capsys.readouterr().err
     assert not out.exists()
 
 

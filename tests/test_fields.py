@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.stats import qmc
@@ -14,6 +16,7 @@ from kfplab.fields import (
     sample_field,
     scaled_diffusion,
 )
+from kfplab.probes import lower_order_free, source_nonnegative
 
 BOX = ((0.0, 5.0), (-4.0, 4.0), (0.0, 1.0))
 
@@ -196,3 +199,50 @@ def test_bounds_validation():
         EllipticityBounds(0.0, 1.0)
     with pytest.raises(ValueError):
         EllipticityBounds(2.0, 1.0)
+
+
+# recipe, scale of A (None: unscaled), lower_order_free, source_nonnegative
+DECLARED = {
+    "constant_free": (ConstantRecipe(), None, True, True),
+    "constant_drift": (ConstantRecipe(b_value=0.7), None, False, True),
+    "constant_negative_source": (ConstantRecipe(s_value=-0.2), None, False, False),
+    "constant_positive_source": (ConstantRecipe(s_value=0.3), None, False, True),
+    "checkerboard_default_drift": (CheckerboardRecipe(cell=0.7), None, False, True),
+    "checkerboard_free": (CheckerboardRecipe(cell=0.7, b_max=0.0), None, True, True),
+    "checkerboard_source": (CheckerboardRecipe(cell=0.7, b_max=0.0, s_max=0.4), None, False, False),
+    "smooth_default_drift": (SmoothRandomRecipe(), None, False, True),
+    "smooth_free": (SmoothRandomRecipe(b_max=0.0), None, True, True),
+    "smooth_source": (SmoothRandomRecipe(b_max=0.0, s_max=0.4), None, False, False),
+    "rotating": (RotatingAnisotropyRecipe(period=0.8), None, True, True),
+    "scaled_checkerboard": (CheckerboardRecipe(cell=0.7, b_max=0.0), 3.0, True, True),
+}
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("recipe, scale, free, nonnegative", DECLARED.values(), ids=list(DECLARED))
+def test_declared_lower_order_bounds(recipe, scale, free, nonnegative, d):
+    # the verdicts are those the descriptor-based rules gave; B and s at the
+    # certificate's points lie within the declared bounds, to its tolerance
+    field = sample_field(recipe, EllipticityBounds(0.5, 2.0), seed=3, d=d)
+    if scale is not None:
+        field = scaled_diffusion(field, scale)
+    assert (lower_order_free(field), source_nonnegative(field)) == (free, nonnegative)
+    seen = {}
+
+    def recorded(name, fn):
+        def wrapped(x, v, t):
+            seen[name] = fn(x, v, t)
+            return seen[name]
+        return wrapped
+
+    certify_field(replace(field, b_fn=recorded("b", field.b_fn), s_fn=recorded("s", field.s_fn)),
+                  box=BOX)
+    rtol = fields._CERTIFY_RTOL
+    assert len(seen["s"]) == fields._CERTIFY_SAMPLES
+    assert np.linalg.norm(seen["b"], axis=-1).max() <= field.b_bound * (1.0 + rtol)
+    assert seen["s"].max() <= field.s_bound * (1.0 + rtol)
+    assert seen["s"].min() >= field.s_min - rtol * abs(field.s_min)
+
+
+def test_no_field_is_lower_order_free():
+    assert lower_order_free(None) and source_nonnegative(None)

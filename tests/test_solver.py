@@ -542,12 +542,12 @@ class TestFastPathsMatchOracles:
         blocks = fast._cell_matrices(0.37)
         assert len(blocks) == len(slow.matrices) == 9
         assert all(_same_csc(a, b) for a, b in zip(blocks, slow.matrices))
-        if field.s_bound == 0:
-            assert fast._dt_sources == 0.0 and not np.any(slow._sources)
-        else:
-            assert fast._dt_sources.tobytes() == (0.03 * slow._sources).tobytes()
         vals = _random_state(grid, 4)
         assert _same_array(fast.apply(vals, 0.37), slow.apply(vals, 0.37))
+        if field.s_bound == 0:
+            assert fast._dt_source == 0.0 and not np.any(slow._sources)
+        else:
+            assert fast._dt_source.tobytes() == (0.03 * slow._sources).tobytes()
 
     def test_solve_d2_checkerboard_reuses_factorisations(self):
         grid = PhaseGrid(d=2, x_extent=2.0, nx=3, v_max=2.0, nv=5)
@@ -577,9 +577,15 @@ class TestFastPathsMatchOracles:
         assert list(got.ledger.csv_lines()) == list(want.ledger.csv_lines())
 
     @pytest.mark.parametrize("d", [1, 2])
-    def test_field_evaluated_once_per_assembly_and_zero_source_never(self, d):
+    @pytest.mark.parametrize("recipe, t_end, assemblies", [
+        (RotatingAnisotropyRecipe(), 0.2, 4),
+        # time_key changes every 0.25, so 12 steps of 0.05 reassemble 3 times
+        (CheckerboardRecipe(cell=0.5), 0.6, 3),
+    ], ids=["rotating", "checkerboard"])
+    def test_field_evaluated_once_per_assembly_and_zero_source_never(self, d, recipe, t_end,
+                                                                     assemblies):
         calls = {"a": 0, "s": 0}
-        base = sample_field(RotatingAnisotropyRecipe(), EllipticityBounds(0.5, 1.0), seed=1, d=d)
+        base = sample_field(recipe, EllipticityBounds(0.5, 1.0), seed=1, d=d)
 
         def counted(name, fn):
             def wrapped(*args):
@@ -589,9 +595,9 @@ class TestFastPathsMatchOracles:
 
         field = replace(base, a_fn=counted("a", base.a_fn), s_fn=counted("s", base.s_fn))
         grid = PhaseGrid(d=d, x_extent=2.0, nx=4, v_max=2.0, nv=5)
-        cfg = SolverConfig(grid=grid, dt=0.05, t_end=0.2, field=field)
+        cfg = SolverConfig(grid=grid, dt=0.05, t_end=t_end, field=field)
         solve(cfg, PhaseGridFunction(grid, _random_state(grid, 6), 0.0))
-        assert calls == {"a": cfg.n_steps, "s": 0}
+        assert calls == {"a": assemblies, "s": 0}
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_smooth_nodes_bound_once_per_solve(self, d):
