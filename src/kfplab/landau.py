@@ -100,8 +100,12 @@ class VelocityGridFunction:
 
     @cached_property
     def spectrum(self) -> np.ndarray:
-        """The values' ``rfftn`` at the circular length of ``convolve_fft``."""
-        size = sp_fft.next_fast_len(2 * self.grid.n - 1, True)
+        """The values' ``rfftn`` at the circular length L of every convolution
+        with them: the least even 5-smooth L >= 2n - 1.  L >= 2n - 1 keeps the
+        n valid outputs free of wrap-around (``convolve_fft``); an even L lets
+        the fields transform their kernels by type-I DCTs and DSTs
+        (``_symmetric_convolution``)."""
+        size = 2 * sp_fft.next_fast_len(self.grid.n, True)
         return sp_fft.rfftn(self.values, [size] * self.grid.d)
 
 
@@ -168,14 +172,18 @@ def _kernel_a_upper(grid: VelocityGrid, params: LandauParams) -> np.ndarray:
     the lattice value bit for bit, also where p = 0 and both are +0.0, which
     -x would turn into -0.0.
     """
+    return _mirror(*_a_orthant(grid, params), lambda x, out: np.subtract(0.0, x, out=out))
+
+
+def _a_orthant(grid: VelocityGrid, params: LandauParams):
+    """A's kernel on the orthant k >= 0, and ``odd[axis, c]``: is c odd in axis?"""
     if params.gamma + 2.0 <= -grid.d:
         raise ValueError("gamma + 2 must exceed -d for an integrable kernel")
     i, j = np.triu_indices(grid.d)
     w, safe, radial = _orthant_radial(grid, params.gamma + 2.0)
     proj = np.eye(grid.d)[i, j] - w[..., i] * w[..., j] / safe[..., None]
     axes = np.arange(grid.d)[:, None]
-    return _mirror(proj * radial[..., None], grid.d, (i == axes) != (j == axes),
-                   lambda x, out: np.subtract(0.0, x, out=out))
+    return proj * radial[..., None], (i == axes) != (j == axes)
 
 
 def _from_upper(upper: np.ndarray, d: int) -> np.ndarray:
@@ -194,8 +202,13 @@ def kernel_b(grid: VelocityGrid, params: LandauParams) -> np.ndarray:
     (-w_m) r is -(w_m r) bit for bit, so the mirror takes -x.  0.0 - x
     would differ where w_m r underflows to 0, as on a grid with h ~ 1e-300.
     """
+    return _mirror(*_b_orthant(grid, params), np.negative)
+
+
+def _b_orthant(grid: VelocityGrid, params: LandauParams):
+    """B's kernel on the orthant k >= 0, as ``_a_orthant`` gives A's."""
     w, _, radial = _orthant_radial(grid, params.gamma)
-    return _mirror(w * radial[..., None], grid.d, np.eye(grid.d, dtype=bool), np.negative)
+    return w * radial[..., None], np.eye(grid.d, dtype=bool)
 
 
 def kernel_c(grid: VelocityGrid, params: LandauParams) -> np.ndarray:
@@ -203,11 +216,16 @@ def kernel_c(grid: VelocityGrid, params: LandauParams) -> np.ndarray:
 
     Even in every axis: computed on the orthant k >= 0 and mirrored.
     """
+    return _mirror(_c_orthant(grid, params))
+
+
+def _c_orthant(grid: VelocityGrid, params: LandauParams) -> np.ndarray:
+    """c's kernel on the orthant k >= 0."""
     if params.gamma <= -grid.d:
         raise ValueError("pointwise kernel only exists for gamma > -d")
     _, _, vals = _orthant_radial(grid, params.gamma)
     vals[(0,) * grid.d] = _singular_cell_average(grid, params.gamma)
-    return _mirror(vals, grid.d)
+    return vals
 
 
 def _orthant_radial(grid: VelocityGrid, power: float):
@@ -221,7 +239,7 @@ def _orthant_radial(grid: VelocityGrid, power: float):
     return w, safe, radial
 
 
-def _mirror(half: np.ndarray, d: int, odd: np.ndarray | None = None, negate=None) -> np.ndarray:
+def _mirror(half: np.ndarray, odd: np.ndarray | None = None, negate=None) -> np.ndarray:
     """A kernel on the offset lattice k in [-(n-1), n-1]^d from its values
     ``half`` on the orthant k >= 0.
 
@@ -232,7 +250,7 @@ def _mirror(half: np.ndarray, d: int, odd: np.ndarray | None = None, negate=None
     no ``odd``.  Reading only ``half`` keeps numpy from buffering an
     overlapping copy of the kernel.
     """
-    n = half.shape[0]
+    n, d = half.shape[0], half.ndim if odd is None else len(odd)
     full = np.empty((2 * n - 1,) * d + half.shape[d:])
     for flips in itertools.product((False, True), repeat=d):
         dst = full[tuple(slice(None, n - 1) if flip else slice(n - 1, None) for flip in flips)]
@@ -247,59 +265,86 @@ def convolve_fft(f: VelocityGridFunction, kernel: np.ndarray) -> np.ndarray:
     """FFT evaluation of the lattice convolution
     out[i] = h^d sum_k kernel(k) f[i - k], with f zero outside the box.
 
-    Circular convolution of length L = ``next_fast_len(2n - 1)`` per axis.
-    The linear convolution of the n density values with the 2n - 1 kernel
-    offsets is nonzero only on [0, 3n - 3]; length L folds outputs [L, 3n - 3]
-    onto [0, 3n - 3 - L], which lies below the n "valid" outputs
-    [n - 1, 2n - 2] exactly when L >= 2n - 1 (overlap-save).  Those outputs
-    are therefore the linear ones, up to rounding; the tests check them
-    against the O(N^2) direct sum and against ``scipy.signal.fftconvolve``.
-    The density is transformed once, into ``f.spectrum``, however many
-    kernels are convolved with it; each kernel component goes through
-    ``_valid_convolution``, which skips the padding.
+    Circular convolution of the length L of ``f.spectrum`` per axis, the least
+    even 5-smooth L >= 2n - 1.  The linear convolution of the n density
+    values with the 2n - 1 kernel offsets is nonzero only on [0, 3n - 3];
+    length L folds outputs [L, 3n - 3] onto [0, 3n - 3 - L], which lies below
+    the n "valid" outputs [n - 1, 2n - 2] exactly when L >= 2n - 1
+    (overlap-save).  Those outputs are therefore the linear ones, up to
+    rounding; the tests check them against the O(N^2) direct sum and against
+    ``scipy.signal.fftconvolve``.  Each component is bitwise
+    ``irfftn(rfftn(ker, s) * f.spectrum, s)[valid]`` with s = (L,) * d, one
+    axis at a time in pocketfft's own order: the real axis last, the complex
+    axes 0 ... d-2 in turn.  The forward transform pads each axis only when
+    it comes to it, so lines that are all padding are never transformed.
+    The fields do not come this way: they transform only their kernels'
+    orthants (``_symmetric_convolution``), and this is their oracle.
     """
     n, d = f.grid.n, f.grid.d
+    size = 2 * f.spectrum.shape[-1] - 2
     comp_shape = kernel.shape[d:]
     out = np.empty(f.values.shape + comp_shape)
-    size = sp_fft.next_fast_len(2 * n - 1, True)
     for comp in itertools.product(*[range(s) for s in comp_shape]):
-        out[(...,) + comp] = _valid_convolution(f.spectrum, kernel[(...,) + comp], size, n)
+        spec = sp_fft.rfft(kernel[(...,) + comp], size, axis=-1)
+        for axis in range(d - 1):
+            spec = sp_fft.fft(spec, size, axis=axis)
+        spec *= f.spectrum
+        out[(...,) + comp] = _pruned_inverse(spec, size, slice(n - 1, 2 * n - 1))
     return out * f.grid.cell_volume
 
 
-def _valid_convolution(spectrum: np.ndarray, ker: np.ndarray, size: int, n: int) -> np.ndarray:
-    """``irfftn(rfftn(ker, s) * spectrum, s)[valid]`` with s = (size,) * d, bit for bit.
-
-    The valid slice is [n - 1, 2n - 1) on every axis.  Both transforms go one
-    axis at a time in pocketfft's own order: the real axis last, the complex
-    axes 0 ... d-2 in turn.  The forward transform pads each axis only when it
-    comes to it, so lines that are all padding are never transformed; the
-    inverse keeps only the n valid rows of each axis once it is done, and
-    scales once at the end, as ``irfftn`` does.
-    """
-    d = ker.ndim
-    spec = sp_fft.rfft(ker, size, axis=-1)
+def _pruned_inverse(spec: np.ndarray, size: int, keep: slice) -> np.ndarray:
+    """``irfftn(spec, (size,) * d)`` on the rows ``keep`` of every axis, each complex
+    axis in place and cut to them once done, scaled once at the end as ``irfftn`` is."""
+    d = spec.ndim
     for axis in range(d - 1):
-        spec = sp_fft.fft(spec, size, axis=axis)
-    spec *= spectrum
-    keep = slice(n - 1, 2 * n - 1)
-    for axis in range(d - 1):
-        spec = sp_fft.ifft(spec, axis=axis, norm="forward")[(slice(None),) * axis + (keep,)]
+        spec = sp_fft.ifft(spec, axis=axis, norm="forward", overwrite_x=True)
+        spec = spec[(slice(None),) * axis + (keep,)]
     conv = sp_fft.irfft(spec, size, axis=-1, norm="forward")[..., keep]
     return conv * (1.0 / size**d)
+
+
+def _symmetric_convolution(f: VelocityGridFunction, half: np.ndarray, odd) -> np.ndarray:
+    """``convolve_fft`` of f with the kernel that is ``half`` on the orthant k >= 0, odd
+    in the axes ``odd`` and even in the others.  Along an axis the length-L DFT of an
+    even kernel is the type-I DCT of its values at k = 0 ... L/2, that of an odd one
+    -i times the type-I DST of those at k = 1 ... L/2 - 1, and X[L - k] = +-X[k]
+    (Martucci, IEEE Trans. Signal Process. 42:1038, 1994).  The orthant is transformed
+    axis by axis, then reflected to ``rfftn`` layout; outputs [0, n) are valid."""
+    mid, d = f.spectrum.shape[-1] - 1, f.grid.d
+    spec = half
+    for axis in reversed(range(d)):
+        if axis in odd:
+            sine = sp_fft.dst(spec.take(range(1, f.grid.n), axis), type=1, n=mid - 1, axis=axis)
+            spec = np.pad(sine, [(int(a == axis),) * 2 for a in range(d)])
+        else:
+            spec = sp_fft.dct(spec, type=1, n=mid + 1, axis=axis)
+    for axis in range(d - 1):
+        back = spec.take(range(mid - 1, 0, -1), axis)
+        spec = np.concatenate([spec, -back if axis in odd else back], axis=axis)
+    spec = spec * f.spectrum
+    if len(odd):
+        spec *= (-1j) ** len(odd)
+    return _pruned_inverse(spec, 2 * mid, slice(0, f.grid.n)) * f.grid.cell_volume
+
+
+def _orthant_convolution(f: VelocityGridFunction, half: np.ndarray, odd: np.ndarray) -> np.ndarray:
+    """``_symmetric_convolution`` of each trailing component c of ``half``."""
+    return np.stack([_symmetric_convolution(f, half[..., c], np.flatnonzero(odd[:, c]))
+                     for c in range(half.shape[-1])], axis=-1)
 
 
 def landau_a_field(f: VelocityGridFunction, params: LandauParams) -> np.ndarray:
     """Diffusion matrices A[f] at every grid point, shape (n, ..., n, d, d)."""
     _check_dims(f, params)
-    upper = params.a_const * convolve_fft(f, _kernel_a_upper(f.grid, params))
+    upper = params.a_const * _orthant_convolution(f, *_a_orthant(f.grid, params))
     return _from_upper(upper, params.d)
 
 
 def landau_b_field(f: VelocityGridFunction, params: LandauParams) -> np.ndarray:
     """Drift vectors B[f] at every grid point, shape (n, ..., n, d)."""
     _check_dims(f, params)
-    return params.b_const * convolve_fft(f, kernel_b(f.grid, params))
+    return params.b_const * _orthant_convolution(f, *_b_orthant(f.grid, params))
 
 
 def landau_c_field(f: VelocityGridFunction, params: LandauParams) -> np.ndarray:
@@ -307,7 +352,7 @@ def landau_c_field(f: VelocityGridFunction, params: LandauParams) -> np.ndarray:
     _check_dims(f, params)
     if params.gamma == -params.d:
         return params.c_const * f.values
-    return params.c_const * convolve_fft(f, kernel_c(f.grid, params))
+    return params.c_const * _symmetric_convolution(f, _c_orthant(f.grid, params), ())
 
 
 def _check_dims(f: VelocityGridFunction, params: LandauParams) -> None:
@@ -418,13 +463,16 @@ def check_coefficient_bounds(
     )
 
 
-# The d = 3 candidate rule of ``_eigen_extremes``.  The estimates' margins are
-# multiples of ||A||_F^3 (determinant) and of ||A||_F (largest |eigenvalue|),
-# trusted only where ||A||_F lies in _TRUSTED_NORM.  There no product of three
-# entries overflows, and both margins stay normal numbers so far above the
-# subnormal spacing that an underflowing product costs less than they allow.
+# The d = 3 candidate rule of ``_eigen_extremes``.  The determinant's margin
+# is a multiple of ||A||_F^3; the largest |eigenvalue|'s is
+# _TOP_ANGLE sqrt(eps p ||A||_F) + _TOP_ROUND eps ||A||_F, the shape of the
+# closed form's error.  They are trusted only where ||A||_F lies in
+# _TRUSTED_NORM.  There no product of three entries overflows, and both
+# margins stay normal numbers so far above the subnormal spacing that an
+# underflowing product costs less than they allow.
 _DET_MARGIN = 1e-9
-_TOP_MARGIN = 1e-4
+_TOP_ANGLE = 1e3
+_TOP_ROUND = 1e4
 _TRUSTED_NORM = (2.0**-300, 2.0**300)
 
 
@@ -452,31 +500,40 @@ def _eigen_candidates(a: np.ndarray, det_scale: np.ndarray, top_scale: np.ndarra
 
     For d = 3 each point gets two intervals from ``_estimates_3x3``: its
     determinant +- _DET_MARGIN ||A||_F^3 and its largest |eigenvalue|
-    +- _TOP_MARGIN ||A||_F, each divided by its scale.  Dividing by a
-    positive number keeps the order of rounded values, so each interval holds
-    the ratio that the exact eigenvalues give.  A point is kept when its
-    interval reaches what the others guarantee: lo <= min hi for the
-    minimum, hi >= max lo for the maximum.  Every point tied at the extremum
-    is kept, so the first index still wins.  So is every point whose
-    interval is not finite, and every point when d != 3.
+    +- (_TOP_ANGLE sqrt(eps p ||A||_F) + _TOP_ROUND eps ||A||_F), each divided
+    by its scale.  Dividing by a positive number keeps the order of rounded
+    values, so each interval holds the ratio that the exact eigenvalues give.
+    A point is kept when its interval reaches what the others guarantee:
+    lo <= min hi for the minimum, hi >= max lo for the maximum.  Every point
+    tied at the extremum is kept, so the first index still wins.  So is every
+    point whose interval is not finite, and every point when d != 3.
 
     With eps = 2^-53 the margins have >= 500x headroom over the error
-    argument.  The cofactor determinant and the product of LAPACK's
-    eigenvalues each lie within a few hundred eps ||A||_F^3 of det A.  The
-    closed form's error comes from r, the cosine of three times the angle,
-    which carries an error of O(eps ||A||_F / p).  Near a double eigenvalue
-    (|r| -> 1) arccos turns that into an eigenvalue error of
-    O(sqrt(eps p ||A||_F)), at most 2e-7 ||A||_F (Kopp, Int. J. Mod. Phys. C
-    19:523, 2008).  Against LAPACK on the Maxwellian's fields at gamma in
-    [-3, 0] the largest errors were 2.9e-16 ||A||_F^3 and 6.8e-9 ||A||_F.
+    argument and over what was measured.  The cofactor determinant and the
+    product of LAPACK's eigenvalues each lie within a few hundred
+    eps ||A||_F^3 of det A; against LAPACK the largest error seen was
+    2.9e-16 ||A||_F^3.  The closed form's error comes from r, the cosine of
+    three times the angle, which carries an error of O(eps ||A||_F / p).
+    Near a double eigenvalue (|r| -> 1) arccos turns that into an eigenvalue
+    error of O(sqrt(eps p ||A||_F)) (Kopp, Int. J. Mod. Phys. C 19:523,
+    2008); where p is below eps ||A||_F, rounding in q and in LAPACK is what
+    remains.  Against LAPACK on 3.3 million matrices (the Maxwellian's and
+    random densities' A fields at d = 3, n = 9 ... 32 and gamma in [-3, 0],
+    and random stacks with one double or near-double eigenvalue, or with
+    p / ||A||_F from 1e-1 down to 1e-20) the largest |eigenvalue| deviated by
+    at most 1.42 sqrt(eps p ||A||_F) where that term dominates, and by at
+    most 11.5 eps ||A||_F where p is that small; the margin was at least 705
+    times the deviation at every one of them.
     """
     if a.shape[-1] != 3:
         return np.arange(len(a))
-    det, top, fro = _estimates_3x3(a)
+    det, top, fro, p = _estimates_3x3(a)
     trusted = (fro >= _TRUSTED_NORM[0]) & (fro <= _TRUSTED_NORM[1])
+    eps = np.finfo(float).eps / 2.0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         det_margin = np.where(trusted, _DET_MARGIN * fro * fro * fro, np.inf)
-        top_margin = np.where(trusted, _TOP_MARGIN * fro, np.inf)
+        top_margin = np.where(trusted, _TOP_ANGLE * np.sqrt(eps * p * fro) + _TOP_ROUND * eps * fro,
+                              np.inf)
         keep = _reaches_extremum(det - det_margin, det + det_margin, det_scale, lowest=True)
         keep |= _reaches_extremum(top - top_margin, top + top_margin, top_scale, lowest=False)
     return np.flatnonzero(keep)
@@ -492,9 +549,9 @@ def _reaches_extremum(lo: np.ndarray, hi: np.ndarray, scale: np.ndarray, lowest:
     return ~sure | (hi >= lo[sure].max(initial=-np.inf))
 
 
-def _estimates_3x3(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The cofactor determinant, the largest |eigenvalue| and the Frobenius
-    norm of each matrix in a symmetric stack ``a`` (shape (N, 3, 3)).
+def _estimates_3x3(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The cofactor determinant, the largest |eigenvalue|, the Frobenius norm
+    and p of each matrix in a symmetric stack ``a`` (shape (N, 3, 3)).
 
     The eigenvalues are Smith's trigonometric closed form (Commun. ACM 4:168,
     1961): with q = tr A / 3, B = A - q I, p = sqrt(tr B^2 / 6) and
@@ -513,7 +570,7 @@ def _estimates_3x3(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         phi = np.arccos(np.clip(r, -1.0, 1.0)) / 3.0
         top = np.maximum(np.abs(q + 2.0 * p * np.cos(phi)),
                          np.abs(q + 2.0 * p * np.cos(phi + 2.0 * math.pi / 3.0)))
-    return det, top, fro
+    return det, top, fro, p
 
 
 def _det_3x3(a00, a11, a22, a01, a02, a12):

@@ -132,6 +132,17 @@ def convolve_fft(
     return out * grid.cell_volume
 
 
+def symmetric_convolution(f: VelocityGridFunction, half: np.ndarray, odd) -> np.ndarray:
+    """``landau._symmetric_convolution`` through the whole lattice: the kernel
+    with orthant values ``half``, odd in the axes ``odd`` and even in the
+    others, written out at every offset and passed to ``convolve_fft``."""
+    k = np.arange(-(f.grid.n - 1), f.grid.n)
+    full = half[np.ix_(*[np.abs(k)] * f.grid.d)]
+    for axis in odd:
+        full = full * np.where(k < 0, -1.0, 1.0).reshape((-1,) + (1,) * (f.grid.d - 1 - axis))
+    return convolve_fft(f, full)
+
+
 def periodic_extension(
     f: VelocityGridFunction, kernel: np.ndarray
 ) -> tuple[VelocityGridFunction, np.ndarray]:
