@@ -594,8 +594,8 @@ class TestEigenCandidates:
         assert len(sizes) == 1 and 0 < sizes[0] <= limit
 
 
-# BoundsReport.to_dict() of Maxwellians, written by kfplab at commit 18f17ee,
-# before the kernels were built on one orthant and the density's transform shared
+# BoundsReport.to_dict() of Maxwellians, rewritten when the fields moved from
+# full-lattice FFTs to the kernels' type-I DCTs and DSTs
 LANDAU_GOLDEN = json.loads((Path(__file__).parent / "data" / "landau_golden.json").read_text())
 
 
