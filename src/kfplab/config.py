@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 import typing
 from pathlib import Path
 from typing import NamedTuple
@@ -37,7 +38,7 @@ class Req(NamedTuple):
 
 
 class Min(NamedTuple):
-    """A number matching ``node`` that is at least ``lo``."""
+    """A number matching ``node`` that is at least ``lo``, or None where ``node`` allows it."""
 
     node: object
     lo: float
@@ -51,8 +52,8 @@ class Pick(NamedTuple):
     variants: dict
 
 
-# lower bounds of recipe keys
-_RECIPE_MINIMUMS = {"s_max": 0.0, "n_modes": 1}
+# lower bounds of recipe keys; a b_max of None still means Lambda
+_RECIPE_MINIMUMS = {"s_max": 0.0, "b_max": 0.0, "n_modes": 1}
 
 
 def _recipe_keys(cls) -> dict:
@@ -142,7 +143,7 @@ def _check(val, node, where: str) -> None:
         node = {node.key: str, **node.variants[tag]}
     if isinstance(node, Min):
         _check(val, node.node, where)
-        if val < node.lo:
+        if val is not None and val < node.lo:
             raise ConfigError(f"{where} must be at least {node.lo}, got {val!r}")
     elif isinstance(node, dict):
         unknown = sorted(set(val) - set(node))
@@ -224,6 +225,10 @@ def build_solver_config(cfg: dict, field) -> SolverConfig:
             section, "dt", "t_end", "snapshot_stride", "snapshot_tail"))
     except (ValueError, NotImplementedError) as exc:
         raise ConfigError(str(exc)) from exc
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if solver_cfg.stack_bytes > memory:
+        raise ConfigError(f"the stored snapshots take {solver_cfg.stack_bytes} bytes, more than "
+                          f"the {memory} bytes of physical memory")
     # the run evaluates the field on [0, x_extent] x [-v_max, v_max] x [0, t_end]; a
     # recipe that cannot index that box rejects it here, at its two extreme corners
     ones = np.ones(grid.d)

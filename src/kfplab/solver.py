@@ -70,6 +70,11 @@ class SolverConfig:
     def n_steps(self) -> int:
         return int(round(self.t_end / self.dt))
 
+    @property
+    def stack_bytes(self) -> int:
+        """Bytes of the snapshot stack that ``solve`` stores, known before it allocates."""
+        return len(_snapshot_steps(self)[0]) * math.prod(self.grid.shape) * np.dtype(float).itemsize
+
 
 class _TransportPlan:
     """The transport half-step of one run, v . grad_x over ``dtau``, with its

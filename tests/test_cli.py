@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from kfplab import cli, storage
 from kfplab.cli import main
 from kfplab.config import (
@@ -344,6 +345,9 @@ MALFORMED = {
     "fractional_zero_pairs": ("run", ("probes",),
                               [{"name": "fractional", "s_order": 0.5, "r": 0.3, "n_pairs": 0}]),
     "field_negative_s_max": ("solve", ("field", "s_max"), -1.0),
+    "checkerboard_negative_b_max": ("solve", ("field", "b_max"), -1.5),
+    "smooth_negative_b_max": ("solve", ("field",), {"recipe": "smooth", "lambda": 0.5,
+                                                    "Lambda": 2.0, "b_max": -1.5}),
     "negative_snapshot_tail": ("solve", ("solver", "snapshot_tail"), -1.0),
     "smooth_field_zero_modes": ("solve", ("field",), {"recipe": "smooth", "n_modes": 0}),
     "solver_boundary": ("solve", ("solver",), {"d": 2, "x_extent": 4.0, "nx": 8, "v_max": 3.0,
@@ -448,6 +452,24 @@ def test_readme_config_builds(tmp_path):
     f0 = build_initial(solver_cfg.grid, cfg["solver"]["initial"])
     assert field.descriptor["kind"] == "checkerboard" and field.descriptor["cell"] == 1.0
     assert solver_cfg.snapshot_stride == 64 and f0.values.shape == solver_cfg.grid.shape
+
+
+def test_snapshot_stack_beyond_physical_memory_exits_two(tmp_path, capsys):
+    # d = 2 on a 1024^2 x 1024^2 grid: 129 snapshots of 8.8 TB, over 1 PB.
+    # The check comes before the initial state or the stack is allocated
+    out = tmp_path / "out"
+    config = base_config(out)
+    config["solver"].update({"d": 2, "nx": 1024, "nv": 1024, "dt": 0.0078125, "t_end": 1.0,
+                             "snapshot_stride": 1})
+    cfg = write_config(tmp_path, config)
+    code, peak = traced_peak(main, ["solve", "--config", str(cfg)])
+    assert code == 2
+    err = capsys.readouterr().err
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    assert f"invalid config: the stored snapshots take {129 * 1024**4 * 8} bytes" in err
+    assert f"the {memory} bytes of physical memory" in err
+    assert 129 * 1024**4 * 8 >= 1e15 and peak < 1e7
+    assert not out.exists()
 
 
 class TestOtherCommands:
