@@ -412,11 +412,14 @@ def check_coefficient_bounds(
 
     kappa = (d-1)(gamma+2) + gamma for gamma in [-2, 0] and 3 gamma + 2 for
     gamma in [-d, -2).  The moment window is a precondition.  A, B and c are
-    convolved from the density's one ``spectrum``.  A's eigenvalues are taken
-    only where they can decide the report (``_eigen_extremes``).  A minimum
-    det ratio that overflows, or that underflows to 0.0 where A has no zero
-    eigenvalue, is a ValueError naming ``a_const``: the report could not tell
-    such an A from an unbounded or a degenerate one.
+    convolved from the density's one ``spectrum``, at the even circular length
+    that lets each kernel component's orthant go through type-I DCTs and DSTs
+    (``_symmetric_convolution``), so no kernel is built on the whole lattice.
+    A's eigenvalues are taken only where they can decide the report
+    (``_eigen_extremes``).  A minimum det ratio that overflows, or that
+    underflows to 0.0 where A has no zero eigenvalue, is a ValueError naming
+    ``a_const``: the report could not tell such an A from an unbounded or a
+    degenerate one.
     """
     _check_dims(f, params)
     m, e, h = moments(f)

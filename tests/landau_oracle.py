@@ -4,13 +4,16 @@
 box with ``rfftn`` and inverts it with ``irfftn`` before slicing out the valid
 part.  At its default length ``next_fast_len(3n - 2)``, the full length of the
 linear convolution, it returns bitwise what ``scipy.signal.fftconvolve(...,
-mode="valid")`` does; at the program's own circular length
-``next_fast_len(2n - 1)`` it is the arithmetic that ``kfplab.landau``'s
-per-axis, trimmed transform must reproduce bitwise.  The program's fields
-equal the default-length result to rounding, as both are the linear
+mode="valid")`` does; at the program's own circular length, the least even
+5-smooth length >= 2n - 1, it is the arithmetic that ``kfplab.landau``'s
+per-axis, trimmed ``convolve_fft`` must reproduce bitwise.  The program's
+fields equal the default-length result to rounding, as both are the linear
 convolution.  ``kernel_a`` builds all d^2 components, and ``landau_a_field``
-convolves each of them and then symmetrises.  ``convolve_direct`` is the
-O(N^2) lattice sum that every FFT path must match to rounding.
+convolves each of them and then symmetrises.  ``symmetric_convolution``
+writes a kernel given on one orthant out on the whole lattice and convolves
+it the same way; patched in for ``landau._symmetric_convolution``, it turns
+the fields back into full-lattice ones.  ``convolve_direct`` is the O(N^2)
+lattice sum that every FFT path must match to rounding.
 
 ``kernel_a_upper``, ``kernel_b`` and ``kernel_c`` evaluate the kernels at
 every point of the offset lattice, as the program did before it computed them
