@@ -225,10 +225,10 @@ def build_solver_config(cfg: dict, field) -> SolverConfig:
             section, "dt", "t_end", "snapshot_stride", "snapshot_tail"))
     except (ValueError, NotImplementedError) as exc:
         raise ConfigError(str(exc)) from exc
-    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if solver_cfg.stack_bytes > memory:
-        raise ConfigError(f"the stored snapshots take {solver_cfg.stack_bytes} bytes, more than "
-                          f"the {memory} bytes of physical memory")
+    stack, memory = solver_cfg.stack_bytes, os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if stack > memory:
+        raise ConfigError(f"the stored snapshots take {stack} bytes, more than the {memory} bytes "
+                          "of physical memory")
     # the run evaluates the field on [0, x_extent] x [-v_max, v_max] x [0, t_end]; a
     # recipe that cannot index that box rejects it here, at its two extreme corners
     ones = np.ones(grid.d)
