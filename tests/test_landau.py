@@ -612,8 +612,7 @@ def test_bounds_report_matches_golden(case):
 @pytest.mark.parametrize("gamma", [-3.0, -1.3])
 def test_bounds_check_peak_memory(gamma):
     # the fields transform only their kernels' orthants, so no full-lattice
-    # kernel is ever held; the peak measured at d = 3, n = 32 was 13.2 MB
-    # (21.1 MB while each kernel was mirrored to the whole lattice first),
+    # kernel is ever held; the peak measured at d = 3, n = 32 was 13.2 MB,
     # and the limit is that plus 25 %
     g = VelocityGrid(v_max=6.0, n=32, d=3)
     p = LandauParams(d=3, gamma=gamma)
