@@ -158,32 +158,58 @@ def kernel_a(grid: VelocityGrid, params: LandauParams) -> np.ndarray:
     The w = 0 cell contributes 0: the directional factor is undefined there and
     the kernel is integrable, so the omitted cell vanishes under refinement.
     """
-    return _from_upper(_kernel_a_upper(grid, params), grid.d)
+    return _from_upper(_a_kernel(grid, params, _lattice(grid)), grid.d)
 
 
-def _kernel_a_upper(grid: VelocityGrid, params: LandauParams) -> np.ndarray:
-    """The components i <= j of ``kernel_a`` in ``np.triu_indices`` order.
-
-    w_i w_j commutes, so the kernel is symmetric bit for bit and these
-    d(d+1)/2 components determine it.  They are computed on the orthant
-    k >= 0 and mirrored (``_mirror``).  The diagonal is even.  A_ij with
-    i != j is odd in axes i and j: it is (0.0 - p) r with p = w_i w_j / |w|^2,
-    and flipping w_i or w_j flips p, so the mirror takes 0.0 - x.  That is
-    the lattice value bit for bit, also where p = 0 and both are +0.0, which
-    -x would turn into -0.0.
-    """
-    return _mirror(*_a_orthant(grid, params), lambda x, out: np.subtract(0.0, x, out=out))
+def kernel_b(grid: VelocityGrid, params: LandauParams) -> np.ndarray:
+    """Vector kernel |w|^gamma w on the offset lattice (0 at w = 0)."""
+    return _b_kernel(grid, params, _lattice(grid))
 
 
-def _a_orthant(grid: VelocityGrid, params: LandauParams):
-    """A's kernel on the orthant k >= 0, and ``odd[axis, c]``: is c odd in axis?"""
+def kernel_c(grid: VelocityGrid, params: LandauParams) -> np.ndarray:
+    """Scalar kernel |w|^gamma with the singular cell replaced by its average."""
+    return _c_kernel(grid, params, _lattice(grid))
+
+
+def _lattice(grid: VelocityGrid) -> np.ndarray:
+    """The integer offsets k in [-(n-1), n-1] of the whole lattice, per axis."""
+    return np.arange(1 - grid.n, grid.n)
+
+
+def _a_kernel(grid: VelocityGrid, params: LandauParams, k: np.ndarray) -> np.ndarray:
+    """A's kernel components i <= j, in ``np.triu_indices`` order, at the
+    offsets w = k h.  w_i w_j commutes, so these determine the symmetric A."""
     if params.gamma + 2.0 <= -grid.d:
         raise ValueError("gamma + 2 must exceed -d for an integrable kernel")
     i, j = np.triu_indices(grid.d)
-    w, safe, radial = _orthant_radial(grid, params.gamma + 2.0)
+    w, safe, radial = _radial(grid, params.gamma + 2.0, k)
     proj = np.eye(grid.d)[i, j] - w[..., i] * w[..., j] / safe[..., None]
-    axes = np.arange(grid.d)[:, None]
-    return proj * radial[..., None], (i == axes) != (j == axes)
+    return proj * radial[..., None]
+
+
+def _b_kernel(grid: VelocityGrid, params: LandauParams, k: np.ndarray) -> np.ndarray:
+    """B's kernel at the offsets w = k h."""
+    w, _, radial = _radial(grid, params.gamma, k)
+    return w * radial[..., None]
+
+
+def _c_kernel(grid: VelocityGrid, params: LandauParams, k: np.ndarray) -> np.ndarray:
+    """c's kernel at the offsets w = k h; ``k`` holds 0, the singular cell."""
+    if params.gamma <= -grid.d:
+        raise ValueError("pointwise kernel only exists for gamma > -d")
+    _, _, vals = _radial(grid, params.gamma, k)
+    vals[(-k[0],) * grid.d] = _singular_cell_average(grid, params.gamma)
+    return vals
+
+
+def _radial(grid: VelocityGrid, power: float, k: np.ndarray):
+    """At the offsets w = k h, k the same integers on every axis: w (shape
+    (len(k), ..., len(k), d)), |w|^2 with 1 at w = 0, and |w|^power with 0 at w = 0."""
+    w = np.stack(np.meshgrid(*([k * grid.h] * grid.d), indexing="ij"), axis=-1)
+    sq = np.einsum("...i,...i->...", w, w)
+    safe = np.where(sq > 0.0, sq, 1.0)
+    radial = np.where(sq > 0.0, safe ** (power / 2.0), 0.0)
+    return w, safe, radial
 
 
 def _from_upper(upper: np.ndarray, d: int) -> np.ndarray:
@@ -193,72 +219,6 @@ def _from_upper(upper: np.ndarray, d: int) -> np.ndarray:
     out[..., i, j] = upper
     out[..., j, i] = upper
     return out
-
-
-def kernel_b(grid: VelocityGrid, params: LandauParams) -> np.ndarray:
-    """Vector kernel |w|^gamma w on the offset lattice (0 at w = 0).
-
-    Computed on the orthant k >= 0 and mirrored.  B_m is odd in axis m and
-    (-w_m) r is -(w_m r) bit for bit, so the mirror takes -x.  0.0 - x
-    would differ where w_m r underflows to 0, as on a grid with h ~ 1e-300.
-    """
-    return _mirror(*_b_orthant(grid, params), np.negative)
-
-
-def _b_orthant(grid: VelocityGrid, params: LandauParams):
-    """B's kernel on the orthant k >= 0, as ``_a_orthant`` gives A's."""
-    w, _, radial = _orthant_radial(grid, params.gamma)
-    return w * radial[..., None], np.eye(grid.d, dtype=bool)
-
-
-def kernel_c(grid: VelocityGrid, params: LandauParams) -> np.ndarray:
-    """Scalar kernel |w|^gamma with the singular cell replaced by its average.
-
-    Even in every axis: computed on the orthant k >= 0 and mirrored.
-    """
-    return _mirror(_c_orthant(grid, params))
-
-
-def _c_orthant(grid: VelocityGrid, params: LandauParams) -> np.ndarray:
-    """c's kernel on the orthant k >= 0."""
-    if params.gamma <= -grid.d:
-        raise ValueError("pointwise kernel only exists for gamma > -d")
-    _, _, vals = _orthant_radial(grid, params.gamma)
-    vals[(0,) * grid.d] = _singular_cell_average(grid, params.gamma)
-    return vals
-
-
-def _orthant_radial(grid: VelocityGrid, power: float):
-    """On the orthant w = k h, k in [0, n-1]^d: w (shape (n, ..., n, d)),
-    |w|^2 with 1 at w = 0, and |w|^power with 0 at w = 0."""
-    k = np.arange(grid.n) * grid.h
-    w = np.stack(np.meshgrid(*([k] * grid.d), indexing="ij"), axis=-1)
-    sq = np.einsum("...i,...i->...", w, w)
-    safe = np.where(sq > 0.0, sq, 1.0)
-    radial = np.where(sq > 0.0, safe ** (power / 2.0), 0.0)
-    return w, safe, radial
-
-
-def _mirror(half: np.ndarray, odd: np.ndarray | None = None, negate=None) -> np.ndarray:
-    """A kernel on the offset lattice k in [-(n-1), n-1]^d from its values
-    ``half`` on the orthant k >= 0.
-
-    Each of the 2^d orthants is written straight from ``half``, reversed on
-    the axes it flips; ``odd[axis, c]`` marks a trailing component c that is
-    odd in ``axis``, and one that flips an odd number of them then goes
-    through ``negate(x, out=x)``.  A scalar kernel, even in every axis, has
-    no ``odd``.  Reading only ``half`` keeps numpy from buffering an
-    overlapping copy of the kernel.
-    """
-    n, d = half.shape[0], half.ndim if odd is None else len(odd)
-    full = np.empty((2 * n - 1,) * d + half.shape[d:])
-    for flips in itertools.product((False, True), repeat=d):
-        dst = full[tuple(slice(None, n - 1) if flip else slice(n - 1, None) for flip in flips)]
-        dst[...] = half[tuple(slice(None, 0, -1) if flip else slice(None) for flip in flips)]
-        if odd is not None:
-            for comp in np.flatnonzero(odd[list(flips)].sum(axis=0) % 2):
-                negate(dst[..., comp], out=dst[..., comp])
-    return full
 
 
 def convolve_fft(f: VelocityGridFunction, kernel: np.ndarray) -> np.ndarray:
@@ -328,23 +288,25 @@ def _symmetric_convolution(f: VelocityGridFunction, half: np.ndarray, odd) -> np
     return _pruned_inverse(spec, 2 * mid, slice(0, f.grid.n)) * f.grid.cell_volume
 
 
-def _orthant_convolution(f: VelocityGridFunction, half: np.ndarray, odd: np.ndarray) -> np.ndarray:
-    """``_symmetric_convolution`` of each trailing component c of ``half``."""
-    return np.stack([_symmetric_convolution(f, half[..., c], np.flatnonzero(odd[:, c]))
-                     for c in range(half.shape[-1])], axis=-1)
+def _orthant_convolution(f: VelocityGridFunction, half: np.ndarray, odd) -> np.ndarray:
+    """``_symmetric_convolution`` of each component c of ``half``, odd in the axes ``odd[c]``."""
+    return np.stack([_symmetric_convolution(f, half[..., c], o) for c, o in enumerate(odd)], -1)
 
 
 def landau_a_field(f: VelocityGridFunction, params: LandauParams) -> np.ndarray:
-    """Diffusion matrices A[f] at every grid point, shape (n, ..., n, d, d)."""
+    """Diffusion matrices A[f] at every grid point, shape (n, ..., n, d, d).
+    A_ij with i != j is odd in axes i and j; the diagonal is even."""
     _check_dims(f, params)
-    upper = params.a_const * _orthant_convolution(f, *_a_orthant(f.grid, params))
-    return _from_upper(upper, params.d)
+    half = _a_kernel(f.grid, params, np.arange(f.grid.n))
+    odd = [(i, j) if i != j else () for i, j in zip(*np.triu_indices(params.d))]
+    return _from_upper(params.a_const * _orthant_convolution(f, half, odd), params.d)
 
 
 def landau_b_field(f: VelocityGridFunction, params: LandauParams) -> np.ndarray:
-    """Drift vectors B[f] at every grid point, shape (n, ..., n, d)."""
+    """Drift vectors B[f] at every grid point, shape (n, ..., n, d); B_m is odd in axis m."""
     _check_dims(f, params)
-    return params.b_const * _orthant_convolution(f, *_b_orthant(f.grid, params))
+    half = _b_kernel(f.grid, params, np.arange(f.grid.n))
+    return params.b_const * _orthant_convolution(f, half, [(m,) for m in range(params.d)])
 
 
 def landau_c_field(f: VelocityGridFunction, params: LandauParams) -> np.ndarray:
@@ -352,7 +314,8 @@ def landau_c_field(f: VelocityGridFunction, params: LandauParams) -> np.ndarray:
     _check_dims(f, params)
     if params.gamma == -params.d:
         return params.c_const * f.values
-    return params.c_const * _symmetric_convolution(f, _c_orthant(f.grid, params), ())
+    half = _c_kernel(f.grid, params, np.arange(f.grid.n))
+    return params.c_const * _symmetric_convolution(f, half, ())
 
 
 def _check_dims(f: VelocityGridFunction, params: LandauParams) -> None:

@@ -16,9 +16,9 @@ the fields back into full-lattice ones.  ``convolve_direct`` is the O(N^2)
 lattice sum that every FFT path must match to rounding.
 
 ``kernel_a_upper``, ``kernel_b`` and ``kernel_c`` evaluate the kernels at
-every point of the offset lattice, as the program did before it computed them
-on one orthant and mirrored them; the program's kernels must equal them byte
-for byte, signed zeros included.
+every point of the offset lattice.  The program's whole-lattice kernels, and
+its fields' kernels on the orthant k >= 0, must equal them byte for byte,
+signed zeros included.
 
 ``eigen_extremes`` takes the eigenvalues of every matrix in the stack, as
 ``check_coefficient_bounds`` did at every grid point before it ran

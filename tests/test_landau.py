@@ -384,11 +384,11 @@ class TestAgainstOracle:
 
     @pytest.mark.parametrize("v_max", [4.0, 1e-300])
     @pytest.mark.parametrize("fast, slow", [
-        (landau._kernel_a_upper, oracle.kernel_a_upper), (kernel_b, oracle.kernel_b),
-        (kernel_c, oracle.kernel_c)], ids=["a_upper", "b", "c"])
+        (lambda g, p: landau._a_kernel(g, p, landau._lattice(g)), oracle.kernel_a_upper),
+        (kernel_b, oracle.kernel_b), (kernel_c, oracle.kernel_c)], ids=["a_upper", "b", "c"])
     @pytest.mark.parametrize("d, n, gamma", KERNEL_CASES)
     def test_kernel_bytes(self, d, n, gamma, fast, slow, v_max):
-        # the orthant and its mirror give every bit of the full-lattice
+        # the kernels on the whole lattice give every bit of the oracle's
         # formula, signed zeros included, which np.array_equal would not see.
         # At h ~ 1e-300 |w|^2 underflows to 0 and the products with it are
         # signed zeros; there c's cell average rejects h^d = 0 for d > 1
@@ -401,6 +401,26 @@ class TestAgainstOracle:
                 fast(g, p)
             return
         got = fast(g, p)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("v_max", [4.0, 1e-300])
+    @pytest.mark.parametrize("fast, slow", [
+        (landau._a_kernel, oracle.kernel_a_upper), (landau._b_kernel, oracle.kernel_b),
+        (landau._c_kernel, oracle.kernel_c)], ids=["a_upper", "b", "c"])
+    @pytest.mark.parametrize("d, n, gamma", KERNEL_CASES)
+    def test_orthant_bytes(self, d, n, gamma, fast, slow, v_max):
+        # the fields' kernels at k = 0 ... n-1 are the full-lattice formula's
+        # block k >= 0 bit for bit, signed zeros included
+        g = VelocityGrid(v_max=v_max, n=n, d=d)
+        p = LandauParams(d=d, gamma=gamma)
+        try:
+            want = slow(g, p)[(slice(n - 1, None),) * d]
+        except ValueError as exc:
+            with pytest.raises(type(exc)):
+                fast(g, p, np.arange(n))
+            return
+        got = fast(g, p, np.arange(n))
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
@@ -624,7 +644,7 @@ def test_bounds_check_peak_memory(gamma):
 
 def lattice_fields(f, p):
     """A, B and c through ``convolve_fft`` and the full-lattice kernels."""
-    a = landau._from_upper(p.a_const * convolve_fft(f, landau._kernel_a_upper(f.grid, p)), p.d)
+    a = landau._from_upper(p.a_const * convolve_fft(f, landau._a_kernel(f.grid, p, landau._lattice(f.grid))), p.d)
     b = p.b_const * convolve_fft(f, kernel_b(f.grid, p))
     c = p.c_const * (f.values if p.gamma == -p.d else convolve_fft(f, kernel_c(f.grid, p)))
     return a, b, c
@@ -670,7 +690,7 @@ class TestSymmetricConvolution:
         def forbidden(*args, **kwargs):
             raise AssertionError("full-lattice kernel on the field path")
 
-        monkeypatch.setattr(landau, "_mirror", forbidden)
+        monkeypatch.setattr(landau, "_lattice", forbidden)
         monkeypatch.setattr(landau, "convolve_fft", forbidden)
         f = random_density(3, 6)
         for gamma in (-3.0, -1.3, 0.0):
