@@ -21,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import iteration
-from .config import (ConfigError, build_field, build_initial, build_solver_config, given,
-                     load_config, run_probe)
+from .config import (ConfigError, build_field, build_initial, build_solver_config, check_memory,
+                     given, load_config, run_probe)
 from .fields import certify_field
 from .geometry import group_product, group_quotient, verify_covering
 from .landau import (
@@ -170,7 +170,9 @@ def _cmd_landau(cfg: dict, args) -> int:
             profile = VelocityGridFunction(VelocityGrid(v_max=v_max, n=values.shape[0], d=d), values)
         else:
             spec = section.get("profile", {})
-            grid = VelocityGrid(v_max=spec.get("v_max", 6.0), n=spec.get("n", 16), d=d)
+            n = spec.get("n", 16)
+            check_memory(f"the profile's {n}^{d} values", 8 * n**d)
+            grid = VelocityGrid(v_max=spec.get("v_max", 6.0), n=n, d=d)
             profile = maxwellian(grid, **given(spec, "sigma"))
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot set up the landau check: {exc}") from exc

@@ -215,6 +215,14 @@ def build_field(cfg: dict, seed_override: int | None = None):
         raise ConfigError(f"invalid field: {exc}") from exc
 
 
+def check_memory(what: str, size: int) -> None:
+    """Reject a config whose ``what`` would take ``size`` bytes, more than the
+    machine's physical memory, before any of it is allocated."""
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if size > memory:
+        raise ConfigError(f"{what} take {size} bytes, more than the {memory} bytes of physical memory")
+
+
 def build_solver_config(cfg: dict, field) -> SolverConfig:
     section = cfg.get("solver")
     if section is None:
@@ -225,10 +233,7 @@ def build_solver_config(cfg: dict, field) -> SolverConfig:
             section, "dt", "t_end", "snapshot_stride", "snapshot_tail"))
     except (ValueError, NotImplementedError) as exc:
         raise ConfigError(str(exc)) from exc
-    stack, memory = solver_cfg.stack_bytes, os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if stack > memory:
-        raise ConfigError(f"the stored snapshots take {stack} bytes, more than the {memory} bytes "
-                          "of physical memory")
+    check_memory("the stored snapshots", solver_cfg.stack_bytes)
     # the run evaluates the field on [0, x_extent] x [-v_max, v_max] x [0, t_end]; a
     # recipe that cannot index that box rejects it here, at its two extreme corners
     ones = np.ones(grid.d)

@@ -415,8 +415,8 @@ def verify_covering(
         raise ValueError(f"R must lie in (0, sqrt(delta)], got {r_plus}")
     if not 0.0 < r0 <= math.sqrt(delta):
         raise ValueError(f"r0 must lie in (0, sqrt(delta)], got {r0}")
-    if not 0.0 < omega < 0.5:
-        raise ValueError(f"omega must lie in (0, 1/2), got {omega}")
+    if not 0.0 < omega < 0.5 or omega**2 < 16.0 / np.finfo(float).max:
+        raise ValueError(f"omega must lie in (0, 1/2) with 16 / omega^2 finite, got {omega}")
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
 

@@ -68,7 +68,10 @@ def degiorgi_threshold(beta: float, alpha: float, v0: float) -> DeGiorgiReport:
     if v0 < 0.0:
         raise ValueError(f"V0 must be >= 0, got {v0}")
 
-    exponent = alpha / (alpha - 1.0) ** 2
+    try:
+        exponent = alpha / (alpha - 1.0) ** 2
+    except OverflowError:
+        raise ValueError(f"(alpha - 1)^2 overflows a float at alpha = {alpha!r}") from None
     log_gamma = exponent * math.log(beta) + (math.log(v0) if v0 > 0 else -math.inf)
     gamma = math.exp(log_gamma) if log_gamma < 700 else math.inf
 
@@ -110,9 +113,15 @@ def moser_product(p: float, cbar: float, a: float, n_terms: int) -> tuple[np.nda
         raise ValueError(f"a must be positive, got {a}")
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
+    try:
+        scale = cbar * a**2
+    except OverflowError:
+        scale = math.inf
+    if not 0.0 < scale < math.inf:
+        raise ValueError(f"cbar a^2 leaves the float range at cbar = {cbar!r}, a = {a!r}")
     ks = np.arange(1, n_terms + 1, dtype=float)
     inv_q = (2.0 / p) ** ks
-    log_terms = inv_q * (math.log(cbar * a**2) + 4.0 * np.log(ks))
+    log_terms = inv_q * (math.log(scale) + 4.0 * np.log(ks))
     partials = np.exp(np.cumsum(log_terms))
     return partials, float(partials[-1])
 

@@ -58,6 +58,10 @@ class VelocityGrid:
     def __post_init__(self) -> None:
         if self.v_max <= 0 or self.n < 2 or self.d < 1:
             raise ValueError("need v_max > 0, n >= 2, d >= 1")
+        try:
+            self.cell_volume
+        except OverflowError:
+            raise ValueError(f"v_max = {self.v_max!r}: the cell volume h^{self.d} overflows") from None
 
     @property
     def h(self) -> float:
@@ -111,6 +115,8 @@ class VelocityGridFunction:
 
 def maxwellian(grid: VelocityGrid, sigma: float = 1.0) -> VelocityGridFunction:
     """Isotropic Gaussian density with unit-integral normalisation in the limit."""
+    if not 0.0 < sigma or not 0.0 < sigma * sigma < math.inf:
+        raise ValueError(f"sigma must be positive with a nonzero, finite square, got {sigma!r}")
     pts = grid.points()
     sq = np.einsum("ij,ij->i", pts, pts)
     vals = np.exp(-sq / (2.0 * sigma**2)) / (2.0 * math.pi * sigma**2) ** (grid.d / 2.0)

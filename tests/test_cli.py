@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import os
@@ -15,6 +16,9 @@ from kfplab import cli, storage
 from kfplab.cli import main
 from kfplab.config import (
     SCHEMA,
+    Min,
+    Pick,
+    Req,
     build_field,
     build_initial,
     build_solver_config,
@@ -376,6 +380,22 @@ MALFORMED = {
     "gaussian_amplitude_overflows": ("solve", ("solver", "initial"),
                                      {"kind": "gaussian", "sigma_x": 1e-150, "sigma_v": 1e-150,
                                       "mass": 1e300}),
+    # a Landau profile, covering check or recursion whose value overflows or
+    # underflows where it enters, and a profile larger than physical memory
+    "landau_profile_v_max_huge": ("landau", ("landau",),
+                                  {"gamma": -3.0, "profile": {"v_max": 1e300, "n": 8}}),
+    "landau_profile_sigma_huge": ("landau", ("landau",),
+                                  {"gamma": -3.0, "profile": {"n": 8, "sigma": 1e300}}),
+    "landau_profile_sigma_negative": ("landau", ("landau",),
+                                      {"gamma": -3.0, "profile": {"n": 8, "sigma": -1.0}}),
+    "landau_profile_n_huge": ("landau", ("landau",), {"gamma": -3.0, "profile": {"n": 100000}}),
+    "geometry_omega_tiny": ("geometry", ("geometry",),
+                            {"omega": 1e-300, "n_samples": 64, "n_selfchecks": 2}),
+    "geometry_omega_subnormal": ("geometry", ("geometry",),
+                                 {"omega": 5e-324, "n_samples": 64, "n_selfchecks": 2}),
+    "degiorgi_alpha_huge": ("iterate", ("iterate",),
+                            {"degiorgi": [{"beta": 2.0, "alpha": 1e300, "v0": 0.5}]}),
+    "moser_a_huge": ("iterate", ("iterate",), {"moser": [{"p": 4.0, "cbar": 2.0, "a": 1e300, "n": 60}]}),
 }
 
 
@@ -469,6 +489,84 @@ def test_snapshot_stack_beyond_physical_memory_exits_two(tmp_path, capsys):
     assert f"invalid config: the stored snapshots take {129 * 1024**4 * 8} bytes" in err
     assert f"the {memory} bytes of physical memory" in err
     assert 129 * 1024**4 * 8 >= 1e15 and peak < 1e7
+    assert not out.exists()
+
+
+# A small config per command that exits 0; the fuzz walks every section it holds
+FUZZ_BASES = {
+    "landau": {"landau": {"gamma": -1.3, "d": 2, "a_const": 1.0, "b_const": 1.0, "c_const": 1.0,
+                          "profile": {"v_max": 6.0, "n": 8, "sigma": 1.0},
+                          "bounds": {"m1": 0.1, "m0": 10.0, "e0": 10.0, "h0": 10.0}}},
+    "geometry": {"geometry": {"delta": 0.2, "R": 1e-11, "r0": 0.1, "omega": 0.25,
+                              "n_samples": 64, "d": 1, "n_selfchecks": 10}},
+    "iterate": {"iterate": {"degiorgi": [{"beta": 1.0, "alpha": 2.0, "v0": 0.5}],
+                            "moser": [{"p": 4.0, "cbar": 2.0, "a": 1.0, "n": 60}]}},
+}
+FUZZ_NUMBERS = (0, -0.0, -1, 1e-300, 5e-324, 1e300, 1e-9, 7.3)
+FUZZ_INTEGERS = (0, -1, 1, 2, 3)
+
+
+def schema_leaves(node, base, path=()):
+    """(path, values) for each numeric leaf of a schema node, with the values
+    the fuzz puts there; objects and lists are walked through ``base``."""
+    if isinstance(node, (Req, Min)):
+        node = node.node
+    if isinstance(node, Pick):
+        node = node.variants[base.get(node.key, node.default)]
+    if isinstance(node, dict):
+        for key, sub in node.items():
+            yield from schema_leaves(sub, base.get(key, {}), path + (key,))
+    elif isinstance(node, list):
+        yield from schema_leaves(node[0], base[0], path + (0,))
+    elif node is int:
+        yield path, FUZZ_INTEGERS
+    elif float in (node if isinstance(node, tuple) else (node,)):
+        yield path, FUZZ_NUMBERS
+
+
+FUZZ_CASES = [(command, path, value)
+              for command, base in FUZZ_BASES.items()
+              for section in base
+              for path, values in schema_leaves(SCHEMA[section], base[section], (section,))
+              for value in values]
+
+
+@pytest.mark.parametrize("command", list(FUZZ_BASES))
+def test_fuzz_bases_exit_zero(tmp_path, command):
+    config = {"schema_version": 1, "output": {"dir": str(tmp_path / "out")}, **FUZZ_BASES[command]}
+    assert main([command, "--config", str(write_config(tmp_path, config))]) == 0
+
+
+@pytest.mark.parametrize("command, path, value", FUZZ_CASES,
+                         ids=[".".join(map(str, path)) + f"={value!r}" for _, path, value in FUZZ_CASES])
+@pytest.mark.filterwarnings("ignore")
+def test_config_fuzz_exits_cleanly(tmp_path, capsys, command, path, value):
+    # every numeric leaf of the fuzzed sections, set to a value that may be
+    # out of range, underflow or overflow, gives a documented exit code
+    config = {"schema_version": 1, "output": {"dir": str(tmp_path / "out")},
+              **copy.deepcopy(FUZZ_BASES[command])}
+    section = config
+    for step in path[:-1]:
+        section = section[step] if isinstance(step, int) else section.setdefault(step, {})
+    section[path[-1]] = value
+    code = main([command, "--config", str(write_config(tmp_path, config))])
+    assert code in (0, 2, 4)
+    if code == 2:
+        assert "invalid config:" in capsys.readouterr().err
+
+
+def test_landau_profile_beyond_physical_memory_exits_two(tmp_path, capsys):
+    # 100000^3 float64 values are 8e15 bytes; the check comes before the grid's
+    # points or the profile are allocated
+    out = tmp_path / "out"
+    config = {"schema_version": 1, "output": {"dir": str(out)},
+              "landau": {"gamma": -3.0, "d": 3, "profile": {"n": 100000}}}
+    code, peak = traced_peak(main, ["landau", "--config", str(write_config(tmp_path, config))])
+    assert code == 2
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    assert (f"the profile's 100000^3 values take {8 * 100000**3} bytes, more than the {memory} "
+            "bytes of physical memory") in capsys.readouterr().err
+    assert peak < 1e7
     assert not out.exists()
 
 
