@@ -53,20 +53,10 @@ class ProbeReport:
     def to_dict(self) -> dict:
         return {
             "name": self.name,
-            "params": {k: _jsonable(v) for k, v in self.params.items()},
-            "constants": {k: _jsonable(v) for k, v in self.constants.items()},
+            "params": self.params,
+            "constants": self.constants,
             "verdict": self.verdict,
         }
-
-
-def _jsonable(v):
-    if isinstance(v, (np.floating, np.integer)):
-        return v.item()
-    if isinstance(v, np.ndarray):
-        return [_jsonable(x) for x in v]
-    if isinstance(v, (list, tuple)):
-        return [_jsonable(x) for x in v]
-    return v
 
 
 def c01_constant(r_ext: float, r_int: float) -> float:
