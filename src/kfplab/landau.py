@@ -200,7 +200,8 @@ def _b_kernel(grid: VelocityGrid, params: LandauParams, k: np.ndarray) -> np.nda
 
 
 def _c_kernel(grid: VelocityGrid, params: LandauParams, k: np.ndarray) -> np.ndarray:
-    """c's kernel at the offsets w = k h; ``k`` holds 0, the singular cell."""
+    """c's kernel at the offsets w = k h, ``k`` consecutive from k[0] <= 0, so
+    the singular cell w = 0 sits at index -k[0] on every axis."""
     if params.gamma <= -grid.d:
         raise ValueError("pointwise kernel only exists for gamma > -d")
     _, _, vals = _radial(grid, params.gamma, k)
@@ -303,16 +304,16 @@ def landau_a_field(f: VelocityGridFunction, params: LandauParams) -> np.ndarray:
     """Diffusion matrices A[f] at every grid point, shape (n, ..., n, d, d).
     A_ij with i != j is odd in axes i and j; the diagonal is even."""
     _check_dims(f, params)
-    half = _a_kernel(f.grid, params, np.arange(f.grid.n))
     odd = [(i, j) if i != j else () for i, j in zip(*np.triu_indices(params.d))]
-    return _from_upper(params.a_const * _orthant_convolution(f, half, odd), params.d)
+    upper = _orthant_convolution(f, _a_kernel(f.grid, params, np.arange(f.grid.n)), odd)
+    return _from_upper(params.a_const * upper, params.d)
 
 
 def landau_b_field(f: VelocityGridFunction, params: LandauParams) -> np.ndarray:
     """Drift vectors B[f] at every grid point, shape (n, ..., n, d); B_m is odd in axis m."""
     _check_dims(f, params)
-    half = _b_kernel(f.grid, params, np.arange(f.grid.n))
-    return params.b_const * _orthant_convolution(f, half, [(m,) for m in range(params.d)])
+    odd = [(m,) for m in range(params.d)]
+    return params.b_const * _orthant_convolution(f, _b_kernel(f.grid, params, np.arange(f.grid.n)), odd)
 
 
 def landau_c_field(f: VelocityGridFunction, params: LandauParams) -> np.ndarray:
@@ -320,8 +321,7 @@ def landau_c_field(f: VelocityGridFunction, params: LandauParams) -> np.ndarray:
     _check_dims(f, params)
     if params.gamma == -params.d:
         return params.c_const * f.values
-    half = _c_kernel(f.grid, params, np.arange(f.grid.n))
-    return params.c_const * _symmetric_convolution(f, half, ())
+    return params.c_const * _symmetric_convolution(f, _c_kernel(f.grid, params, np.arange(f.grid.n)), ())
 
 
 def _check_dims(f: VelocityGridFunction, params: LandauParams) -> None:
