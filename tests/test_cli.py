@@ -396,6 +396,8 @@ MALFORMED = {
     "degiorgi_alpha_huge": ("iterate", ("iterate",),
                             {"degiorgi": [{"beta": 2.0, "alpha": 1e300, "v0": 0.5}]}),
     "moser_a_huge": ("iterate", ("iterate",), {"moser": [{"p": 4.0, "cbar": 2.0, "a": 1e300, "n": 60}]}),
+    "moser_scale_overflows": ("iterate", ("iterate",),
+                              {"moser": [{"p": 4.0, "cbar": 1e300, "a": 1e10, "n": 60}]}),
 }
 
 
