@@ -644,7 +644,8 @@ def test_bounds_check_peak_memory(gamma):
 
 def lattice_fields(f, p):
     """A, B and c through ``convolve_fft`` and the full-lattice kernels."""
-    a = landau._from_upper(p.a_const * convolve_fft(f, landau._a_kernel(f.grid, p, landau._lattice(f.grid))), p.d)
+    upper = landau._a_kernel(f.grid, p, landau._lattice(f.grid))
+    a = landau._from_upper(p.a_const * convolve_fft(f, upper), p.d)
     b = p.b_const * convolve_fft(f, kernel_b(f.grid, p))
     c = p.c_const * (f.values if p.gamma == -p.d else convolve_fft(f, kernel_c(f.grid, p)))
     return a, b, c
