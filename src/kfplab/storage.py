@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 import json
 import shutil
-import typing
 from pathlib import Path
 
 import numpy as np
@@ -93,51 +92,23 @@ def write_ledger(path, ledger: EnergyLedger) -> None:
             fh.write(line + "\n")
 
 
-def _stripped_lines(fh):
-    """The lines of a text file as ``fh.read().strip().splitlines()`` gives
-    them, read one line at a time.
-
-    A line is held back until the next non-blank one arrives, so that the
-    last one can be right-stripped; blank lines are held as a count and come
-    out empty, as a whitespace-only line splits into one field whatever it
-    holds.
-    """
-    lines = (line for raw in fh for line in raw.splitlines())
-    for line in lines:
-        if line.strip():
-            held = line.lstrip()
-            break
-    else:
-        return
-    blanks = 0
-    for line in lines:
-        if not line.strip():
-            blanks += 1
-            continue
-        yield held
-        for _ in range(blanks):
-            yield ""
-        held, blanks = line, 0
-    yield held.rstrip()
-
-
 def read_ledger(path) -> EnergyLedger:
-    """Parse a ledger CSV line by line, so no more than one line's strings
-    are alive at once.  Surrounding whitespace and blank lines at either end
-    are ignored; a wrong header or a row of the wrong width, an interior
-    blank line included, is a ValueError naming its line."""
-    hints = typing.get_type_hints(LedgerRow)
-    kinds = [hints[name] for name in EnergyLedger.FIELDS]
+    """Parse a ledger CSV as ``write_ledger`` writes it, one line at a time:
+    the header line, then one row per line, an int step and seven floats.
+    Any other line is a ValueError naming the file and its line number."""
+    width = len(EnergyLedger.FIELDS)
     rows = []
     with open(path) as fh:
-        lines = _stripped_lines(fh)
-        if next(lines, None) != ",".join(EnergyLedger.FIELDS):
+        if fh.readline() != ",".join(EnergyLedger.FIELDS) + "\n":
             raise ValueError(f"{path} does not start with the ledger header")
-        for i, line in enumerate(lines, start=2):
-            parts = line.split(",")
-            if len(parts) != len(kinds):
-                raise ValueError(f"{path} line {i} has {len(parts)} fields, not {len(kinds)}")
-            rows.append(LedgerRow(*map(type.__call__, kinds, parts)))
+        for i, line in enumerate(fh, start=2):
+            parts = line.removesuffix("\n").split(",")
+            if len(parts) != width:
+                raise ValueError(f"{path} line {i} has {len(parts)} fields, not {width}")
+            try:
+                rows.append(LedgerRow(int(parts[0]), *map(float, parts[1:])))
+            except ValueError as exc:
+                raise ValueError(f"{path} line {i}: {exc}") from None
     return EnergyLedger(tuple(rows))
 
 

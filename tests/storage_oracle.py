@@ -4,8 +4,9 @@
 and ``read_ledger`` reads the whole file, strips it and splits it into a list
 of lines before parsing a row.  ``load_trajectory`` reads each snapshot into
 a copy of its own and ``np.stack``s the list, so it holds every snapshot
-twice.  The program's functions must write the same bytes, return the same
-rows and stacks, and accept or reject the same files with the same messages.
+twice.  The program's functions must write the same bytes and return the same
+rows and stacks; for the ledger reader, that holds on files in the format the
+writer writes, the only format the program reads.
 """
 
 from __future__ import annotations
