@@ -13,7 +13,7 @@ from typing import Callable, ClassVar, NamedTuple
 
 import numpy as np
 
-from .geometry import halton
+from .geometry import halton, vector_norm
 
 
 @dataclass(frozen=True)
@@ -484,7 +484,7 @@ def certify_field(
     a = field_in.a(xs, vs, ts)
     eigs = np.linalg.eigvalsh(a)
     b = field_in.b(xs, vs, ts)
-    b_norm = np.sqrt(np.einsum("ij,ij->i", b, b))
+    b_norm = vector_norm(b)
     s = np.abs(field_in.s(xs, vs, ts))
 
     lam, big = field_in.bounds.lam, field_in.bounds.big_lam

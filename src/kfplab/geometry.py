@@ -26,6 +26,17 @@ def unit_ball_volume(d: int) -> float:
     return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
 
 
+def vector_norm(b: np.ndarray) -> np.ndarray:
+    """|b| over the last axis of an (n, d) array, as sqrt(b . b); where b . b
+    overflows though every component is finite, as m |b / m| with m the
+    largest |component|, so every other value keeps its bits."""
+    norm = np.sqrt(np.einsum("ij,ij->i", b, b))
+    over = np.isinf(norm) & np.isfinite(b).all(axis=-1)
+    m = np.abs(b[over]).max(axis=-1, keepdims=True)
+    norm[over] = m[:, 0] * np.sqrt(np.einsum("ij,ij->i", b[over] / m, b[over] / m))
+    return norm
+
+
 @dataclass(frozen=True)
 class KineticPoint:
     """A phase-space/time point z = (x, v, t) with x, v of equal dimension."""
@@ -148,7 +159,10 @@ def iterated_radius(k: int, omega: float) -> float:
 
 def iterated_times(k: int) -> tuple[float, float]:
     """Time window (T_{k-1}, T_k] with T_k = (4/3)(4^k - 1)."""
-    t_hi = (4.0 / 3.0) * (4.0**k - 1.0)
+    try:
+        t_hi = (4.0 / 3.0) * (4.0**k - 1.0)
+    except OverflowError:
+        raise ValueError(f"T_k = (4/3)(4^k - 1) overflows a float at k = {k}") from None
     t_lo = (4.0 / 3.0) * (4.0 ** (k - 1) - 1.0) if k >= 1 else 0.0
     return t_lo, t_hi
 
@@ -262,20 +276,17 @@ class Paraboloid:
     With rho = max(|w|, |y|^{1/3}) the inner (-) set requires
     s >= (4/3)((16/omega^2) rho^2 - 1) and the outer (+) set requires
     s >= (4/3)((4/omega^2) rho^2 - 1); when |y| <= |w|^3 this reduces to
-    the conditions at rho = |w|.  ``scale`` applies the kinetic scaling.
+    the conditions at rho = |w|.
     """
 
     sign: int
     omega: float
-    scale: float = 1.0
 
     def __post_init__(self) -> None:
         if self.sign not in (-1, 1):
             raise ValueError("sign must be -1 (inner) or +1 (outer)")
         if not 0.0 < self.omega:
             raise ValueError("omega must be positive")
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
 
     @property
     def _factor(self) -> float:
@@ -289,15 +300,8 @@ class Paraboloid:
         return (4.0 / 3.0) * (self._factor * rho**2 - 1.0)
 
     def contains_arrays(self, ys: np.ndarray, ws: np.ndarray, ss: np.ndarray) -> np.ndarray:
-        r = self.scale
-        ys = np.asarray(ys, dtype=float) / r**3
-        ws = np.asarray(ws, dtype=float) / r
-        return np.asarray(ss, dtype=float) / r**2 >= self.time_floor(ys, ws)
-
-    def contains(self, y, w, s: float) -> bool:
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        w = np.atleast_1d(np.asarray(w, dtype=float))
-        return bool(self.contains_arrays(y[None, :], w[None, :], np.asarray([s]))[0])
+        ys, ws = np.asarray(ys, dtype=float), np.asarray(ws, dtype=float)
+        return np.asarray(ss, dtype=float) >= self.time_floor(ys, ws)
 
 
 def _ball_from_uniform(u_dir: np.ndarray, u_rad: np.ndarray, radius) -> np.ndarray:

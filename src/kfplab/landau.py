@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 from scipy import fft as sp_fft
 
-from .geometry import unit_ball_volume
+from .geometry import unit_ball_volume, vector_norm
 from .iteration import kappa_exponent
 
 
@@ -154,7 +154,10 @@ def _singular_cell_average(grid: VelocityGrid, gamma: float) -> float:
     d = grid.d
     vb = unit_ball_volume(d)
     r_eq = grid.h / vb ** (1.0 / d)
-    integral = d * vb * r_eq ** (gamma + d) / (gamma + d)
+    try:
+        integral = d * vb * r_eq ** (gamma + d) / (gamma + d)
+    except OverflowError:
+        raise ValueError(f"{grid}: the w = 0 cell's integral of |w|^{gamma!r} overflows") from None
     return integral / grid.cell_volume
 
 
@@ -403,7 +406,7 @@ def check_coefficient_bounds(
     speed = np.sqrt(np.einsum("ij,ij->i", pts, pts))
     a_field = landau_a_field(f, params).reshape(-1, d, d)
     b_field = landau_b_field(f, params).reshape(-1, d)
-    b_norm = np.sqrt(np.einsum("ij,ij->i", b_field, b_field))
+    b_norm = vector_norm(b_field)
     c_vals = np.abs(landau_c_field(f, params).ravel())
     sup_f = max(float(f.values.max()), 1e-300)
 

@@ -455,6 +455,8 @@ def doubling_probe(
     t_top = iterated_times(n_levels)[1]
     if r is None:
         r = 0.95 * math.sqrt((t_hi - t_lo) / (t_top + 1.0))
+    # the top level has the widest windows: an r whose windows overflow or vanish fails here
+    Cylinder(KineticPoint.origin(traj.d), r, CylinderShape.ITERATED, omega=omega, k=n_levels)
     if z0 is None:
         g = traj.grid
         x_mid = float(g.x_axis[g.nx // 2])
@@ -694,13 +696,17 @@ def gehring_probe(
     b_arg = None
     for inner, outer in scan:
         outer_sample = sample_region(traj, outer)
-        lhs = _avg(sample_region(traj, inner), q)
-        g_mean = _avg(outer_sample, 1.0)
-        g_q_mean = _avg(outer_sample, q)
-        if lhs is None or g_mean is None or g_q_mean is None or g_mean <= 0.0:
-            # scan cylinders below the stored snapshot resolution are skipped
-            continue
-        b_needed = (lhs - theta * g_q_mean) / g_mean**q
+        with np.errstate(over="ignore"):   # powers out of the float range are rejected below
+            lhs = _avg(sample_region(traj, inner), q)
+            g_mean = _avg(outer_sample, 1.0)
+            g_q_mean = _avg(outer_sample, q)
+            if lhs is None or g_mean is None or g_q_mean is None or g_mean <= 0.0:
+                # scan cylinders below the stored snapshot resolution are skipped
+                continue
+            g_mean_q = g_mean**q
+        if not (0.0 < g_mean_q < math.inf and math.isfinite(lhs) and math.isfinite(g_q_mean)):
+            raise ValueError(f"q = {q!r}: g^q or (avg g)^q leaves the float range")
+        b_needed = (lhs - theta * g_q_mean) / g_mean_q
         if b_needed > b_worst:
             b_worst = b_needed
             b_arg = (float(inner.radius), float(inner.center.t))
@@ -798,7 +804,10 @@ def propagation_probe(traj: Trajectory, params: HarnackParams, r_ladder) -> Prob
     for i, (r, m) in enumerate(zip(rs, mins), start=1):
         constants[f"r_{i}"] = r
         constants[f"min_el_{i}"] = m
-        constants[f"bound_{i}"] = params.c_pm * r ** (-params.q) * m_plus
+        try:
+            constants[f"bound_{i}"] = params.c_pm * r ** (-params.q) * m_plus
+        except OverflowError:
+            raise ValueError(f"q = {params.q!r}: r^(-q) overflows a float at r = {r!r}") from None
     if m_plus > 0.0:
         ratios = np.array(mins) / m_plus
         constants["q_hat"] = math.nan

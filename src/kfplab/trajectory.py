@@ -38,6 +38,14 @@ class PhaseGrid:
             raise ValueError("extents must be positive")
         if self.nx < 2 or self.nv < 2:
             raise ValueError("need at least two nodes per axis")
+        # the solver divides by hx and hv^2, and the probes weigh by the cell volume
+        try:
+            sizes = (self.hv**2, self.cell_volume)
+        except OverflowError:
+            sizes = (np.inf,)
+        if not all(0.0 < size < np.inf for size in sizes):
+            raise ValueError(f"x_extent = {self.x_extent!r}, v_max = {self.v_max!r}: hv^2 or the "
+                             f"cell volume hx^{self.d} hv^{self.d} overflows or underflows to 0.0")
 
     @property
     def hx(self) -> float:

@@ -11,13 +11,15 @@ fast path must reproduce bitwise, for smooth fields up to the rounding of the
 node evaluators.
 
 The exact solutions of the constant-diffusion flow (``kolmogorov_oracle``,
-``gaussian_exact_solution``) and ``comparison_check``, which runs two ordered
+``gaussian_exact_solution``, and ``gaussian_solution_spd`` for any constant
+SPD A) and ``comparison_check``, which runs two ordered
 initial states through the solver, are the references the scheme converges
 to and the ordering it must keep.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -325,6 +327,33 @@ def gaussian_exact_solution(
     vc = np.asarray(v, dtype=float) - mean_v
     q = (var_v * xc**2 - 2.0 * cov * xc * vc + var_x * vc**2) / det
     return np.exp(-0.5 * q) / (2.0 * math.pi * math.sqrt(det))
+
+
+def gaussian_solution_spd(x, v, t: float, a, cov_x0, cov_v0, mean_x, mean_v, x_extent: float):
+    """Exact solution for a constant SPD A, B = 0 and s = 0 from Gaussian data
+    N(mean_x, cov_x0) x N(mean_v, cov_v0), periodic in x with period x_extent.
+
+    (x, v) stays jointly Gaussian (Kolmogorov, Ann. Math. 1934): the mean
+    follows the free flow, and the covariance blocks are
+    Sxx = cov_x0 + t^2 cov_v0 + (2t^3/3) A, Sxv = t cov_v0 + t^2 A and
+    Svv = cov_v0 + 2t A.  The density is summed over the 3^d nearest periodic
+    images in x.  x and v hold the d components on their last axis.
+    """
+    a, sx0, sv0 = (np.asarray(m, dtype=float) for m in (a, cov_x0, cov_v0))
+    d = a.shape[0]
+    sxv = t * sv0 + t**2 * a
+    cov = np.block([[sx0 + t**2 * sv0 + (2.0 * t**3 / 3.0) * a, sxv],
+                    [sxv.T, sv0 + 2.0 * t * a]])
+    prec = np.linalg.inv(cov)
+    scale = 1.0 / math.sqrt((2.0 * math.pi) ** (2 * d) * np.linalg.det(cov))
+    vc = np.asarray(v, dtype=float) - mean_v
+    out = 0.0
+    for image in itertools.product((-1.0, 0.0, 1.0), repeat=d):
+        xc = np.asarray(x, dtype=float) - (np.asarray(mean_x) + t * np.asarray(mean_v)) \
+            + x_extent * np.asarray(image)
+        z = np.concatenate([xc, vc], axis=-1)
+        out = out + scale * np.exp(-0.5 * np.einsum("...i,ij,...j->...", z, prec, z))
+    return out
 
 
 def comparison_check(

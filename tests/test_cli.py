@@ -503,14 +503,45 @@ FUZZ_BASES = {
                               "n_samples": 64, "d": 1, "n_selfchecks": 10}},
     "iterate": {"iterate": {"degiorgi": [{"beta": 1.0, "alpha": 2.0, "v0": 0.5}],
                             "moser": [{"p": 4.0, "cbar": 2.0, "a": 1.0, "n": 60}]}},
+    # a 16^2 run of 32 steps with one probe of each kind
+    "run": {"seed": 1,
+            "solver": {"d": 1, "x_extent": 4.0, "nx": 16, "v_max": 3.0, "nv": 16,
+                       "dt": 0.015625, "t_end": 0.5, "snapshot_stride": 1, "snapshot_tail": 0.0625,
+                       "initial": {"kind": "gaussian", "center_x": 2.0, "center_v": 0.0,
+                                   "sigma_x": 0.5, "sigma_v": 0.5, "mass": 1.0, "floor": 0.01}},
+            "field": {"recipe": "constant", "lambda": 1.0, "Lambda": 1.0, "seed": 0,
+                      "scale_a": 1.0, "a_value": 1.0, "b_value": 0.0, "s_value": 0.0},
+            "probes": [
+                {"name": "harnack", "R": 0.25, "Delta": 0.1, "rho1": 0.4, "rho2": 0.6, "q": 2.0,
+                 "center": [2.0, 0.0, 0.5]},
+                {"name": "gain", "r_int": 0.3, "r_ext": 0.5, "center": [2.0, 0.0, 0.5]},
+                {"name": "energy", "r_int": 0.3, "r_ext": 0.5, "center": [2.0, 0.0, 0.5]},
+                {"name": "holder", "omega": 0.9, "k_levels": 2, "r_base": 0.3,
+                 "center": [2.0, 0.0, 0.5]},
+                {"name": "doubling", "omega": 0.25, "n_levels": 2},
+                {"name": "oscillation", "r": 0.4, "center": [2.0, 0.0, 0.5]},
+                {"name": "levelsets", "theta": 0.5, "r": 0.4, "center": [2.0, 0.0, 0.5]},
+                {"name": "fractional", "s_order": 0.5, "r": 0.4, "n_pairs": 50, "seed": 0,
+                 "center": [2.0, 0.0, 0.5]},
+                {"name": "gehring", "q": 1.5, "r0": 0.5, "theta": 0.5, "center": [2.0, 0.0, 0.5]},
+                {**PROPAGATION, "Delta": 0.1, "q": 2.0, "r_ladder": [0.1, 0.2],
+                 "center": [2.0, 0.0, 0.5]},
+                {"name": "caccioppoli", "R": 0.2, "center": [2.0, 0.0, 0.5]},
+                {"name": "norm", "p": 2.0, "r": 0.4, "normalized": True, "center": [2.0, 0.0, 0.5]},
+            ]},
 }
 FUZZ_NUMBERS = (0, -0.0, -1, 1e-300, 5e-324, 1e300, 1e-9, 7.3)
 FUZZ_INTEGERS = (0, -1, 1, 2, 3)
+# the keys that size a run take only values that keep it small: past ~1e7
+# steps, SolverConfig.stack_bytes alone walks every step for seconds
+FUZZ_SIZES = {("solver", "dt"): (0, -0.0, -1, 5e-324, 1e300, 7.3),
+              ("solver", "t_end"): (0, -0.0, -1, 1e-300, 5e-324, 1e-9, 7.3)}
 
 
 def schema_leaves(node, base, path=()):
     """(path, values) for each numeric leaf of a schema node, with the values
-    the fuzz puts there; objects and lists are walked through ``base``."""
+    the fuzz puts there; objects and every entry of a list are walked
+    through ``base``."""
     if isinstance(node, (Req, Min)):
         node = node.node
     if isinstance(node, Pick):
@@ -519,7 +550,8 @@ def schema_leaves(node, base, path=()):
         for key, sub in node.items():
             yield from schema_leaves(sub, base.get(key, {}), path + (key,))
     elif isinstance(node, list):
-        yield from schema_leaves(node[0], base[0], path + (0,))
+        for i, entry in enumerate(base):
+            yield from schema_leaves(node[0], entry, path + (i,))
     elif node is int:
         yield path, FUZZ_INTEGERS
     elif float in (node if isinstance(node, tuple) else (node,)):
@@ -530,7 +562,7 @@ FUZZ_CASES = [(command, path, value)
               for command, base in FUZZ_BASES.items()
               for section in base
               for path, values in schema_leaves(SCHEMA[section], base[section], (section,))
-              for value in values]
+              for value in FUZZ_SIZES.get(path, values)]
 
 
 @pytest.mark.parametrize("command", list(FUZZ_BASES))
@@ -552,9 +584,45 @@ def test_config_fuzz_exits_cleanly(tmp_path, capsys, command, path, value):
         section = section[step] if isinstance(step, int) else section.setdefault(step, {})
     section[path[-1]] = value
     code = main([command, "--config", str(write_config(tmp_path, config))])
-    assert code in (0, 2, 4)
+    err = capsys.readouterr().err
+    assert code in ((0, 2, 3, 4) if command == "run" else (0, 2, 4))
     if code == 2:
-        assert "invalid config:" in capsys.readouterr().err
+        assert "invalid config:" in err or (command == "run" and re.search(r"probe '\w+' rejected:", err))
+    if code == 3:
+        assert "solver failure:" in err
+
+
+@pytest.mark.parametrize("solver", [{"x_extent": 5e-324}, {"v_max": 1e-300}, {"v_max": 1e300},
+                                    {"d": 2, "x_extent": 1e-170}],
+                         ids=["x_extent_subnormal", "v_max_tiny", "v_max_huge", "cell_volume_underflows"])
+@pytest.mark.filterwarnings("error")
+def test_grid_beyond_the_float_range_is_rejected(tmp_path, capsys, solver):
+    # on a constant field the parent exited 3 (a solver failure) or 1 (an
+    # OverflowError in the collision assembly)
+    config = {"schema_version": 1, "output": {"dir": str(tmp_path / "out")},
+              **copy.deepcopy(FUZZ_BASES["run"])}
+    config["solver"].update(solver)
+    assert main(["run", "--config", str(write_config(tmp_path, config))]) == 2
+    s = config["solver"]
+    assert (f"invalid config: x_extent = {s['x_extent']!r}, v_max = {s['v_max']!r}: hv^2 or the cell "
+            f"volume hx^{s['d']} hv^{s['d']} overflows or underflows to 0.0") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("probe, message", [
+    ({**PROPAGATION, "Delta": 0.1, "q": 1e300, "r_ladder": [0.1, 0.2], "center": [2.0, 0.0, 0.5]},
+     "q = 1e+300: r^(-q) overflows a float at r = 0.1"),
+    ({"name": "doubling", "n_levels": 10**6}, "T_k = (4/3)(4^k - 1) overflows a float at k = 1000000"),
+    ({"name": "doubling", "r": 1e300}, "radius 1e+300 gives windows that overflow or vanish"),
+    ({"name": "gehring", "q": 1e300, "r0": 0.5, "center": [2.0, 0.0, 0.5]},
+     "q = 1e+300: g^q or (avg g)^q leaves the float range"),
+], ids=["propagation_q_huge", "doubling_n_levels_huge", "doubling_r_huge", "gehring_q_huge"])
+@pytest.mark.filterwarnings("error")
+def test_probe_value_beyond_the_float_range_is_rejected(tmp_path, capsys, probe, message):
+    # the parent ended in an OverflowError (exit 1), or reported gehring's b_emp as NaN
+    config = {"schema_version": 1, "output": {"dir": str(tmp_path / "out")},
+              **copy.deepcopy(FUZZ_BASES["run"]), "probes": [probe]}
+    assert main(["run", "--config", str(write_config(tmp_path, config))]) == 2
+    assert f"probe '{probe['name']}' rejected: {message}" in capsys.readouterr().err
 
 
 def test_landau_profile_beyond_physical_memory_exits_two(tmp_path, capsys):

@@ -123,6 +123,14 @@ class TestCertification:
         assert rep.verdict == "violated"
         assert rep.witness is not None
 
+    def test_drift_beyond_the_square_range(self):
+        # |B|^2 = 2e400 overflows; the parent read |B| as inf and the field as violated
+        field = sample_field(ConstantRecipe(), EllipticityBounds(1.0, 1e201), seed=0, d=2)
+        field = replace(field, b_fn=lambda x, v, t: np.full(x.shape, 1e200), nodes_fn=None)
+        rep = certify_field(field, box=BOX, seed=0)
+        assert rep.verdict == "ok"
+        assert rep.max_drift == pytest.approx(np.sqrt(2.0) * 1e200, rel=1e-15)
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("d", [1, 2])
     def test_report_unchanged_from_scipy_sampling(self, monkeypatch, seed, d):

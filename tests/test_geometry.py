@@ -25,6 +25,7 @@ from kfplab.geometry import (
     iterated_times,
     scale_point,
     unit_ball_volume,
+    vector_norm,
     verify_covering,
 )
 
@@ -265,11 +266,6 @@ class TestParaboloidSandwich:
             inside = q.contains_arrays(y, w, s)
             assert outer.contains_arrays(y[inside], w[inside], s[inside]).all()
 
-    def test_scale_round_trip(self):
-        p = Paraboloid(-1, 0.25, scale=0.3)
-        assert p.contains([0.0], [0.0], 0.05)
-        assert not p.contains([0.0], [0.2], 0.0)
-
 
 class TestCovering:
     def test_sufficient_condition_has_no_counterexamples(self):
@@ -338,3 +334,15 @@ def test_ball_volumes():
     assert unit_ball_volume(1) == 2.0
     assert unit_ball_volume(2) == pytest.approx(math.pi)
     assert unit_ball_volume(4) == pytest.approx(math.pi**2 / 2.0)
+
+
+def test_vector_norm_beyond_the_square_range():
+    # sqrt(b . b) bit for bit while b . b is finite; past ~1e154 the scaled form
+    rng = np.random.default_rng(3)
+    b = rng.standard_normal((500, 3)) * 10.0 ** rng.integers(-150, 150, (500, 1))
+    assert vector_norm(b).tobytes() == np.sqrt(np.einsum("ij,ij->i", b, b)).tobytes()
+    rows = np.array([[1e300, 1e300, 0.0], [-3e200, 4e200, 0.0], [1e300, math.inf, 0.0],
+                     [1e300, math.nan, 0.0], [0.0, 0.0, 0.0]])
+    got = vector_norm(rows)
+    assert got[:2] == pytest.approx([math.sqrt(2.0) * 1e300, 5e200], rel=1e-15)
+    assert got[2] == math.inf and math.isnan(got[3]) and got[4] == 0.0

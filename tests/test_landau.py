@@ -294,6 +294,13 @@ class TestCoefficientFields:
         with pytest.raises(ValueError, match=r"VelocityGrid\(v_max=1e-300, n=4, d=%d\)" % d):
             kernel_c(g, LandauParams(d=d, gamma=-1.3))
 
+    @pytest.mark.filterwarnings("ignore:hard potentials:UserWarning")
+    def test_overflowing_singular_cell_is_a_value_error(self):
+        # h = 1e150 gives a finite h^2, but r_eq^(gamma + d) overflows
+        g = VelocityGrid(v_max=1e150, n=2, d=2)
+        with pytest.raises(ValueError, match=r"VelocityGrid\(v_max=1e\+150, n=2, d=2\).*overflows"):
+            kernel_c(g, LandauParams(d=2, gamma=0.5))
+
     def test_hard_potential_warns(self):
         with pytest.warns(UserWarning) as record:
             LandauParams(d=3, gamma=0.5)
@@ -728,6 +735,15 @@ class TestBoundsChecks:
         p = LandauParams(d=3, gamma=-1.3, a_const=a_const)
         with pytest.raises(ValueError, match=re.escape(f"{message} at a_const = {a_const!r}")):
             check_coefficient_bounds(f, p, bounds)
+
+    def test_b_norm_beyond_the_square_range_is_finite(self):
+        # |B|^2 overflows past |B| ~ 1e154; the parent reported b_norm_ratio_max inf
+        f = maxwellian(VelocityGrid(v_max=6.0, n=8, d=2))
+        bounds = MomentBounds(m1=0.5, m0=2.0, e0=2.0, h0=0.0)
+        unit, huge = (check_coefficient_bounds(f, LandauParams(d=2, gamma=-1.3, b_const=b), bounds)
+                      for b in (1.0, 1e300))
+        assert math.isfinite(huge.b_norm_ratio_max) and huge.verdict == "ok"
+        assert huge.b_norm_ratio_max == pytest.approx(1e300 * unit.b_norm_ratio_max, rel=1e-12)
 
     def test_moment_window_enforced(self):
         g = VelocityGrid(v_max=5.0, n=16, d=2)
