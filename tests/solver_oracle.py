@@ -12,9 +12,9 @@ node evaluators.
 
 The exact solutions of the constant-diffusion flow (``kolmogorov_oracle``,
 ``gaussian_exact_solution``, and ``gaussian_solution_spd`` for any constant
-SPD A) and ``comparison_check``, which runs two ordered
-initial states through the solver, are the references the scheme converges
-to and the ordering it must keep.
+SPD A) and ``comparison_check``, which runs two ordered initial states
+through the solver, are the references the scheme converges to and the
+ordering it must keep.
 """
 
 from __future__ import annotations
@@ -346,12 +346,11 @@ def gaussian_solution_spd(x, v, t: float, a, cov_x0, cov_v0, mean_x, mean_v, x_e
                     [sxv.T, sv0 + 2.0 * t * a]])
     prec = np.linalg.inv(cov)
     scale = 1.0 / math.sqrt((2.0 * math.pi) ** (2 * d) * np.linalg.det(cov))
+    xc = np.asarray(x, dtype=float) - (np.asarray(mean_x) + t * np.asarray(mean_v))
     vc = np.asarray(v, dtype=float) - mean_v
     out = 0.0
     for image in itertools.product((-1.0, 0.0, 1.0), repeat=d):
-        xc = np.asarray(x, dtype=float) - (np.asarray(mean_x) + t * np.asarray(mean_v)) \
-            + x_extent * np.asarray(image)
-        z = np.concatenate([xc, vc], axis=-1)
+        z = np.concatenate([xc + x_extent * np.asarray(image), vc], axis=-1)
         out = out + scale * np.exp(-0.5 * np.einsum("...i,ij,...j->...", z, prec, z))
     return out
 
