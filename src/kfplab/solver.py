@@ -277,8 +277,19 @@ def _cell_matrices_2d(a: np.ndarray, b: np.ndarray, hv: float, dt: float) -> lis
     return blocks
 
 
+def _first_equal_cells(a: np.ndarray, b: np.ndarray) -> list[int]:
+    """For each cell (first axis) of ``a`` and ``b``, the first cell whose
+    rows are the same bytes, so -0.0 and +0.0 differ."""
+    first: dict[bytes, int] = {}
+    return [first.setdefault(a[c].tobytes() + b[c].tobytes(), c) for c in range(len(a))]
+
+
 class _Collision2D(_Collision):
-    """The d = 2 collision step: one sparse LU per x-cell.
+    """The d = 2 collision step: one sparse LU per distinct cell matrix.
+
+    x-cells whose node values of A and B are the same bytes have the same
+    matrix, so they share one LU; the source enters the right-hand side only.
+    ``_lus`` holds each cell's LU.
 
     Cross-diffusion terms use the symmetric face-averaged stencil; the
     M-matrix (hence positivity) guarantee only holds for moderate anisotropy.
@@ -286,16 +297,23 @@ class _Collision2D(_Collision):
 
     def _assemble(self, t: float) -> None:
         self._lus = []   # two live sets of factors would raise peak memory
-        self._lus = [splu(block) for block in self._cell_matrices(t)]
+        a, b = self._cell_coeffs(t)
+        first = _first_equal_cells(a, b)
+        cells = sorted(set(first))
+        lus = dict(zip(cells, map(splu, self._cell_matrices(a, b, cells))))
+        self._lus = [lus[c] for c in first]
 
-    def _cell_matrices(self, t: float) -> list:
-        """I - dt L of every x-cell as a CSC matrix."""
-        nv, nvv, n_cells = self.grid.nv, self.grid.nv**2, self.grid.nx**2
-        a = self.coeffs.a(t).reshape(n_cells, nv, nv, 2, 2)
-        b = self.coeffs.b(t).reshape(n_cells, nv, nv, 2)
-        chunk = max(1, _CHUNK_NODES // nvv)
-        return [block for c in range(0, n_cells, chunk) for block in _cell_matrices_2d(
-            a[c:c + chunk], b[c:c + chunk], self.grid.hv, self.dt)]
+    def _cell_coeffs(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """A (cells, nv, nv, 2, 2) and B (cells, nv, nv, 2) at the nodes."""
+        nv, n_cells = self.grid.nv, self.grid.nx**2
+        return (self.coeffs.a(t).reshape(n_cells, nv, nv, 2, 2),
+                self.coeffs.b(t).reshape(n_cells, nv, nv, 2))
+
+    def _cell_matrices(self, a: np.ndarray, b: np.ndarray, cells: list[int]) -> list:
+        """I - dt L of each of the ``cells`` of ``a`` and ``b`` as a CSC matrix."""
+        chunk = max(1, _CHUNK_NODES // self.grid.nv**2)
+        return [block for c in range(0, len(cells), chunk) for block in _cell_matrices_2d(
+            a[cells[c:c + chunk]], b[cells[c:c + chunk]], self.grid.hv, self.dt)]
 
     def _solve(self) -> np.ndarray:
         rhs = self._rhs

@@ -13,6 +13,7 @@ import pytest
 
 from conftest import traced_peak
 from kfplab import cli, storage
+from kfplab import solver as solver_mod
 from kfplab.cli import main
 from kfplab.config import (
     SCHEMA,
@@ -494,6 +495,25 @@ def test_snapshot_stack_beyond_physical_memory_exits_two(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("solver", [{"dt": 1e-300}, {"t_end": 1e300}], ids=["dt_tiny", "t_end_huge"])
+def test_snapshot_count_beyond_physical_memory_is_rejected_unwalked(tmp_path, capsys, monkeypatch,
+                                                                    solver):
+    # 5e299 or 6.4e301 steps: the closed-form lower bound rejects the stack
+    # before the schedule, which walks every step, is ever computed
+    def unwalkable(cfg):
+        raise AssertionError("the snapshot schedule was walked")
+
+    monkeypatch.setattr(solver_mod, "_snapshot_steps", unwalkable)
+    out = tmp_path / "out"
+    config = base_config(out)
+    config["solver"].update(solver)
+    assert main(["run", "--config", str(write_config(tmp_path, config))]) == 2
+    err = capsys.readouterr().err
+    assert "invalid config: the stored snapshots take " in err
+    assert "bytes of physical memory" in err
+    assert not out.exists()
+
+
 # A small config per command that exits 0; the fuzz walks every section it holds
 FUZZ_BASES = {
     "landau": {"landau": {"gamma": -1.3, "d": 2, "a_const": 1.0, "b_const": 1.0, "c_const": 1.0,
@@ -532,10 +552,6 @@ FUZZ_BASES = {
 }
 FUZZ_NUMBERS = (0, -0.0, -1, 1e-300, 5e-324, 1e300, 1e-9, 7.3)
 FUZZ_INTEGERS = (0, -1, 1, 2, 3)
-# the keys that size a run take only values that keep it small: past ~1e7
-# steps, SolverConfig.stack_bytes alone walks every step for seconds
-FUZZ_SIZES = {("solver", "dt"): (0, -0.0, -1, 5e-324, 1e300, 7.3),
-              ("solver", "t_end"): (0, -0.0, -1, 1e-300, 5e-324, 1e-9, 7.3)}
 
 
 def schema_leaves(node, base, path=()):
@@ -562,7 +578,7 @@ FUZZ_CASES = [(command, path, value)
               for command, base in FUZZ_BASES.items()
               for section in base
               for path, values in schema_leaves(SCHEMA[section], base[section], (section,))
-              for value in FUZZ_SIZES.get(path, values)]
+              for value in values]
 
 
 @pytest.mark.parametrize("command", list(FUZZ_BASES))

@@ -571,17 +571,57 @@ class TestFastPathsMatchOracles:
         assert got.values.tobytes() == want.values.tobytes()
         assert list(got.ledger.csv_lines()) == list(want.ledger.csv_lines())
 
-    def test_solve_d2_rotating(self):
+    @pytest.mark.parametrize("field", [
+        sample_field(RotatingAnisotropyRecipe(period=1.0), EllipticityBounds(0.5, 1.5), seed=9, d=2),
+        sample_field(ConstantRecipe(b_value=0.5, s_value=0.3), EllipticityBounds(0.5, 2.0),
+                     seed=0, d=2),
+        constant_spd_field(rotated(4.0, math.pi / 6)),
+    ], ids=["rotating", "constant_drift_source", "constant_rotated"])
+    def test_solve_d2_shared_factorisations(self, field):
+        # the 16 cells share 4 LUs or fewer (A depends on x_1 only) or one
         grid = PhaseGrid(d=2, x_extent=2.0, nx=4, v_max=2.0, nv=6)
-        field = sample_field(
-            RotatingAnisotropyRecipe(period=1.0), EllipticityBounds(0.5, 1.5), seed=9, d=2,
-        )
         cfg = SolverConfig(grid=grid, dt=0.05, t_end=0.2, field=field)
         f0 = PhaseGridFunction(grid, _random_state(grid, 2), 0.0)
         got, want = solve(cfg, f0), oracle.solve(cfg, f0)
         assert got.times.tobytes() == want.times.tobytes()
         assert got.values.tobytes() == want.values.tobytes()
         assert list(got.ledger.csv_lines()) == list(want.ledger.csv_lines())
+
+    @pytest.mark.parametrize("name, distinct", [
+        ("constant", 1), ("rotating", 3), ("checkerboard", 9), ("smooth", 9),
+    ])
+    def test_one_factorisation_per_distinct_cell_matrix(self, name, distinct):
+        # on the 3^2-cell grid: a constant A has one cell matrix, the
+        # rotating A depends on x_1 only, and the others on every cell
+        grid = PhaseGrid(d=2, x_extent=2.0, nx=3, v_max=2.0, nv=7)
+        if name == "constant":
+            field = constant_spd_field(rotated(4.0, math.pi / 6))
+        else:
+            recipe, seed = D2_FIELDS[name]
+            field = sample_field(recipe, EllipticityBounds(0.5, 2.0), seed=seed, d=2)
+        coll = _Collision2D(grid, field, 0.03)
+        coll._assemble(0.37)
+        assert len(coll._lus) == 9
+        assert len({id(lu) for lu in coll._lus}) == distinct
+
+    def test_signed_zeros_keep_cells_apart(self):
+        # A12 is -0.0 in the last cell and +0.0 in the other three, which
+        # are the same bytes and share one LU
+        grid = PhaseGrid(d=2, x_extent=2.0, nx=2, v_max=2.0, nv=5)
+        base = identity_field(2)
+
+        def a_fn(x, v, t):
+            a = base.a_fn(x, v, t)
+            a[..., 0, 1] = a[..., 1, 0] = np.where((x[..., 0] > 0.5) & (x[..., 1] > 0.5), -0.0, 0.0)
+            return a
+
+        field = replace(base, a_fn=a_fn, nodes_fn=None)
+        fast = _Collision2D(grid, field, 0.03)
+        slow = oracle.Collision2D(grid, field, 0.03)
+        vals = _random_state(grid, 2)
+        assert _same_array(fast.apply(vals, 0.1), slow.apply(vals, 0.1))
+        lus = fast._lus
+        assert lus[0] is lus[1] is lus[2] and lus[3] is not lus[0]
 
     @pytest.mark.parametrize("chunk_nodes", [solver_mod._CHUNK_NODES, 100])
     @pytest.mark.parametrize("name", sorted(D2_FIELDS))
@@ -600,7 +640,7 @@ class TestFastPathsMatchOracles:
         fast = _Collision2D(grid, field, 0.03)
         slow = oracle.Collision2D(grid, field, 0.03)
         slow._assemble(0.37)
-        blocks = fast._cell_matrices(0.37)
+        blocks = fast._cell_matrices(*fast._cell_coeffs(0.37), list(range(9)))
         assert len(blocks) == len(slow.matrices) == 9
         assert all(_same_csc(a, b) for a, b in zip(blocks, slow.matrices))
         vals = _random_state(grid, 4)
