@@ -12,7 +12,6 @@ from .geometry import (
     GalileanTransform,
     KineticPoint,
     Paraboloid,
-    iterated_cylinder,
     scale_point,
     verify_covering,
 )
@@ -37,7 +36,6 @@ __all__ = [
     "VelocityGrid",
     "VelocityGridFunction",
     "certify_field",
-    "iterated_cylinder",
     "moments",
     "sample_field",
     "scale_point",

@@ -62,7 +62,7 @@ def _seed(cfg: dict, args) -> int:
     return args.seed if args.seed is not None else cfg.get("seed", 0)
 
 
-def _invariants(cfg: dict, traj, cert) -> list[dict]:
+def _invariants(traj, cert) -> list[dict]:
     """Hard invariant checks, recomputable identically from stored artifacts."""
     out = [
         {"name": "certify_field", "value": cert.verdict, "passed": cert.verdict == "ok"}
@@ -71,10 +71,8 @@ def _invariants(cfg: dict, traj, cert) -> list[dict]:
     if ledger is None:
         return out
     field = traj.field
-    mass = ledger.column("mass")
-    fmin = ledger.column("fmin")
-    l2 = ledger.column("l2")
-    scale = max(1.0, float(ledger.column("fmax")[0]))
+    mass, l2, fmin, fmax = map(ledger.column, ("mass", "l2", "fmin", "fmax"))
+    scale = max(1.0, float(fmax[0]))
     if lower_order_free(field):
         drift = float(np.max(np.abs(mass - mass[0]))) / max(1.0, abs(float(mass[0])))
         out.append({"name": "mass_conservation", "value": drift, "passed": drift <= 1e-12})
@@ -128,7 +126,7 @@ def _probe_and_report(cfg: dict, traj, field, seed: int, out: Path, with_probes:
         _write_probe_csv(out / "probes.csv", probe_reports)
     g = traj.grid
     box = (0.0, g.x_extent), (-g.v_max, g.v_max), (float(traj.times[0]), float(traj.times[-1]))
-    invariants = _invariants(cfg, traj, certify_field(field, seed=seed, box=box))
+    invariants = _invariants(traj, certify_field(field, seed=seed, box=box))
     write_report(out / "report.json", _report(cfg, probe_reports, invariants))
     if not all(item["passed"] for item in invariants):
         print("invariant violation; see report.json", file=sys.stderr)

@@ -22,7 +22,7 @@ from . import probes as probes_mod
 from .fields import RECIPES, field_from_descriptor
 from .geometry import Cylinder, CylinderShape, KineticPoint
 from .solver import SolverConfig
-from .trajectory import PhaseBox, PhaseGrid, PhaseGridFunction, Trajectory
+from .trajectory import EnergyLedger, PhaseBox, PhaseGrid, PhaseGridFunction, Trajectory
 
 SCHEMA_VERSION = 1
 
@@ -233,11 +233,12 @@ def build_solver_config(cfg: dict, field) -> SolverConfig:
             section, "dt", "t_end", "snapshot_stride", "snapshot_tail"))
     except (ValueError, NotImplementedError) as exc:
         raise ConfigError(str(exc)) from exc
-    # stack_bytes walks every step; 1 + n_steps // stride stored states bound
-    # it from below in closed form, so a stack that cannot fit is never walked
+    # stack_bytes walks every step, so two closed forms come first: 1 + n_steps //
+    # stride stored states bound it from below, and the ledger takes 64 bytes a step
     state_bytes = math.prod(grid.shape) * np.dtype(float).itemsize
     check_memory("the stored snapshots",
                  (1 + solver_cfg.n_steps // solver_cfg.snapshot_stride) * state_bytes)
+    check_memory("the ledger's columns", (solver_cfg.n_steps + 1) * 8 * len(EnergyLedger.FIELDS))
     check_memory("the stored snapshots", solver_cfg.stack_bytes)
     # the run evaluates the field on [0, x_extent] x [-v_max, v_max] x [0, t_end]; a
     # recipe that cannot index that box rejects it here, at its two extreme corners

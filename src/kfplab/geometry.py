@@ -262,13 +262,6 @@ class Cylinder:
         return replace(self, center=compose(z0, self.center))
 
 
-def iterated_cylinder(k: int, omega: float, d: int = 1) -> Cylinder:
-    """Q^k = B_{R_k^3} x B_{R_k} x (T_{k-1}, T_k] at unit scale, origin centred."""
-    if k < 1:
-        raise ValueError(f"iterated cylinder index must be >= 1, got {k}")
-    return Cylinder(KineticPoint.origin(d), 1.0, CylinderShape.ITERATED, omega=omega, k=k)
-
-
 @dataclass(frozen=True)
 class Paraboloid:
     """Paraboloid-shaped region sandwiching the union of iterated cylinders.

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import lapack
@@ -25,7 +26,6 @@ from scipy.sparse.linalg import splu
 from .fields import CoefficientField
 from .trajectory import (
     EnergyLedger,
-    LedgerRow,
     PhaseGrid,
     PhaseGridFunction,
     Trajectory,
@@ -70,10 +70,15 @@ class SolverConfig:
     def n_steps(self) -> int:
         return int(round(self.t_end / self.dt))
 
+    @cached_property
+    def _schedule(self) -> tuple[list[int], list[float]]:
+        """``_snapshot_steps`` of this config, walked once however often it is read."""
+        return _snapshot_steps(self)
+
     @property
     def stack_bytes(self) -> int:
         """Bytes of the snapshot stack that ``solve`` stores, known before it allocates."""
-        return len(_snapshot_steps(self)[0]) * math.prod(self.grid.shape) * np.dtype(float).itemsize
+        return len(self._schedule[0]) * math.prod(self.grid.shape) * np.dtype(float).itemsize
 
 
 class _TransportPlan:
@@ -358,9 +363,9 @@ def _stack_like(values: np.ndarray, count: int) -> np.ndarray:
     return stack.transpose((0,) + tuple(1 + order.index(k) for k in range(values.ndim)))
 
 
-def _ledger_rows(first: int, times: list[float], block: np.ndarray, grid: PhaseGrid,
-                 source_l2_at) -> list[LedgerRow]:
-    """The ledger rows of the states ``block[k]`` at steps ``first + k``.
+def _ledger_rows(ledger: EnergyLedger, first: int, times: list[float], block: np.ndarray,
+                 grid: PhaseGrid, source_l2_at) -> None:
+    """Write the rows of the states ``block[k]`` at steps ``first + k`` into ``ledger``.
 
     Each column is one reduction over the block's trailing axes, which adds
     every state in its own memory order, as a reduction of that state alone
@@ -374,15 +379,15 @@ def _ledger_rows(first: int, times: list[float], block: np.ndarray, grid: PhaseG
     if bad.any():
         k = int(np.argmax(bad))
         raise SolverFailure(f"non-finite value at step {first + k} (t = {times[k]!r})")
-    columns = (
-        (block.sum(axis=axes) * w).tolist(),
-        ((block**2).sum(axis=axes) * w).tolist(),
-        fmin.tolist(),
-        fmax.tolist(),
-        (gradient_v_sq(block, grid).sum(axis=axes) * w).tolist(),
-    )
-    return [LedgerRow(first + k, t, *row, source_l2_at(t))
-            for k, (t, *row) in enumerate(zip(times, *columns))]
+    rows = slice(first, first + len(times))
+    step_no, time, mass, l2, lo, hi, gradv_l2, source_l2 = ledger.columns
+    step_no[rows] = np.arange(first, rows.stop)
+    time[rows] = times
+    mass[rows] = block.sum(axis=axes) * w
+    l2[rows] = (block**2).sum(axis=axes) * w
+    lo[rows], hi[rows] = fmin, fmax
+    gradv_l2[rows] = gradient_v_sq(block, grid).sum(axis=axes) * w
+    source_l2[rows] = [source_l2_at(t) for t in times]
 
 
 def _snapshot_steps(cfg: SolverConfig) -> tuple[list[int], list[float]]:
@@ -405,9 +410,10 @@ def solve(cfg: SolverConfig, f0: PhaseGridFunction) -> Trajectory:
 
     Snapshots are stored at step 0, every ``snapshot_stride`` steps, at the
     final step, and at every step within the trailing ``snapshot_tail`` window.
+    The snapshot stack and the ledger's n_steps + 1 rows are allocated once.
     Each step's state is copied into a block of about ``_BLOCK_BYTES`` that
     keeps the state's memory layout, and the ledger reduces a full block at
-    once.  The first ledger row with a non-finite value raises
+    once into its rows.  The first row with a non-finite value raises
     SolverFailure, which names its step.
     """
     if f0.grid != cfg.grid:
@@ -428,11 +434,12 @@ def solve(cfg: SolverConfig, f0: PhaseGridFunction) -> Trajectory:
             src_cache[key] = float((s**2).sum() * grid.cell_volume)
         return src_cache[key]
 
-    stored_steps, times = _snapshot_steps(cfg)
+    stored_steps, times = cfg._schedule
     slot = {n: k for k, n in enumerate(stored_steps)}
     values = np.empty((len(times),) + grid.shape)
     values[0] = state.values
-    rows = _ledger_rows(0, [state.time], state.values[None], grid, source_l2_at)
+    ledger = EnergyLedger(cfg.n_steps + 1)
+    _ledger_rows(ledger, 0, [state.time], state.values[None], grid, source_l2_at)
 
     block_size = max(1, _BLOCK_BYTES // state.values.nbytes)
     block = None
@@ -446,8 +453,8 @@ def solve(cfg: SolverConfig, f0: PhaseGridFunction) -> Trajectory:
         if n in slot:
             values[slot[n]] = state.values
         if len(block_times) == len(block) or n == cfg.n_steps:
-            rows += _ledger_rows(n + 1 - len(block_times), block_times,
-                                 block[:len(block_times)], grid, source_l2_at)
+            _ledger_rows(ledger, n + 1 - len(block_times), block_times,
+                         block[:len(block_times)], grid, source_l2_at)
             block_times = []
 
     return Trajectory(
@@ -455,5 +462,5 @@ def solve(cfg: SolverConfig, f0: PhaseGridFunction) -> Trajectory:
         times=np.asarray(times),
         values=values,
         field=cfg.field,
-        ledger=EnergyLedger(tuple(rows)),
+        ledger=ledger,
     )

@@ -16,9 +16,10 @@ from pathlib import Path
 import numpy as np
 
 from .fields import field_from_descriptor
-from .trajectory import EnergyLedger, LedgerRow, PhaseGrid, Trajectory
+from .trajectory import EnergyLedger, PhaseGrid, Trajectory
 
 SCHEMA_VERSION = 1
+_READ_ROWS = 1024   # ledger rows held as Python objects at a time while reading
 
 
 def write_snapshot(path, values: np.ndarray, header: dict) -> None:
@@ -93,23 +94,31 @@ def write_ledger(path, ledger: EnergyLedger) -> None:
 
 
 def read_ledger(path) -> EnergyLedger:
-    """Parse a ledger CSV as ``write_ledger`` writes it, one line at a time:
-    the header line, then one row per line, an int step and seven floats.
-    Any other line is a ValueError naming the file and its line number."""
+    """Parse a ledger CSV as ``write_ledger`` writes it: the header line, then
+    one row per line, an int64 step and seven floats.  Any other line is a
+    ValueError naming the file and its line number.  A first pass counts the
+    rows; the second parses them into the columns, ``_READ_ROWS`` at a time."""
     width = len(EnergyLedger.FIELDS)
-    rows = []
     with open(path) as fh:
         if fh.readline() != ",".join(EnergyLedger.FIELDS) + "\n":
             raise ValueError(f"{path} does not start with the ledger header")
+        ledger = EnergyLedger(n_rows := sum(1 for _ in fh))
+        fh.seek(0)
+        fh.readline()
+        rows = []
         for i, line in enumerate(fh, start=2):
             parts = line.removesuffix("\n").split(",")
             if len(parts) != width:
                 raise ValueError(f"{path} line {i} has {len(parts)} fields, not {width}")
             try:
-                rows.append(LedgerRow(int(parts[0]), *map(float, parts[1:])))
-            except ValueError as exc:
+                rows.append((np.int64(parts[0]), *map(float, parts[1:])))
+            except (ValueError, OverflowError) as exc:
                 raise ValueError(f"{path} line {i}: {exc}") from None
-    return EnergyLedger(tuple(rows))
+            if len(rows) == _READ_ROWS or i - 1 == n_rows:   # line i holds row i - 2
+                for column, values in zip(ledger.columns, zip(*rows)):
+                    column[i - 1 - len(rows):i - 1] = values
+                rows = []
+    return ledger
 
 
 def save_trajectory(out_dir, traj: Trajectory, seed: int, digest: str) -> None:

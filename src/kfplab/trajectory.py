@@ -13,12 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import reduce
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 import numpy as np
 
 from .fields import CoefficientField
 from .geometry import KineticPoint, collared_windows, compose
+
+_CSV_ROWS = 128   # ledger rows formatted from Python objects at a time
 
 
 @dataclass(frozen=True)
@@ -100,37 +102,29 @@ class PhaseGridFunction:
         object.__setattr__(self, "time", float(self.time))
 
 
-class LedgerRow(NamedTuple):
-    """One step of the ledger: integrals of the state and its extremes."""
-
-    step: int
-    time: float
-    mass: float
-    l2: float
-    fmin: float
-    fmax: float
-    gradv_l2: float
-    source_l2: float
-
-
-@dataclass(frozen=True)
 class EnergyLedger:
-    """Per-step discrete energy monitoring of a solver run."""
+    """Per-step discrete energy monitoring of a solver run: a column per name in
+    ``FIELDS``, ``step`` int64 and the others float64, made with ``n_rows``
+    uninitialised rows for its writer to fill.  ``column`` returns the stored array."""
 
-    rows: tuple[LedgerRow, ...]
+    FIELDS = ("step", "time", "mass", "l2", "fmin", "fmax", "gradv_l2", "source_l2")
 
-    FIELDS = LedgerRow._fields
+    def __init__(self, n_rows: int):
+        self.columns = tuple(np.empty(n_rows, dtype=np.int64 if name == "step" else float)
+                             for name in self.FIELDS)
 
     def column(self, name: str) -> np.ndarray:
-        return np.array([getattr(r, name) for r in self.rows])
+        return self.columns[self.FIELDS.index(name)]
 
     def csv_lines(self) -> Iterator[str]:
         """The header, then one line per row: each value's repr, comma-separated.
-        The lines are made one at a time, as they are consumed."""
+        The lines are made one at a time, as they are consumed, from Python
+        ints and floats converted ``_CSV_ROWS`` rows at a time."""
         line = ",".join(["%r"] * len(self.FIELDS))
         yield ",".join(self.FIELDS)
-        for r in self.rows:
-            yield line % r
+        for lo in range(0, self.columns[0].size, _CSV_ROWS):
+            for row in zip(*(c[lo:lo + _CSV_ROWS].tolist() for c in self.columns)):
+                yield line % row
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ import pytest
 
 from kfplab.fields import CheckerboardRecipe, ConstantRecipe, EllipticityBounds, sample_field
 from kfplab.solver import SolverConfig, solve
-from kfplab.trajectory import PhaseGrid, PhaseGridFunction
+from kfplab.trajectory import EnergyLedger, PhaseGrid, PhaseGridFunction
 
 
 def gaussian_bump(grid, cx, cv, sx, sv, floor=0.0, mass=1.0):
@@ -32,6 +32,36 @@ def traced_peak(fn, *args):
     finally:
         tracemalloc.stop()
     return result, peak
+
+
+def ledger_from_rows(rows) -> EnergyLedger:
+    """A ledger holding ``rows``, each a step and seven floats."""
+    rows = list(rows)
+    ledger = EnergyLedger(len(rows))
+    for column, values in zip(ledger.columns, zip(*rows)):
+        column[:] = values
+    return ledger
+
+
+def ledger_rows(ledger: EnergyLedger) -> list[tuple]:
+    """The rows of ``ledger``, each a Python int and seven floats."""
+    return list(zip(*(c.tolist() for c in ledger.columns)))
+
+
+def same_ledger(a: EnergyLedger, b: EnergyLedger) -> bool:
+    """Whether two ledgers hold columns of the same dtypes and bytes."""
+    return len(a.columns) == len(b.columns) and all(
+        x.dtype == y.dtype and x.tobytes() == y.tobytes() for x, y in zip(a.columns, b.columns))
+
+
+@pytest.fixture(scope="session")
+def long_constant_run():
+    """A d = 1 8^2 constant-field solve of 32 768 steps that stores its first
+    and last states, and the tracemalloc peak of that solve."""
+    grid = PhaseGrid(d=1, x_extent=4.0, nx=8, v_max=3.0, nv=8)
+    field = sample_field(ConstantRecipe(), EllipticityBounds(1.0, 1.0), seed=0, d=1)
+    cfg = SolverConfig(grid=grid, dt=1 / 8192, t_end=4.0, field=field, snapshot_stride=10**6)
+    return traced_peak(solve, cfg, gaussian_bump(grid, 2.0, 0.0, 0.4, 0.5))
 
 
 @pytest.fixture(scope="session")

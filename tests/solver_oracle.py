@@ -28,7 +28,9 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import splu
 
 from kfplab.solver import SolverConfig, _Collision1D, _Collision2D, solve as fast_solve
-from kfplab.trajectory import EnergyLedger, LedgerRow, PhaseGridFunction, Trajectory
+from kfplab.trajectory import PhaseGridFunction, Trajectory
+
+from conftest import ledger_from_rows
 
 
 def advect_axis(values, grid, axis, dtau):
@@ -67,17 +69,18 @@ def gradient_v_sq(values, grid):
 
 
 def ledger_row(n, state, grid, source_l2):
+    """The ledger row of ``state`` at step ``n``, in ``EnergyLedger.FIELDS`` order."""
     w = grid.cell_volume
     vals = state.values
-    return LedgerRow(
-        step=n,
-        time=state.time,
-        mass=float(vals.sum() * w),
-        l2=float((vals**2).sum() * w),
-        fmin=float(vals.min()),
-        fmax=float(vals.max()),
-        gradv_l2=float(gradient_v_sq(vals, grid).sum() * w),
-        source_l2=source_l2,
+    return (
+        n,
+        state.time,
+        float(vals.sum() * w),
+        float((vals**2).sum() * w),
+        float(vals.min()),
+        float(vals.max()),
+        float(gradient_v_sq(vals, grid).sum() * w),
+        source_l2,
     )
 
 
@@ -270,7 +273,7 @@ def solve(cfg, f0):
         times=np.asarray(times),
         values=np.stack(stored),
         field=cfg.field,
-        ledger=EnergyLedger(tuple(rows)),
+        ledger=ledger_from_rows(rows),
     )
 
 

@@ -2,24 +2,26 @@
 
 ``write_ledger`` joins every formatted line into one string before writing it,
 and ``read_ledger`` reads the whole file, strips it and splits it into a list
-of lines before parsing a row.  ``load_trajectory`` reads each snapshot into
-a copy of its own and ``np.stack``s the list, so it holds every snapshot
-twice.  The program's functions must write the same bytes and return the same
-rows and stacks; for the ledger reader, that holds on files in the format the
-writer writes, the only format the program reads.
+of lines, and parses every row into a tuple before it builds the columns.
+``load_trajectory`` reads each snapshot into a copy of its own and
+``np.stack``s the list, so it holds every snapshot twice.  The program's
+functions must write the same bytes and return the same rows and stacks; for
+the ledger reader, that holds on files in the format the writer writes, the
+only format the program reads.
 """
 
 from __future__ import annotations
 
 import json
-import typing
 from pathlib import Path
 
 import numpy as np
 
 from kfplab.fields import field_from_descriptor
 from kfplab.storage import SCHEMA_VERSION
-from kfplab.trajectory import EnergyLedger, LedgerRow, PhaseGrid, Trajectory
+from kfplab.trajectory import EnergyLedger, PhaseGrid, Trajectory
+
+from conftest import ledger_from_rows
 
 
 def write_ledger(path, ledger: EnergyLedger) -> None:
@@ -30,15 +32,14 @@ def read_ledger(path) -> EnergyLedger:
     lines = Path(path).read_text().strip().splitlines()
     if not lines or lines[0] != ",".join(EnergyLedger.FIELDS):
         raise ValueError(f"{path} does not start with the ledger header")
-    hints = typing.get_type_hints(LedgerRow)
-    kinds = [hints[name] for name in EnergyLedger.FIELDS]
+    kinds = [int] + [float] * (len(EnergyLedger.FIELDS) - 1)
     rows = []
     for i, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
         if len(parts) != len(kinds):
             raise ValueError(f"{path} line {i} has {len(parts)} fields, not {len(kinds)}")
-        rows.append(LedgerRow(*map(type.__call__, kinds, parts)))
-    return EnergyLedger(tuple(rows))
+        rows.append(tuple(map(type.__call__, kinds, parts)))
+    return ledger_from_rows(rows)
 
 
 def read_snapshot(path) -> tuple[dict, np.ndarray]:

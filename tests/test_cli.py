@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import traced_peak
+from conftest import ledger_from_rows, ledger_rows, traced_peak
 from kfplab import cli, storage
 from kfplab import solver as solver_mod
 from kfplab.cli import main
@@ -36,7 +36,7 @@ from kfplab.storage import (
 )
 from kfplab.landau import VelocityGrid, maxwellian
 from kfplab.solver import SolverConfig
-from kfplab.trajectory import EnergyLedger, LedgerRow, PhaseGrid
+from kfplab.trajectory import EnergyLedger, PhaseGrid
 
 # `kfplab geometry` reports written by kfplab at commit 5bc6bae (see test_geometry)
 GOLDEN = json.loads((Path(__file__).parent / "data" / "geometry_golden.json").read_text())
@@ -94,15 +94,15 @@ class TestSnapshotFormat:
         rng = np.random.default_rng(0)
         vals = rng.standard_normal((10_000, 7)) * 10.0 ** rng.integers(-300, 300, (10_000, 7))
         vals[:4] = [[-0.0, 5e-324, 1e-310, 1e300, -1e300, 0.1, 2.5e-308]] * 4
-        ledger = EnergyLedger(tuple(LedgerRow(n, *row) for n, row in enumerate(vals.tolist())))
+        ledger = ledger_from_rows((n, *row) for n, row in enumerate(vals.tolist()))
         path = tmp_path / "ledger.csv"
         storage.write_ledger(path, ledger)
-        lines = [",".join(repr(getattr(r, name)) for name in EnergyLedger.FIELDS)
-                 for r in ledger.rows]
+        lines = [",".join(map(repr, row)) for row in ledger_rows(ledger)]
         assert path.read_text() == "\n".join([",".join(EnergyLedger.FIELDS)] + lines) + "\n"
         back = storage.read_ledger(path)
-        assert [r.step for r in back.rows] == list(range(10_000))
-        assert np.array([r[1:] for r in back.rows]).tobytes() == vals.tobytes()
+        assert back.column("step").dtype == np.int64
+        assert back.column("step").tolist() == list(range(10_000))
+        assert np.stack(back.columns[1:], axis=1).tobytes() == vals.tobytes()
         path.write_text(path.read_text().replace("1e+300", "1e+300x", 1))
         with pytest.raises(ValueError):
             storage.read_ledger(path)
@@ -495,11 +495,16 @@ def test_snapshot_stack_beyond_physical_memory_exits_two(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("solver", [{"dt": 1e-300}, {"t_end": 1e300}], ids=["dt_tiny", "t_end_huge"])
+@pytest.mark.parametrize("solver, what", [
+    ({"dt": 1e-300}, "the stored snapshots"),
+    ({"t_end": 1e300}, "the stored snapshots"),
+    ({"dt": 1e-300, "t_end": 0.5, "snapshot_stride": 10**300}, "the ledger's columns"),
+], ids=["dt_tiny", "t_end_huge", "stride_huge"])
 def test_snapshot_count_beyond_physical_memory_is_rejected_unwalked(tmp_path, capsys, monkeypatch,
-                                                                    solver):
-    # 5e299 or 6.4e301 steps: the closed-form lower bound rejects the stack
-    # before the schedule, which walks every step, is ever computed
+                                                                    solver, what):
+    # 5e299, 6.4e301 or 5e299 steps: a closed-form bound rejects the stack, or
+    # with a stride past the last step the ledger's 64 bytes a step, before
+    # the schedule, which walks every step, is ever computed
     def unwalkable(cfg):
         raise AssertionError("the snapshot schedule was walked")
 
@@ -509,9 +514,23 @@ def test_snapshot_count_beyond_physical_memory_is_rejected_unwalked(tmp_path, ca
     config["solver"].update(solver)
     assert main(["run", "--config", str(write_config(tmp_path, config))]) == 2
     err = capsys.readouterr().err
-    assert "invalid config: the stored snapshots take " in err
+    assert f"invalid config: {what} take " in err
     assert "bytes of physical memory" in err
     assert not out.exists()
+
+
+def test_run_walks_the_snapshot_schedule_once(tmp_path, monkeypatch):
+    # the memory check and the solve share one walk of the schedule
+    walks = []
+    walk = solver_mod._snapshot_steps
+
+    def counted(cfg):
+        walks.append(cfg)
+        return walk(cfg)
+
+    monkeypatch.setattr(solver_mod, "_snapshot_steps", counted)
+    assert main(["run", "--config", str(write_config(tmp_path, base_config(tmp_path / "out")))]) == 0
+    assert len(walks) == 1
 
 
 # A small config per command that exits 0; the fuzz walks every section it holds

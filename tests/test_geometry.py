@@ -20,7 +20,6 @@ from kfplab.geometry import (
     group_product,
     group_quotient,
     halton,
-    iterated_cylinder,
     iterated_radius,
     iterated_times,
     scale_point,
@@ -219,8 +218,8 @@ class TestIteratedCylinders:
         assert iterated_times(3)[1] == pytest.approx(4.0 / 3.0 * 63.0)
 
     def test_index_zero_rejected(self):
-        with pytest.raises(ValueError):
-            iterated_cylinder(0, 0.25)
+        with pytest.raises(ValueError, match="iterated cylinder index must be >= 1, got 0"):
+            Cylinder(KineticPoint.origin(1), 1.0, CylinderShape.ITERATED, omega=0.25, k=0)
 
 
 def _sample_inner_paraboloid(rng, omega, n, s_max, d=1):
@@ -247,7 +246,7 @@ class TestParaboloidSandwich:
         k_max = 1 + int(math.ceil(math.log(3.0 * s_max / 4.0 + 1.0, 4.0)))
         covered = np.zeros(ss.shape, dtype=bool)
         for k in range(1, k_max + 1):
-            q = iterated_cylinder(k, omega)
+            q = Cylinder(KineticPoint.origin(1), 1.0, CylinderShape.ITERATED, omega=omega, k=k)
             covered |= q.contains_arrays(ys, ws, ss)
         assert covered.all()
 
@@ -262,7 +261,7 @@ class TestParaboloidSandwich:
             w = rng.uniform(-rk, rk, size=(n, 1))
             y = rng.uniform(-(rk**3), rk**3, size=(n, 1))
             s = rng.uniform(t_lo, t_hi, size=n)
-            q = iterated_cylinder(k, omega)
+            q = Cylinder(KineticPoint.origin(1), 1.0, CylinderShape.ITERATED, omega=omega, k=k)
             inside = q.contains_arrays(y, w, s)
             assert outer.contains_arrays(y[inside], w[inside], s[inside]).all()
 

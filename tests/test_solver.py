@@ -24,10 +24,10 @@ from kfplab.solver import (
     solve,
     step,
 )
-from kfplab.trajectory import PhaseGrid, PhaseGridFunction, gradient_v_sq
+from kfplab.trajectory import EnergyLedger, PhaseGrid, PhaseGridFunction, gradient_v_sq
 
 import solver_oracle as oracle
-from conftest import gaussian_bump
+from conftest import gaussian_bump, ledger_rows
 from solver_oracle import (
     comparison_check,
     gaussian_exact_solution,
@@ -432,6 +432,17 @@ class TestSnapshotSchedule:
         assert traj.times[-1] == pytest.approx(1.0, abs=1e-9)
 
 
+class TestLedgerMemory:
+    def test_solve_peak_is_the_columns_and_the_states(self, long_constant_run):
+        # 64 bytes a row in columns, allocated once, and the block the rows
+        # are reduced from; no Python object per row
+        traj, peak = long_constant_run
+        n_rows = traj.ledger.column("step").size
+        assert n_rows == 32_769 and traj.n_times == 2
+        assert peak <= 100 * n_rows + traj.values.nbytes
+        assert all(c.size == n_rows for c in traj.ledger.columns)
+
+
 def _random_state(grid, seed):
     return np.random.default_rng(seed).random(grid.shape) + 0.01
 
@@ -524,7 +535,7 @@ class TestFastPathsMatchOracles:
             cfg = SolverConfig(grid=grid, dt=dt, t_end=n_steps * dt, field=field, snapshot_stride=5)
             f0 = PhaseGridFunction(grid, _random_state(grid, n_steps), 0.0)
             got, want = solve(cfg, f0), oracle.solve(cfg, f0)
-            assert len(got.ledger.rows) == n_steps + 1
+            assert got.ledger.column("step").tolist() == list(range(n_steps + 1))
             assert got.times.tobytes() == want.times.tobytes()
             assert got.values.tobytes() == want.values.tobytes()
             assert list(got.ledger.csv_lines()) == list(want.ledger.csv_lines())
@@ -541,8 +552,9 @@ class TestFastPathsMatchOracles:
         for k in range(3):
             block[k] = rng.standard_normal(grid.shape) * 10.0 ** (3 * k - 3)
         times = [0.5, 0.75, 1.0]
-        rows = solver_mod._ledger_rows(7, times, block, grid, lambda t: 2.0 * t)
-        for k, row in enumerate(rows):
+        ledger = EnergyLedger(10)
+        solver_mod._ledger_rows(ledger, 7, times, block, grid, lambda t: 2.0 * t)
+        for k, row in enumerate(ledger_rows(ledger)[7:]):
             state = PhaseGridFunction(grid, block[k], times[k])
             assert row == oracle.ledger_row(7 + k, state, grid, 2.0 * times[k])
 
@@ -725,7 +737,7 @@ class TestFastPathsMatchOracles:
         traj = solve(cfg, PhaseGridFunction(grid, _random_state(grid, 6), 0.0))
         assert calls["nodes"] == 1 and calls["plain"] == 0
         assert calls["a"] == cfg.n_steps
-        assert calls["s"] == cfg.n_steps + len(traj.ledger.rows)
+        assert calls["s"] == cfg.n_steps + traj.ledger.column("step").size
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_smooth_field_solve_near_oracle(self, d):
@@ -740,9 +752,9 @@ class TestFastPathsMatchOracles:
         got, want = solve(cfg, f0), oracle.solve(cfg, f0)
         assert got.times.tobytes() == want.times.tobytes()
         assert np.max(np.abs(got.values - want.values)) <= 1e-12
-        for row, ref in zip(got.ledger.rows, want.ledger.rows):
-            assert row.source_l2 == pytest.approx(ref.source_l2, rel=1e-12, abs=0.0)
-            assert row.mass == pytest.approx(ref.mass, rel=1e-12, abs=1e-14)
+        for name, tol in (("source_l2", 0.0), ("mass", 1e-14)):
+            assert got.ledger.column(name) == pytest.approx(want.ledger.column(name),
+                                                            rel=1e-12, abs=tol)
 
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("recipe", [CheckerboardRecipe(cell=0.7, b_max=1.0, s_max=0.2),
