@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -31,7 +30,8 @@ from .geometry import (
     iterated_times,
 )
 from .iteration import holder_alpha, sobolev_p
-from .trajectory import Footprint, PhaseBox, Trajectory, gradient_v_sq, region_mask, x_offset
+from .trajectory import Footprint, PhaseBox, Trajectory, gradient_v_sq, x_offset
+from .trajectory import region_mask  # noqa: F401 -- unused here; kfpbench traces probes.region_mask
 
 
 @dataclass(frozen=True)
@@ -86,39 +86,55 @@ def _native(traj: Trajectory, *objs):
 
 
 class RegionSlice(NamedTuple):
-    """One snapshot of a region sample."""
+    """One snapshot of a region sample: its nodes pair each of ``xi`` with each of ``vi``."""
 
     n: int              # snapshot index
-    mask: np.ndarray    # grid nodes inside the region
+    xi: np.ndarray      # flat indices of the in-region x nodes, ascending
+    vi: np.ndarray      # flat indices of the in-region v nodes, ascending
     values: np.ndarray  # f at those nodes, in C order
     tw: float           # time weight of the snapshot
     weight: float       # cell volume x time weight
 
 
 def sample_region(traj: Trajectory, region) -> list[RegionSlice]:
-    """The snapshots of a base-free trajectory that meet ``region`` by the rule
-    of :class:`Footprint`, worked out once here.  One vector test on the
-    snapshot times keeps those in the collared time window; masks are built
-    only for them, empty ones are dropped, and every probe reduces this list
-    in snapshot order."""
-    footprint = Footprint.of(traj.grid, region)
-    dt = traj.times - region.center.t
-    tw = traj.time_weights()
-    cell = traj.grid.cell_volume
-    sample = []
-    for n in np.flatnonzero((dt > footprint.t_lo) & (dt <= footprint.t_hi)):
-        mask = region_mask(traj, footprint, int(n))
-        if mask.any():
-            sample.append(RegionSlice(int(n), mask, traj.values[n][mask], tw[n], cell * tw[n]))
-    return sample
+    """The snapshots of a base-free trajectory that meet ``region`` by the rule of
+    :class:`Footprint`, in snapshot order, empty ones dropped: the x windows of all,
+    then their values, in one array operation each, times one v window."""
+    if traj.base is not None:
+        raise ValueError("sample_region needs a base-free trajectory")
+    g, footprint = traj.grid, Footprint.of(traj.grid, region)
+    hit, inside = footprint.x_windows(traj.times)
+    vi = np.flatnonzero(footprint.v_mask)
+    if not vi.size:
+        return []
+    rows, xi = np.nonzero(inside)
+    x_nodes = [i[:, None] for i in np.unravel_index(xi, g.shape[:g.d])]
+    values = traj.values[(hit[rows, None], *x_nodes, *np.unravel_index(vi, g.shape[g.d:]))]
+    ends = np.cumsum(np.count_nonzero(inside, axis=1)).tolist()
+    tw, cell = traj.time_weights().tolist(), g.cell_volume
+    return [RegionSlice(n, xi[lo:hi], vi, values[lo:hi].ravel(), tw[n], cell * tw[n])
+            for n, lo, hi in zip(hit.tolist(), [0] + ends, ends) if hi > lo]
 
 
-def _nodes(mask: np.ndarray, x_axes, v_axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinates (x, v), each (k, d), of a mask's nodes in C order; x per axis."""
-    d = len(x_axes)
-    idx = np.nonzero(mask)
-    x = np.stack([ax[i] for ax, i in zip(x_axes, idx[:d])], axis=-1)
-    v = np.stack([v_axis[i] for i in idx[d:]], axis=-1)
+def _grad_sample(traj: Trajectory, sample: list[RegionSlice]) -> list[RegionSlice]:
+    """``sample`` with |grad_v f|^2 for values, from one :func:`gradient_v_sq` call
+    on the stacked x rows of its slices: the same local arithmetic per node."""
+    if not sample:
+        return []
+    counts = [p.xi.size for p in sample]
+    x_nodes = np.unravel_index(np.concatenate([p.xi for p in sample]), traj.grid.shape[:traj.d])
+    rows = traj.values[(np.repeat([p.n for p in sample], counts), *x_nodes)]
+    grad = gradient_v_sq(rows, traj.grid).reshape(rows.shape[0], -1)[:, sample[0].vi]
+    ends = np.cumsum(counts).tolist()
+    return [p._replace(values=grad[lo:hi].ravel()) for p, lo, hi in zip(sample, [0] + ends, ends)]
+
+
+def _nodes(piece: RegionSlice, x_axes, v_axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinates (x, v), each (k, d), of a slice's nodes in C order; x per axis."""
+    ix = np.unravel_index(piece.xi, (x_axes[0].size,) * len(x_axes))
+    iv = np.unravel_index(piece.vi, (v_axis.size,) * len(x_axes))
+    x = np.stack([np.repeat(ax[i], piece.vi.size) for ax, i in zip(x_axes, ix)], axis=-1)
+    v = np.stack([np.tile(v_axis[i], piece.xi.size) for i in iv], axis=-1)
     return x, v
 
 
@@ -160,7 +176,7 @@ def _source_values(traj: Trajectory, piece: RegionSlice) -> np.ndarray:
     field, g = traj.field, traj.grid
     if field is None or field.s_bound == 0.0:
         return np.zeros(piece.values.size)
-    x, v = _nodes(piece.mask, [g.x_axis] * g.d, g.v_axis)
+    x, v = _nodes(piece, [g.x_axis] * g.d, g.v_axis)
     return field.s(x, v, float(traj.times[piece.n]))
 
 
@@ -196,7 +212,7 @@ def _norm(sample: list[RegionSlice], p, normalized: bool = False) -> float:
     measure = 0.0
     for piece in sample:
         total += float(np.sum(np.abs(piece.values) ** p)) * piece.weight
-        measure += float(piece.mask.sum()) * piece.weight
+        measure += float(piece.values.size) * piece.weight
     if normalized:
         return (total / measure) ** (1.0 / p)
     return total ** (1.0 / p)
@@ -551,18 +567,16 @@ def caccioppoli_probe(traj: Trajectory, z0: KineticPoint, r_scale: float) -> Pro
     q_2r = Cylinder(z0, 2.0 * r, CylinderShape.CUBE)
     q_3r = Cylinder(z0, 3.0 * r, CylinderShape.CUBE)
 
-    grad = cache(lambda n: gradient_v_sq(traj.values[n], traj.grid))
-
-    def grad_sq(piece):
-        return grad(piece.n)[piece.mask].sum()
+    def grad_sq(sample):
+        return _integrate(traj, _grad_sample(traj, sample), lambda p: p.values.sum())
 
     def spread(piece, scale):
         mean = _mean_at(traj, z0, scale, piece.n)
         return ((piece.values - mean) ** 2).sum()
 
     s_r = sample_region(traj, q_r)
-    grad_r = _integrate(traj, s_r, grad_sq)
-    grad_3r = _integrate(traj, sample_region(traj, q_3r), grad_sq)
+    grad_r = grad_sq(s_r)
+    grad_3r = grad_sq(sample_region(traj, q_3r))
     diff_2r = _integrate(traj, sample_region(traj, q_2r), lambda p: spread(p, r))
     cell = traj.grid.cell_volume
     sup_slice = max((float(spread(p, r / 2.0)) * cell for p in s_r), default=0.0)
@@ -609,7 +623,7 @@ def fractional_seminorm(
     for piece in sample:
         dt = float(traj.times[piece.n]) - region.center.t
         x_axes = [g.x_axis - x_offset(g, region.center, dt, m)[1] for m in range(g.d)]
-        xs, vs = _nodes(piece.mask, x_axes, g.v_axis)
+        xs, vs = _nodes(piece, x_axes, g.v_axis)
         ts = np.full(xs.shape[0], float(traj.times[piece.n]))
         coords.append(np.concatenate([xs, vs, ts[:, None]], axis=1))
     z = np.concatenate(coords)
@@ -668,7 +682,6 @@ def gehring_probe(
     if not lower_order_free(traj.field):
         raise ValueError("gehring probe requires a run without lower-order terms (B = 0, s = 0)")
 
-    grad = cache(lambda n: gradient_v_sq(traj.values[n], traj.grid))
     c = q0.center
     r0 = q0.radius
 
@@ -685,19 +698,20 @@ def gehring_probe(
     if not scan:
         raise ValueError("no admissible scan cylinders inside Q0")
 
+    # the samples below hold g = |grad_v f|^2 for values
     def _integral(sample: list[RegionSlice], power: float) -> float:
-        return _integrate(traj, sample, lambda p: np.sum(grad(p.n)[p.mask] ** power))
+        return _integrate(traj, sample, lambda p: (p.values ** power).sum())
 
     def _avg(sample: list[RegionSlice], power: float) -> float | None:
-        measure = _integrate(traj, sample, lambda p: p.mask.sum())
+        measure = _integrate(traj, sample, lambda p: p.values.size)
         return None if measure == 0.0 else _integral(sample, power) / measure
 
     b_worst = -math.inf
     b_arg = None
     for inner, outer in scan:
-        outer_sample = sample_region(traj, outer)
         with np.errstate(over="ignore"):   # powers out of the float range are rejected below
-            lhs = _avg(sample_region(traj, inner), q)
+            outer_sample = _grad_sample(traj, sample_region(traj, outer))
+            lhs = _avg(_grad_sample(traj, sample_region(traj, inner)), q)
             g_mean = _avg(outer_sample, 1.0)
             g_q_mean = _avg(outer_sample, q)
             if lhs is None or g_mean is None or g_q_mean is None or g_mean <= 0.0:
@@ -713,9 +727,9 @@ def gehring_probe(
     b_emp = max(0.0, b_worst) if b_arg is not None else math.nan
 
     # tail fit of g on Q[2] for the largest finite moment order
-    q_2 = sample_region(traj, Cylinder(c, 0.5 * r0))
-    q_1 = sample_region(traj, Cylinder(c, 0.75 * r0))
-    g_all = np.sort(np.concatenate([grad(piece.n)[piece.mask] for piece in q_2]))[::-1]
+    q_2 = _grad_sample(traj, sample_region(traj, Cylinder(c, 0.5 * r0)))
+    q_1 = _grad_sample(traj, sample_region(traj, Cylinder(c, 0.75 * r0)))
+    g_all = np.sort(np.concatenate([piece.values for piece in q_2]))[::-1]
     positive = g_all[g_all > 0.0]
     eps_emp = _GEHRING_EPS_CAP
     if positive.size >= 16:
@@ -834,9 +848,7 @@ def energy_estimate_check(traj: Trajectory, q_int: Cylinder, q_ext: Cylinder) ->
     ext = sample_region(traj, q_ext)
     cell = traj.grid.cell_volume
     sup_slice = max((float((p.values**2).sum()) * cell for p in inner), default=0.0)
-    grad_int = _integrate(
-        traj, inner, lambda p: gradient_v_sq(traj.values[p.n], traj.grid)[p.mask].sum()
-    )
+    grad_int = _integrate(traj, _grad_sample(traj, inner), lambda p: p.values.sum())
     f_sq_ext = _integrate(traj, ext, lambda p: (p.values**2).sum())
     s_sq_ext = _integrate(traj, ext, lambda p: (_source_values(traj, p) ** 2).sum())
     c01 = c01_constant(q_ext.radius, q_int.radius)

@@ -3,10 +3,10 @@ how a probe region meets the grid (:class:`Footprint`), and the |grad_v f|^2
 that the solver's ledger and the energy-type probes share.
 
 A trajectory may carry a Galilean ``base`` transform: it is viewed in the
-transformed frame while the stored values stay untouched.  :func:`region_mask`
-reads node coordinates in the native frame only; the probes pull their
-geometry back through the base first, so every measured constant commutes
-with the group action.
+transformed frame while the stored values stay untouched.  A
+:class:`Footprint` reads node coordinates in the native frame only; the
+probes pull their geometry back through the base first, so every measured
+constant commutes with the group action.
 """
 
 from __future__ import annotations
@@ -207,10 +207,11 @@ def gradient_v_sq(values: np.ndarray, grid: PhaseGrid) -> np.ndarray:
     return out
 
 
-def x_offset(grid: PhaseGrid, center: KineticPoint, dt: float, m: int) -> tuple[np.ndarray, np.ndarray]:
+def x_offset(grid: PhaseGrid, center: KineticPoint, dt: float | np.ndarray,
+             m: int) -> tuple[np.ndarray, np.ndarray]:
     """x axis ``m``: the nodes' offsets from the path of ``center`` at time
-    offset ``dt``, and the multiple of the period taking each to its nearest
-    image (exactly 0.0 for offsets shorter than half the period)."""
+    offset ``dt``, a float or a column, and the period multiple taking each
+    to its nearest image (exactly 0.0 for offsets shorter than half the period)."""
     off = grid.x_axis - center.x[m] - dt * center.v[m]
     return off, grid.x_extent * np.rint(off / grid.x_extent)
 
@@ -253,6 +254,18 @@ class Footprint:
         g = self.grid
         x_off = [off - shift for off, shift in (x_offset(g, self.center, dt, m) for m in range(g.d))]
         return np.multiply.outer(_window(x_off, self.wx, self.per_coordinate), self.v_mask)
+
+    def x_windows(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Indices of ``times`` in the time window, and :meth:`mask`'s x factor at
+        each as a (k, nx**d) array, by :func:`x_offset`'s and :func:`_window`'s arithmetic."""
+        g, dt = self.grid, times - self.center.t
+        hit = np.flatnonzero((dt > self.t_lo) & (dt <= self.t_hi))
+        nodes = np.unravel_index(np.arange(g.nx**g.d), (g.nx,) * g.d)
+        offsets = [np.subtract(*x_offset(g, self.center, dt[hit, None], m))[:, nodes[m]]
+                   for m in range(g.d)]
+        if self.per_coordinate:
+            return hit, reduce(np.logical_and, [np.abs(o) < self.wx for o in offsets])
+        return hit, reduce(np.add, [o**2 for o in offsets]) < self.wx**2
 
 
 def _window(offsets: list[np.ndarray], w: float, per_coordinate: bool) -> np.ndarray:

@@ -23,8 +23,10 @@ from kfplab.probes import (
     HarnackParams,
     _abs_max,
     _contained_in,
+    _grad_sample,
     _largest_radius,
     _native,
+    _nodes,
     _source_values,
     caccioppoli_probe,
     doubling_probe,
@@ -42,7 +44,8 @@ from kfplab.probes import (
     smooth_bump,
     weighted_mean,
 )
-from kfplab.trajectory import PhaseBox, PhaseGrid, Trajectory, region_mask
+from kfplab.trajectory import (Footprint, PhaseBox, PhaseGrid, Trajectory, gradient_v_sq,
+                               region_mask)
 
 
 def sampled_trajectory(grid, times, fn, field=None):
@@ -53,11 +56,19 @@ def sampled_trajectory(grid, times, fn, field=None):
     return Trajectory(grid=grid, times=times, values=vals, field=field)
 
 
+def slice_mask(grid, piece):
+    """The full-grid mask of a region slice's nodes: every (xi, vi) pair."""
+    mask = np.zeros((grid.nx**grid.d, grid.nv**grid.d), dtype=bool)
+    mask[np.ix_(piece.xi, piece.vi)] = True
+    return mask.reshape(grid.shape)
+
+
 def grid_measure(traj, region):
     """Counting-measure x cell-volume x time-weight measure of the region."""
     traj, region = _native(traj, region)
     cell = traj.grid.cell_volume
-    return float(sum(piece.mask.sum() * cell * piece.tw for piece in sample_region(traj, region)))
+    return float(sum(slice_mask(traj.grid, piece).sum() * cell * piece.tw
+                     for piece in sample_region(traj, region)))
 
 
 def synthetic(fn, nx=48, nv=48, nt=65, x_extent=4.0, v_max=2.0, t0=-1.1, t1=0.0):
@@ -271,6 +282,25 @@ class TestProbePeakMemory:
         rep, peak = traced_peak(*calls[probe])
         assert rep.verdict == "ok"
         assert peak <= 0.25 * traj.values.nbytes
+
+    @pytest.fixture(scope="class")
+    def dense(self):
+        # 257 snapshots over [-1.05, 0]: the unit cylinder and Q_3R meet nearly all
+        return synthetic(lambda x, v, t: 1.0 + np.abs(v), nx=16, nv=256, nt=257, t0=-1.05)
+
+    @pytest.mark.parametrize("probe, bound", [("harnack", 0.25), ("caccioppoli", 0.8)])
+    def test_peak_when_regions_meet_every_snapshot(self, dense, probe, bound):
+        # the gathered values of the unit cylinder alone are ~1/4 of each
+        # snapshot, and Q_3R's |grad_v f|^2 is taken on its x rows only
+        z = shifted_origin()
+        calls = {
+            "harnack": (harnack_probe, dense, HarnackParams(r=0.25, delta=0.3, rho1=0.4,
+                                                            rho2=0.6, q=2.0, center=z)),
+            "caccioppoli": (caccioppoli_probe, dense, z, 0.3),
+        }
+        rep, peak = traced_peak(*calls[probe])
+        assert rep.verdict == "ok"
+        assert peak <= bound * dense.values.nbytes
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_abs_max_of_non_finite_values(self, bad):
@@ -607,7 +637,7 @@ class TestRegionSample:
             expected = self._brute_force(moved, region)
             assert [p.n for p in sample] == [n for n, _, _ in expected], region
             for piece, (n, mask, weight) in zip(sample, expected):
-                assert np.array_equal(piece.mask, mask), (region, n)
+                assert np.array_equal(slice_mask(moved.grid, piece), mask), (region, n)
                 assert np.array_equal(piece.values, moved.values[n][mask])
                 assert piece.weight == weight
             hits.append(len(sample))
@@ -654,10 +684,109 @@ class TestRegionSample:
                 if mask.any():
                     expected.append((n, mask))
             assert [p.n for p in sample] == [n for n, _ in expected], region
-            for piece, (n, mask) in zip(sample, expected):
-                assert np.array_equal(piece.mask, mask), (region, n)
+            masks = [slice_mask(grid, piece) for piece in sample]
+            for mask_of_piece, (n, mask) in zip(masks, expected):
+                assert np.array_equal(mask_of_piece, mask), (region, n)
             # the region reaches across the seam at every sampled snapshot
-            assert all(piece.mask[0].any() and piece.mask[-1].any() for piece in sample)
+            assert all(mask[0].any() and mask[-1].any() for mask in masks)
+
+
+class TestRegionSlices:
+    """Each slice's index sets, values, node coordinates and |grad_v f|^2
+    against the full-grid oracle :meth:`Footprint.mask`, in d = 1 and d = 2."""
+
+    @pytest.fixture(scope="class", params=[1, 2])
+    def traj(self, request):
+        d = request.param
+        n = 12 if d == 1 else 8
+        grid = PhaseGrid(d=d, x_extent=2.0, nx=n, v_max=1.5, nv=n)
+        return sampled_trajectory(
+            grid, np.linspace(0.0, 0.8, 17),
+            lambda x, v, t: np.sin(3.0 * x[..., 0] + 2.0 * v[..., -1]) + t * v[..., 0] ** 2,
+        )
+
+    @staticmethod
+    def _regions(d):
+        def at(x, v, t):
+            return KineticPoint.of([x] * d, [v] + [-0.2] * (d - 1), t)
+
+        return [
+            Cylinder(at(1.03, 0.4, 0.6), 0.83),
+            Cylinder(at(1.03, -0.3, 0.6), 0.83, CylinderShape.CUBE),
+            Cylinder(at(1.0, 0.5, 0.8), 3.2, CylinderShape.ELONGATED, omega=0.45),
+            PhaseBox(at(1.0, 0.3, 0.7), 0.6, 0.9, -0.45, 0.0),
+            # centres on the seam, so the x window wraps the period
+            Cylinder(at(0.02, 0.6, 0.6), 0.83),
+            Cylinder(at(1.97, -0.4, 0.8), 0.83, CylinderShape.CUBE),
+            PhaseBox(at(0.0, 0.2, 0.7), 0.6, 0.9, -0.45, 0.0),
+            # window (0.52, 0.53] holds no stored snapshot
+            Cylinder(at(1.0, 0.0, 0.53), 0.1),
+        ]
+
+    def _oracle(self, traj, region):
+        """(n, mask) of every snapshot whose Footprint.mask holds a node."""
+        footprint = Footprint.of(traj.grid, region)
+        masks = [(n, region_mask(traj, footprint, n)) for n in range(traj.n_times)]
+        return [(n, mask) for n, mask in masks if mask.any()]
+
+    def test_slices_match_the_mask_oracle(self, traj):
+        g = traj.grid
+        x, v = g.meshes()
+        tw = traj.time_weights()
+        hits = []
+        for region in self._regions(g.d):
+            sample = sample_region(traj, region)
+            expected = self._oracle(traj, region)
+            assert [p.n for p in sample] == [n for n, _ in expected], region
+            for piece, (n, mask) in zip(sample, expected):
+                assert np.array_equal(slice_mask(g, piece), mask), (region, n)
+                assert piece.values.tobytes() == traj.values[n][mask].tobytes()
+                xs, vs = _nodes(piece, [g.x_axis] * g.d, g.v_axis)
+                assert np.array_equal(xs, x[mask]) and np.array_equal(vs, v[mask])
+                assert piece.tw == tw[n] and piece.weight == g.cell_volume * tw[n]
+            hits.append(len(sample))
+        assert all(hits[:-1]) and hits[-1] == 0
+
+    def test_seam_windows_wrap(self, traj):
+        for region in self._regions(traj.d)[4:7]:
+            for piece in sample_region(traj, region):
+                mask = slice_mask(traj.grid, piece)
+                assert mask[0].any() and mask[-1].any(), region
+
+    def test_x_windows_match_the_mask_oracle(self, traj):
+        g = traj.grid
+        for region in self._regions(g.d):
+            footprint = Footprint.of(g, region)
+            hit, inside = footprint.x_windows(traj.times)
+            assert inside.shape == (hit.size, g.nx**g.d) and inside.dtype == bool
+            rows = dict(zip(hit.tolist(), inside))
+            for n, t in enumerate(traj.times):
+                mask = footprint.mask(float(t) - region.center.t)
+                if n in rows:
+                    want = np.multiply.outer(rows[n].reshape((g.nx,) * g.d), footprint.v_mask)
+                    assert np.array_equal(mask, want), (region, n)
+                else:
+                    assert not mask.any(), (region, n)
+
+    def test_batched_gradient_matches_whole_snapshot_gradient(self, traj):
+        g = traj.grid
+        # a slanted cylinder whose x window holds a different node count by snapshot
+        region = Cylinder(KineticPoint.of([1.0] * g.d, [0.5] * g.d, 0.8), 0.95)
+        sample = sample_region(traj, region)
+        assert len({piece.xi.size for piece in sample}) > 1
+        # and whose v window reaches the top wall, where the differences are one-sided
+        assert all(slice_mask(g, piece)[..., -1].any() for piece in sample)
+        grads = _grad_sample(traj, sample)
+        assert [p.n for p in grads] == [p.n for p in sample]
+        for piece, got in zip(sample, grads):
+            want = gradient_v_sq(traj.values[piece.n], g)[slice_mask(g, piece)]
+            assert got.values.tobytes() == want.tobytes()
+
+    def test_sampling_needs_a_base_free_trajectory(self, traj):
+        moved = traj.transformed(KineticPoint.of([0.1] * traj.d, [0.0] * traj.d, 0.0))
+        with pytest.raises(ValueError, match="base-free"):
+            sample_region(moved, self._regions(traj.d)[0])
+        assert _grad_sample(traj, []) == []
 
 
 class TestSourceValues:
@@ -670,16 +799,27 @@ class TestSourceValues:
         CheckerboardRecipe(cell=0.7, b_max=0.5, s_max=0.0),
     ])
     def test_sampled_nodes_match_full_mesh(self, recipe):
-        field = sample_field(recipe, EllipticityBounds(0.5, 2.0), seed=3, d=1)
-        grid = PhaseGrid(d=1, x_extent=4.0, nx=24, v_max=2.0, nv=24)
+        self._check(recipe, d=1, n=24)
+
+    @pytest.mark.parametrize("recipe", [
+        CheckerboardRecipe(cell=0.7, b_max=0.5, s_max=0.8),
+        SmoothRandomRecipe(s_max=0.6),
+    ])
+    def test_sampled_nodes_match_full_mesh_in_d2(self, recipe):
+        self._check(recipe, d=2, n=10)
+
+    def _check(self, recipe, d, n):
+        field = sample_field(recipe, EllipticityBounds(0.5, 2.0), seed=3, d=d)
+        grid = PhaseGrid(d=d, x_extent=4.0, nx=n, v_max=2.0, nv=n)
         traj = sampled_trajectory(grid, np.linspace(0.0, 1.0, 11),
-                                  lambda x, v, t: x[..., 0] + v[..., 0], field=field)
-        sample = sample_region(traj, Cylinder(KineticPoint.of(2.0, 0.1, 0.9), 0.9))
-        assert sample
+                                  lambda x, v, t: x[..., 0] + v[..., -1], field=field)
+        z = KineticPoint.of([2.0] * d, [0.1] + [-0.2] * (d - 1), 0.9)
+        sample = sample_region(traj, Cylinder(z, 0.9))
+        assert sample and all(piece.xi.size and piece.vi.size < n**d for piece in sample)
         x, v = grid.meshes()
         for piece in sample:
             full = field.s(x, v, float(traj.times[piece.n]))
-            assert np.array_equal(_source_values(traj, piece), full[piece.mask])
+            assert np.array_equal(_source_values(traj, piece), full[slice_mask(grid, piece)])
 
 
 def _ones(traj):
