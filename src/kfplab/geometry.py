@@ -12,7 +12,6 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
-from scipy.special import ndtri
 
 
 def unit_ball_volume(d: int) -> float:
@@ -299,6 +298,8 @@ class Paraboloid:
 
 def _ball_from_uniform(u_dir: np.ndarray, u_rad: np.ndarray, radius) -> np.ndarray:
     """Map uniforms to uniform samples of the ball of given radius (broadcasts)."""
+    from scipy.special import ndtri
+
     g = ndtri(np.clip(u_dir, 1e-12, 1.0 - 1e-12))
     norm = np.sqrt(np.einsum("...i,...i->...", g, g))
     norm = np.where(norm == 0.0, 1.0, norm)

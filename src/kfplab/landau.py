@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import fft as sp_fft
 
 from .geometry import unit_ball_volume, vector_norm
 from .iteration import kappa_exponent
@@ -109,6 +108,8 @@ class VelocityGridFunction:
         n valid outputs free of wrap-around (``convolve_fft``); an even L lets
         the fields transform their kernels by type-I DCTs and DSTs
         (``_symmetric_convolution``)."""
+        from scipy import fft as sp_fft
+
         size = 2 * sp_fft.next_fast_len(self.grid.n, True)
         return sp_fft.rfftn(self.values, [size] * self.grid.d)
 
@@ -250,6 +251,8 @@ def convolve_fft(f: VelocityGridFunction, kernel: np.ndarray) -> np.ndarray:
     The fields do not come this way: they transform only their kernels'
     orthants (``_symmetric_convolution``), and this is their oracle.
     """
+    from scipy import fft as sp_fft
+
     n, d = f.grid.n, f.grid.d
     size = 2 * f.spectrum.shape[-1] - 2
     comp_shape = kernel.shape[d:]
@@ -266,6 +269,8 @@ def convolve_fft(f: VelocityGridFunction, kernel: np.ndarray) -> np.ndarray:
 def _pruned_inverse(spec: np.ndarray, size: int, keep: slice) -> np.ndarray:
     """``irfftn(spec, (size,) * d)`` on the rows ``keep`` of every axis, each complex
     axis in place and cut to them once done, scaled once at the end as ``irfftn`` is."""
+    from scipy import fft as sp_fft
+
     d = spec.ndim
     for axis in range(d - 1):
         spec = sp_fft.ifft(spec, axis=axis, norm="forward", overwrite_x=True)
@@ -281,6 +286,8 @@ def _symmetric_convolution(f: VelocityGridFunction, half: np.ndarray, odd) -> np
     -i times the type-I DST of those at k = 1 ... L/2 - 1, and X[L - k] = +-X[k]
     (Martucci, IEEE Trans. Signal Process. 42:1038, 1994).  The orthant is transformed
     axis by axis, then reflected to ``rfftn`` layout; outputs [0, n) are valid."""
+    from scipy import fft as sp_fft
+
     mid, d = f.spectrum.shape[-1] - 1, f.grid.d
     spec = half
     for axis in reversed(range(d)):

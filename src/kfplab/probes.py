@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -531,27 +531,29 @@ def weighted_mean(traj: Trajectory, z0: KineticPoint, r_scale: float, t: float) 
     n = int(np.argmin(np.abs(traj.times - t)))
     if abs(float(traj.times[n]) - t) > 1e-9 * max(1.0, abs(t)):
         raise ValueError(f"no stored snapshot at time {t}")
-    return _mean_at(traj, z0, r_scale, n)
+    return _mean_at(traj, z0, r_scale)(n)
 
 
-def _mean_at(traj: Trajectory, z0: KineticPoint, r_scale: float, n: int) -> float:
-    """:func:`weighted_mean` at snapshot ``n`` of a base-free trajectory."""
+def _mean_at(traj: Trajectory, z0: KineticPoint, r_scale: float) -> Callable[[int], float]:
+    """:func:`weighted_mean` of a base-free trajectory as a function of the snapshot
+    index; the cutoff's v factors, the same at every snapshot, are built once."""
     g = traj.grid
-    dt = float(traj.times[n]) - z0.t
-    chi = np.ones(g.shape)
-    for m in range(g.d):
-        off, shift = x_offset(g, z0, dt, m)
-        shape = [1] * (2 * g.d)
-        shape[m] = g.nx
-        chi = chi * smooth_bump((off - shift) / r_scale**3).reshape(shape)
-        v_off = g.v_axis - z0.v[m]
-        shape = [1] * (2 * g.d)
-        shape[g.d + m] = g.nv
-        chi = chi * smooth_bump(v_off / r_scale).reshape(shape)
-    denom = float(chi.sum())
-    if denom == 0.0:
-        raise ValueError("cutoff support does not intersect the grid")
-    return float((traj.values[n] * chi).sum() / denom)
+    v_bumps = [smooth_bump((g.v_axis - z0.v[m]) / r_scale).reshape((g.nv,) + (1,) * (g.d - 1 - m))
+               for m in range(g.d)]
+
+    def mean(n: int) -> float:
+        dt = float(traj.times[n]) - z0.t
+        chi = np.ones(g.shape)
+        for m in range(g.d):
+            off, shift = x_offset(g, z0, dt, m)
+            shape = [1] * (2 * g.d)
+            shape[m] = g.nx
+            chi = chi * smooth_bump((off - shift) / r_scale**3).reshape(shape) * v_bumps[m]
+        denom = float(chi.sum())
+        if denom == 0.0:
+            raise ValueError("cutoff support does not intersect the grid")
+        return float((traj.values[n] * chi).sum() / denom)
+    return mean
 
 
 def caccioppoli_probe(traj: Trajectory, z0: KineticPoint, r_scale: float) -> ProbeReport:
@@ -570,16 +572,16 @@ def caccioppoli_probe(traj: Trajectory, z0: KineticPoint, r_scale: float) -> Pro
     def grad_sq(sample):
         return _integrate(traj, _grad_sample(traj, sample), lambda p: p.values.sum())
 
-    def spread(piece, scale):
-        mean = _mean_at(traj, z0, scale, piece.n)
-        return ((piece.values - mean) ** 2).sum()
+    def spread(piece, mean_at):
+        return ((piece.values - mean_at(piece.n)) ** 2).sum()
 
     s_r = sample_region(traj, q_r)
     grad_r = grad_sq(s_r)
     grad_3r = grad_sq(sample_region(traj, q_3r))
-    diff_2r = _integrate(traj, sample_region(traj, q_2r), lambda p: spread(p, r))
+    mean_r, mean_half = _mean_at(traj, z0, r), _mean_at(traj, z0, r / 2.0)
+    diff_2r = _integrate(traj, sample_region(traj, q_2r), lambda p: spread(p, mean_r))
     cell = traj.grid.cell_volume
-    sup_slice = max((float(spread(p, r / 2.0)) * cell for p in s_r), default=0.0)
+    sup_slice = max((float(spread(p, mean_half)) * cell for p in s_r), default=0.0)
     rhs1 = diff_2r / r**2
     c1 = math.nan if rhs1 == 0.0 else grad_r / rhs1
     c2 = math.nan if grad_3r == 0.0 else sup_slice / grad_3r
@@ -728,6 +730,8 @@ def gehring_probe(
 
     # tail fit of g on Q[2] for the largest finite moment order
     q_2 = _grad_sample(traj, sample_region(traj, Cylinder(c, 0.5 * r0)))
+    if not q_2:
+        raise ValueError(f"tail-fit cylinder Cylinder(q0.center, {0.5 * r0:g}) holds no grid node")
     q_1 = _grad_sample(traj, sample_region(traj, Cylinder(c, 0.75 * r0)))
     g_all = np.sort(np.concatenate([piece.values for piece in q_2]))[::-1]
     positive = g_all[g_all > 0.0]

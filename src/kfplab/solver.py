@@ -19,9 +19,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import lapack
-from scipy.sparse import csc_matrix, csr_matrix, identity
-from scipy.sparse.linalg import splu
 
 from .fields import CoefficientField
 from .trajectory import (
@@ -172,6 +169,11 @@ class _Collision1D(_Collision):
     """The d = 1 collision step: one tridiagonal LAPACK factorisation for all
     x-cells, solved by ``dgttrs`` in the right-hand-side buffer."""
 
+    def __init__(self, grid: PhaseGrid, field: CoefficientField, dt: float):
+        from scipy.linalg import lapack   # bound once per run, off the per-step path
+        super().__init__(grid, field, dt)
+        self._dgttrf, self._dgttrs = lapack.dgttrf, lapack.dgttrs
+
     def _assemble(self, t: float) -> None:
         shape = self._rhs.shape
         self._factorise(self.coeffs.a(t)[..., 0, 0].reshape(shape),
@@ -204,13 +206,13 @@ class _Collision1D(_Collision):
         lo_full[:, 0] = 0.0
         du = up_full.ravel()[:-1]
         dl = lo_full.ravel()[1:]
-        dl_f, d_f, du_f, du2, ipiv, info = lapack.dgttrf(dl, dd, du)
+        dl_f, d_f, du_f, du2, ipiv, info = self._dgttrf(dl, dd, du)
         if info != 0:
             raise np.linalg.LinAlgError(f"collision matrix factorisation failed ({info})")
         self._factors = (dl_f, d_f, du_f, du2, ipiv)
 
     def _solve(self) -> np.ndarray:
-        out, info = lapack.dgttrs(*self._factors, self._rhs.ravel(), overwrite_b=True)
+        out, info = self._dgttrs(*self._factors, self._rhs.ravel(), overwrite_b=True)
         if info != 0:
             raise np.linalg.LinAlgError(f"collision solve failed ({info})")
         return out
@@ -227,6 +229,8 @@ def _cell_matrices_2d(a: np.ndarray, b: np.ndarray, hv: float, dt: float) -> lis
     neighbour is past a wall: (n_cells, nv, nv, 28) slots whose valid ones, in
     C order, are the entries in assembly order.
     """
+    from scipy.sparse import csc_matrix, csr_matrix, identity
+
     n_cells, nv = a.shape[:2]
     nvv = nv * nv
     pos = np.stack(np.meshgrid(np.arange(nv), np.arange(nv), indexing="ij"))
@@ -301,6 +305,8 @@ class _Collision2D(_Collision):
     """
 
     def _assemble(self, t: float) -> None:
+        from scipy.sparse.linalg import splu
+
         self._lus = []   # two live sets of factors would raise peak memory
         a, b = self._cell_coeffs(t)
         first = _first_equal_cells(a, b)

@@ -920,12 +920,45 @@ class TestOtherCommands:
             "ledger.csv", "report.json", "run_meta.json", "snapshots"]
 
 
-def test_import_graph_leaves_out_scipy_stats_and_signal():
-    # scipy.stats alone costs about 0.8 s of every command's start-up
+SCIPY_PARTS = ("linalg", "sparse", "fft", "special", "stats", "signal")
+
+
+def _import_graph_argv(tmp_path, command):
+    """The argv of a tiny ``command`` run; ``probe`` replays a run made here."""
+    out = tmp_path / "out"
+    if command in ("run", "probe"):
+        config = base_config(out)
+    elif command == "solve":
+        config = {**base_config(out, field=FUZZ_BASES["run"]["field"]), "solver": {
+            "d": 2, "x_extent": 4.0, "nx": 4, "v_max": 3.0, "nv": 6, "dt": 0.015625,
+            "t_end": 0.0625, "snapshot_stride": 2, "initial": {"kind": "zero"}}}
+    else:
+        config = {"schema_version": 1, "output": {"dir": str(out)}, **FUZZ_BASES[command]}
+    path = str(write_config(tmp_path, config))
+    if command == "probe":
+        assert main(["run", "--config", path]) == 0
+    return [command, "--config", path]
+
+
+@pytest.mark.parametrize("command, loaded", [
+    (None, []),
+    ("probe", []),
+    ("iterate", []),
+    ("run", ["linalg"]),
+    ("solve", ["linalg", "sparse"]),   # d = 2
+    ("landau", ["fft", "special"]),    # scipy.fft imports scipy.special itself
+    ("geometry", ["special"]),
+], ids=["import", "probe", "iterate", "run_d1", "solve_d2", "landau", "geometry"])
+def test_import_graph_loads_only_the_scipy_each_command_runs(tmp_path, command, loaded):
+    # each scipy subpackage adds 5-20 MB and up to 0.2 s to a command's start;
+    # scipy.stats alone costs about 0.8 s, and no command needs it or scipy.signal
+    argv = [] if command is None else _import_graph_argv(tmp_path, command)
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = ("import sys, kfplab.cli, kfplab.landau; "
-            "print(*[m for m in sys.modules if m.split('.')[:2] in (['scipy', 'stats'], ['scipy', 'signal'])])")
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                          timeout=120, check=True)
-    assert done.stdout.split() == []
+    code = ("import sys, kfplab, kfplab.cli; "
+            "code = kfplab.cli.main(sys.argv[1:]) if sys.argv[1:] else 0; "
+            f"print(*[p for p in {SCIPY_PARTS!r} if 'scipy.' + p in sys.modules]); "
+            "sys.exit(code)")
+    done = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.splitlines()[-1].split() == loaded   # after what the command prints

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import traced_peak
+from conftest import gaussian_bump, traced_peak
+from kfplab import probes
 from kfplab.fields import (
     CheckerboardRecipe,
     ConstantRecipe,
@@ -44,8 +45,9 @@ from kfplab.probes import (
     smooth_bump,
     weighted_mean,
 )
+from kfplab.solver import SolverConfig, solve
 from kfplab.trajectory import (Footprint, PhaseBox, PhaseGrid, Trajectory, gradient_v_sq,
-                               region_mask)
+                               region_mask, x_offset)
 
 
 def sampled_trajectory(grid, times, fn, field=None):
@@ -77,6 +79,32 @@ def synthetic(fn, nx=48, nv=48, nt=65, x_extent=4.0, v_max=2.0, t0=-1.1, t1=0.0)
     return sampled_trajectory(
         grid, times, lambda x, v, t: fn(x[..., 0], v[..., 0], t)
     )
+
+
+@pytest.fixture(scope="module")
+def constant_run_d2():
+    """A d = 2 12^2 constant-field run of 128 steps storing every fourth state."""
+    grid = PhaseGrid(d=2, x_extent=5.0, nx=12, v_max=4.0, nv=12)
+    field = sample_field(ConstantRecipe(), EllipticityBounds(1.0, 1.0), seed=0, d=2)
+    cfg = SolverConfig(grid=grid, dt=1 / 256, t_end=0.5, field=field, snapshot_stride=4)
+    return solve(cfg, gaussian_bump(grid, 2.5, 0.0, 0.4, 0.5, floor=0.01))
+
+
+def mean_at_per_snapshot(traj, z0, r_scale, n):
+    """Oracle for ``probes._mean_at``: the cutoff built whole at snapshot ``n``,
+    x and v factors alternating per axis."""
+    g = traj.grid
+    dt = float(traj.times[n]) - z0.t
+    chi = np.ones(g.shape)
+    for m in range(g.d):
+        off, shift = x_offset(g, z0, dt, m)
+        shape = [1] * (2 * g.d)
+        shape[m] = g.nx
+        chi = chi * smooth_bump((off - shift) / r_scale**3).reshape(shape)
+        shape = [1] * (2 * g.d)
+        shape[g.d + m] = g.nv
+        chi = chi * smooth_bump((g.v_axis - z0.v[m]) / r_scale).reshape(shape)
+    return float((traj.values[n] * chi).sum() / float(chi.sum()))
 
 
 def shifted_origin(x_extent=4.0):
@@ -359,6 +387,15 @@ class TestWeightedMean:
         with pytest.raises(ValueError):
             weighted_mean(traj, shifted_origin(), 0.4, 17.0)
 
+    @pytest.mark.parametrize("d, radii", [(1, (0.5, 0.4)), (2, (0.6, 0.5))])
+    def test_bitwise_equal_to_per_snapshot_cutoff(self, identity_run, constant_run_d2, d, radii):
+        # the v factors are built once per call, the products in the same order
+        traj, z0 = (identity_run, KineticPoint.of(2.5, 0.3, 1.0)) if d == 1 else (
+            constant_run_d2, KineticPoint(np.array([2.5, 2.4]), np.array([0.1, -0.2]), 0.49))
+        for n, t in enumerate(traj.times.tolist()):
+            for r in radii:
+                assert weighted_mean(traj, z0, r, t) == mean_at_per_snapshot(traj, z0, r, n)
+
 
 class TestCaccioppoli:
     def test_velocity_constant_has_zero_energy(self):
@@ -376,6 +413,20 @@ class TestCaccioppoli:
     def test_domain_guard(self, identity_run):
         with pytest.raises(ValueError):
             caccioppoli_probe(identity_run, KineticPoint.of(2.5, 0.0, 1.0), 2.0)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_bitwise_equal_with_per_snapshot_means(self, monkeypatch, identity_run,
+                                                   constant_run_d2, d):
+        # the half-radius cutoff reaches a node only where the centre sits on one
+        traj, z0, r = (identity_run, KineticPoint.of(2.5, 0.0, 1.0), 0.3) if d == 1 else (
+            constant_run_d2, KineticPoint(np.array([2.5, 2.5]), np.zeros(2), 0.49), 0.2)
+        fast = caccioppoli_probe(traj, z0, r)
+        monkeypatch.setattr(probes, "_mean_at", lambda tr, z, r: lambda n: mean_at_per_snapshot(
+            tr, z, r, n))
+        slow = caccioppoli_probe(traj, z0, r)
+        assert fast.verdict == slow.verdict == "ok"
+        assert np.array(list(fast.constants.values())).tobytes() == np.array(
+            list(slow.constants.values())).tobytes()
 
 
 class TestFractionalSeminorm:
@@ -444,6 +495,13 @@ class TestGehring:
         assert rep.verdict == "ok"
         assert rep.constants["epsilon_emp"] > 0.0
         assert math.isfinite(rep.constants["l2eps_ratio"])
+
+    def test_empty_tail_region_named(self, constant_run_d2):
+        # the scan cylinders are skipped and Q[2] holds no grid node
+        q0 = Cylinder(KineticPoint(np.array([2.5, 2.4]), np.array([0.1, -0.2]), 0.49), 0.5,
+                      CylinderShape.CUBE)
+        with pytest.raises(ValueError, match=r"tail-fit cylinder Cylinder\(q0.center, 0.25\)"):
+            gehring_probe(constant_run_d2, 2.0, q0)
 
     def test_lower_order_terms_rejected(self, checkerboard_run):
         q0 = Cylinder(KineticPoint.of(2.5, 0.0, 0.9), 0.6, CylinderShape.CUBE)
