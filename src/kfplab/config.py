@@ -233,13 +233,8 @@ def build_solver_config(cfg: dict, field) -> SolverConfig:
             section, "dt", "t_end", "snapshot_stride", "snapshot_tail"))
     except (ValueError, NotImplementedError) as exc:
         raise ConfigError(str(exc)) from exc
-    # stack_bytes walks every step, so two closed forms come first: 1 + n_steps //
-    # stride stored states bound it from below, and the ledger takes 64 bytes a step
-    state_bytes = math.prod(grid.shape) * np.dtype(float).itemsize
-    check_memory("the stored snapshots",
-                 (1 + solver_cfg.n_steps // solver_cfg.snapshot_stride) * state_bytes)
-    check_memory("the ledger's columns", (solver_cfg.n_steps + 1) * 8 * len(EnergyLedger.FIELDS))
     check_memory("the stored snapshots", solver_cfg.stack_bytes)
+    check_memory("the ledger's columns", (solver_cfg.n_steps + 1) * 8 * len(EnergyLedger.FIELDS))
     # the run evaluates the field on [0, x_extent] x [-v_max, v_max] x [0, t_end]; a
     # recipe that cannot index that box rejects it here, at its two extreme corners
     ones = np.ones(grid.d)

@@ -360,24 +360,6 @@ class CoveringReport:
             return "hypothesis unmet"
         return "pass" if not self.claim_b_counterexamples else "fail"
 
-    def to_dict(self) -> dict:
-        return {
-            "params": self.params,
-            "claim_a": {
-                "checked": self.claim_a_checked,
-                "skipped": self.claim_a_skipped,
-                "counterexamples": [list(map(float, c)) for c in self.claim_a_counterexamples],
-                "verdict": self.verdict_a,
-            },
-            "claim_b": {
-                "hypothesis_met": self.claim_b_hypothesis_met,
-                "threshold": self.claim_b_threshold,
-                "checked": self.claim_b_checked,
-                "counterexamples": [list(map(float, c)) for c in self.claim_b_counterexamples],
-                "verdict": self.verdict_b,
-            },
-        }
-
 
 def covering_threshold(r_plus: float, omega: float) -> float:
     """Sufficient lower bound on the time gap: R^2 + (4^3 / (3 omega^2)) (4R)^{1/3}."""

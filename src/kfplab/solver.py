@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -37,9 +36,24 @@ class SolverFailure(ArithmeticError):
     """The scheme produced a non-finite value; the message names the step."""
 
 
+def _whole(q: float) -> int | float:
+    """round(q) where it is within 1e-9 relative of q, else q itself: t_end / dt
+    and snapshot_tail / dt count steps up to the rounding of the division."""
+    if math.isfinite(q) and abs(q - round(q)) <= 1e-9 * q:
+        return round(q)
+    return q
+
+
 @dataclass(frozen=True)
 class SolverConfig:
-    """Grid, step size and coefficient data of one run."""
+    """Grid, step size and coefficient data of one run.
+
+    ``solve`` stores step 0, every ``snapshot_stride``-th step, the final step
+    and the tail: every step n with n_steps - n < snapshot_tail / dt, where the
+    quotient counts whole steps as t_end / dt does (``_whole``).  Which steps
+    these are depends on step indices only, so the kinetic dilation, which
+    scales dt, t_end and snapshot_tail alike, leaves them unchanged.
+    """
 
     grid: PhaseGrid
     dt: float
@@ -55,27 +69,37 @@ class SolverConfig:
             raise ValueError("field dimension does not match grid")
         if self.snapshot_stride < 1:
             raise ValueError("snapshot_stride must be >= 1")
+        if not self.snapshot_tail >= 0:
+            raise ValueError(f"snapshot_tail must be >= 0, got {self.snapshot_tail!r}")
         steps = self.t_end / self.dt
         if not math.isfinite(steps):
             raise ValueError(f"t_end / dt = {steps!r} is not a finite number of steps")
-        if abs(steps - round(steps)) > 1e-9 * steps:
+        if not isinstance(_whole(steps), int):
             raise ValueError(f"t_end / dt = {steps!r} is not a whole number of steps")
         if self.grid.d > 2:
             raise NotImplementedError("solver supports d = 1 and d = 2")
 
     @property
     def n_steps(self) -> int:
-        return int(round(self.t_end / self.dt))
+        return _whole(self.t_end / self.dt)
 
-    @cached_property
-    def _schedule(self) -> tuple[list[int], list[float]]:
-        """``_snapshot_steps`` of this config, walked once however often it is read."""
-        return _snapshot_steps(self)
+    def _tail_start(self) -> int:
+        """The first step of the stored tail, which holds at least the final step."""
+        n, tail = self.n_steps, _whole(self.snapshot_tail / self.dt)
+        return 0 if tail > n else n + 1 - max(1, math.ceil(tail))
+
+    def _stored_steps(self) -> np.ndarray:
+        """The steps ``solve`` stores, in order: the strided ones before the tail, then the tail."""
+        start = self._tail_start()
+        return np.concatenate([np.arange(0, start, min(self.snapshot_stride, start + 1)),
+                               np.arange(start, self.n_steps + 1)])
 
     @property
     def stack_bytes(self) -> int:
         """Bytes of the snapshot stack that ``solve`` stores, known before it allocates."""
-        return len(self._schedule[0]) * math.prod(self.grid.shape) * np.dtype(float).itemsize
+        start = self._tail_start()
+        count = -(-start // self.snapshot_stride) + self.n_steps + 1 - start   # strided, then tail
+        return count * math.prod(self.grid.shape) * np.dtype(float).itemsize
 
 
 class _TransportPlan:
@@ -396,27 +420,12 @@ def _ledger_rows(ledger: EnergyLedger, first: int, times: list[float], block: np
     source_l2[rows] = [source_l2_at(t) for t in times]
 
 
-def _snapshot_steps(cfg: SolverConfig) -> tuple[list[int], list[float]]:
-    """The steps ``solve`` stores and their times, accumulated by repeated
-    ``+ dt`` exactly as the steps accumulate them."""
-    steps, times = [0], [0.0]
-    tail_start = cfg.t_end - cfg.snapshot_tail
-    n_steps = cfg.n_steps
-    t = 0.0
-    for n in range(1, n_steps + 1):
-        t = t + cfg.dt
-        if n % cfg.snapshot_stride == 0 or n == n_steps or t > tail_start + 1e-12:
-            steps.append(n)
-            times.append(t)
-    return steps, times
-
-
 def solve(cfg: SolverConfig, f0: PhaseGridFunction) -> Trajectory:
     """Run the splitting scheme and return the stored snapshots plus ledger.
 
-    Snapshots are stored at step 0, every ``snapshot_stride`` steps, at the
-    final step, and at every step within the trailing ``snapshot_tail`` window.
-    The snapshot stack and the ledger's n_steps + 1 rows are allocated once.
+    The stored steps are those ``SolverConfig`` names; their times are the
+    ledger's, each accumulated by ``step`` as ``state.time``.  The snapshot
+    stack and the ledger's n_steps + 1 rows are allocated once.
     Each step's state is copied into a block of about ``_BLOCK_BYTES`` that
     keeps the state's memory layout, and the ledger reduces a full block at
     once into its rows.  The first row with a non-finite value raises
@@ -440,9 +449,8 @@ def solve(cfg: SolverConfig, f0: PhaseGridFunction) -> Trajectory:
             src_cache[key] = float((s**2).sum() * grid.cell_volume)
         return src_cache[key]
 
-    stored_steps, times = cfg._schedule
-    slot = {n: k for k, n in enumerate(stored_steps)}
-    values = np.empty((len(times),) + grid.shape)
+    stored = cfg._stored_steps()
+    values = np.empty((len(stored),) + grid.shape)
     values[0] = state.values
     ledger = EnergyLedger(cfg.n_steps + 1)
     _ledger_rows(ledger, 0, [state.time], state.values[None], grid, source_l2_at)
@@ -450,14 +458,16 @@ def solve(cfg: SolverConfig, f0: PhaseGridFunction) -> Trajectory:
     block_size = max(1, _BLOCK_BYTES // state.values.nbytes)
     block = None
     block_times: list[float] = []
+    k = 1   # the next stored step is stored[k]; the last one is the final step
     for n in range(1, cfg.n_steps + 1):
         state = step(state, cfg, _collision=coll, _transport=transport)
         if block is None:   # every step's state has the first one's layout
             block = _stack_like(state.values, block_size)
         block[len(block_times)] = state.values
         block_times.append(state.time)
-        if n in slot:
-            values[slot[n]] = state.values
+        if n == stored[k]:
+            values[k] = state.values
+            k += 1
         if len(block_times) == len(block) or n == cfg.n_steps:
             _ledger_rows(ledger, n + 1 - len(block_times), block_times,
                          block[:len(block_times)], grid, source_l2_at)
@@ -465,7 +475,7 @@ def solve(cfg: SolverConfig, f0: PhaseGridFunction) -> Trajectory:
 
     return Trajectory(
         grid=grid,
-        times=np.asarray(times),
+        times=ledger.column("time")[stored],
         values=values,
         field=cfg.field,
         ledger=ledger,

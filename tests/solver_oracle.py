@@ -233,6 +233,20 @@ def step(state, cfg, coll):
     return PhaseGridFunction(cfg.grid, vals, state.time + cfg.dt)
 
 
+def snapshot_steps(cfg):
+    """The steps the scheme stored before they had a closed form: step 0, every
+    ``snapshot_stride``-th step, the final step, and each step whose time,
+    accumulated by repeated ``+ dt``, is past t_end - snapshot_tail + 1e-12."""
+    steps = [0]
+    tail_start = cfg.t_end - cfg.snapshot_tail
+    t = 0.0
+    for n in range(1, cfg.n_steps + 1):
+        t = t + cfg.dt
+        if n % cfg.snapshot_stride == 0 or n == cfg.n_steps or t > tail_start + 1e-12:
+            steps.append(n)
+    return steps
+
+
 def solve(cfg, f0):
     """The splitting scheme as it ran before the transport plan, the
     vectorised collision assembly and the preallocated snapshot array."""
@@ -256,15 +270,11 @@ def solve(cfg, f0):
     times = [0.0]
     stored = [state.values.copy()]
 
-    tail_start = cfg.t_end - cfg.snapshot_tail
+    stored_steps = set(snapshot_steps(cfg))
     for n in range(1, n_steps + 1):
         state = step(state, cfg, coll)
         rows.append(ledger_row(n, state, grid, source_l2_at(state.time)))
-        if (
-            n % cfg.snapshot_stride == 0
-            or n == n_steps
-            or state.time > tail_start + 1e-12
-        ):
+        if n in stored_steps:
             times.append(state.time)
             stored.append(state.values.copy())
 

@@ -13,7 +13,6 @@ import pytest
 
 from conftest import ledger_from_rows, ledger_rows, traced_peak
 from kfplab import cli, storage
-from kfplab import solver as solver_mod
 from kfplab.cli import main
 from kfplab.config import (
     SCHEMA,
@@ -500,15 +499,10 @@ def test_snapshot_stack_beyond_physical_memory_exits_two(tmp_path, capsys):
     ({"t_end": 1e300}, "the stored snapshots"),
     ({"dt": 1e-300, "t_end": 0.5, "snapshot_stride": 10**300}, "the ledger's columns"),
 ], ids=["dt_tiny", "t_end_huge", "stride_huge"])
-def test_snapshot_count_beyond_physical_memory_is_rejected_unwalked(tmp_path, capsys, monkeypatch,
-                                                                    solver, what):
-    # 5e299, 6.4e301 or 5e299 steps: a closed-form bound rejects the stack, or
-    # with a stride past the last step the ledger's 64 bytes a step, before
-    # the schedule, which walks every step, is ever computed
-    def unwalkable(cfg):
-        raise AssertionError("the snapshot schedule was walked")
-
-    monkeypatch.setattr(solver_mod, "_snapshot_steps", unwalkable)
+def test_snapshot_count_beyond_physical_memory_is_rejected_unwalked(tmp_path, capsys, solver, what):
+    # 5e299, 6.4e301 or 5e299 steps: the stack's exact closed-form size
+    # rejects it, or with a stride past the last step the ledger's 64 bytes
+    # a step, before any array of steps is built
     out = tmp_path / "out"
     config = base_config(out)
     config["solver"].update(solver)
@@ -517,20 +511,6 @@ def test_snapshot_count_beyond_physical_memory_is_rejected_unwalked(tmp_path, ca
     assert f"invalid config: {what} take " in err
     assert "bytes of physical memory" in err
     assert not out.exists()
-
-
-def test_run_walks_the_snapshot_schedule_once(tmp_path, monkeypatch):
-    # the memory check and the solve share one walk of the schedule
-    walks = []
-    walk = solver_mod._snapshot_steps
-
-    def counted(cfg):
-        walks.append(cfg)
-        return walk(cfg)
-
-    monkeypatch.setattr(solver_mod, "_snapshot_steps", counted)
-    assert main(["run", "--config", str(write_config(tmp_path, base_config(tmp_path / "out")))]) == 0
-    assert len(walks) == 1
 
 
 # A small config per command that exits 0; the fuzz walks every section it holds

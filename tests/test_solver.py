@@ -1,8 +1,11 @@
 import math
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from kfplab.fields import (
     CheckerboardRecipe,
@@ -430,6 +433,62 @@ class TestSnapshotSchedule:
         assert gaps[-1] == pytest.approx(0.01, abs=1e-9)
         assert traj.times[0] == 0.0
         assert traj.times[-1] == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("r", [2.0**-1, 2.0**-10, 2.0**-14])
+    def test_stored_steps_invariant_under_dilation(self, r):
+        # the README's 64^2 run dilated by r; the field does not enter the schedule
+        def config(r):
+            grid = PhaseGrid(d=1, x_extent=r**3 * 5.0, nx=64, v_max=r * 4.0, nv=64)
+            return SolverConfig(grid=grid, dt=r**2 / 8192, t_end=r**2, field=identity_field(),
+                                snapshot_stride=64, snapshot_tail=r**2 * 0.014)
+
+        want = config(1.0)._stored_steps()
+        assert len(want) == 242   # 127 strided steps before the tail, 115 in it
+        assert config(r)._stored_steps().tolist() == want.tolist()
+
+    def test_closed_form_at_a_trillion_steps(self):
+        grid = PhaseGrid(d=1, x_extent=4.0, nx=16, v_max=3.0, nv=16)
+        start = time.perf_counter()
+        cfg = SolverConfig(grid=grid, dt=1e-12, t_end=1.0, field=identity_field(),
+                           snapshot_stride=10**11)
+        steps, size = cfg._stored_steps(), cfg.stack_bytes
+        assert time.perf_counter() - start < 1.0
+        assert cfg.n_steps == 10**12
+        assert steps.tolist() == [k * 10**11 for k in range(11)]
+        assert size == 11 * 16 * 16 * 8
+
+    @pytest.mark.parametrize("tail", [-0.05, math.nan])
+    def test_negative_or_nan_tail_rejected(self, tail):
+        grid = PhaseGrid(d=1, x_extent=4.0, nx=8, v_max=3.0, nv=8)
+        with pytest.raises(ValueError, match="snapshot_tail must be >= 0"):
+            SolverConfig(grid=grid, dt=0.05, t_end=0.2, field=identity_field(), snapshot_stride=2,
+                         snapshot_tail=tail)
+
+    def test_infinite_tail_stores_every_step_at_its_ledger_time(self):
+        grid = PhaseGrid(d=1, x_extent=4.0, nx=8, v_max=3.0, nv=8)
+        cfg = SolverConfig(grid=grid, dt=0.1, t_end=0.5, field=identity_field(), snapshot_stride=3,
+                           snapshot_tail=math.inf)
+        traj = solve(cfg, PhaseGridFunction(grid, _random_state(grid, 4), 0.0))
+        assert cfg._stored_steps().tolist() == list(range(6))
+        assert cfg.stack_bytes == traj.values.nbytes
+        assert traj.times.tobytes() == traj.ledger.column("time").tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(n_steps=st.integers(1, 400), dt=st.floats(2.0**-20, 1.0),
+           stride=st.integers(1, 500) | st.just(10**300), tail_fraction=st.floats(0.0, 1.5))
+    def test_closed_form_matches_the_walk(self, n_steps, dt, stride, tail_fraction):
+        # the walk's collar 1e-12 is 1e-12 / dt steps; past it and 1e-6 more
+        # from a whole step, the walk and the closed form must agree
+        t_end = n_steps * dt
+        tail = tail_fraction * t_end
+        start = (t_end - tail) / dt
+        assume(abs(start - round(start)) > 1e-6 + 1e-12 / dt)
+        grid = PhaseGrid(d=1, x_extent=4.0, nx=4, v_max=3.0, nv=4)
+        cfg = SolverConfig(grid=grid, dt=dt, t_end=t_end, field=identity_field(),
+                           snapshot_stride=stride, snapshot_tail=tail)
+        want = oracle.snapshot_steps(cfg)
+        assert cfg._stored_steps().tolist() == want
+        assert cfg.stack_bytes == len(want) * 4 * 4 * 8
 
 
 class TestLedgerMemory:
