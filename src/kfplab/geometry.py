@@ -135,20 +135,30 @@ class CylinderShape(Enum):
     ITERATED = "iterated"
 
 
-# Membership collar: strict window boundaries are evaluated with this margin
-# so that points lying exactly on a boundary (grid nodes, snapshot times) keep
-# their verdict under floating-point changes of frame.  The collar is far
-# below any grid spacing, so only exact-boundary points are affected: open
-# sides stay excluded, the closed top time stays included.
-BOUNDARY_COLLAR = 1e-12
+# Membership collar, a share of each window: points lying exactly on a
+# boundary (grid nodes, snapshot times) keep their verdict under floating-point
+# changes of frame.  2^-30 of a window exceeds the rounding that a pull-back
+# through a Galilean base leaves in an offset (a few ulps of the coordinates)
+# on every window wider than ~1e-6 of the coordinates, and stays far below any
+# grid spacing, so only exact-boundary points are affected: open sides stay
+# excluded, the closed top time stays included.  A share has no units: under a
+# kinetic dilation by a power of 2 every collared window scales exactly.
+BOUNDARY_COLLAR = 2.0**-30
 
 
 def collared_windows(wx: float, wv: float, t_lo: float, t_hi: float):
-    """Shrink open windows and extend the closed time top by the collar."""
-    cx = min(BOUNDARY_COLLAR, 0.5 * wx)
-    cv = min(BOUNDARY_COLLAR, 0.5 * wv)
-    ct = min(BOUNDARY_COLLAR, 0.25 * (t_hi - t_lo))
-    return wx - cx, wv - cv, t_lo + ct, t_hi + ct
+    """Shrink the open windows, and move both time ends up, by the collar's
+    share of each window."""
+    ct = BOUNDARY_COLLAR * (t_hi - t_lo)
+    return wx - BOUNDARY_COLLAR * wx, wv - BOUNDARY_COLLAR * wv, t_lo + ct, t_hi + ct
+
+
+def inside_window(y: np.ndarray, w: float, per_coordinate: bool) -> np.ndarray:
+    """Whether offsets y of shape (..., d) lie in the open window of half-width
+    w: every |y_i| < w (cube), or the Euclidean |y| < w (ball)."""
+    if per_coordinate:
+        return np.all(np.abs(y) < w, axis=-1)
+    return np.einsum("...i,...i->...", y, y) < w**2
 
 
 def iterated_radius(k: int, omega: float) -> float:
@@ -237,14 +247,8 @@ class Cylinder:
         """Vectorized membership on arrays of shape (..., d) / (...,)."""
         yx, yv, dt = group_quotient(self.center, (xs, vs, ts))
         wx, wv, t_lo, t_hi = collared_windows(*self.windows())
-        in_t = (dt > t_lo) & (dt <= t_hi)
-        if self.shape is CylinderShape.CUBE:
-            in_x = np.all(np.abs(yx) < wx, axis=-1)
-            in_v = np.all(np.abs(yv) < wv, axis=-1)
-        else:
-            in_x = np.einsum("...i,...i->...", yx, yx) < wx**2
-            in_v = np.einsum("...i,...i->...", yv, yv) < wv**2
-        return in_x & in_v & in_t
+        cube = self.per_coordinate()
+        return inside_window(yx, wx, cube) & inside_window(yv, wv, cube) & (dt > t_lo) & (dt <= t_hi)
 
     def measure(self) -> float:
         """Exact (2d+1)-dimensional Lebesgue measure of the cylinder."""

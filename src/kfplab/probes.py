@@ -529,7 +529,8 @@ def weighted_mean(traj: Trajectory, z0: KineticPoint, r_scale: float, t: float) 
     if r_scale <= 0:
         raise ValueError("scale must be positive")
     n = int(np.argmin(np.abs(traj.times - t)))
-    if abs(float(traj.times[n]) - t) > 1e-9 * max(1.0, abs(t)):
+    # a match within 1e-9 of the run's own time scale, whatever its units
+    if abs(float(traj.times[n]) - t) > 1e-9 * max(abs(t), float(traj.times[-1] - traj.times[0])):
         raise ValueError(f"no stored snapshot at time {t}")
     return _mean_at(traj, z0, r_scale)(n)
 
@@ -551,7 +552,10 @@ def _mean_at(traj: Trajectory, z0: KineticPoint, r_scale: float) -> Callable[[in
             chi = chi * smooth_bump((off - shift) / r_scale**3).reshape(shape) * v_bumps[m]
         denom = float(chi.sum())
         if denom == 0.0:
-            raise ValueError("cutoff support does not intersect the grid")
+            raise ValueError(f"cutoff support does not intersect the grid at snapshot time "
+                             f"{float(traj.times[n])!r}: at scale r = {r_scale!r} it spans "
+                             f"|x offset| < 2 r^3 = {2.0 * r_scale**3!r} (hx = {g.hx!r}) "
+                             f"and |v offset| < 2 r = {2.0 * r_scale!r} (hv = {g.hv!r})")
         return float((traj.values[n] * chi).sum() / denom)
     return mean
 

@@ -12,13 +12,12 @@ constant commutes with the group action.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import reduce
 from typing import Iterator
 
 import numpy as np
 
 from .fields import CoefficientField
-from .geometry import KineticPoint, collared_windows, compose
+from .geometry import KineticPoint, collared_windows, compose, inside_window
 
 _CSV_ROWS = 128   # ledger rows formatted from Python objects at a time
 
@@ -244,35 +243,19 @@ class Footprint:
             raise ValueError(f"region reaches past a velocity wall: |v0| + wv = {reach!r} > {grid.v_max!r}")
         wx, wv, t_lo, t_hi = collared_windows(wx, wv, t_lo, t_hi)
         per_coordinate = region.per_coordinate()
-        v_mask = _window([grid.v_axis - c.v[m] for m in range(grid.d)], wv, per_coordinate)
+        v_off = np.meshgrid(*[grid.v_axis - c.v[m] for m in range(grid.d)], indexing="ij")
+        v_mask = inside_window(np.stack(v_off, axis=-1), wv, per_coordinate)
         return Footprint(grid, c, wx, t_lo, t_hi, per_coordinate, v_mask)
 
-    def mask(self, dt: float) -> np.ndarray:
-        """Full-grid membership mask at time offset ``dt`` from the centre."""
-        if not (self.t_lo < dt <= self.t_hi):
-            return np.zeros(self.grid.shape, dtype=bool)
-        g = self.grid
-        x_off = [off - shift for off, shift in (x_offset(g, self.center, dt, m) for m in range(g.d))]
-        return np.multiply.outer(_window(x_off, self.wx, self.per_coordinate), self.v_mask)
-
     def x_windows(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Indices of ``times`` in the time window, and :meth:`mask`'s x factor at
-        each as a (k, nx**d) array, by :func:`x_offset`'s and :func:`_window`'s arithmetic."""
+        """Indices of ``times`` in the time window, and whether each x node lies in
+        the x window at each, as a (k, nx**d) array, by :func:`x_offset`'s arithmetic."""
         g, dt = self.grid, times - self.center.t
         hit = np.flatnonzero((dt > self.t_lo) & (dt <= self.t_hi))
         nodes = np.unravel_index(np.arange(g.nx**g.d), (g.nx,) * g.d)
         offsets = [np.subtract(*x_offset(g, self.center, dt[hit, None], m))[:, nodes[m]]
                    for m in range(g.d)]
-        if self.per_coordinate:
-            return hit, reduce(np.logical_and, [np.abs(o) < self.wx for o in offsets])
-        return hit, reduce(np.add, [o**2 for o in offsets]) < self.wx**2
-
-
-def _window(offsets: list[np.ndarray], w: float, per_coordinate: bool) -> np.ndarray:
-    """Outer membership of per-axis offsets: each |o| < w, or Euclidean |o| < w."""
-    if per_coordinate:
-        return reduce(np.multiply.outer, [np.abs(o) < w for o in offsets])
-    return reduce(np.add.outer, [o**2 for o in offsets]) < w**2
+        return hit, inside_window(np.stack(offsets, axis=-1), self.wx, self.per_coordinate)
 
 
 def region_mask(traj: Trajectory, region, n: int) -> np.ndarray:
@@ -283,7 +266,9 @@ def region_mask(traj: Trajectory, region, n: int) -> np.ndarray:
         raise ValueError("region_mask needs a base-free trajectory")
     if not isinstance(region, Footprint):
         region = Footprint.of(traj.grid, region)
-    return region.mask(float(traj.times[n]) - region.center.t)
+    # no row of x windows when the snapshot lies outside the time window
+    _, inside = region.x_windows(traj.times[n:n + 1])
+    return np.multiply.outer(inside.any(axis=0).reshape((traj.grid.nx,) * traj.d), region.v_mask)
 
 
 @dataclass(frozen=True)

@@ -15,18 +15,23 @@ The exact solutions of the constant-diffusion flow (``kolmogorov_oracle``,
 SPD A) and ``comparison_check``, which runs two ordered initial states
 through the solver, are the references the scheme converges to and the
 ordering it must keep.
+
+``dilated`` carries a field through the kinetic dilation, under which the
+scheme commutes with the equation exactly when r is a power of 2.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 from scipy.linalg import lapack
 from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import splu
 
+from kfplab.fields import CoefficientField
 from kfplab.solver import SolverConfig, _Collision1D, _Collision2D, solve as fast_solve
 from kfplab.trajectory import PhaseGridFunction, Trajectory
 
@@ -385,3 +390,22 @@ def comparison_check(
     violation = float(np.max(traj_f.values - traj_g.values))
     scale = max(1.0, float(np.abs(g0.values).max()))
     return violation <= tol * scale, violation
+
+
+def dilated(field: CoefficientField, r: float) -> CoefficientField:
+    """``field`` seen through the kinetic dilation delta_r(x, v, t) = (r^3 x, r v, r^2 t):
+    A'(z) = A(delta_{1/r} z), B' = B / r and s' = s / r^2, with the declared bounds
+    scaled alike, ``time_key`` composed with delta_{1/r} and ``nodes_fn`` dropped.
+
+    If f solves the equation with (A, B, s), then f o delta_{1/r} solves it with
+    (A', B', s'); for r a power of 2 every operation of the scheme on the dilated
+    grid, step and field is the original one times an exact power of 2.
+    """
+    def pulled(fn, factor):
+        return lambda x, v, t: factor * fn(x / r**3, v / r, t / r**2)
+
+    key = field.time_key
+    return replace(field, a_fn=pulled(field.a_fn, 1.0), b_fn=pulled(field.b_fn, 1.0 / r),
+                   s_fn=pulled(field.s_fn, 1.0 / r**2), nodes_fn=None,
+                   b_bound=field.b_bound / r, s_bound=field.s_bound / r**2,
+                   s_min=field.s_min / r**2, time_key=lambda t: key(t / r**2))

@@ -1,4 +1,5 @@
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -13,12 +14,14 @@ from kfplab.fields import (
     sample_field,
 )
 from kfplab.geometry import (
-    BOUNDARY_COLLAR,
     Cylinder,
     CylinderShape,
     GalileanTransform,
     KineticPoint,
+    collared_windows,
     group_product,
+    inside_window,
+    scale_point,
 )
 from kfplab.probes import (
     HarnackParams,
@@ -46,8 +49,8 @@ from kfplab.probes import (
     weighted_mean,
 )
 from kfplab.solver import SolverConfig, solve
-from kfplab.trajectory import (Footprint, PhaseBox, PhaseGrid, Trajectory, gradient_v_sq,
-                               region_mask, x_offset)
+from kfplab.trajectory import (Footprint, PhaseBox, PhaseGrid, PhaseGridFunction, Trajectory,
+                               gradient_v_sq, region_mask, x_offset)
 
 
 def sampled_trajectory(grid, times, fn, field=None):
@@ -63,6 +66,26 @@ def slice_mask(grid, piece):
     mask = np.zeros((grid.nx**grid.d, grid.nv**grid.d), dtype=bool)
     mask[np.ix_(piece.xi, piece.vi)] = True
     return mask.reshape(grid.shape)
+
+
+def outer_window(offsets, w, per_coordinate):
+    """Membership of the grid the per-axis ``offsets`` span, as outer products
+    axis by axis: each |o| < w, or the Euclidean |o| < w."""
+    if per_coordinate:
+        return reduce(np.multiply.outer, [np.abs(o) < w for o in offsets])
+    return reduce(np.add.outer, [o**2 for o in offsets]) < w**2
+
+
+def mask_oracle(grid, region, dt):
+    """Full-grid membership mask of ``region`` at time offset ``dt`` from its
+    centre, worked out from its collared windows without :class:`Footprint`."""
+    wx, wv, t_lo, t_hi = collared_windows(*region.windows())
+    if not t_lo < dt <= t_hi:
+        return np.zeros(grid.shape, dtype=bool)
+    c, cube = region.center, region.per_coordinate()
+    x_off = [off - shift for off, shift in (x_offset(grid, c, dt, m) for m in range(grid.d))]
+    v_off = [grid.v_axis - c.v[m] for m in range(grid.d)]
+    return np.multiply.outer(outer_window(x_off, wx, cube), outer_window(v_off, wv, cube))
 
 
 def grid_measure(traj, region):
@@ -396,8 +419,32 @@ class TestWeightedMean:
             for r in radii:
                 assert weighted_mean(traj, z0, r, t) == mean_at_per_snapshot(traj, z0, r, n)
 
+    @pytest.mark.parametrize("r", [1.0, 2.0**-14])
+    def test_time_between_snapshots_rejected_at_any_scale(self, r):
+        # a 32^2 constant-field run dilated by r, storing every 64th of 512 steps
+        grid = PhaseGrid(d=1, x_extent=r**3 * 5.0, nx=32, v_max=r * 4.0, nv=32)
+        field = sample_field(ConstantRecipe(), EllipticityBounds(1.0, 1.0), seed=0, d=1)
+        cfg = SolverConfig(grid=grid, dt=r**2 / 1024, t_end=r**2 / 2, field=field, snapshot_stride=64)
+        f0 = gaussian_bump(PhaseGrid(d=1, x_extent=5.0, nx=32, v_max=4.0, nv=32), 2.5, 0.0, 0.4, 0.5)
+        traj = solve(cfg, PhaseGridFunction(grid, f0.values, 0.0))
+        z0 = scale_point(r, KineticPoint.of(2.5, 0.0, 0.0))
+        with pytest.raises(ValueError, match="no stored snapshot"):
+            weighted_mean(traj, z0, 0.5 * r, 0.5 * float(traj.times[3] + traj.times[4]))
+        # a stored time still matches after a Galilean pull-back
+        base = scale_point(r, KineticPoint.of(0.31, 0.57, 0.23))
+        moved = GalileanTransform(base).apply(z0)
+        t = float(traj.times[3]) + base.t
+        assert weighted_mean(traj.transformed(base), moved, 0.5 * r, t) == weighted_mean(
+            traj, z0, 0.5 * r, float(traj.times[3]))
+
 
 class TestCaccioppoli:
+    def test_cutoff_below_the_grid_names_its_support(self, identity_run):
+        # Q_r holds nodes, but the r/2 cutoff's x support r^3 / 4 holds none at this snapshot
+        with pytest.raises(ValueError, match=r"at snapshot time 0\.9140625: at scale r = 0\.15 it spans "
+                                             r"\|x offset\| < 2 r\^3 = 0\.00674\d* \(hx = 0\.078125\)"):
+            caccioppoli_probe(identity_run, KineticPoint.of(2.5, 0.3, 1.0), 0.3)
+
     def test_velocity_constant_has_zero_energy(self):
         traj = synthetic(lambda x, v, t: 1.0 + 0.2 * np.sin(x), t0=-1.0)
         rep = caccioppoli_probe(traj, KineticPoint.of(2.0, 0.0, 0.0), 0.3)
@@ -634,10 +681,8 @@ def _box_contains(box, xs, vs, ts):
     dt = ts - c.t
     yx = xs - c.x - dt[..., None] * c.v
     yv = vs - c.v
-    wx = box.x_radius - min(BOUNDARY_COLLAR, 0.5 * box.x_radius)
-    wv = box.v_radius - min(BOUNDARY_COLLAR, 0.5 * box.v_radius)
-    ct = min(BOUNDARY_COLLAR, 0.25 * (box.t_hi - box.t_lo))
-    in_t = (dt > box.t_lo + ct) & (dt <= box.t_hi + ct)
+    wx, wv, t_lo, t_hi = collared_windows(*box.windows())
+    in_t = (dt > t_lo) & (dt <= t_hi)
     return in_t & (np.sum(yx**2, axis=-1) < wx**2) & (np.sum(yv**2, axis=-1) < wv**2)
 
 
@@ -751,7 +796,7 @@ class TestRegionSample:
 
 class TestRegionSlices:
     """Each slice's index sets, values, node coordinates and |grad_v f|^2
-    against the full-grid oracle :meth:`Footprint.mask`, in d = 1 and d = 2."""
+    against the full-grid oracle :func:`mask_oracle`, in d = 1 and d = 2."""
 
     @pytest.fixture(scope="class", params=[1, 2])
     def traj(self, request):
@@ -782,9 +827,9 @@ class TestRegionSlices:
         ]
 
     def _oracle(self, traj, region):
-        """(n, mask) of every snapshot whose Footprint.mask holds a node."""
-        footprint = Footprint.of(traj.grid, region)
-        masks = [(n, region_mask(traj, footprint, n)) for n in range(traj.n_times)]
+        """(n, mask) of every snapshot whose :func:`mask_oracle` holds a node."""
+        masks = [(n, mask_oracle(traj.grid, region, t - region.center.t))
+                 for n, t in enumerate(traj.times.tolist())]
         return [(n, mask) for n, mask in masks if mask.any()]
 
     def test_slices_match_the_mask_oracle(self, traj):
@@ -819,7 +864,8 @@ class TestRegionSlices:
             assert inside.shape == (hit.size, g.nx**g.d) and inside.dtype == bool
             rows = dict(zip(hit.tolist(), inside))
             for n, t in enumerate(traj.times):
-                mask = footprint.mask(float(t) - region.center.t)
+                mask = mask_oracle(g, region, float(t) - region.center.t)
+                assert np.array_equal(region_mask(traj, footprint, n), mask), (region, n)
                 if n in rows:
                     want = np.multiply.outer(rows[n].reshape((g.nx,) * g.d), footprint.v_mask)
                     assert np.array_equal(mask, want), (region, n)
@@ -845,6 +891,41 @@ class TestRegionSlices:
         with pytest.raises(ValueError, match="base-free"):
             sample_region(moved, self._regions(traj.d)[0])
         assert _grad_sample(traj, []) == []
+
+
+@pytest.mark.parametrize("per_coordinate", [True, False], ids=["cube", "ball"])
+def test_inside_window_is_each_former_window_test(per_coordinate):
+    """inside_window against the forms it replaced, bit for bit: Cylinder's own on
+    points (d = 1 to 3), x windows' per-axis sums over (k, nodes) offsets and the
+    outer form of a v window (d = 1, 2), with rows on the window's boundary."""
+    rng = np.random.default_rng(7)
+    w = 0.37
+
+    def near(shape):
+        y = rng.uniform(-1.5 * w, 1.5 * w, shape)
+        flat = y.reshape(-1, shape[-1])
+        edge = flat[: flat.shape[0] // 4]
+        if per_coordinate:
+            edge[:, 0] = w * np.sign(edge[:, 0])
+        else:
+            edge *= w / np.sqrt(np.einsum("ij,ij->i", edge, edge))[:, None]
+        return y
+
+    for d in (1, 2, 3):
+        y = near((20_000, d))
+        want = (np.all(np.abs(y) < w, axis=-1) if per_coordinate
+                else np.einsum("...i,...i->...", y, y) < w**2)
+        assert np.array_equal(inside_window(y, w, per_coordinate), want), d
+    for d in (1, 2):
+        y = near((50, 400, d))
+        offsets = list(np.moveaxis(y, -1, 0))
+        want = (reduce(np.logical_and, [np.abs(o) < w for o in offsets]) if per_coordinate
+                else reduce(np.add, [o**2 for o in offsets]) < w**2)
+        assert np.array_equal(inside_window(y, w, per_coordinate), want), d
+        axes = list(np.moveaxis(near((120, d)), -1, 0))
+        spanned = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        assert np.array_equal(inside_window(spanned, w, per_coordinate),
+                              outer_window(axes, w, per_coordinate)), d
 
 
 class TestSourceValues:
