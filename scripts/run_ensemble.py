@@ -8,8 +8,11 @@ the measured constants under refinement.
 """
 
 import argparse
+import multiprocessing
+import os
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -49,6 +52,24 @@ def one_run(seed, nx, nv, dt):
     )
 
 
+def run_jobs(jobs):
+    """``one_run`` over (seed, nx, nv, dt) jobs, the results in job order.
+
+    The jobs run on ``min(len(jobs), cores this process may use)`` workers:
+    in this process when that is one, else in a pool of spawned processes.
+    A job that raises re-raises here, with its traceback, and the jobs not
+    yet started are cancelled.
+    """
+    workers = min(len(jobs), len(os.sched_getaffinity(0)))
+    if workers <= 1:
+        return [one_run(*job) for job in jobs]
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
+    try:
+        return list(pool.map(one_run, *zip(*jobs)))
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--size", type=int, default=20, help="ensemble size")
@@ -59,12 +80,10 @@ def main() -> int:
     args = parser.parse_args()
 
     print("seed,c_emp,gain_cbar,alpha_fit")
-    rows = []
     start = time.monotonic()
-    for i in range(args.size):
-        seed = args.seed0 + i
-        c_emp, cbar, alpha = one_run(seed, args.nx, args.nv, args.dt)
-        rows.append((c_emp, cbar, alpha))
+    seeds = range(args.seed0, args.seed0 + args.size)
+    rows = run_jobs([(seed, args.nx, args.nv, args.dt) for seed in seeds])
+    for seed, (c_emp, cbar, alpha) in zip(seeds, rows):
         print(f"{seed},{c_emp!r},{cbar!r},{alpha!r}")
     arr = np.array(rows)
     print(f"# elapsed {time.monotonic() - start:.0f}s", file=sys.stderr)

@@ -20,9 +20,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import iteration
-from .config import (ConfigError, build_field, build_initial, build_solver_config, check_memory,
-                     given, load_config, run_probe)
+from . import iteration, storage
+from .config import (SCHEMA_VERSION, ConfigError, build_field, build_initial, build_solver_config,
+                     check_memory, given, load_config, run_probe)
 from .fields import certify_field
 from .geometry import group_product, group_quotient, verify_covering
 from .landau import (
@@ -86,7 +86,7 @@ def _invariants(traj, cert) -> list[dict]:
 
 def _report(cfg: dict, probes: list[dict], invariants: list[dict]) -> dict:
     return {
-        "schema_version": 1,
+        "schema_version": storage.SCHEMA_VERSION,
         "config_digest": config_digest(cfg),
         "probes": probes,
         "invariants": invariants,
@@ -96,7 +96,6 @@ def _report(cfg: dict, probes: list[dict], invariants: list[dict]) -> dict:
 def _cmd_solve(cfg: dict, args, with_probes: bool) -> int:
     from .solver import SolverFailure, solve
 
-    seed = _seed(cfg, args)
     field = build_field(cfg, seed_override=args.seed)
     solver_cfg = build_solver_config(cfg, field)
     f0 = build_initial(solver_cfg.grid, cfg["solver"].get("initial"))
@@ -108,13 +107,14 @@ def _cmd_solve(cfg: dict, args, with_probes: bool) -> int:
 
     out = _out_dir(cfg, args)
     out.mkdir(parents=True, exist_ok=True)
-    save_trajectory(out, traj, seed=seed, digest=config_digest(cfg))
-    return _probe_and_report(cfg, traj, field, seed, out, with_probes)
+    save_trajectory(out, traj, seed=_seed(cfg, args), digest=config_digest(cfg))
+    return _probe_and_report(cfg, traj, out, with_probes)
 
 
-def _probe_and_report(cfg: dict, traj, field, seed: int, out: Path, with_probes: bool) -> int:
-    """Run the config's probes (when asked), certify the field on the run's own
-    domain (its grid and stored times), then write probes.csv and report.json."""
+def _probe_and_report(cfg: dict, traj, out: Path, with_probes: bool) -> int:
+    """Run the config's probes (when asked), certify the run's field on its own
+    domain (its grid and stored times) with the field's own seed, then write
+    probes.csv and report.json."""
     probe_reports = []
     if with_probes:
         for spec in cfg.get("probes", []):
@@ -126,7 +126,8 @@ def _probe_and_report(cfg: dict, traj, field, seed: int, out: Path, with_probes:
         _write_probe_csv(out / "probes.csv", probe_reports)
     g = traj.grid
     box = (0.0, g.x_extent), (-g.v_max, g.v_max), (float(traj.times[0]), float(traj.times[-1]))
-    invariants = _invariants(traj, certify_field(field, seed=seed, box=box))
+    cert = certify_field(traj.field, seed=traj.field.descriptor["seed"], box=box)
+    invariants = _invariants(traj, cert)
     write_report(out / "report.json", _report(cfg, probe_reports, invariants))
     if not all(item["passed"] for item in invariants):
         print("invariant violation; see report.json", file=sys.stderr)
@@ -150,8 +151,10 @@ def _cmd_probe(cfg: dict, args) -> int:
     except (OSError, ValueError) as exc:
         print(f"cannot load snapshots from {out}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    field = traj.field if traj.field is not None else build_field(cfg, seed_override=args.seed)
-    return _probe_and_report(cfg, traj, field, _seed(cfg, args), out, with_probes=True)
+    if traj.field is None:
+        print(f"{out / 'run_meta.json'} stores no field descriptor to replay", file=sys.stderr)
+        return EXIT_CONFIG
+    return _probe_and_report(cfg, traj, out, with_probes=True)
 
 
 def _cmd_landau(cfg: dict, args) -> int:
@@ -280,7 +283,7 @@ def main(argv=None) -> int:
     parser.add_argument("--config", type=str, default=None, help="path to the JSON config")
     parser.add_argument("--out", type=str, default=None, help="output directory override")
     parser.add_argument("--seed", type=int, default=None,
-                        help="seed override for run, solve, probe and geometry")
+                        help="seed override for run, solve and geometry")
     args = parser.parse_args(argv)
     if args.config is None and args.command in ("run", "solve", "probe", "landau"):
         print("--config is required for this command", file=sys.stderr)
@@ -288,12 +291,12 @@ def main(argv=None) -> int:
     if args.seed is not None and args.seed < 0:
         print(f"--seed must be at least 0, got {args.seed}", file=sys.stderr)
         return EXIT_CONFIG
-    if args.seed is not None and args.command in ("landau", "iterate"):
+    if args.seed is not None and args.command in ("probe", "landau", "iterate"):
         print(f"--seed has no effect on {args.command}", file=sys.stderr)
         return EXIT_CONFIG
 
     try:
-        cfg = load_config(args.config) if args.config is not None else {"schema_version": 1}
+        cfg = load_config(args.config) if args.config is not None else {"schema_version": SCHEMA_VERSION}
         return _COMMANDS[args.command](cfg, args)
     except ConfigError as exc:
         print(f"invalid config: {exc}", file=sys.stderr)

@@ -85,7 +85,7 @@ _PROBES = {
     "harnack": _HARNACK,
     "gain": {"r_int": Req(float), "r_ext": Req(float)},
     "energy": {"r_int": Req(float), "r_ext": Req(float)},
-    "holder": {"omega": float, "k_levels": int, "r_base": (float, None)},
+    "holder": {"omega": float, "k_levels": Min(int, 1), "r_base": (float, None)},
     "doubling": {"omega": float, "n_levels": int, "r": (float, None)},
     "oscillation": {"r": Req(float)},
     "levelsets": {"theta": Req(float), "r": float, "region": ("unit_box",)},

@@ -154,13 +154,6 @@ class RotatingAnisotropyRecipe:
     period: float = 1.0
 
 
-Recipe = ConstantRecipe | CheckerboardRecipe | SmoothRandomRecipe | RotatingAnisotropyRecipe
-RECIPES = {cls.kind: cls for cls in (ConstantRecipe, CheckerboardRecipe, SmoothRandomRecipe,
-                                     RotatingAnisotropyRecipe)}
-# descriptor keys that are not the recipe's own
-_DESCRIPTOR_KEYS = {"kind", "seed", "d", "lambda", "Lambda", "corrupted_scale"}
-
-
 def _zigzag(i: np.ndarray) -> np.ndarray:
     return np.where(i >= 0, 2 * i, -2 * i - 1)
 
@@ -182,20 +175,7 @@ def _ball_draw(rng: np.random.Generator, d: int, radius: float) -> np.ndarray:
     return g / norm * radius * rng.uniform() ** (1.0 / d)
 
 
-def sample_field(recipe: Recipe, bounds: EllipticityBounds, seed: int, d: int = 1) -> CoefficientField:
-    """Build a coefficient field for the given recipe, bounds, seed and dimension."""
-    if isinstance(recipe, ConstantRecipe):
-        return _constant_field(recipe, bounds, seed, d)
-    if isinstance(recipe, CheckerboardRecipe):
-        return _checkerboard_field(recipe, bounds, seed, d)
-    if isinstance(recipe, SmoothRandomRecipe):
-        return _smooth_field(recipe, bounds, seed, d)
-    if isinstance(recipe, RotatingAnisotropyRecipe):
-        return _rotating_field(recipe, bounds, seed, d)
-    raise ValueError(f"unknown recipe {recipe!r}")
-
-
-def _descriptor(recipe: Recipe, bounds: EllipticityBounds, seed: int, d: int) -> dict:
+def _descriptor(recipe, bounds: EllipticityBounds, seed: int, d: int) -> dict:
     return {"kind": recipe.kind, "seed": int(seed), "d": int(d),
             "lambda": bounds.lam, "Lambda": bounds.big_lam, **vars(recipe)}
 
@@ -407,6 +387,27 @@ def _rotating_field(recipe: RotatingAnisotropyRecipe, bounds: EllipticityBounds,
         descriptor=_descriptor(recipe, bounds, seed, d),
         a_fn=a_fn, b_fn=b_fn, s_fn=s_fn,
     )
+
+
+# each recipe class and the builder of its fields
+_BUILDERS = {
+    ConstantRecipe: _constant_field,
+    CheckerboardRecipe: _checkerboard_field,
+    SmoothRandomRecipe: _smooth_field,
+    RotatingAnisotropyRecipe: _rotating_field,
+}
+RECIPES = {cls.kind: cls for cls in _BUILDERS}
+# descriptor keys that are not the recipe's own
+_DESCRIPTOR_KEYS = {"kind", "seed", "d", "lambda", "Lambda", "corrupted_scale"}
+
+
+def sample_field(recipe, bounds: EllipticityBounds, seed: int, d: int = 1) -> CoefficientField:
+    """Build a coefficient field for the given recipe (an instance of a class
+    in ``RECIPES``), bounds, seed and dimension."""
+    build = _BUILDERS.get(type(recipe))
+    if build is None:
+        raise ValueError(f"unknown recipe {recipe!r}")
+    return build(recipe, bounds, seed, d)
 
 
 def field_from_descriptor(desc: dict) -> CoefficientField:

@@ -8,7 +8,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -372,16 +372,7 @@ class BoundsReport:
     verdict: str
 
     def to_dict(self) -> dict:
-        return {
-            "kappa": self.kappa,
-            "det_ratio_min": self.det_ratio_min,
-            "det_ratio_argmin": [float(x) for x in self.det_ratio_argmin],
-            "a_norm_ratio_max": self.a_norm_ratio_max,
-            "b_norm_ratio_max": self.b_norm_ratio_max,
-            "c_ratio_max": self.c_ratio_max,
-            "moments": [float(m) for m in self.moments],
-            "verdict": self.verdict,
-        }
+        return asdict(self)
 
 
 def check_coefficient_bounds(

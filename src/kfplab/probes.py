@@ -13,7 +13,7 @@ same Galilean change of frame leaves every measured constant unchanged.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -51,12 +51,7 @@ class ProbeReport:
         object.__setattr__(self, "constants", clean)
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "params": self.params,
-            "constants": self.constants,
-            "verdict": self.verdict,
-        }
+        return asdict(self)
 
 
 def c01_constant(r_ext: float, r_int: float) -> float:
@@ -320,6 +315,8 @@ def holder_fit(
     traj, z1 = _native(traj, z1)
     if not 0.0 < omega < 1.0:
         raise ValueError(f"omega must lie in (0, 1), got {omega}")
+    if k_levels < 1:
+        raise ValueError(f"k_levels must be at least 1, got {k_levels}")
     if r_base is None:
         r_base = _largest_radius(traj, z1)
     radii = [(omega / 2.0) ** k * r_base / 2.0 for k in range(1, k_levels + 1)]

@@ -324,8 +324,11 @@ class _Collision2D(_Collision):
     matrix, so they share one LU; the source enters the right-hand side only.
     ``_lus`` holds each cell's LU.
 
-    Cross-diffusion terms use the symmetric face-averaged stencil; the
-    M-matrix (hence positivity) guarantee only holds for moderate anisotropy.
+    Cross-diffusion terms use the symmetric face-averaged stencil, which is
+    not an M-matrix for every A: positivity fails at step 1 from
+    Lambda/lambda = 2 on the rotating field, and at Lambda/lambda = 4 on a
+    constant A rotated by 30 degrees.  On a constant field the solve drifts
+    the mass by about -2e-16 per step (8^4 nodes), linearly in the steps.
     """
 
     def _assemble(self, t: float) -> None:

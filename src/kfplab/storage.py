@@ -19,6 +19,7 @@ from .fields import field_from_descriptor
 from .trajectory import EnergyLedger, PhaseGrid, Trajectory
 
 SCHEMA_VERSION = 1
+_CSV_ROWS = 128     # ledger rows formatted from Python objects at a time while writing
 _READ_ROWS = 1024   # ledger rows held as Python objects at a time while reading
 
 
@@ -87,10 +88,15 @@ def write_report(path, report: dict) -> None:
 
 
 def write_ledger(path, ledger: EnergyLedger) -> None:
-    """Write the ledger CSV one line at a time, as each row is formatted."""
+    """Write the ledger CSV: the header, then one line per row, each value's
+    repr, comma-separated.  Each line is written as it is formatted, from
+    Python ints and floats converted ``_CSV_ROWS`` rows at a time."""
+    line = ",".join(["%r"] * len(ledger.FIELDS)) + "\n"
     with open(path, "w") as fh:
-        for line in ledger.csv_lines():
-            fh.write(line + "\n")
+        fh.write(",".join(ledger.FIELDS) + "\n")
+        for lo in range(0, ledger.columns[0].size, _CSV_ROWS):
+            for row in zip(*(c[lo:lo + _CSV_ROWS].tolist() for c in ledger.columns)):
+                fh.write(line % row)
 
 
 def read_ledger(path) -> EnergyLedger:

@@ -12,14 +12,11 @@ constant commutes with the group action.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterator
 
 import numpy as np
 
 from .fields import CoefficientField
 from .geometry import KineticPoint, collared_windows, compose, inside_window
-
-_CSV_ROWS = 128   # ledger rows formatted from Python objects at a time
 
 
 @dataclass(frozen=True)
@@ -114,16 +111,6 @@ class EnergyLedger:
 
     def column(self, name: str) -> np.ndarray:
         return self.columns[self.FIELDS.index(name)]
-
-    def csv_lines(self) -> Iterator[str]:
-        """The header, then one line per row: each value's repr, comma-separated.
-        The lines are made one at a time, as they are consumed, from Python
-        ints and floats converted ``_CSV_ROWS`` rows at a time."""
-        line = ",".join(["%r"] * len(self.FIELDS))
-        yield ",".join(self.FIELDS)
-        for lo in range(0, self.columns[0].size, _CSV_ROWS):
-            for row in zip(*(c[lo:lo + _CSV_ROWS].tolist() for c in self.columns)):
-                yield line % row
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
 """The storage module's slow paths, kept as test oracles for the fast ones.
 
-``write_ledger`` joins every formatted line into one string before writing it,
-and ``read_ledger`` reads the whole file, strips it and splits it into a list
-of lines, and parses every row into a tuple before it builds the columns.
+``write_ledger`` formats every row of ``conftest.ledger_rows`` and joins the
+lines into one string before writing it, and ``read_ledger`` reads the whole
+file, strips it and splits it into a list of lines, and parses every row into
+a tuple before it builds the columns.
 ``load_trajectory`` reads each snapshot into a copy of its own and
 ``np.stack``s the list, so it holds every snapshot twice.  The program's
 functions must write the same bytes and return the same rows and stacks; for
@@ -21,11 +22,12 @@ from kfplab.fields import field_from_descriptor
 from kfplab.storage import SCHEMA_VERSION
 from kfplab.trajectory import EnergyLedger, PhaseGrid, Trajectory
 
-from conftest import ledger_from_rows
+from conftest import ledger_from_rows, ledger_rows
 
 
 def write_ledger(path, ledger: EnergyLedger) -> None:
-    Path(path).write_text("\n".join(ledger.csv_lines()) + "\n")
+    lines = [",".join(EnergyLedger.FIELDS)] + [",".join(map(repr, row)) for row in ledger_rows(ledger)]
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def read_ledger(path) -> EnergyLedger:

@@ -75,7 +75,7 @@ from solver_oracle import comparison_check, gaussian_exact_solution
 
 # criterion 08 runs the ensemble experiment's own run function
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
-from run_ensemble import one_run  # noqa: E402
+from run_ensemble import run_jobs  # noqa: E402
 
 
 def verdict(num: int, description: str, passed: bool) -> None:
@@ -327,8 +327,11 @@ CRITERION08_CONSTANTS = Path(__file__).parent / "data" / "criterion08_constants.
 @pytest.mark.slow
 def test_criterion_08_probe_stability_over_ensemble():
     start = time.monotonic()
-    base = [one_run(100 + i, 64, 64, 1 / 8192) for i in range(ENSEMBLE_SIZE)]
-    fine = [one_run(100 + i, 128, 128, 1 / 16384) for i in range(ENSEMBLE_SIZE)]
+    # the 128^2 members go first, so the short 64^2 ones even out the workers' ends
+    seeds = range(100, 100 + ENSEMBLE_SIZE)
+    runs = run_jobs([(seed, 128, 128, 1 / 16384) for seed in seeds]
+                    + [(seed, 64, 64, 1 / 8192) for seed in seeds])
+    fine, base = runs[:ENSEMBLE_SIZE], runs[ENSEMBLE_SIZE:]
     elapsed = time.monotonic() - start
 
     # (c_emp, cbar, alpha_fit) per resolution and seed, as written by the code

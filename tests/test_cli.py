@@ -197,6 +197,28 @@ class TestRunCommand:
         replay = (out / "report.json").read_bytes()
         assert in_run == replay
 
+    def test_run_and_probe_certify_with_the_field_seed(self, tmp_path, monkeypatch):
+        # the config's own seed is 0 and its field has none, so --seed 5 is the field's
+        seeds = []
+        certify = cli.certify_field
+
+        def spy(field, **kwargs):
+            seeds.append(kwargs["seed"])
+            return certify(field, **kwargs)
+
+        monkeypatch.setattr(cli, "certify_field", spy)
+        out = tmp_path / "out"
+        config = base_config(out, initial={"kind": "gaussian", "center_x": 2.0,
+                                           "sigma_x": 0.3, "sigma_v": 0.4, "floor": 0.01})
+        config["seed"] = 0
+        del config["field"]["seed"]
+        cfg = write_config(tmp_path, config)
+        assert main(["run", "--config", str(cfg), "--seed", "5"]) == 0
+        in_run = (out / "report.json").read_bytes()
+        assert main(["probe", "--config", str(cfg)]) == 0
+        assert seeds == [5, 5]
+        assert (out / "report.json").read_bytes() == in_run
+
 
 class TestConfigValidation:
     def test_unknown_top_key(self, tmp_path):
@@ -214,7 +236,7 @@ class TestConfigValidation:
     def test_missing_config(self):
         assert main(["run"]) == 2
 
-    @pytest.mark.parametrize("command", ["landau", "iterate"])
+    @pytest.mark.parametrize("command", ["landau", "iterate", "probe"])
     def test_seed_is_rejected_where_nothing_draws(self, tmp_path, capsys, command):
         cfg = write_config(tmp_path, {"schema_version": 1, "landau": {"gamma": -3.0}})
         out = tmp_path / "out"
@@ -322,6 +344,7 @@ MALFORMED = {
     "norm_without_p": ("run", ("probes", 1, "p"), DROP),
     "center_not_a_list": ("run", ("probes", 1, "center"), 5),
     "r_ladder_not_a_list": ("run", ("probes",), [{**PROPAGATION, "r_ladder": 0.1}]),
+    "holder_without_levels": ("run", ("probes",), [{"name": "holder", "k_levels": 0}]),
     "output_dir_number": ("solve", ("output", "dir"), 5),
     "landau_profile_unknown_key": ("landau", ("landau",),
                                    {"gamma": -3.0, "profile": {"n": 8, "typo": 1}}),
@@ -683,6 +706,16 @@ class TestOtherCommands:
     def test_probe_without_snapshots_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path, base_config(tmp_path / "never_ran"))
         assert main(["probe", "--config", str(cfg)]) == 2
+
+    def test_probe_without_field_descriptor_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, base_config(out))
+        assert main(["solve", "--config", str(cfg)]) == 0
+        meta = json.loads((out / "run_meta.json").read_text())
+        meta["field_descriptor"] = None
+        (out / "run_meta.json").write_text(json.dumps(meta))
+        assert main(["probe", "--config", str(cfg)]) == 2
+        assert f"{out / 'run_meta.json'} stores no field descriptor" in capsys.readouterr().err
 
     def test_probe_outside_domain_is_config_error(self, tmp_path):
         out = tmp_path / "out"

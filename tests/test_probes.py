@@ -242,6 +242,12 @@ class TestOscillationAndHolder:
             rep.constants["alpha_fit"], abs=0.35
         )
 
+    @pytest.mark.parametrize("k_levels", [0, -2])
+    def test_holder_without_levels_is_rejected_by_name(self, identity_run, k_levels):
+        z1 = KineticPoint.of(2.5, 0.0, 1.0)
+        with pytest.raises(ValueError, match=f"k_levels must be at least 1, got {k_levels}"):
+            holder_fit(identity_run, z1, omega=0.9, k_levels=k_levels, r_base=0.45)
+
     def test_oscillation_decays_on_diffusing_run(self, identity_run):
         z1 = KineticPoint.of(2.5, 0.0, 1.0)
         rep = holder_fit(identity_run, z1, omega=0.9, k_levels=3, r_base=0.45)

@@ -1,8 +1,11 @@
 """Each script under scripts/ runs end to end through its main() at a tiny size."""
 
+import importlib
 import importlib.util
 import math
 import sys
+import threading
+import traceback
 from pathlib import Path
 
 import pytest
@@ -38,6 +41,27 @@ def test_run_ensemble(monkeypatch, capsys):
     assert len(lines) == 2
     seed, *constants = lines[1].split(",")
     assert seed == "100" and all(math.isfinite(float(c)) for c in constants)
+
+    # imported by name, so that pool workers can unpickle its one_run
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    ensemble = importlib.import_module("run_ensemble")
+    jobs = [(100, 32, 32, 1 / 4096), (101, 32, 32, 1 / 4096)]
+    assert repr(ensemble.run_jobs(jobs)) == repr([ensemble.one_run(*job) for job in jobs])
+    # a member that raises (nx = 1 is no grid) surfaces with its traceback, in bounded time
+    raised = []
+
+    def run_bad_member():
+        try:
+            ensemble.run_jobs([jobs[0], (100, 1, 32, 1 / 4096)])
+        except ValueError as exc:
+            raised.append(exc)
+
+    runner = threading.Thread(target=run_bad_member, daemon=True)
+    runner.start()
+    runner.join(timeout=120)
+    assert not runner.is_alive() and len(raised) == 1
+    assert "at least two nodes" in str(raised[0])
+    assert "in one_run" in "".join(traceback.format_exception(raised[0]))
 
 
 def test_sde_reference(monkeypatch, capsys):

@@ -30,7 +30,7 @@ from kfplab.solver import (
 from kfplab.trajectory import EnergyLedger, PhaseGrid, PhaseGridFunction, gradient_v_sq
 
 import solver_oracle as oracle
-from conftest import gaussian_bump, ledger_rows
+from conftest import gaussian_bump, ledger_rows, same_ledger
 from solver_oracle import (
     comparison_check,
     gaussian_exact_solution,
@@ -597,7 +597,7 @@ class TestFastPathsMatchOracles:
             assert got.ledger.column("step").tolist() == list(range(n_steps + 1))
             assert got.times.tobytes() == want.times.tobytes()
             assert got.values.tobytes() == want.values.tobytes()
-            assert list(got.ledger.csv_lines()) == list(want.ledger.csv_lines())
+            assert same_ledger(got.ledger, want.ledger)
 
     @pytest.mark.parametrize("d, n", [(1, 256), (2, 16)])
     def test_ledger_block_rows_match_single_state_rows(self, d, n):
@@ -640,7 +640,7 @@ class TestFastPathsMatchOracles:
         got, want = solve(cfg, f0), oracle.solve(cfg, f0)
         assert got.times.tobytes() == want.times.tobytes()
         assert got.values.tobytes() == want.values.tobytes()
-        assert list(got.ledger.csv_lines()) == list(want.ledger.csv_lines())
+        assert same_ledger(got.ledger, want.ledger)
 
     @pytest.mark.parametrize("field", [
         sample_field(RotatingAnisotropyRecipe(period=1.0), EllipticityBounds(0.5, 1.5), seed=9, d=2),
@@ -656,7 +656,7 @@ class TestFastPathsMatchOracles:
         got, want = solve(cfg, f0), oracle.solve(cfg, f0)
         assert got.times.tobytes() == want.times.tobytes()
         assert got.values.tobytes() == want.values.tobytes()
-        assert list(got.ledger.csv_lines()) == list(want.ledger.csv_lines())
+        assert same_ledger(got.ledger, want.ledger)
 
     @pytest.mark.parametrize("name, distinct", [
         ("constant", 1), ("rotating", 3), ("checkerboard", 9), ("smooth", 9),
@@ -733,7 +733,7 @@ class TestFastPathsMatchOracles:
         got, want = solve(cfg, f0), oracle.solve(cfg, f0)
         assert got.times.tobytes() == want.times.tobytes()
         assert got.values.tobytes() == want.values.tobytes()
-        assert list(got.ledger.csv_lines()) == list(want.ledger.csv_lines())
+        assert same_ledger(got.ledger, want.ledger)
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_negative_zero_data_without_source(self, d):
@@ -746,7 +746,7 @@ class TestFastPathsMatchOracles:
         assert _same_array(got, oracle.make_collision(cfg).apply(f0.values, 0.025))
         got, want = solve(cfg, f0), oracle.solve(cfg, f0)
         assert got.values.tobytes() == want.values.tobytes()
-        assert list(got.ledger.csv_lines()) == list(want.ledger.csv_lines())
+        assert same_ledger(got.ledger, want.ledger)
 
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("recipe, t_end, assemblies", [
@@ -830,7 +830,7 @@ class TestFastPathsMatchOracles:
         got, want = solve(cfg, f0), oracle.solve(cfg, f0)
         unscaled = solve(replace(cfg, field=base), f0)
         assert got.values.tobytes() == want.values.tobytes()
-        assert list(got.ledger.csv_lines()) == list(want.ledger.csv_lines())
+        assert same_ledger(got.ledger, want.ledger)
         assert got.values.tobytes() != unscaled.values.tobytes()
 
     def test_plan_built_once_per_solve(self, monkeypatch):
