@@ -16,35 +16,43 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from kfplab.config import build_initial
-from kfplab.fields import CheckerboardRecipe, EllipticityBounds, sample_field
-from kfplab.geometry import Cylinder, KineticPoint
-from kfplab.probes import HarnackParams, gain_probe, harnack_probe, holder_fit
-from kfplab.solver import SolverConfig, solve
-from kfplab.trajectory import PhaseGrid
+from kfplab import config
+from kfplab.solver import solve
+
+
+def member_config(seed, nx, nv, dt):
+    """The README config's shape with field seed ``seed`` on an nx x nv grid at step dt."""
+    top = [2.5, 0.0, 1.0]
+    return {
+        "schema_version": 1,
+        "solver": {
+            "d": 1, "x_extent": 5.0, "nx": nx, "v_max": 4.0, "nv": nv, "dt": dt, "t_end": 1.0,
+            "snapshot_stride": max(nx, 64), "snapshot_tail": 0.014,
+            "initial": {"kind": "gaussian", "center_x": 2.5, "sigma_x": 0.2, "sigma_v": 0.35,
+                        "floor": 0.01},
+        },
+        "field": {"recipe": "checkerboard", "lambda": 0.5, "Lambda": 2.0,
+                  "cell": 1.0, "b_max": 2.0, "s_max": 0.0, "seed": seed},
+        "probes": [
+            {"name": "harnack", "R": 0.25, "Delta": 0.3, "rho1": 0.4, "rho2": 0.6,
+             "center": [2.5, 0.0, 0.9]},
+            # the position windows r^3 span several cells at base resolution, so the
+            # cylinder quadratures converge under refinement
+            {"name": "gain", "r_int": 0.7, "r_ext": 0.95, "center": top},
+            {"name": "holder", "omega": 0.9, "k_levels": 3, "r_base": 0.45, "center": top},
+        ],
+    }
 
 
 def one_run(seed, nx, nv, dt):
-    """(C_emp, gain cbar, alpha_fit) of one checkerboard run; criterion 08 of
-    the acceptance suite runs this at seeds 100-119, 64^2 and 128^2."""
-    grid = PhaseGrid(d=1, x_extent=5.0, nx=nx, v_max=4.0, nv=nv)
-    field = sample_field(
-        CheckerboardRecipe(cell=1.0, b_max=2.0, s_max=0.0),
-        EllipticityBounds(0.5, 2.0), seed=seed, d=1,
-    )
-    cfg = SolverConfig(grid=grid, dt=dt, t_end=1.0, field=field,
-                       snapshot_stride=max(nx, 64), snapshot_tail=0.014)
-    traj = solve(cfg, build_initial(grid, {"kind": "gaussian", "center_x": 2.5, "sigma_x": 0.2,
-                                           "sigma_v": 0.35, "floor": 0.01}))
-    harnack = harnack_probe(traj, HarnackParams(
-        r=0.25, delta=0.3, rho1=0.4, rho2=0.6, q=2.0,
-        center=KineticPoint.of(2.5, 0.0, 0.9),
-    ))
-    top = KineticPoint.of(2.5, 0.0, 1.0)
-    # the position windows r^3 span several cells at base resolution, so the
-    # cylinder quadratures converge under refinement
-    gain = gain_probe(traj, Cylinder(top, 0.7), Cylinder(top, 0.95))
-    holder = holder_fit(traj, top, omega=0.9, k_levels=3, r_base=0.45)
+    """(C_emp, gain cbar, alpha_fit) of one checkerboard run, through the config
+    path of ``kfplab run``; criterion 08 of the acceptance suite runs this at
+    seeds 100-119, 64^2 and 128^2."""
+    cfg = member_config(seed, nx, nv, dt)
+    config.validate_config(cfg)
+    solver_cfg = config.build_solver_config(cfg, config.build_field(cfg))
+    traj = solve(solver_cfg, config.build_initial(solver_cfg.grid, cfg["solver"]["initial"]))
+    harnack, gain, holder = (config.run_probe(traj, spec) for spec in cfg["probes"])
     return (
         harnack.constants["c_emp"],
         gain.constants["cbar"],

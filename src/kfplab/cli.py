@@ -13,7 +13,6 @@ violation.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from functools import partial
 from pathlib import Path
@@ -52,9 +51,6 @@ EXIT_INVARIANT = 4
 def _out_dir(cfg: dict, args) -> Path:
     if args.out:
         return Path(args.out)
-    env = os.environ.get("KFPLAB_OUT")
-    if env:
-        return Path(env)
     return Path(cfg.get("output", {}).get("dir", "out"))
 
 

@@ -22,7 +22,7 @@ from . import probes as probes_mod
 from .fields import RECIPES, field_from_descriptor
 from .geometry import Cylinder, CylinderShape, KineticPoint
 from .solver import SolverConfig
-from .trajectory import EnergyLedger, PhaseBox, PhaseGrid, PhaseGridFunction, Trajectory
+from .trajectory import EnergyLedger, PhaseGrid, PhaseGridFunction, Trajectory
 
 SCHEMA_VERSION = 1
 
@@ -88,7 +88,7 @@ _PROBES = {
     "holder": {"omega": float, "k_levels": Min(int, 1), "r_base": (float, None)},
     "doubling": {"omega": float, "n_levels": int, "r": (float, None)},
     "oscillation": {"r": Req(float)},
-    "levelsets": {"theta": Req(float), "r": float, "region": ("unit_box",)},
+    "levelsets": {"theta": Req(float), "r": Req(float)},
     "fractional": {"s_order": Req(float), "r": Req(float), "n_pairs": Min(int, 1),
                    "seed": Min(int, 0)},
     "gehring": {"q": Req(float), "r0": Req(float), "theta": float},
@@ -188,9 +188,6 @@ def load_config(path) -> dict:
 
 def validate_config(cfg: dict) -> None:
     _check(cfg, SCHEMA, "config")
-    for i, spec in enumerate(cfg.get("probes", [])):
-        if spec["name"] == "levelsets" and ("r" in spec) == ("region" in spec):
-            raise ConfigError(f"config.probes[{i}] (levelsets) needs exactly one of r and region")
     if {"input", "profile"} <= set(cfg.get("landau", {})):
         raise ConfigError("config.landau takes an input or a profile, not both")
 
@@ -327,11 +324,7 @@ def run_probe(traj: Trajectory, spec: dict) -> probes_mod.ProbeReport:
         osc = probes_mod.oscillation(traj, Cylinder(center, spec["r"]))
         return _measured("oscillation", {"r": spec["r"]}, {"osc": osc})
     if name == "levelsets":
-        if "region" in spec:   # the only region is "unit_box"
-            region = PhaseBox(center, 1.0, 1.0, -2.0, 0.0)
-        else:
-            region = Cylinder(center, spec["r"])
-        ls = probes_mod.level_set_measures(traj, spec["theta"], region)
+        ls = probes_mod.level_set_measures(traj, spec["theta"], Cylinder(center, spec["r"]))
         return _measured("levelsets", {"theta": spec["theta"]},
                          {"high": ls.high, "low": ls.low, "mid": ls.mid, "region": ls.region})
     if name == "fractional":

@@ -8,7 +8,7 @@ All objects are immutable values and all operations are pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -114,11 +114,6 @@ class GalileanTransform:
 
     def apply_inverse(self, z: KineticPoint) -> KineticPoint:
         return KineticPoint(*group_quotient(self.base, self._same_d(z)))
-
-
-def compose(z0: KineticPoint, z1: KineticPoint) -> KineticPoint:
-    """Group product z0 o z1 = T_{z0}(z1)."""
-    return GalileanTransform(z0).apply(z1)
 
 
 def scale_point(r: float, z: KineticPoint) -> KineticPoint:
@@ -259,10 +254,6 @@ class Cylinder:
             return (2.0 * wx) ** d * (2.0 * wv) ** d * depth
         vb = unit_ball_volume(d)
         return vb * wx**d * vb * wv**d * depth
-
-    def transformed(self, z0: KineticPoint) -> "Cylinder":
-        """The cylinder moved by the group action T_{z0}."""
-        return replace(self, center=compose(z0, self.center))
 
 
 @dataclass(frozen=True)

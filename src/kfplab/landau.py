@@ -243,26 +243,21 @@ def convolve_fft(f: VelocityGridFunction, kernel: np.ndarray) -> np.ndarray:
     the n "valid" outputs [n - 1, 2n - 2] exactly when L >= 2n - 1
     (overlap-save).  Those outputs are therefore the linear ones, up to
     rounding; the tests check them against the O(N^2) direct sum and against
-    ``scipy.signal.fftconvolve``.  Each component is bitwise
-    ``irfftn(rfftn(ker, s) * f.spectrum, s)[valid]`` with s = (L,) * d, one
-    axis at a time in pocketfft's own order: the real axis last, the complex
-    axes 0 ... d-2 in turn.  The forward transform pads each axis only when
-    it comes to it, so lines that are all padding are never transformed.
+    ``scipy.signal.fftconvolve``.  Each component is
+    ``irfftn(rfftn(ker, s) * f.spectrum, s)[valid]`` with s = (L,) * d.
     The fields do not come this way: they transform only their kernels'
     orthants (``_symmetric_convolution``), and this is their oracle.
     """
     from scipy import fft as sp_fft
 
     n, d = f.grid.n, f.grid.d
-    size = 2 * f.spectrum.shape[-1] - 2
+    shape = [2 * f.spectrum.shape[-1] - 2] * d
+    valid = (slice(n - 1, 2 * n - 1),) * d
     comp_shape = kernel.shape[d:]
     out = np.empty(f.values.shape + comp_shape)
     for comp in itertools.product(*[range(s) for s in comp_shape]):
-        spec = sp_fft.rfft(kernel[(...,) + comp], size, axis=-1)
-        for axis in range(d - 1):
-            spec = sp_fft.fft(spec, size, axis=axis)
-        spec *= f.spectrum
-        out[(...,) + comp] = _pruned_inverse(spec, size, slice(n - 1, 2 * n - 1))
+        spec = sp_fft.rfftn(kernel[(...,) + comp], shape) * f.spectrum
+        out[(...,) + comp] = sp_fft.irfftn(spec, shape)[valid]
     return out * f.grid.cell_volume
 
 

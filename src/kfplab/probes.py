@@ -24,13 +24,12 @@ from .geometry import (
     CylinderShape,
     GalileanTransform,
     KineticPoint,
-    compose,
     group_product,
     group_quotient,
     iterated_times,
 )
 from .iteration import holder_alpha, sobolev_p
-from .trajectory import Footprint, PhaseBox, Trajectory, gradient_v_sq, x_offset
+from .trajectory import Footprint, Trajectory, gradient_v_sq, x_offset
 from .trajectory import region_mask  # noqa: F401 -- unused here; kfpbench traces probes.region_mask
 
 
@@ -71,7 +70,7 @@ def _native(traj: Trajectory, *objs):
     for obj in objs:
         if isinstance(obj, KineticPoint):
             out.append(inv.apply_inverse(obj))
-        elif isinstance(obj, (Cylinder, PhaseBox)):
+        elif isinstance(obj, Cylinder):
             out.append(replace(obj, center=inv.apply_inverse(obj.center)))
         elif obj is None:
             out.append(None)
@@ -374,8 +373,10 @@ def _largest_radius(traj: Trajectory, z1: KineticPoint) -> float:
 class HarnackParams:
     """Geometry of the Harnack quotient: Q+ = Q_R(c), Q- = Q_R(c o (0,0,-Delta)).
 
-    rho1 < rho2 bound the intermediate cylinders used by the propagation
-    probe; q is the propagation exponent and fixes
+    rho2 is the radius of Q-[2] = Q_rho2(c o (0,0,-Delta)), which must hold
+    the propagation probe's elongated cylinders.  rho1 is only checked
+    (R < rho1 < rho2 < 1) and echoed in the Harnack report; no probe computes
+    with it.  q is the propagation exponent and fixes
     C_pm = ((1/2 + R^2)/4)^{q/2}.
     """
 
@@ -405,7 +406,7 @@ class HarnackParams:
 
     def _minus_center(self) -> KineticPoint:
         shift = KineticPoint(np.zeros(self.center.d), np.zeros(self.center.d), -self.delta)
-        return compose(self.center, shift)
+        return GalileanTransform(self.center).apply(shift)
 
     def q_minus(self, rho: float | None = None) -> Cylinder:
         return Cylinder(self._minus_center(), self.r if rho is None else rho)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fields import CoefficientField
-from .geometry import KineticPoint, collared_windows, compose, inside_window
+from .geometry import GalileanTransform, KineticPoint, collared_windows, inside_window
 
 
 @dataclass(frozen=True)
@@ -151,7 +151,7 @@ class Trajectory:
         return w
 
     def transformed(self, z0: KineticPoint) -> "Trajectory":
-        new_base = z0 if self.base is None else compose(z0, self.base)
+        new_base = z0 if self.base is None else GalileanTransform(z0).apply(self.base)
         return replace(self, base=new_base)
 
     def scaled_values(self, c: float) -> "Trajectory":
@@ -204,7 +204,7 @@ def x_offset(grid: PhaseGrid, center: KineticPoint, dt: float | np.ndarray,
 
 @dataclass(frozen=True)
 class Footprint:
-    """How a Cylinder or PhaseBox meets a phase grid, worked out once per region.
+    """How a Cylinder meets a phase grid, worked out once per region.
 
     x is periodic: a node is tested at its image nearest the centre's path.
     An x window wider than the period (2 wx > x_extent) or a reach past a
@@ -246,9 +246,9 @@ class Footprint:
 
 
 def region_mask(traj: Trajectory, region, n: int) -> np.ndarray:
-    """Boolean membership mask of grid nodes in ``region`` (a Cylinder, a
-    PhaseBox or its :class:`Footprint`) at snapshot ``n`` of a base-free
-    trajectory; probes pull their geometry back through the base first."""
+    """Boolean membership mask of grid nodes in ``region`` (a Cylinder or its
+    :class:`Footprint`) at snapshot ``n`` of a base-free trajectory; probes
+    pull their geometry back through the base first."""
     if traj.base is not None:
         raise ValueError("region_mask needs a base-free trajectory")
     if not isinstance(region, Footprint):
@@ -256,26 +256,3 @@ def region_mask(traj: Trajectory, region, n: int) -> np.ndarray:
     # no row of x windows when the snapshot lies outside the time window
     _, inside = region.x_windows(traj.times[n:n + 1])
     return np.multiply.outer(inside.any(axis=0).reshape((traj.grid.nx,) * traj.d), region.v_mask)
-
-
-@dataclass(frozen=True)
-class PhaseBox:
-    """Product region B_rx x B_rv x (t_lo, t_hi] around a base point."""
-
-    center: KineticPoint
-    x_radius: float
-    v_radius: float
-    t_lo: float
-    t_hi: float
-
-    def __post_init__(self) -> None:
-        if self.x_radius <= 0 or self.v_radius <= 0:
-            raise ValueError("radii must be positive")
-        if not self.t_lo < self.t_hi:
-            raise ValueError("need t_lo < t_hi")
-
-    def windows(self) -> tuple[float, float, float, float]:
-        return self.x_radius, self.v_radius, self.t_lo, self.t_hi
-
-    def per_coordinate(self) -> bool:
-        return False

@@ -6,7 +6,7 @@ part.  At its default length ``next_fast_len(3n - 2)``, the full length of the
 linear convolution, it returns bitwise what ``scipy.signal.fftconvolve(...,
 mode="valid")`` does; at the program's own circular length, the least even
 5-smooth length >= 2n - 1, it is the arithmetic that ``kfplab.landau``'s
-per-axis, trimmed ``convolve_fft`` must reproduce bitwise.  The program's
+``convolve_fft`` must reproduce bitwise.  The program's
 fields equal the default-length result to rounding, as both are the linear
 convolution.  ``kernel_a`` builds all d^2 components, and ``landau_a_field``
 convolves each of them and then symmetrises.  ``symmetric_convolution``

@@ -476,9 +476,21 @@ def test_schema_accepts_inf_null_and_recipe_keys():
         {"name": "norm", "p": "inf", "r": 0.4},
         {"name": "holder", "r_base": None},
         {"name": "doubling", "r": None, "n_levels": 2},
-        {"name": "levelsets", "theta": 0.5, "region": "unit_box"},
+        {"name": "levelsets", "theta": 0.5, "r": 0.3},
     ]
     validate_config(config)
+
+
+@pytest.mark.parametrize("probe, message", [
+    ({"name": "levelsets", "theta": 0.5, "region": "unit_box"}, "unknown keys ['region']"),
+    ({"name": "levelsets", "theta": 0.5}, "missing keys ['r']"),
+], ids=["region", "without_r"])
+def test_levelsets_takes_a_cylinder_radius_only(tmp_path, capsys, probe, message):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, base_config(out, probes=[probe]))
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert f"{message} in config.probes[0]" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_solver_schema_names_exactly_the_fields_it_feeds():
@@ -890,17 +902,14 @@ class TestOtherCommands:
         assert err.startswith("bound check rejected: ") and f"at a_const = {a_const!r}" in err
         assert not (out / "landau_report.json").exists()
 
-    def test_out_flag_beats_environment_beats_config(self, tmp_path, monkeypatch):
+    def test_out_flag_beats_config_and_no_environment_is_read(self, tmp_path, monkeypatch):
         flag, env, configured = (tmp_path / name for name in ("flag", "env", "configured"))
         cfg = write_config(tmp_path, {"schema_version": 1, "output": {"dir": str(configured)}})
         monkeypatch.setenv("KFPLAB_OUT", str(env))
         assert main(["iterate", "--config", str(cfg), "--out", str(flag)]) == 0
-        assert (flag / "degiorgi.csv").exists() and not env.exists() and not configured.exists()
+        assert (flag / "degiorgi.csv").exists() and not configured.exists()
         assert main(["iterate", "--config", str(cfg)]) == 0
-        assert (env / "degiorgi.csv").exists() and not configured.exists()
-        monkeypatch.delenv("KFPLAB_OUT")
-        assert main(["iterate", "--config", str(cfg)]) == 0
-        assert (configured / "degiorgi.csv").exists()
+        assert (configured / "degiorgi.csv").exists() and not env.exists()
 
     def test_failed_rerun_keeps_previous_run(self, tmp_path, monkeypatch):
         out = tmp_path / "out"

@@ -49,7 +49,7 @@ from kfplab.probes import (
     weighted_mean,
 )
 from kfplab.solver import SolverConfig, solve
-from kfplab.trajectory import (Footprint, PhaseBox, PhaseGrid, PhaseGridFunction, Trajectory,
+from kfplab.trajectory import (Footprint, PhaseGrid, PhaseGridFunction, Trajectory,
                                gradient_v_sq, region_mask, x_offset)
 
 
@@ -199,8 +199,8 @@ class TestLevelSets:
         assert ls.mid == ls.region
 
     def test_velocity_halfspace(self):
-        traj = synthetic(lambda x, v, t: v, t0=-2.1)
-        region = PhaseBox(shifted_origin(), 1.0, 1.0, -2.0, 0.0)
+        traj = synthetic(lambda x, v, t: v)
+        region = Cylinder(shifted_origin(), 1.0)
         ls = level_set_measures(traj, 0.5, region)
         assert ls.low == pytest.approx(0.5 * ls.region, rel=0.06)
 
@@ -665,7 +665,7 @@ class TestTransformInvariance:
             0.31 + 2.5 + 1.0 * 0.57, 0.57 + 0.0, 0.23 + 1.0
         )
         q = Cylinder(center, 0.4)
-        q_moved = q.transformed(z0)
+        q_moved = Cylinder(moved_center, 0.4)
         a = norm_on_cylinder(identity_run, q, 2.0)
         b = norm_on_cylinder(moved, q_moved, 2.0)
         assert b == pytest.approx(a, rel=1e-10)
@@ -679,17 +679,6 @@ class TestTransformInvariance:
         ha = harnack_probe(identity_run, params)
         hb = harnack_probe(moved, params_moved)
         assert hb.constants["c_emp"] == pytest.approx(ha.constants["c_emp"], rel=1e-10)
-
-
-def _box_contains(box, xs, vs, ts):
-    """Brute-force PhaseBox membership with the collared windows."""
-    c = box.center
-    dt = ts - c.t
-    yx = xs - c.x - dt[..., None] * c.v
-    yv = vs - c.v
-    wx, wv, t_lo, t_hi = collared_windows(*box.windows())
-    in_t = (dt > t_lo) & (dt <= t_hi)
-    return in_t & (np.sum(yx**2, axis=-1) < wx**2) & (np.sum(yv**2, axis=-1) < wv**2)
 
 
 class TestRegionSample:
@@ -719,7 +708,8 @@ class TestRegionSample:
             Cylinder(z, 6.1, CylinderShape.ELONGATED, omega=0.45),
             Cylinder(at([0.9, 1.1], [0.1, 0.2], 0.05), 3.2, CylinderShape.ITERATED,
                      omega=0.45, k=1),
-            PhaseBox(z, 0.6, 0.9, -0.45, 0.0),
+            # time window r^2 (T_0, T_1] = (0, 64], above its centre
+            Cylinder(z, 4.0, CylinderShape.ITERATED, omega=0.45, k=1),
             # window (0.55, 0.56] holds no stored snapshot
             Cylinder(at([1.0, 1.0], [0.0, 0.0], 0.56), 0.1),
         ]
@@ -730,10 +720,7 @@ class TestRegionSample:
         out = []
         for n, t in enumerate(traj.times):
             xs, vs, ts = group_product(traj.base, (x, v, np.full(x.shape[:-1], t)))
-            if isinstance(region, PhaseBox):
-                mask = _box_contains(region, xs, vs, ts)
-            else:
-                mask = region.contains_arrays(xs, vs, ts)
+            mask = region.contains_arrays(xs, vs, ts)
             if mask.any():
                 out.append((n, mask, traj.grid.cell_volume * tw[n]))
         return out
@@ -770,7 +757,8 @@ class TestRegionSample:
         return [
             Cylinder(at([0.05, 1.97], [0.21, -0.33], 0.6), 0.83),
             Cylinder(at([1.95, 0.1], [0.3, 0.1], 0.6), 0.83, CylinderShape.CUBE),
-            PhaseBox(at([0.0, 1.0], [0.0, 0.2], 0.6), 0.6, 0.9, -0.45, 0.0),
+            Cylinder(at([0.0, 1.0], [0.0, 0.2], 0.6), 4.0, CylinderShape.ITERATED,
+                     omega=0.45, k=1),
         ]
 
     def test_seam_regions_match_periodic_membership(self, moved):
@@ -786,10 +774,7 @@ class TestRegionSample:
                 for image in images:
                     xs, vs, ts = group_product(moved.base,
                                                (x + image, v, np.full(x.shape[:-1], t)))
-                    if isinstance(region, PhaseBox):
-                        mask |= _box_contains(region, xs, vs, ts)
-                    else:
-                        mask |= region.contains_arrays(xs, vs, ts)
+                    mask |= region.contains_arrays(xs, vs, ts)
                 if mask.any():
                     expected.append((n, mask))
             assert [p.n for p in sample] == [n for n, _ in expected], region
@@ -823,11 +808,11 @@ class TestRegionSlices:
             Cylinder(at(1.03, 0.4, 0.6), 0.83),
             Cylinder(at(1.03, -0.3, 0.6), 0.83, CylinderShape.CUBE),
             Cylinder(at(1.0, 0.5, 0.8), 3.2, CylinderShape.ELONGATED, omega=0.45),
-            PhaseBox(at(1.0, 0.3, 0.7), 0.6, 0.9, -0.45, 0.0),
+            Cylinder(at(1.0, 0.3, 0.7), 4.0, CylinderShape.ITERATED, omega=0.45, k=1),
             # centres on the seam, so the x window wraps the period
             Cylinder(at(0.02, 0.6, 0.6), 0.83),
             Cylinder(at(1.97, -0.4, 0.8), 0.83, CylinderShape.CUBE),
-            PhaseBox(at(0.0, 0.2, 0.7), 0.6, 0.9, -0.45, 0.0),
+            Cylinder(at(0.0, 0.2, 0.7), 4.0, CylinderShape.ITERATED, omega=0.45, k=1),
             # window (0.52, 0.53] holds no stored snapshot
             Cylinder(at(1.0, 0.0, 0.53), 0.1),
         ]

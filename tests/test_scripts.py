@@ -1,7 +1,6 @@
 """Each script under scripts/ runs end to end through its main() at a tiny size."""
 
 import importlib
-import importlib.util
 import math
 import sys
 import threading
@@ -13,12 +12,26 @@ import pytest
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
+@pytest.fixture(autouse=True)
+def forget_scripts():
+    """Drop from ``sys.modules`` every script module the test imported."""
+    before = set(sys.modules)
+    yield
+    for path in SCRIPTS.glob("*.py"):
+        if path.stem not in before:
+            sys.modules.pop(path.stem, None)
+
+
 def run_script(monkeypatch, capsys, name: str, *args: str) -> list[str]:
     """Call ``main()`` of scripts/<name>.py with ``args`` as its command line;
-    return the lines it printed to stdout."""
-    spec = importlib.util.spec_from_file_location(f"script_{name}", SCRIPTS / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    return the lines it printed to stdout.
+
+    The script is imported under its own name from a ``sys.path`` entry, as
+    ``python scripts/<name>.py`` finds it, so that pool workers can unpickle its
+    functions.  The path entry goes with ``monkeypatch``, the module with
+    :func:`forget_scripts`."""
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    module = importlib.import_module(name)
     monkeypatch.setattr(sys, "argv", [f"{name}.py", *args])
     assert module.main() in (None, 0)
     return capsys.readouterr().out.splitlines()
@@ -35,18 +48,16 @@ def test_covering_sweep(monkeypatch, capsys):
 
 
 def test_run_ensemble(monkeypatch, capsys):
-    lines = run_script(monkeypatch, capsys, "run_ensemble", "--size", "1", "--nx", "32",
+    # two members, so run_jobs starts its pool wherever two cores are free
+    lines = run_script(monkeypatch, capsys, "run_ensemble", "--size", "2", "--nx", "32",
                        "--nv", "32", "--dt", repr(1 / 4096))
     assert lines[0] == "seed,c_emp,gain_cbar,alpha_fit"
-    assert len(lines) == 2
-    seed, *constants = lines[1].split(",")
-    assert seed == "100" and all(math.isfinite(float(c)) for c in constants)
-
-    # imported by name, so that pool workers can unpickle its one_run
-    monkeypatch.syspath_prepend(str(SCRIPTS))
-    ensemble = importlib.import_module("run_ensemble")
+    ensemble = sys.modules["run_ensemble"]
     jobs = [(100, 32, 32, 1 / 4096), (101, 32, 32, 1 / 4096)]
-    assert repr(ensemble.run_jobs(jobs)) == repr([ensemble.one_run(*job) for job in jobs])
+    for line, job in zip(lines[1:], jobs, strict=True):
+        constants = ensemble.one_run(*job)
+        assert all(math.isfinite(c) for c in constants)
+        assert line == ",".join([str(job[0]), *map(repr, constants)])
     # a member that raises (nx = 1 is no grid) surfaces with its traceback, in bounded time
     raised = []
 
