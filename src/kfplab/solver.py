@@ -190,53 +190,85 @@ class _Collision:
 
 
 class _Collision1D(_Collision):
-    """The d = 1 collision step: one tridiagonal LAPACK factorisation for all
-    x-cells, solved by ``dgttrs`` in the right-hand-side buffer."""
+    """The d = 1 collision step: the three bands of I - dt L for all x-cells
+    in one tridiagonal system of the nodes in grid order.
+
+    The bands are built in buffers allocated once per run.  ``_face`` holds
+    the face averages of A behind a leading zero: the right face of node k is
+    ``_face[k + 1]``, its left face ``_face[k]``, and the zero at each cell's
+    top wall is the next node's left face.  A step that reassembled solves
+    with LAPACK's ``dgtsv`` on a copy of the bands, as it factorises and
+    substitutes in one pass.  The first later step with the same ``time_key``
+    factorises the kept bands once with ``dgttrf``; every step after that
+    solves by ``dgttrs``.  All three work in the right-hand-side buffer and
+    give the same bits.
+    """
 
     def __init__(self, grid: PhaseGrid, field: CoefficientField, dt: float):
         from scipy.linalg import lapack   # bound once per run, off the per-step path
         super().__init__(grid, field, dt)
-        self._dgttrf, self._dgttrs = lapack.dgttrf, lapack.dgttrs
+        self._dgtsv, self._dgttrf, self._dgttrs = lapack.dgtsv, lapack.dgttrf, lapack.dgttrs
+        n = self._rhs.size
+        self._face = np.zeros(n + 1)
+        self._bands = np.empty((3, n))   # lower, diagonal, upper: node k's row at k
+        self._work = np.empty((3, n))    # the assembly's scratch, then the bands dgtsv overwrites
+        self._factors: tuple | None = None
+        self._reassembled = False
 
     def _assemble(self, t: float) -> None:
-        shape = self._rhs.shape
-        self._factorise(self.coeffs.a(t)[..., 0, 0].reshape(shape),
-                        self.coeffs.b(t)[..., 0].reshape(shape))
-
-    def _factorise(self, a_cell: np.ndarray, b_cell: np.ndarray) -> None:
-        """Factorise I - dt L for the node values of A and B, each (nx, nv)."""
-        g = self.grid
-        nx, nv, hv = g.nx, g.nv, g.hv
-        a_face = 0.5 * (a_cell[:, :-1] + a_cell[:, 1:])
-        a_right = np.zeros((nx, nv))
-        a_left = np.zeros((nx, nv))
-        a_right[:, :-1] = a_face
-        a_left[:, 1:] = a_face
+        nv, hv, dt = self.grid.nv, self.grid.hv, self.dt
+        a = self.coeffs.a(t)[..., 0, 0].reshape(-1)
+        b = self.coeffs.b(t)[..., 0].reshape(-1)
+        right, left = self._face[1:], self._face[:-1]
+        lo, di, up = self._bands
+        bp, bm, tmp = self._work
+        np.add(a[:-1], a[1:], out=right[:-1])
+        right *= 0.5
+        right[nv - 1::nv] = 0.0
         # one-sided drift at the walls keeps constants in the kernel
-        bp = np.maximum(b_cell, 0.0)
-        bm = np.minimum(b_cell, 0.0)
-        bp[:, -1] = 0.0
-        bm[:, 0] = 0.0
+        np.maximum(b, 0.0, out=bp)
+        np.minimum(b, 0.0, out=bm)
+        bp[nv - 1::nv] = 0.0
+        bm[::nv] = 0.0
 
-        up = a_right / hv**2 + bp / hv
-        lo = a_left / hv**2 - bm / hv
-        di = -(a_right + a_left) / hv**2 - (bp - bm) / hv
-
-        dt = self.dt
-        dd = (1.0 - dt * di).ravel()
-        up_full = -dt * up
-        lo_full = -dt * lo
-        up_full[:, -1] = 0.0
-        lo_full[:, 0] = 0.0
-        du = up_full.ravel()[:-1]
-        dl = lo_full.ravel()[1:]
-        dl_f, d_f, du_f, du2, ipiv, info = self._dgttrf(dl, dd, du)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"collision matrix factorisation failed ({info})")
-        self._factors = (dl_f, d_f, du_f, du2, ipiv)
+        # the rows of I - dt L: upper -dt (A_right / hv^2 + b+ / hv), lower
+        # -dt (A_left / hv^2 - b- / hv), diagonal
+        # 1 + dt ((A_right + A_left) / hv^2 + (b+ - b-) / hv)
+        np.divide(right, hv**2, out=up)
+        up += np.divide(bp, hv, out=tmp)
+        up *= -dt
+        up[nv - 1::nv] = 0.0
+        np.divide(left, hv**2, out=lo)
+        lo -= np.divide(bm, hv, out=tmp)
+        lo *= -dt
+        lo[::nv] = 0.0
+        np.add(right, left, out=di)
+        di /= -hv**2
+        di -= np.divide(np.subtract(bp, bm, out=tmp), hv, out=tmp)
+        di *= dt
+        np.subtract(1.0, di, out=di)
+        self._factors = None
+        self._reassembled = True
 
     def _solve(self) -> np.ndarray:
-        out, info = self._dgttrs(*self._factors, self._rhs.ravel(), overwrite_b=True)
+        rhs = self._rhs.ravel()
+        if self._reassembled:
+            self._reassembled = False
+            np.copyto(self._work, self._bands)
+            lo, di, up = self._work
+            *_, out, info = self._dgtsv(lo[1:], di, up[:-1], rhs, overwrite_dl=True,
+                                        overwrite_d=True, overwrite_du=True, overwrite_b=True)
+            if info != 0:
+                raise np.linalg.LinAlgError(f"collision matrix factorisation failed ({info})")
+            return out
+        if self._factors is None:
+            lo, di, up = self._bands
+            *factors, info = self._dgttrf(lo[1:], di, up[:-1], overwrite_dl=True,
+                                          overwrite_d=True, overwrite_du=True)
+            if info != 0:
+                raise np.linalg.LinAlgError(f"collision matrix factorisation failed ({info})")
+            self._factors = tuple(factors)
+        out, info = self._dgttrs(*self._factors, rhs, overwrite_b=True)
         if info != 0:
             raise np.linalg.LinAlgError(f"collision solve failed ({info})")
         return out
@@ -452,17 +484,17 @@ def solve(cfg: SolverConfig, f0: PhaseGridFunction) -> Trajectory:
             src_cache[key] = float((s**2).sum() * grid.cell_volume)
         return src_cache[key]
 
-    stored = cfg._stored_steps()
+    n_steps, stored = cfg.n_steps, cfg._stored_steps()
     values = np.empty((len(stored),) + grid.shape)
     values[0] = state.values
-    ledger = EnergyLedger(cfg.n_steps + 1)
+    ledger = EnergyLedger(n_steps + 1)
     _ledger_rows(ledger, 0, [state.time], state.values[None], grid, source_l2_at)
 
     block_size = max(1, _BLOCK_BYTES // state.values.nbytes)
     block = None
     block_times: list[float] = []
     k = 1   # the next stored step is stored[k]; the last one is the final step
-    for n in range(1, cfg.n_steps + 1):
+    for n in range(1, n_steps + 1):
         state = step(state, cfg, _collision=coll, _transport=transport)
         if block is None:   # every step's state has the first one's layout
             block = _stack_like(state.values, block_size)
@@ -471,7 +503,7 @@ def solve(cfg: SolverConfig, f0: PhaseGridFunction) -> Trajectory:
         if n == stored[k]:
             values[k] = state.values
             k += 1
-        if len(block_times) == len(block) or n == cfg.n_steps:
+        if len(block_times) == len(block) or n == n_steps:
             _ledger_rows(ledger, n + 1 - len(block_times), block_times,
                          block[:len(block_times)], grid, source_l2_at)
             block_times = []

@@ -2,7 +2,9 @@
 
 ``advect_axis`` recomputes the semi-Lagrangian gather on every call and
 indexes through ``moveaxis``; ``gradient_v_sq`` and ``ledger_row`` go through
-``np.gradient``; ``Collision2D`` assembles the d = 2 stencil node by node;
+``np.gradient``; ``Collision1D`` builds the bands in fresh arrays and
+factorises them with ``dgttrf`` at every assembly, then solves every step
+with ``dgttrs``; ``Collision2D`` assembles the d = 2 stencil node by node;
 both collision oracles evaluate A, B and s through ``field.a/b/s`` at every
 assembly (never through the node-bound evaluators) and add ``dt * s`` at
 every step; ``solve`` evaluates the source through ``field.s`` for every
@@ -91,7 +93,9 @@ def ledger_row(n, state, grid, source_l2):
 
 class Collision1D(_Collision1D):
     """The tridiagonal solve with A, B and s evaluated through ``field.a/b/s``
-    on fresh node meshes at every assembly and ``dt * s`` formed at every step."""
+    on fresh node meshes at every assembly and ``dt * s`` formed at every step.
+    Each assembly builds the bands in fresh (nx, nv) arrays and factorises
+    them with ``dgttrf``; every step solves with ``dgttrs``."""
 
     def _assemble(self, t):
         g = self.grid
@@ -101,6 +105,38 @@ class Collision1D(_Collision1D):
         self._factorise(self.field.a(x_mesh, v_mesh, t)[..., 0, 0].reshape(shape),
                         self.field.b(x_mesh, v_mesh, t)[..., 0].reshape(shape))
         self._source = self.field.s(x_mesh, v_mesh, t).reshape(shape)
+
+    def _factorise(self, a_cell, b_cell):
+        """Factorise I - dt L for the node values of A and B, each (nx, nv)."""
+        g = self.grid
+        nx, nv, hv = g.nx, g.nv, g.hv
+        a_face = 0.5 * (a_cell[:, :-1] + a_cell[:, 1:])
+        a_right = np.zeros((nx, nv))
+        a_left = np.zeros((nx, nv))
+        a_right[:, :-1] = a_face
+        a_left[:, 1:] = a_face
+        # one-sided drift at the walls keeps constants in the kernel
+        bp = np.maximum(b_cell, 0.0)
+        bm = np.minimum(b_cell, 0.0)
+        bp[:, -1] = 0.0
+        bm[:, 0] = 0.0
+
+        up = a_right / hv**2 + bp / hv
+        lo = a_left / hv**2 - bm / hv
+        di = -(a_right + a_left) / hv**2 - (bp - bm) / hv
+
+        dt = self.dt
+        dd = (1.0 - dt * di).ravel()
+        up_full = -dt * up
+        lo_full = -dt * lo
+        up_full[:, -1] = 0.0
+        lo_full[:, 0] = 0.0
+        du = up_full.ravel()[:-1]
+        dl = lo_full.ravel()[1:]
+        dl_f, d_f, du_f, du2, ipiv, info = lapack.dgttrf(dl, dd, du)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"collision matrix factorisation failed ({info})")
+        self._factors = (dl_f, d_f, du_f, du2, ipiv)
 
     def apply(self, values, t):
         key = self.field.time_key(t)

@@ -30,7 +30,7 @@ from kfplab.solver import (
 from kfplab.trajectory import EnergyLedger, PhaseGrid, PhaseGridFunction, gradient_v_sq
 
 import solver_oracle as oracle
-from conftest import gaussian_bump, ledger_rows, same_ledger
+from conftest import gaussian_bump, ledger_rows, same_ledger, traced_peak
 from solver_oracle import (
     comparison_check,
     gaussian_exact_solution,
@@ -849,3 +849,100 @@ class TestFastPathsMatchOracles:
         assert len(built) == 1 < cfg.n_steps
         step(f0, cfg)
         assert len(built) == 2
+
+
+class TestTridiagonalRoutines:
+    """Which LAPACK routine solves each d = 1 collision step: ``dgtsv`` on a
+    step that reassembled, ``dgttrf`` once on the first later step with the
+    same ``time_key``, and ``dgttrs`` after that; every run keeps the
+    oracle's bits, which factorises with ``dgttrf`` and solves with ``dgttrs``
+    on every step."""
+
+    @staticmethod
+    def _counted_solve(cfg, f0, monkeypatch):
+        from scipy.linalg import lapack
+
+        calls = dict.fromkeys(("dgtsv", "dgttrf", "dgttrs"), 0)
+
+        def counted(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        with monkeypatch.context() as m:
+            for name in calls:
+                m.setattr(lapack, name, counted(name, getattr(lapack, name)))
+            got = solve(cfg, f0)
+        want = oracle.solve(cfg, f0)
+        assert got.values.tobytes() == want.values.tobytes()
+        assert same_ledger(got.ledger, want.ledger)
+        return calls
+
+    def test_smooth_field_solves_every_step_in_one_pass(self, monkeypatch):
+        # without its node evaluator the smooth field is evaluated as the
+        # oracle evaluates it; its time_key changes at every step
+        base = sample_field(SmoothRandomRecipe(corr_v=0.5, b_max=1.0, s_max=0.3),
+                            EllipticityBounds(0.5, 2.0), seed=4, d=1)
+        grid = PhaseGrid(d=1, x_extent=2.0, nx=6, v_max=2.0, nv=8)
+        cfg = SolverConfig(grid=grid, dt=0.05, t_end=0.3, field=replace(base, nodes_fn=None))
+        f0 = PhaseGridFunction(grid, _random_state(grid, 8), 0.0)
+        calls = self._counted_solve(cfg, f0, monkeypatch)
+        assert calls == {"dgtsv": cfg.n_steps, "dgttrf": 0, "dgttrs": 0}
+
+    def test_checkerboard_factorises_once_per_key(self, monkeypatch):
+        # time_key changes every 0.25, so 12 steps of 0.05 see 3 keys
+        field = sample_field(CheckerboardRecipe(cell=0.5), EllipticityBounds(0.5, 2.0),
+                             seed=1, d=1)
+        grid = PhaseGrid(d=1, x_extent=2.0, nx=4, v_max=2.0, nv=5)
+        cfg = SolverConfig(grid=grid, dt=0.05, t_end=0.6, field=field)
+        f0 = PhaseGridFunction(grid, _random_state(grid, 6), 0.0)
+        calls = self._counted_solve(cfg, f0, monkeypatch)
+        keys = len({field.time_key((n + 0.5) * cfg.dt) for n in range(cfg.n_steps)})
+        assert keys == 3
+        assert calls["dgtsv"] == keys and calls["dgttrf"] <= keys
+        assert calls["dgtsv"] + calls["dgttrs"] == cfg.n_steps
+
+    def test_constant_field_factorises_once(self, monkeypatch):
+        field = sample_field(ConstantRecipe(b_value=0.5, s_value=0.3),
+                             EllipticityBounds(0.5, 2.0), seed=0, d=1)
+        grid = PhaseGrid(d=1, x_extent=4.0, nx=8, v_max=3.0, nv=9)
+        cfg = SolverConfig(grid=grid, dt=0.05, t_end=0.4, field=field)
+        f0 = PhaseGridFunction(grid, _random_state(grid, 3), 0.0)
+        calls = self._counted_solve(cfg, f0, monkeypatch)
+        assert calls == {"dgtsv": 1, "dgttrf": 1, "dgttrs": cfg.n_steps - 1}
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(3, 40), seed=st.integers(0, 2**32 - 1), row=st.integers(0, 38))
+    def test_one_pass_solve_is_the_factorise_then_solve(self, n, seed, row):
+        from scipy.linalg import lapack
+
+        rng = np.random.default_rng(seed)
+        dl, du = rng.uniform(-2.0, 2.0, (2, n - 1))
+        d, b = rng.uniform(-2.0, 2.0, (2, n))
+        # |dl| > |d| in the first row makes dgttrf swap rows 1 and 2
+        d[0] = 0.5 * rng.uniform(-1.0, 1.0) * abs(dl[0])
+        k = row % (n - 1)
+        dl[k] = np.copysign(abs(d[k]) + rng.uniform(0.1, 2.0), dl[k])
+        *factors, info = lapack.dgttrf(dl, d, du)
+        assume(info == 0)
+        assert not np.array_equal(factors[-1], np.arange(1, n + 1))
+        want, info = lapack.dgttrs(*factors, b)
+        assert info == 0
+        *_, got, info = lapack.dgtsv(dl, d, du, b)
+        assert info == 0
+        assert got.tobytes() == want.tobytes()
+
+
+def test_reassembling_collision_step_allocates_only_the_coefficients():
+    # a 64^2 smooth field reassembles at every new time: the bands are built
+    # in buffers of the run, so the step's peak is that of A and B alone
+    grid = PhaseGrid(d=1, x_extent=4.0, nx=64, v_max=3.0, nv=64)
+    field = sample_field(SmoothRandomRecipe(b_max=1.0, s_max=0.0),
+                         EllipticityBounds(0.5, 2.0), seed=7, d=1)
+    coll = solver_mod._Collision1D(grid, field, 1 / 1024)
+    vals = _random_state(grid, 4)
+    coll.apply(vals, 0.01)
+    _, coeffs_peak = traced_peak(lambda t: (coll.coeffs.a(t), coll.coeffs.b(t)), 0.02)
+    _, apply_peak = traced_peak(coll.apply, vals, 0.03)
+    assert apply_peak <= coeffs_peak + 4096
