@@ -198,10 +198,13 @@ class _Collision1D(_Collision):
     ``_face[k + 1]``, its left face ``_face[k]``, and the zero at each cell's
     top wall is the next node's left face.  A step that reassembled solves
     with LAPACK's ``dgtsv`` on a copy of the bands, as it factorises and
-    substitutes in one pass.  The first later step with the same ``time_key``
-    factorises the kept bands once with ``dgttrf``; every step after that
-    solves by ``dgttrs``.  All three work in the right-hand-side buffer and
-    give the same bits.
+    substitutes in one pass; that beats ``dgttrf`` + ``dgttrs`` on the bands
+    in place (ROADMAP, State table).  The first later step with the same
+    ``time_key`` factorises the kept bands once with ``dgttrf``; every step
+    after that solves by ``dgttrs``.  ``dgtsv`` and ``dgttrs`` write the
+    solution into the right-hand-side buffer.  LAPACK does not promise that
+    ``dgtsv`` gives the bits of ``dgttrf`` + ``dgttrs``; the build the suite
+    runs on does (``test_one_pass_solve_is_the_factorise_then_solve``).
     """
 
     def __init__(self, grid: PhaseGrid, field: CoefficientField, dt: float):
