@@ -14,8 +14,12 @@ positivity and a comparison principle.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -162,11 +166,11 @@ class _Collision:
 
     ``coeffs`` evaluates the field at the grid nodes, in the grid's order.
     The operator is reassembled whenever ``field.time_key`` changes.
-    ``apply`` adds dt * s to the data in a right-hand-side buffer of shape
-    (cells, nodes per cell), allocated once per run, solves there and returns
-    it, so its result stays valid until the next ``apply``.  A field without
-    source adds 0.0, which still turns -0.0 into +0.0, as adding
-    dt * s(x, v, t) = +0.0 did.
+    ``apply`` adds dt * s, formed in a buffer of the run at each reassembly,
+    to the data in a right-hand-side buffer of shape (cells, nodes per cell),
+    also allocated once per run, solves there and returns it, so its result
+    stays valid until the next ``apply``.  A field without source adds 0.0,
+    which still turns -0.0 into +0.0, as adding dt * s(x, v, t) = +0.0 did.
     """
 
     def __init__(self, grid: PhaseGrid, field: CoefficientField, dt: float):
@@ -174,7 +178,7 @@ class _Collision:
         self.field = field
         self.dt = dt
         self._key: object = object()
-        self._dt_source: np.ndarray | float = 0.0
+        self._dt_source: np.ndarray | float = np.empty(grid.shape) if field.s_bound != 0 else 0.0
         self._rhs = np.empty((grid.nx**grid.d, grid.nv**grid.d))
         self.coeffs = field.at_nodes(*(mesh.reshape(-1, grid.d) for mesh in grid.meshes()))
 
@@ -182,11 +186,43 @@ class _Collision:
         key = self.field.time_key(t)
         if key != self._key:
             if self.field.s_bound != 0:
-                self._dt_source = self.dt * self.coeffs.s(t).reshape(self.grid.shape)
+                np.multiply(self.dt, self.coeffs.s(t).reshape(self.grid.shape),
+                            out=self._dt_source)
             self._assemble(t)
             self._key = key
         np.add(values, self._dt_source, out=self._rhs.reshape(values.shape))
         return self._solve().reshape(values.shape)
+
+
+def _load_flapack():
+    """scipy's compiled LAPACK module, ``scipy.linalg._flapack``, loaded from
+    its file without running the ``scipy.linalg`` package.
+
+    The d = 1 collision step needs three of its routines.  ``from scipy.linalg
+    import lapack`` would import the whole package for them: 308 modules,
+    26 MB of RSS and 0.19-0.26 s after ``import kfplab.solver`` (one BLAS
+    thread, 2 vCPUs), where the extension module alone adds 2.5 MB and 4-6 ms.
+    It is loaded under its full name, so a later ``import scipy.linalg`` finds
+    it in ``sys.modules`` and ``scipy.linalg.lapack`` holds the very routines
+    bound here.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    import scipy
+
+    folder = Path(scipy.__file__).parent / "linalg"
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = folder / f"_flapack{suffix}"
+        if path.is_file():
+            break
+    else:
+        raise ImportError(f"no compiled _flapack module in {folder}", name=name)
+    loader = importlib.machinery.ExtensionFileLoader(name, str(path))
+    module = importlib.util.module_from_spec(
+        importlib.util.spec_from_file_location(name, path, loader=loader))
+    loader.exec_module(module)
+    return sys.modules.setdefault(name, module)
 
 
 class _Collision1D(_Collision):
@@ -196,7 +232,9 @@ class _Collision1D(_Collision):
     The bands are built in buffers allocated once per run.  ``_face`` holds
     the face averages of A behind a leading zero: the right face of node k is
     ``_face[k + 1]``, its left face ``_face[k]``, and the zero at each cell's
-    top wall is the next node's left face.  A step that reassembled solves
+    top wall is the next node's left face.  A field without drift
+    (``b_bound == 0``) skips B and its band updates, which would add or
+    subtract +0.0 to bands that hold no -0.0.  A step that reassembled solves
     with LAPACK's ``dgtsv`` on a copy of the bands, as it factorises and
     substitutes in one pass; that beats ``dgttrf`` + ``dgttrs`` on the bands
     in place (ROADMAP, State table).  The first later step with the same
@@ -204,13 +242,15 @@ class _Collision1D(_Collision):
     after that solves by ``dgttrs``.  ``dgtsv`` and ``dgttrs`` write the
     solution into the right-hand-side buffer.  LAPACK does not promise that
     ``dgtsv`` gives the bits of ``dgttrf`` + ``dgttrs``; the build the suite
-    runs on does (``test_one_pass_solve_is_the_factorise_then_solve``).
+    runs on does (``test_one_pass_solve_is_the_factorise_then_solve``).  The
+    three routines come from ``_load_flapack``, not from the
+    ``scipy.linalg`` package.
     """
 
     def __init__(self, grid: PhaseGrid, field: CoefficientField, dt: float):
-        from scipy.linalg import lapack   # bound once per run, off the per-step path
+        flapack = _load_flapack()   # bound once per run, off the per-step path
         super().__init__(grid, field, dt)
-        self._dgtsv, self._dgttrf, self._dgttrs = lapack.dgtsv, lapack.dgttrf, lapack.dgttrs
+        self._dgtsv, self._dgttrf, self._dgttrs = flapack.dgtsv, flapack.dgttrf, flapack.dgttrs
         n = self._rhs.size
         self._face = np.zeros(n + 1)
         self._bands = np.empty((3, n))   # lower, diagonal, upper: node k's row at k
@@ -221,33 +261,34 @@ class _Collision1D(_Collision):
     def _assemble(self, t: float) -> None:
         nv, hv, dt = self.grid.nv, self.grid.hv, self.dt
         a = self.coeffs.a(t)[..., 0, 0].reshape(-1)
-        b = self.coeffs.b(t)[..., 0].reshape(-1)
         right, left = self._face[1:], self._face[:-1]
         lo, di, up = self._bands
-        bp, bm, tmp = self._work
         np.add(a[:-1], a[1:], out=right[:-1])
         right *= 0.5
         right[nv - 1::nv] = 0.0
-        # one-sided drift at the walls keeps constants in the kernel
-        np.maximum(b, 0.0, out=bp)
-        np.minimum(b, 0.0, out=bm)
-        bp[nv - 1::nv] = 0.0
-        bm[::nv] = 0.0
 
         # the rows of I - dt L: upper -dt (A_right / hv^2 + b+ / hv), lower
         # -dt (A_left / hv^2 - b- / hv), diagonal
         # 1 + dt ((A_right + A_left) / hv^2 + (b+ - b-) / hv)
         np.divide(right, hv**2, out=up)
-        up += np.divide(bp, hv, out=tmp)
-        up *= -dt
-        up[nv - 1::nv] = 0.0
         np.divide(left, hv**2, out=lo)
-        lo -= np.divide(bm, hv, out=tmp)
-        lo *= -dt
-        lo[::nv] = 0.0
         np.add(right, left, out=di)
         di /= -hv**2
-        di -= np.divide(np.subtract(bp, bm, out=tmp), hv, out=tmp)
+        if self.field.b_bound != 0:
+            # one-sided drift at the walls keeps constants in the kernel
+            b = self.coeffs.b(t)[..., 0].reshape(-1)
+            bp, bm, tmp = self._work
+            np.maximum(b, 0.0, out=bp)
+            np.minimum(b, 0.0, out=bm)
+            bp[nv - 1::nv] = 0.0
+            bm[::nv] = 0.0
+            up += np.divide(bp, hv, out=tmp)
+            lo -= np.divide(bm, hv, out=tmp)
+            di -= np.divide(np.subtract(bp, bm, out=tmp), hv, out=tmp)
+        up *= -dt
+        up[nv - 1::nv] = 0.0
+        lo *= -dt
+        lo[::nv] = 0.0
         di *= dt
         np.subtract(1.0, di, out=di)
         self._factors = None

@@ -1,10 +1,15 @@
 """Fixtures and the small references that several test modules share."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kfplab
 from kfplab.fields import CheckerboardRecipe, ConstantRecipe, EllipticityBounds, sample_field
 from kfplab.solver import SolverConfig, solve
 from kfplab.trajectory import EnergyLedger, PhaseGrid, PhaseGridFunction
@@ -16,6 +21,17 @@ def gaussian_bump(grid, cx, cv, sx, sv, floor=0.0, mass=1.0):
     qv = np.sum((v - cv) ** 2, axis=-1) / sv**2
     amp = mass / ((2 * np.pi) ** grid.d * sx**grid.d * sv**grid.d)
     return PhaseGridFunction(grid, amp * np.exp(-0.5 * (qx + qv)) + floor, 0.0)
+
+
+def run_fresh_interpreter(code, *argv):
+    """``python -c code *argv`` with this checkout's kfplab first on the path;
+    asserts that it exits 0 and returns the finished process."""
+    src = str(Path(kfplab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done
 
 
 def exponent_sum_direct(alpha, n):

@@ -3,15 +3,13 @@ import json
 import math
 import os
 import re
-import subprocess
-import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import ledger_from_rows, ledger_rows, traced_peak
+from conftest import ledger_from_rows, ledger_rows, run_fresh_interpreter, traced_peak
 from kfplab import cli, storage
 from kfplab.cli import main
 from kfplab.config import (
@@ -966,7 +964,7 @@ def _import_graph_argv(tmp_path, command):
     (None, []),
     ("probe", []),
     ("iterate", []),
-    ("run", ["linalg"]),
+    ("run", []),                       # d = 1 loads only scipy.linalg._flapack
     ("solve", ["linalg", "sparse"]),   # d = 2
     ("landau", ["fft", "special"]),    # scipy.fft imports scipy.special itself
     ("geometry", ["special"]),
@@ -975,12 +973,12 @@ def test_import_graph_loads_only_the_scipy_each_command_runs(tmp_path, command, 
     # each scipy subpackage adds 5-20 MB and up to 0.2 s to a command's start;
     # scipy.stats alone costs about 0.8 s, and no command needs it or scipy.signal
     argv = [] if command is None else _import_graph_argv(tmp_path, command)
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = ("import sys, kfplab, kfplab.cli; "
             "code = kfplab.cli.main(sys.argv[1:]) if sys.argv[1:] else 0; "
             f"print(*[p for p in {SCIPY_PARTS!r} if 'scipy.' + p in sys.modules]); "
+            "print('scipy.linalg._flapack' in sys.modules); "
             "sys.exit(code)")
-    done = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
-                          text=True, timeout=120, check=True)
-    assert done.stdout.splitlines()[-1].split() == loaded   # after what the command prints
+    done = run_fresh_interpreter(code, *argv)
+    *_, parts, flapack = done.stdout.splitlines()   # after what the command prints
+    assert parts.split() == loaded
+    assert flapack == str(command in ("run", "solve"))

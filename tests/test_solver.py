@@ -30,7 +30,7 @@ from kfplab.solver import (
 from kfplab.trajectory import EnergyLedger, PhaseGrid, PhaseGridFunction, gradient_v_sq
 
 import solver_oracle as oracle
-from conftest import gaussian_bump, ledger_rows, same_ledger, traced_peak
+from conftest import gaussian_bump, ledger_rows, run_fresh_interpreter, same_ledger, traced_peak
 from solver_oracle import (
     comparison_check,
     gaussian_exact_solution,
@@ -642,6 +642,22 @@ class TestFastPathsMatchOracles:
         assert got.values.tobytes() == want.values.tobytes()
         assert same_ledger(got.ledger, want.ledger)
 
+    @pytest.mark.parametrize("recipe", [SmoothRandomRecipe(corr_v=0.5, b_max=0.0, s_max=0.3),
+                                        CheckerboardRecipe(cell=0.5, b_max=0.0, s_max=0.0)],
+                             ids=["smooth", "checkerboard"])
+    def test_solve_drift_free_field_64(self, recipe):
+        # b_bound = 0 skips B and its band updates; without its node
+        # evaluator the smooth field reassembles at every step
+        field = sample_field(recipe, EllipticityBounds(0.5, 2.0), seed=12, d=1)
+        assert field.b_bound == 0
+        grid = PhaseGrid(d=1, x_extent=4.0, nx=64, v_max=3.0, nv=64)
+        cfg = SolverConfig(grid=grid, dt=1 / 1024, t_end=16 / 1024,
+                           field=replace(field, nodes_fn=None), snapshot_stride=4)
+        f0 = PhaseGridFunction(grid, _random_state(grid, 9), 0.0)
+        got, want = solve(cfg, f0), oracle.solve(cfg, f0)
+        assert got.values.tobytes() == want.values.tobytes()
+        assert same_ledger(got.ledger, want.ledger)
+
     @pytest.mark.parametrize("field", [
         sample_field(RotatingAnisotropyRecipe(period=1.0), EllipticityBounds(0.5, 1.5), seed=9, d=2),
         sample_field(ConstantRecipe(b_value=0.5, s_value=0.3), EllipticityBounds(0.5, 2.0),
@@ -860,8 +876,7 @@ class TestTridiagonalRoutines:
 
     @staticmethod
     def _counted_solve(cfg, f0, monkeypatch):
-        from scipy.linalg import lapack
-
+        flapack = solver_mod._load_flapack()   # the module _Collision1D binds from
         calls = dict.fromkeys(("dgtsv", "dgttrf", "dgttrs"), 0)
 
         def counted(name, fn):
@@ -872,7 +887,7 @@ class TestTridiagonalRoutines:
 
         with monkeypatch.context() as m:
             for name in calls:
-                m.setattr(lapack, name, counted(name, getattr(lapack, name)))
+                m.setattr(flapack, name, counted(name, getattr(flapack, name)))
             got = solve(cfg, f0)
         want = oracle.solve(cfg, f0)
         assert got.values.tobytes() == want.values.tobytes()
@@ -912,6 +927,32 @@ class TestTridiagonalRoutines:
         calls = self._counted_solve(cfg, f0, monkeypatch)
         assert calls == {"dgtsv": 1, "dgttrf": 1, "dgttrs": cfg.n_steps - 1}
 
+    def test_routines_load_without_the_scipy_linalg_package(self, tmp_path):
+        # in a fresh interpreter: the loader finds no module outside scipy's
+        # linalg folder, loads none under a top-level name, and a later import
+        # of scipy.linalg reuses the module it loaded
+        code = f"""if True:
+            import sys
+            import scipy
+            from kfplab import solver
+            real = scipy.__file__
+            scipy.__file__ = {str(tmp_path / "scipy" / "__init__.py")!r}
+            try:
+                solver._load_flapack()
+            except ImportError as exc:
+                assert {str(tmp_path / "scipy" / "linalg")!r} in str(exc), exc
+            else:
+                raise AssertionError("no ImportError without the module file")
+            scipy.__file__ = real
+            flapack = solver._load_flapack()
+            assert solver._load_flapack() is flapack
+            assert "scipy.linalg" not in sys.modules and "_flapack" not in sys.modules
+            import scipy.linalg.lapack as lapack
+            for name in ("dgtsv", "dgttrf", "dgttrs"):
+                assert getattr(lapack, name) is getattr(flapack, name), name
+        """
+        run_fresh_interpreter(code)
+
     @settings(max_examples=200, deadline=None)
     @given(n=st.integers(3, 40), seed=st.integers(0, 2**32 - 1), row=st.integers(0, 38))
     def test_one_pass_solve_is_the_factorise_then_solve(self, n, seed, row):
@@ -935,14 +976,17 @@ class TestTridiagonalRoutines:
 
 
 def test_reassembling_collision_step_allocates_only_the_coefficients():
-    # a 64^2 smooth field reassembles at every new time: the bands are built
-    # in buffers of the run, so the step's peak is that of A and B alone
+    # a 64^2 smooth field reassembles at every new time: dt * s and the bands
+    # are formed in buffers of the run, so the step's peak is that of s, then
+    # of A and B, evaluated in turn as the step evaluates them
     grid = PhaseGrid(d=1, x_extent=4.0, nx=64, v_max=3.0, nv=64)
-    field = sample_field(SmoothRandomRecipe(b_max=1.0, s_max=0.0),
-                         EllipticityBounds(0.5, 2.0), seed=7, d=1)
-    coll = solver_mod._Collision1D(grid, field, 1 / 1024)
     vals = _random_state(grid, 4)
-    coll.apply(vals, 0.01)
-    _, coeffs_peak = traced_peak(lambda t: (coll.coeffs.a(t), coll.coeffs.b(t)), 0.02)
-    _, apply_peak = traced_peak(coll.apply, vals, 0.03)
-    assert apply_peak <= coeffs_peak + 4096
+    for s_max in (0.0, 0.3):
+        field = sample_field(SmoothRandomRecipe(b_max=1.0, s_max=s_max),
+                             EllipticityBounds(0.5, 2.0), seed=7, d=1)
+        coll = solver_mod._Collision1D(grid, field, 1 / 1024)
+        coll.apply(vals, 0.01)
+        _, ab_peak = traced_peak(lambda t: (coll.coeffs.a(t), coll.coeffs.b(t)), 0.02)
+        _, s_peak = traced_peak(coll.coeffs.s, 0.02)
+        _, apply_peak = traced_peak(coll.apply, vals, 0.03)
+        assert apply_peak <= max(ab_peak, s_peak) + 4096, s_max
