@@ -14,6 +14,7 @@ positivity and a comparison principle.
 
 from __future__ import annotations
 
+import functools
 import importlib.machinery
 import importlib.util
 import math
@@ -194,17 +195,19 @@ class _Collision:
         return self._solve().reshape(values.shape)
 
 
+@functools.cache
 def _load_flapack():
     """scipy's compiled LAPACK module, ``scipy.linalg._flapack``, loaded from
     its file without running the ``scipy.linalg`` package.
 
-    The d = 1 collision step needs three of its routines.  ``from scipy.linalg
+    The collision steps need five of its routines.  ``from scipy.linalg
     import lapack`` would import the whole package for them: 308 modules,
     26 MB of RSS and 0.19-0.26 s after ``import kfplab.solver`` (one BLAS
     thread, 2 vCPUs), where the extension module alone adds 2.5 MB and 4-6 ms.
-    It is loaded under its full name, so a later ``import scipy.linalg`` finds
-    it in ``sys.modules`` and ``scipy.linalg.lapack`` holds the very routines
-    bound here.
+    It is loaded under its full name, then dropped from ``sys.modules`` and
+    cached here, so a later ``import scipy.linalg`` loads it as a submodule
+    and sets the package attribute; CPython rebuilds a single-phase extension
+    module from its first load's namespace, so the routines are those bound here.
     """
     name = "scipy.linalg._flapack"
     if name in sys.modules:
@@ -222,7 +225,8 @@ def _load_flapack():
     module = importlib.util.module_from_spec(
         importlib.util.spec_from_file_location(name, path, loader=loader))
     loader.exec_module(module)
-    return sys.modules.setdefault(name, module)
+    sys.modules.pop(name, None)   # loading put it there
+    return module
 
 
 class _Collision1D(_Collision):
@@ -318,21 +322,26 @@ class _Collision1D(_Collision):
         return out
 
 
-def _cell_matrices_2d(a: np.ndarray, b: np.ndarray, hv: float, dt: float) -> list:
+def _cell_bands_2d(a: np.ndarray, b: np.ndarray, hv: float, dt: float, out: np.ndarray) -> None:
     """I - dt L of every x-cell in ``a`` (n_cells, nv, nv, 2, 2) and ``b``
-    (n_cells, nv, nv, 2), as CSC matrices.
+    (n_cells, nv, nv, 2), written into ``out`` (n_cells, nv^2, 3 kl + 1) so
+    that ``out[c].T`` is cell c's band for ``dgbtrf``: row r, column k at
+    ``out[c, k, 2 kl + r - k]``, the first kl rows left for the fill.
 
     Per node and axis m, the face to the next node along v_m gives 4 diffusion
     and 8 cross-diffusion entries (+/- to its two cells, so mass telescopes;
     no flux through the walls), then each axis gives 2 drift entries,
     differenced toward the neighbour B_m points at and dropped where that
     neighbour is past a wall: (n_cells, nv, nv, 28) slots whose valid ones, in
-    C order, are the entries in assembly order.
+    C order (node-major, slot-minor), are the entries in assembly order.
+    ``bincount`` sums them in that order from 0.0, as the node loop does;
+    scipy's COO to CSR conversion sums duplicates after an unstable sort, in
+    an implementation-defined order (up to 1.8e-15 apart here).
     """
-    from scipy.sparse import csc_matrix, csr_matrix, identity
-
     n_cells, nv = a.shape[:2]
     nvv = nv * nv
+    ldab = out.shape[-1]
+    kl = (ldab - 1) // 3
     pos = np.stack(np.meshgrid(np.arange(nv), np.arange(nv), indexing="ij"))
     node = pos[0] * nv + pos[1]
     rows = np.empty((nv, nv, 28), dtype=np.intp)
@@ -367,23 +376,10 @@ def _cell_matrices_2d(a: np.ndarray, b: np.ndarray, hv: float, dt: float) -> lis
         vals[..., k] = np.stack([first, -first], axis=-1)
         valid[..., k] = (up | down)[..., None]
 
-    offset = (np.arange(n_cells) * nvv)[:, None, None, None]
-    n = n_cells * nvv
-    lmat = csr_matrix(
-        (vals[valid], ((rows + offset)[valid], (cols + offset)[valid])), shape=(n, n)
-    )
-    # I - dt L of all cells in one construction; each diagonal block gets
-    # its own LU, as one block-diagonal LU solves to different bits
-    mat = (identity(n, format="csr") - dt * lmat).tocsc()
-    ptr = mat.indptr
-    blocks = []
-    for c in range(n_cells):
-        lo, hi = ptr[c * nvv], ptr[(c + 1) * nvv]
-        blocks.append(csc_matrix(
-            (mat.data[lo:hi], mat.indices[lo:hi] - c * nvv, ptr[c * nvv:(c + 1) * nvv + 1] - lo),
-            shape=(nvv, nvv),
-        ))
-    return blocks
+    at = (np.arange(n_cells)[:, None, None, None] * nvv + cols) * ldab + (2 * kl + rows - cols)
+    lmat = np.bincount(at[valid], vals[valid], minlength=out.size).reshape(out.shape)
+    lmat *= dt
+    np.subtract(np.arange(ldab) == 2 * kl, lmat, out=out)
 
 
 def _first_equal_cells(a: np.ndarray, b: np.ndarray) -> list[int]:
@@ -394,11 +390,17 @@ def _first_equal_cells(a: np.ndarray, b: np.ndarray) -> list[int]:
 
 
 class _Collision2D(_Collision):
-    """The d = 2 collision step: one sparse LU per distinct cell matrix.
+    """The d = 2 collision step: one banded LU per distinct cell matrix.
 
     x-cells whose node values of A and B are the same bytes have the same
     matrix, so they share one LU; the source enters the right-hand side only.
-    ``_lus`` holds each cell's LU.
+    Each distinct I - dt L is built in LAPACK's band layout with kl = ku =
+    nv + 1, the widest stencil offset (a diagonal neighbour), and factorised
+    there by ``dgbtrf``: nv^2 (3 kl + 1) doubles per LU.  ``_groups`` holds
+    each LU with its cells, as a slice where they are consecutive.  A step
+    makes one ``dgbtrs`` call per LU with its cells' rows of the right-hand
+    side as columns, in place through a slice's transpose, else gathered and
+    scattered back; that gives the bits of one call per cell.
 
     Cross-diffusion terms use the symmetric face-averaged stencil, which is
     not an M-matrix for every A: positivity fails at step 1 from
@@ -407,15 +409,26 @@ class _Collision2D(_Collision):
     the mass by about -2e-16 per step (8^4 nodes), linearly in the steps.
     """
 
-    def _assemble(self, t: float) -> None:
-        from scipy.sparse.linalg import splu
+    def __init__(self, grid: PhaseGrid, field: CoefficientField, dt: float):
+        flapack = _load_flapack()
+        super().__init__(grid, field, dt)
+        self._dgbtrf, self._dgbtrs = flapack.dgbtrf, flapack.dgbtrs
+        self._kl = grid.nv + 1
 
-        self._lus = []   # two live sets of factors would raise peak memory
+    def _assemble(self, t: float) -> None:
+        self._groups = []   # two live sets of factors would raise peak memory
         a, b = self._cell_coeffs(t)
-        first = _first_equal_cells(a, b)
-        cells = sorted(set(first))
-        lus = dict(zip(cells, map(splu, self._cell_matrices(a, b, cells))))
-        self._lus = [lus[c] for c in first]
+        first = np.array(_first_equal_cells(a, b))
+        cells = np.unique(first).tolist()
+        for c, band in zip(cells, self._cell_bands(a, b, cells)):
+            lu, ipiv, info = self._dgbtrf(band.T, self._kl, self._kl, overwrite_ab=True)
+            if info != 0:
+                raise np.linalg.LinAlgError(f"collision matrix of x-cell {divmod(c, self.grid.nx)} "
+                                            f"is singular: pivot {info} is exactly zero")
+            rows = np.flatnonzero(first == c)
+            if rows[-1] - rows[0] == len(rows) - 1:
+                rows = slice(rows[0], rows[-1] + 1)
+            self._groups.append((lu, ipiv, rows))
 
     def _cell_coeffs(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         """A (cells, nv, nv, 2, 2) and B (cells, nv, nv, 2) at the nodes."""
@@ -423,16 +436,23 @@ class _Collision2D(_Collision):
         return (self.coeffs.a(t).reshape(n_cells, nv, nv, 2, 2),
                 self.coeffs.b(t).reshape(n_cells, nv, nv, 2))
 
-    def _cell_matrices(self, a: np.ndarray, b: np.ndarray, cells: list[int]) -> list:
-        """I - dt L of each of the ``cells`` of ``a`` and ``b`` as a CSC matrix."""
+    def _cell_bands(self, a: np.ndarray, b: np.ndarray, cells: list[int]) -> np.ndarray:
+        """I - dt L of each of the ``cells`` of ``a`` and ``b`` in band layout."""
         chunk = max(1, _CHUNK_NODES // self.grid.nv**2)
-        return [block for c in range(0, len(cells), chunk) for block in _cell_matrices_2d(
-            a[cells[c:c + chunk]], b[cells[c:c + chunk]], self.grid.hv, self.dt)]
+        bands = np.empty((len(cells), self.grid.nv**2, 3 * self._kl + 1))
+        for c in range(0, len(cells), chunk):
+            _cell_bands_2d(a[cells[c:c + chunk]], b[cells[c:c + chunk]], self.grid.hv, self.dt,
+                           bands[c:c + chunk])
+        return bands
 
     def _solve(self) -> np.ndarray:
         rhs = self._rhs
-        for ci, lu in enumerate(self._lus):
-            rhs[ci] = lu.solve(rhs[ci])
+        for lu, ipiv, rows in self._groups:
+            out, info = self._dgbtrs(lu, self._kl, self._kl, rhs[rows].T, ipiv, overwrite_b=True)
+            if info != 0:
+                raise np.linalg.LinAlgError(f"collision solve failed ({info})")
+            if not isinstance(rows, slice):
+                rhs[rows] = out.T
         return rhs
 
 

@@ -4,13 +4,16 @@
 indexes through ``moveaxis``; ``gradient_v_sq`` and ``ledger_row`` go through
 ``np.gradient``; ``Collision1D`` builds the bands in fresh arrays and
 factorises them with ``dgttrf`` at every assembly, then solves every step
-with ``dgttrs``; ``Collision2D`` assembles the d = 2 stencil node by node;
+with ``dgttrs``; ``Collision2D`` assembles the d = 2 stencil node by node
+into dense matrices and factorises each cell's band with ``dgbtrf``;
 both collision oracles evaluate A, B and s through ``field.a/b/s`` at every
 assembly (never through the node-bound evaluators) and add ``dt * s`` at
 every step; ``solve`` evaluates the source through ``field.s`` for every
 ledger row and stacks a list of snapshot copies.  Each is the arithmetic the
 fast path must reproduce bitwise, for smooth fields up to the rounding of the
-node evaluators.
+node evaluators.  ``SparseCollision2D``, the d = 2 step as it was before
+the band layout (CSC matrices and SuperLU), bounds how far the band LU moved
+the d = 2 bits.
 
 The exact solutions of the constant-diffusion flow (``kolmogorov_oracle``,
 ``gaussian_exact_solution``, and ``gaussian_solution_spd`` for any constant
@@ -30,11 +33,13 @@ from dataclasses import replace
 
 import numpy as np
 from scipy.linalg import lapack
-from scipy.sparse import csr_matrix
+from scipy.sparse import csc_matrix, csr_matrix, identity
 from scipy.sparse.linalg import splu
 
 from kfplab.fields import CoefficientField
-from kfplab.solver import SolverConfig, _Collision1D, _Collision2D, solve as fast_solve
+from kfplab import solver as solver_mod
+from kfplab.solver import (SolverConfig, _Collision1D, _Collision2D, _first_equal_cells,
+                           solve as fast_solve)
 from kfplab.trajectory import PhaseGridFunction, Trajectory
 
 from conftest import ledger_from_rows
@@ -152,7 +157,10 @@ class Collision1D(_Collision1D):
 
 class Collision2D(_Collision2D):
     """The d = 2 collision solve assembled by a loop over x-cells and
-    velocity nodes, one sparse matrix per cell."""
+    velocity nodes: each cell's entries are added one by one into a dense
+    matrix, in the order the loop reaches them, and I - dt L is copied into
+    LAPACK's band layout (``bands``), then factorised by ``dgbtrf`` and
+    solved by ``dgbtrs`` one cell at a time."""
 
     def _assemble(self, t):
         g = self.grid
@@ -161,8 +169,9 @@ class Collision2D(_Collision2D):
         v_pts = np.stack([vx.ravel(), vy.ravel()], axis=-1)
         n_cells = g.nx * g.nx
         nvv = nv * nv
-        self._lus = []
-        self.matrices = []
+        kl = nv + 1
+        self._factors = []
+        self.bands = []
         sources = np.empty((n_cells, nvv))
 
         x_cells = [
@@ -173,18 +182,13 @@ class Collision2D(_Collision2D):
             a = self.field.a(x_pts, v_pts, t).reshape(nv, nv, 2, 2)
             b = self.field.b(x_pts, v_pts, t).reshape(nv, nv, 2)
             sources[ci] = self.field.s(x_pts, v_pts, t).reshape(-1)
-
-            rows: list[int] = []
-            cols: list[int] = []
-            vals: list[float] = []
+            lmat = np.zeros((nvv, nvv))
 
             def idx(i: int, j: int) -> int:
                 return i * nv + j
 
             def add(r: int, c: int, v: float) -> None:
-                rows.append(r)
-                cols.append(c)
-                vals.append(float(v))
+                lmat[r, c] += v
 
             inv_h2 = 1.0 / hv**2
             inv_4h2 = 1.0 / (4.0 * hv**2)
@@ -239,11 +243,16 @@ class Collision2D(_Collision2D):
                         add(r, idx(i, j - 1), -b2 / hv)
                         add(r, r, b2 / hv)
 
-            lmat = csr_matrix((vals, (rows, cols)), shape=(nvv, nvv))
-            eye = csr_matrix((np.ones(nvv), (np.arange(nvv), np.arange(nvv))), shape=(nvv, nvv))
-            mat = (eye - self.dt * lmat).tocsc()
-            self.matrices.append(mat)
-            self._lus.append(splu(mat))
+            mat = np.eye(nvv) - self.dt * lmat
+            band = np.zeros((3 * kl + 1, nvv))
+            for c in range(nvv):
+                for r in range(max(0, c - kl), min(nvv, c + kl + 1)):
+                    band[2 * kl + r - c, c] = mat[r, c]
+            self.bands.append(band)
+            lu, ipiv, info = lapack.dgbtrf(band, kl, kl)
+            if info != 0:
+                raise np.linalg.LinAlgError(f"collision matrix factorisation failed ({info})")
+            self._factors.append((lu, ipiv))
         self._sources = sources
 
     def apply(self, values, t):
@@ -252,12 +261,94 @@ class Collision2D(_Collision2D):
             self._assemble(t)
             self._key = key
         g = self.grid
-        nvv = g.nv * g.nv
-        work = values.reshape(g.nx * g.nx, nvv)
+        kl = g.nv + 1
+        work = values.reshape(g.nx * g.nx, g.nv * g.nv)
         out = np.empty_like(work)
-        for ci in range(work.shape[0]):
-            out[ci] = self._lus[ci].solve(work[ci] + self.dt * self._sources[ci])
+        for ci, (lu, ipiv) in enumerate(self._factors):
+            out[ci], info = lapack.dgbtrs(lu, kl, kl, work[ci] + self.dt * self._sources[ci], ipiv)
+            if info != 0:
+                raise np.linalg.LinAlgError(f"collision solve failed ({info})")
         return out.reshape(values.shape)
+
+
+def cell_matrices_csc(a, b, hv, dt):
+    """I - dt L of every x-cell in ``a`` (n_cells, nv, nv, 2, 2) and ``b``
+    (n_cells, nv, nv, 2) as CSC matrices, from the 28 stencil slots per node
+    that ``solver._cell_bands_2d`` takes, summed by scipy's COO to CSR
+    conversion: the assembly the band layout replaced."""
+    n_cells, nv = a.shape[:2]
+    nvv = nv * nv
+    pos = np.stack(np.meshgrid(np.arange(nv), np.arange(nv), indexing="ij"))
+    node = pos[0] * nv + pos[1]
+    rows = np.empty((nv, nv, 28), dtype=np.intp)
+    cols = np.empty((n_cells, nv, nv, 28), dtype=np.intp)
+    vals = np.zeros((n_cells, nv, nv, 28))
+    valid = np.zeros((n_cells, nv, nv, 28), dtype=bool)
+    sign = np.array([1.0, -1.0] * 4 + [-1.0, 1.0] * 2)
+    for m, stride in ((0, nv), (1, 1)):
+        lo, hi = (np.s_[:, :-1], np.s_[:, 1:]) if m == 0 else (np.s_[:, :, :-1], np.s_[:, :, 1:])
+        diff, cross = np.zeros((2, n_cells, nv, nv))
+        diff[lo] = 0.5 * (a[..., m, m][lo] + a[..., m, m][hi]) * (1.0 / hv**2)
+        cross[lo] = 0.5 * (a[..., 0, 1][lo] + a[..., 0, 1][hi]) * (1.0 / (4.0 * hv**2))
+        r0, r1 = node, node + stride
+        nbrs = []
+        for dm, do in ((0, 1), (1, 1), (0, -1), (1, -1)):
+            p = pos.copy()
+            p[m] += dm
+            p[1 - m] = np.clip(p[1 - m] + do, 0, nv - 1)
+            nbrs += [p[0] * nv + p[1]] * 2
+        k = slice(12 * m, 12 * m + 12)
+        rows[..., k] = np.stack([r0, r0, r1, r1] + [r0, r1] * 4, axis=-1)
+        cols[..., k] = np.stack([r1, r0, r0, r1] + nbrs, axis=-1)
+        vals[..., k] = np.stack([diff] * 4 + [cross] * 8, axis=-1) * sign
+        valid[..., k] = (pos[m] + 1 < nv)[..., None]
+
+        up = (b[..., m] > 0) & (pos[m] + 1 < nv)
+        down = (b[..., m] < 0) & (pos[m] >= 1)
+        first = np.where(up, b[..., m] / hv, -b[..., m] / hv)
+        k = slice(24 + 2 * m, 26 + 2 * m)
+        rows[..., k] = node[..., None]
+        cols[..., k] = np.stack([np.where(up, r1, node - stride), np.broadcast_to(node, up.shape)], -1)
+        vals[..., k] = np.stack([first, -first], axis=-1)
+        valid[..., k] = (up | down)[..., None]
+
+    offset = (np.arange(n_cells) * nvv)[:, None, None, None]
+    n = n_cells * nvv
+    lmat = csr_matrix(
+        (vals[valid], ((rows + offset)[valid], (cols + offset)[valid])), shape=(n, n)
+    )
+    mat = (identity(n, format="csr") - dt * lmat).tocsc()
+    ptr = mat.indptr
+    blocks = []
+    for c in range(n_cells):
+        lo, hi = ptr[c * nvv], ptr[(c + 1) * nvv]
+        blocks.append(csc_matrix(
+            (mat.data[lo:hi], mat.indices[lo:hi] - c * nvv, ptr[c * nvv:(c + 1) * nvv + 1] - lo),
+            shape=(nvv, nvv),
+        ))
+    return blocks
+
+
+class SparseCollision2D(_Collision2D):
+    """The d = 2 collision step before the band layout: the vectorised
+    assembly as CSC matrices (``cell_matrices_csc``) and one SuperLU per
+    distinct cell matrix, shared as the fast path shares its factors."""
+
+    def _assemble(self, t):
+        a, b = self._cell_coeffs(t)
+        first = _first_equal_cells(a, b)
+        cells = sorted(set(first))
+        chunk = max(1, solver_mod._CHUNK_NODES // self.grid.nv**2)
+        blocks = [block for c in range(0, len(cells), chunk) for block in cell_matrices_csc(
+            a[cells[c:c + chunk]], b[cells[c:c + chunk]], self.grid.hv, self.dt)]
+        lus = dict(zip(cells, map(splu, blocks)))
+        self._lus = [lus[c] for c in first]
+
+    def _solve(self):
+        rhs = self._rhs
+        for ci, lu in enumerate(self._lus):
+            rhs[ci] = lu.solve(rhs[ci])
+        return rhs
 
 
 def make_collision(cfg):

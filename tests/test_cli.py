@@ -1,3 +1,4 @@
+import ast
 import copy
 import json
 import math
@@ -165,6 +166,19 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert re.search(r"solver failure: .*\bstep 5\b", err)
         assert not out.exists()
+
+    def test_singular_d2_cell_matrix_exits_three(self, tmp_path, capsys, monkeypatch):
+        # dgbtrf reports an exactly zero pivot as info > 0
+        from kfplab import solver
+
+        flapack = solver._load_flapack()
+        dgbtrf = flapack.dgbtrf
+        monkeypatch.setattr(flapack, "dgbtrf", lambda *args, **kw: (*dgbtrf(*args, **kw)[:2], 1))
+        argv = _import_graph_argv(tmp_path, "solve")
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "solver failure: collision matrix of x-cell (0, 0) is singular: pivot 1" in err
+        assert not (tmp_path / "out").exists()
 
     def test_byte_identical_reruns(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -965,7 +979,7 @@ def _import_graph_argv(tmp_path, command):
     ("probe", []),
     ("iterate", []),
     ("run", []),                       # d = 1 loads only scipy.linalg._flapack
-    ("solve", ["linalg", "sparse"]),   # d = 2
+    ("solve", []),                     # and so does d = 2
     ("landau", ["fft", "special"]),    # scipy.fft imports scipy.special itself
     ("geometry", ["special"]),
 ], ids=["import", "probe", "iterate", "run_d1", "solve_d2", "landau", "geometry"])
@@ -976,9 +990,25 @@ def test_import_graph_loads_only_the_scipy_each_command_runs(tmp_path, command, 
     code = ("import sys, kfplab, kfplab.cli; "
             "code = kfplab.cli.main(sys.argv[1:]) if sys.argv[1:] else 0; "
             f"print(*[p for p in {SCIPY_PARTS!r} if 'scipy.' + p in sys.modules]); "
-            "print('scipy.linalg._flapack' in sys.modules); "
+            "solver = sys.modules.get('kfplab.solver'); "
+            "print(solver is not None and solver._load_flapack.cache_info().currsize == 1); "
             "sys.exit(code)")
     done = run_fresh_interpreter(code, *argv)
     *_, parts, flapack = done.stdout.splitlines()   # after what the command prints
     assert parts.split() == loaded
     assert flapack == str(command in ("run", "solve"))
+
+
+def test_no_module_of_kfplab_imports_scipy_sparse():
+    # the d = 2 step factorises with LAPACK's banded LU; scipy.sparse would
+    # bring scipy.linalg, 22-25 MB and 0.15 s
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            assert not [n for n in names if n.split(".")[:2] == ["scipy", "sparse"]], \
+                f"{path.name}:{node.lineno}"
