@@ -63,11 +63,8 @@ def _invariants(traj, cert) -> list[dict]:
     out = [
         {"name": "certify_field", "value": cert.verdict, "passed": cert.verdict == "ok"}
     ]
-    ledger = traj.ledger
-    if ledger is None:
-        return out
     field = traj.field
-    mass, l2, fmin, fmax = map(ledger.column, ("mass", "l2", "fmin", "fmax"))
+    mass, l2, fmin, fmax = map(traj.ledger.column, ("mass", "l2", "fmin", "fmax"))
     scale = max(1.0, float(fmax[0]))
     if lower_order_free(field):
         drift = float(np.max(np.abs(mass - mass[0]))) / max(1.0, abs(float(mass[0])))
@@ -149,6 +146,10 @@ def _cmd_probe(cfg: dict, args) -> int:
         return EXIT_CONFIG
     if traj.field is None:
         print(f"{out / 'run_meta.json'} stores no field descriptor to replay", file=sys.stderr)
+        return EXIT_CONFIG
+    if traj.ledger is None:
+        print(f"{out / 'ledger.csv'} is missing, so the run's invariants cannot be replayed",
+              file=sys.stderr)
         return EXIT_CONFIG
     return _probe_and_report(cfg, traj, out, with_probes=True)
 

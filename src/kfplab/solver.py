@@ -25,13 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .fields import CoefficientField
-from .trajectory import (
-    EnergyLedger,
-    PhaseGrid,
-    PhaseGridFunction,
-    Trajectory,
-    gradient_v_sq,
-)
+from .trajectory import EnergyLedger, PhaseGrid, PhaseGridFunction, Trajectory
 
 _CHUNK_NODES = 2**14   # d = 2 assembly works on cells of at most this many nodes at once
 _BLOCK_BYTES = 2**18   # the ledger reduces blocks of states this large, which stay in L2
@@ -493,7 +487,7 @@ def _stack_like(values: np.ndarray, count: int) -> np.ndarray:
 
 
 def _ledger_rows(ledger: EnergyLedger, first: int, times: list[float], block: np.ndarray,
-                 grid: PhaseGrid, source_l2_at) -> None:
+                 grid: PhaseGrid) -> None:
     """Write the rows of the states ``block[k]`` at steps ``first + k`` into ``ledger``.
 
     Each column is one reduction over the block's trailing axes, which adds
@@ -509,14 +503,12 @@ def _ledger_rows(ledger: EnergyLedger, first: int, times: list[float], block: np
         k = int(np.argmax(bad))
         raise SolverFailure(f"non-finite value at step {first + k} (t = {times[k]!r})")
     rows = slice(first, first + len(times))
-    step_no, time, mass, l2, lo, hi, gradv_l2, source_l2 = ledger.columns
+    step_no, time, mass, l2, lo, hi = ledger.columns
     step_no[rows] = np.arange(first, rows.stop)
     time[rows] = times
     mass[rows] = block.sum(axis=axes) * w
     l2[rows] = (block**2).sum(axis=axes) * w
     lo[rows], hi[rows] = fmin, fmax
-    gradv_l2[rows] = gradient_v_sq(block, grid).sum(axis=axes) * w
-    source_l2[rows] = [source_l2_at(t) for t in times]
 
 
 def solve(cfg: SolverConfig, f0: PhaseGridFunction) -> Trajectory:
@@ -536,23 +528,11 @@ def solve(cfg: SolverConfig, f0: PhaseGridFunction) -> Trajectory:
     transport = _make_transport(cfg)
     grid = cfg.grid
     state = PhaseGridFunction(grid, f0.values, 0.0)
-
-    src_cache: dict = {}
-
-    def source_l2_at(t: float) -> float:
-        if cfg.field.s_bound == 0:
-            return 0.0
-        key = cfg.field.time_key(t)
-        if key not in src_cache:
-            s = coll.coeffs.s(t).reshape(grid.shape)
-            src_cache[key] = float((s**2).sum() * grid.cell_volume)
-        return src_cache[key]
-
     n_steps, stored = cfg.n_steps, cfg._stored_steps()
     values = np.empty((len(stored),) + grid.shape)
     values[0] = state.values
     ledger = EnergyLedger(n_steps + 1)
-    _ledger_rows(ledger, 0, [state.time], state.values[None], grid, source_l2_at)
+    _ledger_rows(ledger, 0, [state.time], state.values[None], grid)
 
     block_size = max(1, _BLOCK_BYTES // state.values.nbytes)
     block = None
@@ -569,7 +549,7 @@ def solve(cfg: SolverConfig, f0: PhaseGridFunction) -> Trajectory:
             k += 1
         if len(block_times) == len(block) or n == n_steps:
             _ledger_rows(ledger, n + 1 - len(block_times), block_times,
-                         block[:len(block_times)], grid, source_l2_at)
+                         block[:len(block_times)], grid)
             block_times = []
 
     return Trajectory(

@@ -101,7 +101,7 @@ def write_ledger(path, ledger: EnergyLedger) -> None:
 
 def read_ledger(path) -> EnergyLedger:
     """Parse a ledger CSV as ``write_ledger`` writes it: the header line, then
-    one row per line, an int64 step and seven floats.  Any other line is a
+    one row per line, an int64 step and five floats.  Any other line is a
     ValueError naming the file and its line number.  A first pass counts the
     rows; the second parses them into the columns, ``_READ_ROWS`` at a time."""
     width = len(EnergyLedger.FIELDS)
@@ -179,7 +179,9 @@ def load_trajectory(out_dir) -> Trajectory:
     ``(n_snapshots, *grid.shape)`` float64 stack, so a replay holds the stored
     snapshots once.  A snapshot whose header's ``dims`` are not the grid's
     shape, or whose ``time`` is not its entry of run_meta's ``times``, is a
-    ValueError naming the file.
+    ValueError naming the file.  So is a ``ledger.csv`` with no rows, or one
+    whose ``time`` column lacks a stored time; a directory without one loads
+    with no ledger.
     """
     out = Path(out_dir)
     meta = json.loads((out / "run_meta.json").read_text())
@@ -214,7 +216,16 @@ def load_trajectory(out_dir) -> Trajectory:
         if t != meta_times[k]:
             raise ValueError(f"snapshot {path} has time {t!r}, "
                              f"but run_meta.json lists {meta_times[k]!r}")
-    ledger = read_ledger(out / "ledger.csv") if (out / "ledger.csv").exists() else None
+    ledger = None
+    if (path := out / "ledger.csv").exists():
+        ledger = read_ledger(path)
+        ledger_times = ledger.column("time")
+        if not ledger_times.size:
+            raise ValueError(f"{path} holds no rows")
+        found = np.isin(times, ledger_times)
+        if not found.all():
+            raise ValueError(f"{path} has no row at time {float(times[np.argmin(found)])!r}, "
+                             f"which run_meta.json lists")
     return Trajectory(grid=grid, times=times, values=values, field=field, ledger=ledger)
 
 

@@ -1,6 +1,6 @@
 """Phase-space grids, grid functions, solver trajectories, the one rule for
 how a probe region meets the grid (:class:`Footprint`), and the |grad_v f|^2
-that the solver's ledger and the energy-type probes share.
+that the energy-type probes sample.
 
 A trajectory may carry a Galilean ``base`` transform: it is viewed in the
 transformed frame while the stored values stay untouched.  A
@@ -103,7 +103,7 @@ class EnergyLedger:
     ``FIELDS``, ``step`` int64 and the others float64, made with ``n_rows``
     uninitialised rows for its writer to fill.  ``column`` returns the stored array."""
 
-    FIELDS = ("step", "time", "mass", "l2", "fmin", "fmax", "gradv_l2", "source_l2")
+    FIELDS = ("step", "time", "mass", "l2", "fmin", "fmax")
 
     def __init__(self, n_rows: int):
         self.columns = tuple(np.empty(n_rows, dtype=np.int64 if name == "step" else float)

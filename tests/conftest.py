@@ -51,7 +51,7 @@ def traced_peak(fn, *args):
 
 
 def ledger_from_rows(rows) -> EnergyLedger:
-    """A ledger holding ``rows``, each a step and seven floats."""
+    """A ledger holding ``rows``, each a step and five floats."""
     rows = list(rows)
     ledger = EnergyLedger(len(rows))
     for column, values in zip(ledger.columns, zip(*rows)):
@@ -60,7 +60,7 @@ def ledger_from_rows(rows) -> EnergyLedger:
 
 
 def ledger_rows(ledger: EnergyLedger) -> list[tuple]:
-    """The rows of ``ledger``, each a Python int and seven floats."""
+    """The rows of ``ledger``, each a Python int and five floats."""
     return list(zip(*(c.tolist() for c in ledger.columns)))
 
 

@@ -1,19 +1,18 @@
 """The solver's slow paths, kept as test oracles for the fast ones.
 
 ``advect_axis`` recomputes the semi-Lagrangian gather on every call and
-indexes through ``moveaxis``; ``gradient_v_sq`` and ``ledger_row`` go through
+indexes through ``moveaxis``; ``gradient_v_sq`` goes through
 ``np.gradient``; ``Collision1D`` builds the bands in fresh arrays and
 factorises them with ``dgttrf`` at every assembly, then solves every step
 with ``dgttrs``; ``Collision2D`` assembles the d = 2 stencil node by node
 into dense matrices and factorises each cell's band with ``dgbtrf``;
 both collision oracles evaluate A, B and s through ``field.a/b/s`` at every
 assembly (never through the node-bound evaluators) and add ``dt * s`` at
-every step; ``solve`` evaluates the source through ``field.s`` for every
-ledger row and stacks a list of snapshot copies.  Each is the arithmetic the
-fast path must reproduce bitwise, for smooth fields up to the rounding of the
-node evaluators.  ``SparseCollision2D``, the d = 2 step as it was before
-the band layout (CSC matrices and SuperLU), bounds how far the band LU moved
-the d = 2 bits.
+every step; ``solve`` reduces one ledger row per state and stacks a list
+of snapshot copies.  Each is the arithmetic the fast path must reproduce
+bitwise, for smooth fields up to the rounding of the node evaluators.
+``SparseCollision2D``, the d = 2 step as it was before the band layout (CSC
+matrices and SuperLU), bounds how far the band LU moved the d = 2 bits.
 
 The exact solutions of the constant-diffusion flow (``kolmogorov_oracle``,
 ``gaussian_exact_solution``, and ``gaussian_solution_spd`` for any constant
@@ -80,7 +79,7 @@ def gradient_v_sq(values, grid):
     return out
 
 
-def ledger_row(n, state, grid, source_l2):
+def ledger_row(n, state, grid):
     """The ledger row of ``state`` at step ``n``, in ``EnergyLedger.FIELDS`` order."""
     w = grid.cell_volume
     vals = state.values
@@ -91,8 +90,6 @@ def ledger_row(n, state, grid, source_l2):
         float((vals**2).sum() * w),
         float(vals.min()),
         float(vals.max()),
-        float(gradient_v_sq(vals, grid).sum() * w),
-        source_l2,
     )
 
 
@@ -386,26 +383,15 @@ def solve(cfg, f0):
     grid = cfg.grid
     n_steps = cfg.n_steps
 
-    x_mesh, v_mesh = grid.meshes()
     state = PhaseGridFunction(grid, f0.values, 0.0)
-
-    src_cache: dict = {}
-
-    def source_l2_at(t):
-        key = cfg.field.time_key(t)
-        if key not in src_cache:
-            s = cfg.field.s(x_mesh, v_mesh, t)
-            src_cache[key] = float((s**2).sum() * grid.cell_volume)
-        return src_cache[key]
-
-    rows = [ledger_row(0, state, grid, source_l2_at(0.0))]
+    rows = [ledger_row(0, state, grid)]
     times = [0.0]
     stored = [state.values.copy()]
 
     stored_steps = set(snapshot_steps(cfg))
     for n in range(1, n_steps + 1):
         state = step(state, cfg, coll)
-        rows.append(ledger_row(n, state, grid, source_l2_at(state.time)))
+        rows.append(ledger_row(n, state, grid))
         if n in stored_steps:
             times.append(state.time)
             stored.append(state.values.copy())

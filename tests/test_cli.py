@@ -90,8 +90,8 @@ class TestSnapshotFormat:
     def test_ledger_round_trip(self, tmp_path):
         # each value is written as its repr and read back to the same bits
         rng = np.random.default_rng(0)
-        vals = rng.standard_normal((10_000, 7)) * 10.0 ** rng.integers(-300, 300, (10_000, 7))
-        vals[:4] = [[-0.0, 5e-324, 1e-310, 1e300, -1e300, 0.1, 2.5e-308]] * 4
+        vals = rng.standard_normal((10_000, 5)) * 10.0 ** rng.integers(-300, 300, (10_000, 5))
+        vals[:4] = [[-0.0, 5e-324, 1e-310, 1e300, -1e300], [0.1, 2.5e-308, -0.0, 5e-324, 1e300]] * 2
         ledger = ledger_from_rows((n, *row) for n, row in enumerate(vals.tolist()))
         path = tmp_path / "ledger.csv"
         storage.write_ledger(path, ledger)
@@ -548,7 +548,7 @@ def test_snapshot_stack_beyond_physical_memory_exits_two(tmp_path, capsys):
 ], ids=["dt_tiny", "t_end_huge", "stride_huge"])
 def test_snapshot_count_beyond_physical_memory_is_rejected_unwalked(tmp_path, capsys, solver, what):
     # 5e299, 6.4e301 or 5e299 steps: the stack's exact closed-form size
-    # rejects it, or with a stride past the last step the ledger's 64 bytes
+    # rejects it, or with a stride past the last step the ledger's 48 bytes
     # a step, before any array of steps is built
     out = tmp_path / "out"
     config = base_config(out)
@@ -775,8 +775,38 @@ class TestOtherCommands:
         cfg = write_config(tmp_path, base_config(out))
         assert main(["solve", "--config", str(cfg)]) == 0
         ledger = out / "ledger.csv"
-        ledger.write_text(ledger.read_text().replace("gradv_l2,", ""))
+        # the header of the former eight-column ledger
+        header = ",".join(EnergyLedger.FIELDS)
+        ledger.write_text(ledger.read_text().replace(header, header + ",gradv_l2,source_l2", 1))
         assert main(["probe", "--config", str(cfg)]) == 2
+
+    def test_missing_ledger_exits_two(self, tmp_path, capsys):
+        # the invariants are replayed from the ledger, so a report without them
+        # would be weaker than the run's
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, base_config(out))
+        assert main(["solve", "--config", str(cfg)]) == 0
+        report = (out / "report.json").read_bytes()
+        (out / "ledger.csv").unlink()
+        assert load_trajectory(out).ledger is None
+        assert main(["probe", "--config", str(cfg)]) == 2
+        assert f"{out / 'ledger.csv'} is missing" in capsys.readouterr().err
+        assert (out / "report.json").read_bytes() == report
+
+    @pytest.mark.parametrize("rows, message", [
+        (0, "holds no rows"),
+        (2, "has no row at time 0.03125, which run_meta.json lists"),
+    ], ids=["header_only", "first_two_rows"])
+    def test_ledger_short_of_the_stored_times_exits_two(self, tmp_path, capsys, rows, message):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, base_config(out))
+        assert main(["solve", "--config", str(cfg)]) == 0
+        ledger = out / "ledger.csv"
+        ledger.write_text("".join(ledger.read_text().splitlines(keepends=True)[:1 + rows]))
+        with pytest.raises(ValueError, match=re.escape(f"{ledger} {message}")):
+            load_trajectory(out)
+        assert main(["probe", "--config", str(cfg)]) == 2
+        assert f"{ledger} {message}" in capsys.readouterr().err
 
     def test_geometry_defaults_pass(self, tmp_path):
         assert main(["geometry", "--out", str(tmp_path)]) == 0

@@ -60,8 +60,7 @@ SCALES = {"checkerboard_d1": [2.0**-1, 2.0**-10, 2.0**-14], "rotating_d2": [2.0*
 
 def ledger_powers(d):
     """The power of r each ledger column scales by, at dimension d."""
-    return {"step": 0, "time": 2, "mass": 4 * d, "l2": 4 * d, "fmin": 0, "fmax": 0,
-            "gradv_l2": 4 * d - 2, "source_l2": 4 * d - 4}
+    return {"step": 0, "time": 2, "mass": 4 * d, "l2": 4 * d, "fmin": 0, "fmax": 0}
 
 
 # bound on the slope of a log fit: its abscissae log r_k + log r each round to

@@ -165,12 +165,52 @@ class TestComparison:
             ok, violation = comparison_check(f0, g0, cfg)
             assert ok, f"ordering violated by {violation}"
 
+    def test_close_ordered_pair(self):
+        # g exceeds f only by a thin copy of f three x nodes over: random pairs
+        # keep an O(1) gap that hides a step with positive off-diagonal
+        # entries, this pair does not
+        cfg = self._cfg()
+        f0 = gaussian_bump(cfg.grid, 2.0, 0.0, 0.3, 0.4)
+        g0 = PhaseGridFunction(cfg.grid, f0.values + 1e-3 * np.roll(f0.values, 3, axis=0), 0.0)
+        ok, violation = comparison_check(f0, g0, cfg)
+        assert ok, f"ordering violated by {violation}"
+
     def test_unordered_rejected(self):
         cfg = self._cfg()
         f0 = PhaseGridFunction(cfg.grid, np.ones(cfg.grid.shape), 0.0)
         g0 = PhaseGridFunction(cfg.grid, np.zeros(cfg.grid.shape), 0.0)
         with pytest.raises(ValueError):
             comparison_check(f0, g0, cfg)
+
+
+class TestTransportSmearing:
+    @pytest.mark.parametrize("dt", [1 / 16, 1 / 128])
+    @pytest.mark.parametrize("extents", [(5.0, 64, 4.0, 64), (4.0, 128, 3.0, 32)],
+                             ids=["64x64", "128x32"])
+    def test_row_variance_is_the_bernoulli_sum(self, extents, dt):
+        # a half-step sends row j's mass at node k to k + shift_j and
+        # k + shift_j + 1 with weights 1 - a_j and a_j, so after n half-steps
+        # the x variance of a point mass is n hx^2 a_j (1 - a_j)
+        x_extent, nx, v_max, nv = extents
+        grid = PhaseGrid(d=1, x_extent=x_extent, nx=nx, v_max=v_max, nv=nv)
+        plan, n, mid = solver_mod._TransportPlan(grid, 0.5 * dt), 10, nx // 2
+        c = grid.v_axis * (0.5 * dt) / grid.hx
+        shift = np.floor(c)
+        a = c - shift
+        # the support of every row stays inside one period: no wrap-around
+        assert mid + n * shift.min() >= 0 and mid + n * (shift.max() + 1) <= nx - 1
+        values = np.zeros(grid.shape)
+        values[mid] = 1.0 / grid.hx
+        for _ in range(n):
+            values = plan.apply(values).copy()
+        k = np.arange(nx)[:, None]
+        mass = values.sum(axis=0)
+        mean = (k * values).sum(axis=0) / mass
+        variance = ((k - mean) ** 2 * values).sum(axis=0) / mass * grid.hx**2
+        want = n * grid.hx**2 * a * (1.0 - a)
+        assert np.abs(mean - mid - n * c).max() <= 1e-12 * nx
+        assert np.all(np.abs(variance - want) <= 1e-12 * want)
+        assert np.any(want > 0.0) and np.any(want == 0.0)
 
 
 class TestKolmogorovOracle:
@@ -493,7 +533,7 @@ class TestSnapshotSchedule:
 
 class TestLedgerMemory:
     def test_solve_peak_is_the_columns_and_the_states(self, long_constant_run):
-        # 64 bytes a row in columns, allocated once, and the block the rows
+        # 48 bytes a row in columns, allocated once, and the block the rows
         # are reduced from; no Python object per row
         traj, peak = long_constant_run
         n_rows = traj.ledger.column("step").size
@@ -604,10 +644,10 @@ class TestFastPathsMatchOracles:
             block[k] = rng.standard_normal(grid.shape) * 10.0 ** (3 * k - 3)
         times = [0.5, 0.75, 1.0]
         ledger = EnergyLedger(10)
-        solver_mod._ledger_rows(ledger, 7, times, block, grid, lambda t: 2.0 * t)
+        solver_mod._ledger_rows(ledger, 7, times, block, grid)
         for k, row in enumerate(ledger_rows(ledger)[7:]):
             state = PhaseGridFunction(grid, block[k], times[k])
-            assert row == oracle.ledger_row(7 + k, state, grid, 2.0 * times[k])
+            assert row == oracle.ledger_row(7 + k, state, grid)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_state_is_a_solver_failure_at_its_step(self, bad):
@@ -831,8 +871,7 @@ class TestFastPathsMatchOracles:
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_smooth_nodes_bound_once_per_solve(self, d):
-        # the mode tables are built once per run, and the ledger's source
-        # column reuses the collision step's evaluator
+        # the mode tables are built once per run
         calls = {"nodes": 0, "a": 0, "s": 0, "plain": 0}
         base = sample_field(SmoothRandomRecipe(s_max=0.3), EllipticityBounds(0.5, 2.0), seed=2, d=d)
 
@@ -851,10 +890,10 @@ class TestFastPathsMatchOracles:
                                                     for name in ("a_fn", "b_fn", "s_fn")})
         grid = PhaseGrid(d=d, x_extent=2.0, nx=4, v_max=2.0, nv=5)
         cfg = SolverConfig(grid=grid, dt=0.05, t_end=0.2, field=field)
-        traj = solve(cfg, PhaseGridFunction(grid, _random_state(grid, 6), 0.0))
+        solve(cfg, PhaseGridFunction(grid, _random_state(grid, 6), 0.0))
         assert calls["nodes"] == 1 and calls["plain"] == 0
         assert calls["a"] == cfg.n_steps
-        assert calls["s"] == cfg.n_steps + traj.ledger.column("step").size
+        assert calls["s"] == cfg.n_steps
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_smooth_field_solve_near_oracle(self, d):
@@ -869,9 +908,8 @@ class TestFastPathsMatchOracles:
         got, want = solve(cfg, f0), oracle.solve(cfg, f0)
         assert got.times.tobytes() == want.times.tobytes()
         assert np.max(np.abs(got.values - want.values)) <= 1e-12
-        for name, tol in (("source_l2", 0.0), ("mass", 1e-14)):
-            assert got.ledger.column(name) == pytest.approx(want.ledger.column(name),
-                                                            rel=1e-12, abs=tol)
+        assert got.ledger.column("mass") == pytest.approx(want.ledger.column("mass"),
+                                                          rel=1e-12, abs=1e-14)
 
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("recipe", [CheckerboardRecipe(cell=0.7, b_max=1.0, s_max=0.2),

@@ -12,12 +12,12 @@ from kfplab import storage
 from kfplab.trajectory import EnergyLedger, PhaseGrid, Trajectory
 
 HEADER = ",".join(EnergyLedger.FIELDS)
-ROW = "3,0.5,1.0,2.0,-0.0,1e+300,5e-324,0.1"
+ROW = "3,0.5,2.0,5e-324,-0.0,1e+300"
 
 
 def random_ledger(n_rows, seed=0):
     rng = np.random.default_rng(seed)
-    vals = rng.standard_normal((n_rows, 7)) * 10.0 ** rng.integers(-300, 300, (n_rows, 7))
+    vals = rng.standard_normal((n_rows, 5)) * 10.0 ** rng.integers(-300, 300, (n_rows, 5))
     return ledger_from_rows((n, *row) for n, row in enumerate(vals.tolist()))
 
 
@@ -47,13 +47,13 @@ class TestLedgerFiles:
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
     @pytest.mark.parametrize("text, expect", [
-        (f"{HEADER}\n{ROW}\n\n \n\n", "line 3 has 1 fields, not 8"),
+        (f"{HEADER}\n{ROW}\n\n \n\n", "line 3 has 1 fields, not 6"),
         (f"\n \t{HEADER}\n{ROW}\n", "does not start with the ledger header"),
-        (f"{HEADER}\n{ROW}\n\n{ROW}\n", "line 3 has 1 fields, not 8"),
+        (f"{HEADER}\n{ROW}\n\n{ROW}\n", "line 3 has 1 fields, not 6"),
         (f"\n\n{HEADER}\n{ROW}\n\n{ROW}\n", "does not start with the ledger header"),
-        (f"{HEADER.replace('gradv_l2,', '')}\n{ROW}\n", "does not start with the ledger header"),
+        (f"{HEADER},gradv_l2,source_l2\n{ROW}\n", "does not start with the ledger header"),
         (f"{HEADER} \n{ROW}\n", "does not start with the ledger header"),
-        (f"{HEADER}\n{ROW}\n1,2\n", "line 3 has 2 fields, not 8"),
+        (f"{HEADER}\n{ROW}\n1,2\n", "line 3 has 2 fields, not 6"),
         (f"{HEADER}\r\n{ROW}\r\n{ROW}\r\n", 2),
         (f"{HEADER}\n", 0),
         (f"  {HEADER}  \n\n", "does not start with the ledger header"),
@@ -107,7 +107,7 @@ class TestLedgerFiles:
         assert peak <= 0.7 * oracle_peak
 
     def test_read_peak_is_the_columns(self, tmp_path, long_constant_run):
-        # 64 bytes a row in columns, and at most one chunk of rows as objects
+        # 48 bytes a row in columns, and at most one chunk of rows as objects
         path = tmp_path / "ledger.csv"
         storage.write_ledger(path, long_constant_run[0].ledger)
         got, peak = traced_peak(storage.read_ledger, path)
@@ -128,7 +128,9 @@ class TestLoadTrajectory:
 
     def test_peak_is_the_stack(self, tmp_path):
         grid = PhaseGrid(d=1, x_extent=4.0, nx=64, v_max=3.0, nv=64)
-        stored_run(tmp_path, 200, grid, ledger=random_ledger(8))
+        # a ledger must hold a row at each stored time
+        stored_run(tmp_path, 200, grid, ledger=ledger_from_rows(
+            (n, n / 64.0, 1.0, 1.0, 0.0, 1.0) for n in range(200)))
         traj, peak = traced_peak(storage.load_trajectory, tmp_path)
         assert traj.n_times == 200
         assert peak <= 1.25 * traj.values.nbytes
